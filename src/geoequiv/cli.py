@@ -1,7 +1,9 @@
 """Command-line front end: generate / analyze / geodesic / verify / check-relations.
 
 Exit codes: 0 success (or verification pass), 1 usage or IO error,
-2 verification fail, 3 inconclusive, 4 model-validation error.
+2 verification fail, 3 inconclusive, 4 invalid model: a manifest or
+validation error, or a model expression that leaves its real domain
+(EvalDomainError) at a requested point or along an extremal.
 JSON outputs are canonicalized (sorted keys, 2-space indent) so identical
 inputs give byte-identical reports; every report carries schema
 "geoequiv-report/1" and the fully resolved configuration.
@@ -10,11 +12,13 @@ inputs give byte-identical reports; every report carries schema
 import argparse
 import io
 import json
+import re
 import sys
 
 import numpy as np
 
 from . import __version__
+from .expr import EvalDomainError
 from .geometry import load_model, save_model, ManifestError, ModelValidationError
 from .hamiltonian import integrate, write_trajectory_csv
 from .pair import (AdaptedFrameError, AdaptedFrame, transition_operator,
@@ -33,6 +37,13 @@ EXIT_INVALID_MODEL = 4
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern misses exponents, so "--at -3.9e-05" would
+        # read the coordinate as an option flag
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits 2 on bad usage; the report contract reserves 2 for
     # verification failures, so remap.
     def error(self, message):
@@ -460,6 +471,9 @@ def main(argv=None):
     except AdaptedFrameError as exc:
         sys.stderr.write("error: %s\n" % exc)
         code = EXIT_INCONCLUSIVE
+    except EvalDomainError as exc:
+        sys.stderr.write("error: model expression out of its domain: %s\n" % exc)
+        code = EXIT_INVALID_MODEL
     return code
 
 

@@ -631,12 +631,12 @@ def is_zero(e):
 # compilation to python source (fast repeated evaluation)
 
 def _emit(e, out, cache):
+    if isinstance(e, Const):
+        return _fmt_float(e.value)
     key = id(e)
     if key in cache:
         return cache[key]
-    if isinstance(e, Const):
-        s = _fmt_float(e.value)
-    elif isinstance(e, Coord):
+    if isinstance(e, Coord):
         s = "q[%d]" % e.index
     elif isinstance(e, Pow):
         s = "_pow(%s, %s)" % (_emit(e.base, out, cache), _fmt_float(e.exponent))
@@ -658,33 +658,65 @@ def _emit(e, out, cache):
     return var
 
 
+class Program:
+    """Straight-line Python source built from Expr values and arithmetic lines.
+
+    value(e) emits e through _emit and returns the local that holds it (a
+    literal for a constant). assign() adds a line of plain arithmetic over
+    such locals; its names must not have the form t<digits> that _emit uses.
+    compile() returns the function params -> results. _emit caches by id(),
+    so the program keeps every Expr it emitted alive until it is compiled: a
+    collected node's id can be reused by a new node, which would then read a
+    stale local.
+    """
+
+    def __init__(self, params=("q",)):
+        self.params = tuple(params)
+        self.lines = []
+        self._cache = {}
+        self._alive = []
+
+    def value(self, e):
+        self._alive.append(e)
+        return _emit(e, self.lines, self._cache)
+
+    def assign(self, name, source):
+        self.lines.append("    %s = %s" % (name, source))
+        return name
+
+    def compile(self, results, name="_compiled"):
+        """The function params -> tuple of results, guarded like evaluate().
+
+        Domain violations and non-finite results raise EvalDomainError.
+        """
+        src = ["def %s(%s):" % (name, ", ".join(self.params))]
+        src.extend(self.lines)
+        src.append("    return (%s%s)" % (", ".join(results), "," if len(results) == 1 else ""))
+        namespace = {"_m": math, "_pow": _pow}
+        exec(compile("\n".join(src), "<geoequiv-expr>", "exec"), namespace)
+        raw = namespace[name]
+        isfinite = math.isfinite
+
+        def call(*args):
+            try:
+                values = raw(*args)
+            except EvalDomainError:
+                raise
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise EvalDomainError(str(exc)) from exc
+            for v in values:
+                if not isfinite(v):
+                    raise EvalDomainError("compiled expression not finite")
+            return values
+
+        call.__name__ = name
+        return call
+
+
 def compile_exprs(exprs, name="_compiled"):
     """Compile a flat sequence of Expr into one function q -> tuple of floats.
 
     Domain violations raise EvalDomainError, matching evaluate().
     """
-    exprs = list(exprs)
-    out = []
-    cache = {}
-    results = [_emit(e, out, cache) for e in exprs]
-    src = ["def %s(q):" % name]
-    src.extend(out)
-    src.append("    return (%s%s)" % (", ".join(results), "," if len(results) == 1 else ""))
-    namespace = {"_m": math, "_pow": _pow}
-    exec(compile("\n".join(src), "<geoequiv-expr>", "exec"), namespace)
-    raw = namespace[name]
-
-    def call(q):
-        try:
-            values = raw(q)
-        except EvalDomainError:
-            raise
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise EvalDomainError(str(exc)) from exc
-        for v in values:
-            if math.isinf(v) or math.isnan(v):
-                raise EvalDomainError("compiled expression not finite")
-        return values
-
-    call.__name__ = name
-    return call
+    prog = Program()
+    return prog.compile([prog.value(e) for e in exprs], name=name)

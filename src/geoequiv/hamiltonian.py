@@ -24,37 +24,134 @@ def quasi_impulses(model, frame, lam):
     return np.asarray(p, dtype=float) @ np.asarray(frame, dtype=float)
 
 
+def _is_one(e):
+    return isinstance(e, ex.Const) and e.value == 1.0
+
+
+def _dot(prog, pairs):
+    """Source of sum coef * var over (Expr coef, local name) pairs, zeros dropped."""
+    terms = []
+    for coef, var in pairs:
+        if ex.is_zero(coef):
+            continue
+        terms.append(var if _is_one(coef) else "%s * %s" % (prog.value(coef), var))
+    return " + ".join(terms)
+
+
+def _lower(rows, a, b):
+    # symmetric matrix entry [a][b] read from the lower triangle
+    return rows[a][b] if a >= b else rows[b][a]
+
+
+def _quadratic(prog, rows, names):
+    """Source of w^T M w for the symmetric Expr matrix `rows`, or "" when M = 0."""
+    m = len(names)
+    terms = []
+    for a in range(m):
+        inner = _dot(prog, [(_lower(rows, a, b), names[b]) for b in range(m)])
+        if inner:
+            terms.append("%s * (%s)" % (names[a], inner))
+    return " + ".join(terms)
+
+
+def _generate_field(model, tag):
+    """One compiled function (q, p) -> (h, dq/dt, dp/dt) for metric `tag`.
+
+    With u_i = p(X_i), W the Gram matrix of the metric (symmetric; its lower
+    triangle is read) and v = W^{-1} u:
+      dq/dt = sum_i v_i X_i,  h = u.v / 2,
+      dp_k/dt = (1/2) v^T (d_k W) v - sum_i v_i p(d_k X_i).
+    W is solved by an unpivoted LDL^T factorization unrolled into straight-line
+    code, and structurally zero entries of the frame, the Gram matrix and their
+    derivatives emit nothing. For tag 1 the tuple ends with the intrinsic
+    P = v^T W2 v as well.
+    """
+    n, m = model.n, model.m
+    frame = model.frame
+    gram = model.gram1 if tag == 1 else model.gram2
+    prog = ex.Program(("q", "p"))
+    p = ["p[%d]" % j for j in range(n)]
+
+    u = [prog.assign("u%d" % i, _dot(prog, zip(frame[i], p)) or "0.0")
+         for i in range(m)]
+
+    # W = L D L^T with unit lower-triangular L; entries of L that are
+    # structurally zero are left out of L
+    L, D = {}, []
+    for j in range(m):
+        for i in range(j, m):
+            terms = ["%s * %s * %s" % (L[i, k], L[j, k], D[k])
+                     for k in range(j) if (i, k) in L and (j, k) in L]
+            w = gram[i][j]
+            if ex.is_zero(w) and not terms and i > j:
+                continue
+            src = prog.value(w)
+            if terms:
+                src = "%s - (%s)" % (src, " + ".join(terms))
+            if i == j:
+                D.append(prog.assign("d%d" % j, src))
+            else:
+                L[i, j] = prog.assign("l%d_%d" % (i, j), "(%s) / %s" % (src, D[j]))
+    y = []
+    for i in range(m):
+        terms = ["%s * %s" % (L[i, k], y[k]) for k in range(i) if (i, k) in L]
+        y.append(prog.assign("y%d" % i, "%s - (%s)" % (u[i], " + ".join(terms)))
+                 if terms else u[i])
+    v = [None] * m
+    for i in reversed(range(m)):
+        terms = ["%s * %s" % (L[k, i], v[k]) for k in range(i + 1, m) if (k, i) in L]
+        src = "%s / %s" % (y[i], D[i])
+        v[i] = prog.assign("v%d" % i, "%s - (%s)" % (src, " + ".join(terms))
+                           if terms else src)
+
+    results = [prog.assign("energy", "0.5 * (%s)" % " + ".join(
+        "%s * %s" % (u[i], v[i]) for i in range(m)))]
+    results += [prog.assign("qd%d" % j, _dot(prog, [(frame[i][j], v[i]) for i in range(m)])
+                           or "0.0")
+               for j in range(n)]
+    for k in range(n):
+        dW = [[ex.differentiate(gram[a][b], k) if a >= b else None for b in range(m)]
+              for a in range(m)]
+        quad = _quadratic(prog, dW, v)
+        force = []
+        for i in range(m):
+            inner = _dot(prog, [(ex.differentiate(frame[i][j], k), p[j]) for j in range(n)])
+            if inner:
+                force.append("(%s) * %s" % (inner, v[i]))
+        src = "0.5 * (%s)" % quad if quad else ""
+        if force:
+            src += " - (%s)" % " + ".join(force)
+        results.append(prog.assign("pd%d" % k, src or "0.0"))
+    if tag == 1:
+        results.append(prog.assign("intrinsic", _quadratic(prog, model.gram2, v) or "0.0"))
+    return prog.compile(results, name="_field%d" % tag)
+
+
+def _field(model, tag):
+    """The generated field of metric `tag`, cached on the model."""
+    key = ("field", tag)
+    fn = model._cache.get(key)
+    if fn is None:
+        fn = model._cache[key] = _generate_field(model, tag)
+    return fn
+
+
 def hamiltonian(model, metric_tag, lam):
     """Kinetic energy (1/2) |p restricted to D|^2 in the dual metric norm."""
     q, p = lam
-    q = tuple(q)
-    m = model.m
-    ED = model.frame_at(q)[:, :m]
-    u = np.asarray(p, dtype=float) @ ED
-    W = model.gram_at(q, metric_tag)
-    return 0.5 * float(u @ np.linalg.solve(W, u))
+    return float(_field(model, metric_tag)(q, p)[0])
 
 
 def hamiltonian_rhs(model, metric_tag, q, p):
     """(dq/dt, dp/dt) for the canonical flow of h."""
-    qt = tuple(q)
-    m = model.m
-    E = model.frame_at(qt)
-    dE = model.dframe_at(qt)
-    W = model.gram_at(qt, metric_tag)
-    dW = model.dgram_at(qt, metric_tag)
-    ED = E[:, :m]
-    u = p @ ED
-    v = np.linalg.solve(W, u)
-    qdot = ED @ v
-    pdot = np.empty(model.n)
-    for k in range(model.n):
-        pdot[k] = 0.5 * (v @ dW[k] @ v) - (p @ dE[k][:, :m]) @ v
-    return qdot, pdot
+    n = model.n
+    vals = _field(model, metric_tag)(q, p)
+    return np.array(vals[1:n + 1]), np.array(vals[n + 1:2 * n + 1])
 
 
 class Trajectory:
-    def __init__(self, t, q, p, h, clipped, t_exit=None, aux=None):
+    def __init__(self, t, q, p, h, clipped, t_exit=None, aux=None, dense=None,
+                 resume=None):
         self.t = t          # (N,)
         self.q = q          # (N, n)
         self.p = p          # (N, n)
@@ -62,10 +159,28 @@ class Trajectory:
         self.clipped = clipped
         self.t_exit = t_exit
         self.aux = aux      # accumulated aux_rate integral, if requested
+        self.dense = dense  # scipy OdeSolution of the state (q, p[, aux])
+        # resume(t0, y0, t1, t_eval): solve_ivp result of the same flow
+        # (right-hand side, tolerances, boundary event) from y0 at t0 to t1
+        self.resume = resume
 
     @property
     def end(self):
         return self.q[-1], self.p[-1]
+
+
+def _trajectory(model, metric_tag, t, y, clipped, t_exit, with_aux, dense=None,
+                resume=None):
+    """Trajectory from the states y[:, i] at the times t; h from the field."""
+    n = model.n
+    q = y[:n].T.copy()
+    p = y[n:2 * n].T.copy()
+    h = np.array([hamiltonian(model, metric_tag, lam)
+                  for lam in zip(q.tolist(), p.tolist())])
+    aux = None
+    if with_aux:
+        aux = float(y[2 * n, -1]) if y.shape[1] else 0.0
+    return Trajectory(t, q, p, h, clipped, t_exit, aux, dense, resume)
 
 
 def integrate(model, metric_tag, lam0, T, tol=1e-10, max_step=1e-2,
@@ -74,7 +189,8 @@ def integrate(model, metric_tag, lam0, T, tol=1e-10, max_step=1e-2,
 
     Stops (clipped=True) when the base point reaches the domain boundary.
     aux_rate(q, p) -> float, when given, is integrated along the flow and the
-    total is returned in Trajectory.aux.
+    total is returned in Trajectory.aux. The dense solution is kept, so that
+    cut() can shorten the horizon without integrating again.
     """
     q0, p0 = lam0
     q0 = np.asarray(q0, dtype=float)
@@ -88,7 +204,8 @@ def integrate(model, metric_tag, lam0, T, tol=1e-10, max_step=1e-2,
     with_aux = aux_rate is not None
 
     def rhs(_t, y):
-        q, p = y[:n], y[n:2 * n]
+        state = y.tolist()
+        q, p = state[:n], state[n:2 * n]
         qdot, pdot = hamiltonian_rhs(model, metric_tag, q, p)
         if with_aux:
             return np.concatenate([qdot, pdot, [aux_rate(q, p)]])
@@ -99,31 +216,50 @@ def integrate(model, metric_tag, lam0, T, tol=1e-10, max_step=1e-2,
 
     hit_boundary.terminal = True
 
+    def solve(t0, y0, t1, t_eval, first_step=None):
+        # RK45 leaks ~1e-9 of energy per unit time at tol 1e-10; the 8th
+        # order stepper keeps |dh| within the advertised tolerance
+        return solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=tol, atol=tol,
+                         max_step=max_step, events=[hit_boundary], t_eval=t_eval,
+                         dense_output=True, first_step=first_step)
+
+    def resume(t0, y0, t1, t_eval):
+        return solve(t0, y0, t1, t_eval, first_step=abs(t1 - t0))
+
     y0 = np.concatenate([q0, p0, [0.0]] if with_aux else [q0, p0])
-    t_eval = np.linspace(0.0, T, samples) if samples else None
-    # RK45 leaks ~1e-9 of energy per unit time at tol 1e-10; the 8th order
-    # stepper keeps |dh| within the advertised tolerance
-    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=tol, atol=tol,
-                    max_step=max_step, events=[hit_boundary], t_eval=t_eval,
-                    dense_output=False)
+    sol = solve(0.0, y0, T, np.linspace(0.0, T, samples) if samples else None)
     if sol.status == -1:
         raise RuntimeError("integration failed: %s" % sol.message)
 
     clipped = sol.status == 1
     t_exit = float(sol.t_events[0][0]) if clipped and len(sol.t_events[0]) else None
-    t = sol.t
-    q = sol.y[:n].T.copy()
-    p = sol.y[n:2 * n].T.copy()
+    t, y = sol.t, sol.y
     if t.size == 0:
         # immediate boundary hit; report the initial state only
-        t = np.array([0.0])
-        q = q0[None, :].copy()
-        p = p0[None, :].copy()
-    h = np.array([hamiltonian(model, metric_tag, (q[i], p[i])) for i in range(len(t))])
-    aux = None
-    if with_aux:
-        aux = float(sol.y[2 * n, -1]) if sol.y.shape[1] else 0.0
-    return Trajectory(t, q, p, h, clipped, t_exit, aux)
+        t, y = np.array([0.0]), y0[:, None]
+    return _trajectory(model, metric_tag, t, y, clipped, t_exit, with_aux,
+                       sol.sol, resume)
+
+
+def cut(model, metric_tag, traj, T, samples):
+    """traj on [0, T] at `samples` even times, as integrating to T would give it.
+
+    T must lie within the integrated span. Integrating to T repeats the steps
+    of traj up to the last step boundary t_k before T, then takes one partial
+    step to T. So the samples up to t_k are read off the dense solution, and
+    only that partial step is taken again, from the exact state at t_k. The
+    aux total is the aux component at T.
+    """
+    dense = traj.dense
+    ts = dense.ts
+    t = np.linspace(0.0, T, samples)
+    sign = 1.0 if T > 0 else -1.0
+    k = int(np.searchsorted(sign * ts, sign * T, side="left")) - 1
+    head = sign * t <= sign * ts[k]
+    # a step's interpolant returns its initial state exactly
+    tail = traj.resume(ts[k], dense.interpolants[k](ts[k]), T, t[~head])
+    y = np.concatenate([dense(t[head]), tail.y], axis=1)
+    return _trajectory(model, metric_tag, t, y, False, None, traj.aux is not None)
 
 
 def initial_covector(model, metric_tag, q, v, transverse=None):
@@ -150,16 +286,12 @@ def initial_covector(model, metric_tag, q, v, transverse=None):
 
 
 def arc_length(model, metric_tag, traj):
-    """Metric length of the projected curve, trapezoid rule on the samples."""
-    m = model.m
-    speeds = []
-    for i in range(len(traj.t)):
-        qt = tuple(traj.q[i])
-        ED = model.frame_at(qt)[:, :m]
-        u = traj.p[i] @ ED
-        W = model.gram_at(qt, metric_tag)
-        v = np.linalg.solve(W, u)
-        speeds.append(np.sqrt(max(v @ W @ v, 0.0)))
+    """Metric length of the projected curve, trapezoid rule on the samples.
+
+    The speed is sqrt(v^T W v) = sqrt(u^T W^{-1} u) = sqrt(2h).
+    """
+    speeds = [np.sqrt(max(2.0 * hamiltonian(model, metric_tag, lam), 0.0))
+              for lam in zip(traj.q.tolist(), traj.p.tolist())]
     return float(np.trapezoid(speeds, traj.t))
 
 

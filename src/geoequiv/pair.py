@@ -22,6 +22,7 @@ from scipy.optimize import minimize
 
 from . import expr as ex
 from .geometry import StructureFunctions
+from .hamiltonian import _field
 
 _CLUSTER_TOL = 1e-7
 _FD_STEP = 1e-3
@@ -491,12 +492,7 @@ def fiber_hP(model, frame, q):
 def intrinsic_P(model, lam):
     """Frame-independent value of fiber_P: (W1^{-1}u)^T W2 (W1^{-1}u)."""
     q, p = lam
-    qt = tuple(q)
-    m = model.m
-    ED = model.frame_at(qt)[:, :m]
-    u = np.asarray(p, dtype=float) @ ED
-    w = np.linalg.solve(model.gram_at(qt, 1), u)
-    return float(w @ model.gram_at(qt, 2) @ w)
+    return float(_field(model, 1)(q, p)[-1])
 
 
 class DivisibilityResult:

@@ -119,6 +119,56 @@ def test_analyze_at_arity_checked(dini_model, capsys):
     assert "expects 2 coordinates" in capsys.readouterr().err
 
 
+def test_at_accepts_negative_scientific_notation(dini_model, capsys):
+    assert main(["analyze", "--model", dini_model, "--format", "json",
+                 "--at", "-3.9e-05", "0.1", "--at", "-1e-3", "-2E-1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [rec["q"] for rec in payload["points"]] == [[-3.9e-05, 0.1],
+                                                       [-1e-3, -0.2]]
+    assert main(["check-relations", "--model", dini_model, "--format", "json",
+                 "--at", "-1e-3", "1.5e-1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["points"][0]["q"] == [-1e-3, 0.15]
+
+
+def test_unknown_option_exits_1(dini_model, capsys):
+    assert main(["analyze", "--model", dini_model, "--bogus"]) == 1
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert main(["analyze", "--model", dini_model, "--at", "-e5", "0.1"]) == 1
+
+
+def _run_cli(*argv):
+    src = os.path.dirname(os.path.dirname(geoequiv.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "geoequiv.cli"] + list(argv),
+                          capture_output=True, text=True, env=env)
+
+
+def test_eval_domain_error_exits_4_without_traceback(tmp_path):
+    # d/dx abs(x - 0.2)^0.5 is undefined on the line x = 0.2
+    path = tmp_path / "kink.json"
+    path.write_text(json.dumps({
+        "coords": ["x", "y"], "rank": 2,
+        "frame": [["1", "0"], ["0", "1"]],
+        "gram1": [["1", "0"], ["0", "1"]],
+        "gram2": [["1 + abs(x-0.2)^0.5", "0"], ["0", "1"]],
+        "domain": {"min": [-1, -1], "max": [1, 1]}}))
+    runs = [
+        ("analyze", "--model", str(path), "--at", "0.2", "0"),
+        # the gram2 extremal crosses x = 0.2 in mid-integration
+        ("geodesic", "--model", str(path), "--metric", "2",
+         "--q", "0.1", "0", "--p", "1", "0", "--T", "0.3"),
+    ]
+    for argv in runs:
+        proc = _run_cli(*argv)
+        assert proc.returncode == 4, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
 def test_geodesic_csv(dini_model, capsys):
     assert main(["geodesic", "--model", dini_model, "--metric", "1",
                  "--q", "0", "0", "--p", "0.5", "0.1", "--T", "0.2",

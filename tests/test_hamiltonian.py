@@ -6,11 +6,13 @@ import pytest
 from geoequiv import expr as ex
 from geoequiv.geometry import GeometryModel
 from geoequiv.hamiltonian import (quasi_impulses, hamiltonian, hamiltonian_rhs,
-                                  integrate, initial_covector, arc_length,
+                                  integrate, initial_covector, arc_length, cut,
                                   write_trajectory_csv)
-from geoequiv.constructors import build_dini, build_quasi_contact
+from geoequiv.constructors import GENERATORS, build_dini, build_quasi_contact
+from geoequiv.pair import intrinsic_P
 
 from conftest import heisenberg, plane_pair
+from reference import numpy_hamiltonian, numpy_hamiltonian_rhs, numpy_intrinsic_P
 
 
 def euclidean_plane():
@@ -165,3 +167,61 @@ def test_integrate_rejects_bad_start():
         integrate(m, 1, (np.array([5.0, 0.0]), np.array([1.0, 0.0])), 1.0)
     with pytest.raises(ValueError, match="nonzero"):
         integrate(m, 1, (np.zeros(2), np.array([1.0, 0.0])), 0.0)
+
+
+# parameters for every generator; the conformal Heisenberg pair is added
+FIELD_PARAMS = {
+    "levi-civita": {"blocks": [{"size": 2, "beta": 1.5},
+                               {"size": 1, "beta": "2 + x3/10"}]},
+    "dini": {"beta1": "1+x1/10", "beta2": "2+x2/10"},
+    "gendini1": {"U": "1 - u", "V": "1 + v"},
+    "gendini2": {"R": "1 + r^2"},
+    "quasi-contact": {"beta": "exp(t)", "C1": 1.0, "C2": 1.0},
+    "beltrami": {},
+}
+
+
+def _close(new, ref, rel=1e-12):
+    new, ref = np.atleast_1d(new), np.atleast_1d(ref)
+    return np.max(np.abs(new - ref)) <= rel * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kind", sorted(FIELD_PARAMS) + ["conformal"])
+def test_generated_field_matches_numpy_reference(kind):
+    assert set(FIELD_PARAMS) == set(GENERATORS)
+    if kind == "conformal":
+        m = heisenberg("1 + x^2 + y^2")
+    else:
+        m = GENERATORS[kind](FIELD_PARAMS[kind])
+    rng = np.random.default_rng(17)
+    for i in range(8):
+        q = m.sample_point(rng)
+        p = rng.normal(size=m.n)
+        # integrate passes lists of floats, other callers numpy arrays
+        lam = (q.tolist(), p.tolist()) if i % 2 else (q, p)
+        for tag in (1, 2):
+            qdot, pdot = hamiltonian_rhs(m, tag, *lam)
+            ref = np.concatenate(numpy_hamiltonian_rhs(m, tag, q, p))
+            assert _close(np.concatenate([qdot, pdot]), ref), (kind, tag, q)
+            assert _close(hamiltonian(m, tag, lam), numpy_hamiltonian(m, tag, (q, p)))
+        assert _close(intrinsic_P(m, lam), numpy_intrinsic_P(m, (q, p)))
+
+
+def test_cut_matches_fresh_integration():
+    # curved pair, horizons long enough to leave the box either way
+    m = build_dini("1+x1/10", "2+x2/10")
+    aux_rate = lambda q, p: np.sqrt(max(intrinsic_P(m, (q, p)), 0.0))
+    rng = np.random.default_rng(5)
+    for T in (2.0, -2.0, 2.0, -2.0):
+        lam0 = (m.sample_point(rng), rng.normal(size=2))
+        full = integrate(m, 1, lam0, T, samples=601, aux_rate=aux_rate)
+        assert full.clipped
+        T_used = 0.8 * full.t_exit
+        short = cut(m, 1, full, T_used, 601)
+        fresh = integrate(m, 1, lam0, T_used, samples=601, aux_rate=aux_rate)
+        assert not fresh.clipped
+        assert np.array_equal(short.t, fresh.t)
+        assert np.max(np.abs(short.q - fresh.q)) <= 1e-11
+        assert np.max(np.abs(short.p - fresh.p)) <= 1e-11
+        assert abs(short.aux - fresh.aux) <= 1e-11
+        assert np.max(np.abs(short.h - fresh.h)) <= 1e-11

@@ -4,11 +4,13 @@ import pytest
 from geoequiv.hamiltonian import hamiltonian
 from geoequiv.pair import AdaptedFrame
 from geoequiv.verifier import (OrbitalMapError, orbital_map,
-                               check_orbital_identities, verify_equivalence)
+                               check_orbital_identities, verify_equivalence,
+                               _polyline_distances)
 from geoequiv.constructors import (build_dini, build_gendini_case1,
                                    build_quasi_contact)
 
 from conftest import heisenberg
+from reference import loop_polyline_distances
 
 
 # ------------------------------------------------------------- orbital map
@@ -165,3 +167,61 @@ def test_report_dict_shape():
     for s in doc["samples"]:
         assert s["status"] in {"verified", "truncated", "clipped",
                                "frame-error", "degenerate"}
+
+
+# ------------------------------------------------------- curve distance
+
+def _same_as_loop(points, poly):
+    got = _polyline_distances(points, poly)
+    assert np.array_equal(got, loop_polyline_distances(points, poly))
+    return got
+
+
+def test_polyline_distance_random_curves():
+    rng = np.random.default_rng(31)
+    for dim in (2, 3, 4):
+        for scale in (1e-3, 1e-2, 0.3):
+            poly = np.cumsum(rng.normal(scale=scale, size=(300, dim)), axis=0)
+            # a nearby curve with another parametrization, and scattered points
+            near = poly[::2] + rng.normal(scale=1e-4, size=(150, dim))
+            far = rng.uniform(poly.min() - 1, poly.max() + 1, size=(200, dim))
+            _same_as_loop(near, poly)
+            _same_as_loop(far, poly)
+
+
+def test_polyline_distance_figure_eight():
+    # the curve passes close to itself at the crossing
+    s = np.linspace(0.0, 2 * np.pi, 601)
+    poly = np.stack([np.sin(s), np.sin(s) * np.cos(s)], axis=1)
+    u = np.linspace(0.0, 2 * np.pi, 997)
+    points = 1.01 * np.stack([np.sin(u), np.sin(u) * np.cos(u)], axis=1)
+    got = _same_as_loop(points, poly)
+    assert got.max() < 0.02
+    _same_as_loop(np.array([[0.0, 0.0], [1e-9, -1e-9], [0.0, 0.3]]), poly)
+
+
+def test_polyline_distance_zero_length_segments():
+    rng = np.random.default_rng(32)
+    base = np.cumsum(rng.normal(scale=0.05, size=(40, 3)), axis=0)
+    poly = np.repeat(base, 3, axis=0)          # two zero-length segments per vertex
+    points = base + rng.normal(scale=0.02, size=base.shape)
+    _same_as_loop(points, poly)
+    _same_as_loop(points, np.repeat(base[:1], 5, axis=0))   # a single point
+
+
+def test_polyline_distance_two_vertices_and_points_on_vertices():
+    poly = np.array([[0.0, 0.0], [1.0, 0.5]])
+    points = np.array([[0.5, 0.25], [-1.0, 0.0], [2.0, 2.0], [0.3, -0.4]])
+    _same_as_loop(points, poly)
+    rng = np.random.default_rng(33)
+    curve = np.cumsum(rng.normal(scale=0.01, size=(601, 2)), axis=0)
+    assert np.array_equal(_same_as_loop(curve, curve), np.zeros(601))
+    _same_as_loop(curve[::7], curve)
+
+
+def test_polyline_distance_long_segment_far_from_nearest_vertex():
+    # the closest segment of (0, 0.1) has both endpoints 1.005 away, while
+    # the nearest vertex is (0, 0.3), on a segment 0.2 away
+    poly = np.array([[-1.0, 0.0], [1.0, 0.0], [1.0, 0.3], [0.0, 0.3]])
+    got = _same_as_loop(np.array([[0.0, 0.1], [0.5, 0.12]]), poly)
+    assert np.allclose(got, [0.1, 0.12], rtol=0, atol=1e-15)
