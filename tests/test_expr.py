@@ -227,3 +227,12 @@ def test_compiled_domain_error():
         fn((0.0,))
     with pytest.raises(ex.EvalDomainError):
         fn((-1.0,))
+
+
+def test_program_keeps_emitted_exprs_alive():
+    # _emit caches locals by id(); a node freed during code generation would
+    # hand its id to the next node built, which would then reuse a stale local
+    prog = ex.Program()
+    x = ex.Coord(0, "x")
+    names = [prog.value(ex.add(x, ex.Const(float(k)))) for k in range(50)]
+    assert prog.compile(names)((0.5,)) == tuple(0.5 + k for k in range(50))
