@@ -200,6 +200,8 @@ def _cmd_analyze(args):
             rec = _point_report(model, frame, q, args.radius, args.cluster_tol)
         except AdaptedFrameError as exc:
             rec = {"q": [float(v) for v in q], "frame_error": str(exc)}
+        except EvalDomainError as exc:
+            raise EvalDomainError("at q = %s: %s" % ([float(v) for v in q], exc)) from exc
         records.append(rec)
     payload = {
         "schema": SCHEMA,
@@ -360,6 +362,8 @@ def _cmd_check_relations(args):
         except AdaptedFrameError as exc:
             rec["frame_error"] = str(exc)
             failed = True
+        except EvalDomainError as exc:
+            raise EvalDomainError("at q = %s: %s" % (rec["q"], exc)) from exc
         records.append(rec)
     payload = {
         "schema": SCHEMA,

@@ -500,9 +500,11 @@ def _pow(base, exponent):
     try:
         v = math.pow(base, exponent)
     except (ValueError, OverflowError) as exc:
-        raise EvalDomainError("power %r^%r out of real domain" % (base, exponent)) from exc
+        raise EvalDomainError("power %s^%s out of real domain"
+                              % (_fmt_float(float(base)), _fmt_float(float(exponent)))) from exc
     if math.isinf(v) or math.isnan(v):
-        raise EvalDomainError("power %r^%r not finite" % (base, exponent))
+        raise EvalDomainError("power %s^%s not finite"
+                              % (_fmt_float(float(base)), _fmt_float(float(exponent))))
     return v
 
 
@@ -521,9 +523,9 @@ def _apply_func(name, x):
         else:
             v = abs(x)
     except (ValueError, OverflowError) as exc:
-        raise EvalDomainError("%s(%r) out of real domain" % (name, x)) from exc
+        raise EvalDomainError("%s(%s) out of real domain" % (name, _fmt_float(float(x)))) from exc
     if math.isinf(v) or math.isnan(v):
-        raise EvalDomainError("%s(%r) not finite" % (name, x))
+        raise EvalDomainError("%s(%s) not finite" % (name, _fmt_float(float(x))))
     return v
 
 

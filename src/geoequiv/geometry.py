@@ -300,21 +300,23 @@ class StructureFunctions:
     """Structure functions of the model frame.
 
     at(q)[a, b, k] is the coefficient of X_{k+1} in [X_{a+1}, X_{b+1}];
-    brackets are exact symbolic fields, the frame solve is pointwise.
+    brackets are exact symbolic fields, the frame solve is pointwise. The
+    brackets and their compiled evaluator are cached on the model, so only
+    the first instance per model does symbolic work.
     """
 
     def __init__(self, model):
         self.model = model
         n = model.n
-        self.bracket_exprs = {}
-        flat = []
-        for a in range(n):
-            for b in range(a + 1, n):
-                br = lie_bracket(model.frame[a], model.frame[b], n)
-                self.bracket_exprs[(a, b)] = br
-                flat.extend(br)
-        self._pairs = sorted(self.bracket_exprs)
-        self._fn = ex.compile_exprs(flat, name="_brackets") if flat else None
+        brackets = model._cache.get("bracket_exprs")
+        if brackets is None:
+            brackets = model._cache["bracket_exprs"] = {
+                (a, b): lie_bracket(model.frame[a], model.frame[b], n)
+                for a in range(n) for b in range(a + 1, n)}
+        self.bracket_exprs = brackets
+        self._pairs = sorted(brackets)
+        flat = [c for pair in self._pairs for c in brackets[pair]]
+        self._fn = model._compiled("brackets", flat) if flat else None
 
     def brackets_at(self, q):
         n = self.model.n
@@ -340,10 +342,6 @@ class StructureFunctions:
             c[a, b, :] = sol[:, col]
             c[b, a, :] = -sol[:, col]
         return c
-
-
-def structure_functions(model):
-    return StructureFunctions(model)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from .geometry import StructureFunctions
 from .hamiltonian import _field
 
 _CLUSTER_TOL = 1e-7
-_FD_STEP = 1e-3
 _DIV_TOL = 1e-8
 _GAUGE_MIN_SV = 0.2
 
@@ -182,6 +181,74 @@ class AdaptedPoint:
             setattr(self, key, val)
 
 
+def _completion(model, pair):
+    """Compiled q -> [X_a, X_b] and q -> its coordinate partials, cached on the model.
+
+    The partials come flat, k-major: entry k * n + j is d/dq_k of component j.
+    """
+    key = ("completion", pair)
+    fns = model._cache.get(key)
+    if fns is None:
+        n = model.n
+        br = StructureFunctions(model).bracket_exprs[pair]
+        fns = model._cache[key] = (
+            ex.compile_exprs(br, name="_completion%d_%d" % pair),
+            ex.compile_exprs([ex.differentiate(c, k) for k in range(n) for c in br],
+                             name="_dcompletion%d_%d" % pair))
+    return fns
+
+
+def _gauge_derivative(V, lams, clusters, W1, reference, dW1, dW2):
+    """Coordinate partials dVg[k] = d/dq_k of the gauge-fixed eigenvectors.
+
+    V and lams solve the pencil (W2, W1) with V^T W1 V = I. AdaptedFrame.at
+    builds each cluster block of Vg from M = P R, where P is the cluster's
+    W1-orthogonal spectral projector and R the reference block, followed by
+    W1 Gram-Schmidt, M = Vg U with U the upper Cholesky factor of
+    G = M^T W1 M. Every factor is differentiated in the eigenbasis V:
+    with N_ab = v_a^T (dW2 - lam_b dW1) v_b (the pencil derivative),
+    dP = V Z V^T W1 where Z_ab = N_ab / (lam_a - lam_b) for a in the cluster
+    and b outside it, Z_ba = -N_ba / (lam_b - lam_a), and 0 otherwise, so only
+    gaps between clusters are divided by; then dU = Phi(U^-T dG U^-1) U with
+    Phi the upper triangle and half the diagonal, and dVg = (dM - Vg dU) U^-1.
+    For a split eigenvalue this is Nelson's formula (AIAA J. 14(9), 1976),
+    dv_i = sum_{j != i} v_j N_ji / (lam_i - lam_j) - (1/2) v_i v_i^T dW1 v_i,
+    times the gauge sign; clusters follow Dailey (AIAA J. 27(4), 1989) with
+    the gauge above in place of his.
+
+    Returns dVg (n, m, m) and the pencil derivative N (n, m, m).
+    """
+    same = np.zeros((len(lams), len(lams)), dtype=bool)
+    for idx in clusters:
+        same[np.ix_(idx, idx)] = True
+    gap = np.where(same, 1.0, lams[:, None] - lams[None, :])
+    D1 = V.T @ dW1 @ V
+    N = V.T @ dW2 @ V - D1 * lams
+    Om = np.where(same, 0.0, N / gap)
+    Y = V.T @ W1 @ reference
+    Mc = np.where(same, Y, 0.0)                   # M = V Mc, block diagonal
+    dMc = np.where(same, Om @ Y, 0.0) - Om @ Mc   # dM = V dMc
+    U = np.linalg.cholesky(Mc.T @ Mc).T
+    Uinv = sla.solve_triangular(U, np.eye(len(lams)))
+    dG = np.where(same, dMc.transpose(0, 2, 1) @ Mc + Mc.T @ dMc + Mc.T @ D1 @ Mc, 0.0)
+    T = Uinv.T @ dG @ Uinv
+    X = np.triu(T, 1) + 0.5 * T * np.eye(len(lams))
+    dVg = V @ (dMc @ Uinv - (Mc @ Uinv) @ X)
+    return dVg, N
+
+
+def _structure(A, dA):
+    """c[a, b, k] = coefficient of column k of A in [column a, column b].
+
+    A holds fields as columns and dA[k] = d/dq_k A, so the bracket is
+    sum_k A[k, a] dA[k][:, b] - A[k, b] dA[k][:, a], solved in the basis A.
+    """
+    n = A.shape[0]
+    T = np.einsum("ka,kjb->jab", A, dA)
+    sol = np.linalg.solve(A, (T - T.transpose(0, 2, 1)).reshape(n, n * n))
+    return sol.reshape(n, n, n).transpose(1, 2, 0)
+
+
 class AdaptedFrame:
     """Eigenfields of the transition operator, gauge-fixed around a center.
 
@@ -192,8 +259,7 @@ class AdaptedFrame:
     projection degenerates (query too far from the center).
     """
 
-    def __init__(self, model, center=None, region=None, cluster_tol=_CLUSTER_TOL,
-                 fd_step=_FD_STEP):
+    def __init__(self, model, center=None, region=None, cluster_tol=_CLUSTER_TOL):
         self.model = model
         self.region = region
         if center is None:
@@ -204,7 +270,6 @@ class AdaptedFrame:
                 center = model.center()
         self.center = np.asarray(center, dtype=float)
         self.cluster_tol = cluster_tol
-        self.fd_step = fd_step
         td = transition_operator(model, self.center, cluster_tol)
         self.reference = td.vectors
         self.clusters = td.clusters
@@ -215,17 +280,16 @@ class AdaptedFrame:
         if n - m not in (0, 1):
             raise AdaptedFrameError("adapted frames support corank 0 or 1 only")
         self.completion_exprs = None
-        self._completion_fn = None
+        self._completion_fn = self._dcompletion_fn = None
         if n - m == 1:
             sf = StructureFunctions(model)
             E = model.frame_at(tuple(self.center))
+            brackets = sf.brackets_at(tuple(self.center))
             best, best_val = None, 0.0
-            for (a, b), br in sf.bracket_exprs.items():
+            for (a, b), vals in brackets.items():
                 if a >= m or b >= m:
                     continue
-                vals = np.array([ex.evaluate(c, tuple(self.center)) for c in br])
-                coeff = np.linalg.solve(E, vals)
-                t = abs(coeff[m])
+                t = abs(np.linalg.solve(E, vals)[m])
                 if t > best_val:
                     best, best_val = (a, b), t
             if best is None or best_val < 1e-8:
@@ -234,12 +298,17 @@ class AdaptedFrame:
                     % (list(self.center),))
             self.completion_pair = best
             self.completion_exprs = sf.bracket_exprs[best]
-            self._completion_fn = ex.compile_exprs(self.completion_exprs, name="_completion")
+            self._completion_fn, self._dcompletion_fn = _completion(model, best)
 
     # -- pointwise frame ---------------------------------------------------
 
     def at(self, q):
-        """(A, Vg, lams): full frame matrix, gauge-fixed eigenvectors, eigenvalues."""
+        """(A, Vg, lams, clusters, W1, W2, V, E) at q.
+
+        A is the full frame matrix, Vg the gauge-fixed eigenvectors, lams the
+        eigenvalues, V the eigenvectors as eigh returns them and E the model
+        frame.
+        """
         qt = tuple(np.asarray(q, dtype=float))
         model = self.model
         n, m = model.n, model.m
@@ -275,16 +344,16 @@ class AdaptedFrame:
         A[:, :m] = E[:, :m] @ Vg
         if n > m:
             A[:, m] = self._completion_fn(qt)
-        return A, Vg, lams, clusters, W1, W2
+        return A, Vg, lams, clusters, W1, W2, V, E
 
     def frame_matrix(self, q, rescaled=False):
-        A, _, lams, _, _, _ = self.at(q)
+        A, _, lams = self.at(q)[:3]
         if rescaled:
             A = A.copy()
             A[:, :self.model.m] /= np.sqrt(lams)[None, :]
         return A
 
-    # -- full point data (with finite-difference structure functions) ------
+    # -- full point data (with exact structure functions) -------------------
 
     def point_data(self, q):
         qt = tuple(np.asarray(q, dtype=float))
@@ -293,65 +362,32 @@ class AdaptedFrame:
             return cached
         model = self.model
         n, m = model.n, model.m
-        A, Vg, lams, clusters, W1, W2 = self.at(qt)
+        A, Vg, lams, clusters, W1, W2, V, E = self.at(qt)
 
-        # exact eigenvalue gradients from the pencil derivative
-        dW1 = model.dgram_at(qt, 1)
-        dW2 = model.dgram_at(qt, 2)
-        grad = np.empty((m, n))
-        for idx in clusters:
-            for k in range(n):
-                val = 0.0
-                for i in idx:
-                    v = Vg[:, i]
-                    val += v @ (dW2[k] - lams[i] * dW1[k]) @ v
-                val /= len(idx)
-                for i in idx:
-                    grad[i, k] = val
-
-        # structure functions of the adapted and rescaled frames, 4th-order FD
-        h = self.fd_step
-        alph = np.sqrt(lams)
-
-        def frames(point):
-            Ap, _, lp, _, _, _ = self.at(point)
-            Abar = Ap.copy()
-            Abar[:, :m] /= np.sqrt(lp)[None, :]
-            return Ap, Abar
-
+        # exact frame derivatives: dA[k] = d/dq_k of A
+        dVg, N = _gauge_derivative(V, lams, clusters, W1, self.reference,
+                                   model.dgram_at(qt, 1), model.dgram_at(qt, 2))
         dA = np.empty((n, n, n))
-        dAbar = np.empty((n, n, n))
-        for k in range(n):
-            step = np.zeros(n)
-            step[k] = h
-            Ap1, Bp1 = frames(qt + step)
-            Am1, Bm1 = frames(qt - step)
-            Ap2, Bp2 = frames(qt + 2 * step)
-            Am2, Bm2 = frames(qt - 2 * step)
-            dA[k] = (8.0 * (Ap1 - Am1) - (Ap2 - Am2)) / (12.0 * h)
-            dAbar[k] = (8.0 * (Bp1 - Bm1) - (Bp2 - Bm2)) / (12.0 * h)
+        dA[:, :, :m] = model.dframe_at(qt)[:, :, :m] @ Vg + E[:, :m] @ dVg
+        if n > m:
+            dA[:, :, m] = np.reshape(self._dcompletion_fn(qt), (n, n))
 
+        # eigenvalue gradients, averaged over each cluster
+        dlams = np.diagonal(N, axis1=1, axis2=2).copy()
+        for idx in clusters:
+            dlams[:, idx] = dlams[:, idx].mean(axis=1, keepdims=True)
+        grad = dlams.T
+
+        # the rescaled frame divides X_i by alpha_i for i <= m
+        alph = np.sqrt(lams)
         Abar = A.copy()
         Abar[:, :m] /= alph[None, :]
-
-        def structure(Amat, dAmat):
-            c = np.zeros((n, n, n))
-            cols = []
-            pairs = list(itertools.combinations(range(n), 2))
-            for a, b in pairs:
-                vec = np.zeros(n)
-                for k in range(n):
-                    vec += Amat[k, a] * dAmat[k][:, b] - Amat[k, b] * dAmat[k][:, a]
-                cols.append(vec)
-            sol = np.linalg.solve(Amat, np.stack(cols, axis=1))
-            for col, (a, b) in enumerate(pairs):
-                c[a, b, :] = sol[:, col]
-                c[b, a, :] = -sol[:, col]
-            return c
+        dAbar = dA.copy()
+        dAbar[:, :, :m] = dA[:, :, :m] / alph - A[:, :m] * (dlams / (2.0 * alph ** 3))[:, None, :]
 
         data = AdaptedPoint(q=np.asarray(qt), A=A, Vg=Vg, alphas=alph, alpha_sq=lams,
                             grad_alpha_sq=grad, clusters=clusters, W1=W1, W2=W2,
-                            c=structure(A, dA), cbar=structure(Abar, dAbar))
+                            c=_structure(A, dA), cbar=_structure(Abar, dAbar))
         if len(self._point_cache) > 256:
             self._point_cache.clear()
         self._point_cache[qt] = data
@@ -366,10 +402,6 @@ class AdaptedFrame:
     def field_derivative(self, data, i, j):
         """X_{i+1}(alpha_{j+1}^2) from the exact eigenvalue gradient."""
         return float(data.grad_alpha_sq[j] @ data.A[:, i])
-
-
-def adapted_frame(model, region=None, center=None, cluster_tol=_CLUSTER_TOL):
-    return AdaptedFrame(model, center=center, region=region, cluster_tol=cluster_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -598,13 +630,19 @@ class SecondDivisibilityResult:
 
 
 def second_divisibility(model, frame, q, tol=_DIV_TOL):
-    """Is every R_j divisible by Q_{j,m+1} with a linear quotient?
+    """Is every R_j divisible by Q_{j,m+1}, with one quotient for every j?
 
-    Also reports the per-j quotient over alpha_j, whose j-independence and
-    transverse coefficient are what the equivalence theory actually pins down.
+    The screen holds when each applicable R_j divides by Q_{j,m+1} with a
+    linear quotient (residual <= tol) and the per-j quotients over alpha_j
+    agree (``spread`` <= tol). Their j-independence is what the equivalence
+    theory pins down: the orbital map's transverse component is R_j /
+    (alpha_j Q_{j,m+1} a) for any applicable j, so it must not depend on j.
+    ``holds`` therefore fails on pairs whose quotients differ, for example
+    the Heisenberg distribution with gram2 = diag(2, 3) or diag(1, 4) over
+    gram1 = I, where every R_j divides but the spread is 1/3 or 3/4.
 
     On a rank-2 contact distribution (m = 2, n = 3) the bare divisibility is
-    an identity, so ``holds`` cannot separate pairs there:
+    an identity, so only the spread can separate pairs there:
 
     - R_j lies in the ideal (Q_{j,3}). Let i be the other index. Every
       monomial of R_j (see ``fiber_R``) contains u_i: the u_i^2 and u_i u_j
@@ -657,8 +695,8 @@ def second_divisibility(model, frame, q, tol=_DIV_TOL):
     base = max(1.0, max(np.linalg.norm(r) for r in rs))
     for a in range(len(rs)):
         for b in range(a + 1, len(rs)):
-            spread = max(spread, float(np.linalg.norm(rs[a] - rs[b])) / base)
-    holds = all(ok for (_, _, ok, _) in per_j if ok is not None)
+            spread = max(spread, float(np.linalg.norm(rs[a] - rs[b]) / base))
+    holds = spread <= tol and all(ok for (_, _, ok, _) in per_j if ok is not None)
     return SecondDivisibilityResult(per_j, holds, worst, quotients, spread, transverse_r)
 
 

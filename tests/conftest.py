@@ -6,6 +6,18 @@ from geoequiv import expr as ex
 from geoequiv.geometry import GeometryModel
 
 
+# parameters for every generator of geoequiv.constructors.GENERATORS
+FIELD_PARAMS = {
+    "levi-civita": {"blocks": [{"size": 2, "beta": 1.5},
+                               {"size": 1, "beta": "2 + x3/10"}]},
+    "dini": {"beta1": "1+x1/10", "beta2": "2+x2/10"},
+    "gendini1": {"U": "1 - u", "V": "1 + v"},
+    "gendini2": {"R": "1 + r^2"},
+    "quasi-contact": {"beta": "exp(t)", "C1": 1.0, "C2": 1.0},
+    "beltrami": {},
+}
+
+
 def heisenberg(g2fac="1", g2diag=None, extent=0.8):
     """Heisenberg frame X1 = dx - y/2 dz, X2 = dy + x/2 dz, X3 = dz.
 

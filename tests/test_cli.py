@@ -167,6 +167,10 @@ def test_eval_domain_error_exits_4_without_traceback(tmp_path):
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        # operands print as plain floats, and analyze names the point
+        assert "np.float64" not in proc.stderr
+        if argv[0] == "analyze":
+            assert "at q = [0.2, 0.0]: power 0.0^-0.5" in proc.stderr
 
 
 def test_geodesic_csv(dini_model, capsys):

@@ -11,7 +11,7 @@ from geoequiv.hamiltonian import (quasi_impulses, hamiltonian, hamiltonian_rhs,
 from geoequiv.constructors import GENERATORS, build_dini, build_quasi_contact
 from geoequiv.pair import intrinsic_P
 
-from conftest import heisenberg, plane_pair
+from conftest import FIELD_PARAMS, heisenberg, plane_pair
 from reference import numpy_hamiltonian, numpy_hamiltonian_rhs, numpy_intrinsic_P
 
 
@@ -169,23 +169,12 @@ def test_integrate_rejects_bad_start():
         integrate(m, 1, (np.zeros(2), np.array([1.0, 0.0])), 0.0)
 
 
-# parameters for every generator; the conformal Heisenberg pair is added
-FIELD_PARAMS = {
-    "levi-civita": {"blocks": [{"size": 2, "beta": 1.5},
-                               {"size": 1, "beta": "2 + x3/10"}]},
-    "dini": {"beta1": "1+x1/10", "beta2": "2+x2/10"},
-    "gendini1": {"U": "1 - u", "V": "1 + v"},
-    "gendini2": {"R": "1 + r^2"},
-    "quasi-contact": {"beta": "exp(t)", "C1": 1.0, "C2": 1.0},
-    "beltrami": {},
-}
-
-
 def _close(new, ref, rel=1e-12):
     new, ref = np.atleast_1d(new), np.atleast_1d(ref)
     return np.max(np.abs(new - ref)) <= rel * np.max(np.abs(ref))
 
 
+# every generator, plus the conformal Heisenberg pair
 @pytest.mark.parametrize("kind", sorted(FIELD_PARAMS) + ["conformal"])
 def test_generated_field_matches_numpy_reference(kind):
     assert set(FIELD_PARAMS) == set(GENERATORS)

@@ -7,10 +7,12 @@ from geoequiv.pair import (transition_operator, regularity_probe, AdaptedFrame,
                            AdaptedFrameError, FiberPolynomial, fiber_P, intrinsic_P,
                            fiber_hP, fiber_R, fiber_Q, first_divisibility,
                            second_divisibility, relations_cor)
-from geoequiv.constructors import (build_dini, build_levi_civita,
-                                   build_gendini_case1, build_quasi_contact)
+from geoequiv.constructors import (GENERATORS, build_beltrami, build_dini,
+                                   build_levi_civita, build_gendini_case1,
+                                   build_quasi_contact)
 
-from conftest import heisenberg, plane_pair, case2_origin_chart
+from conftest import FIELD_PARAMS, heisenberg, plane_pair, case2_origin_chart
+from reference import fd_structure_functions
 
 
 # ------------------------------------------------------------- transition
@@ -145,6 +147,77 @@ def test_adapted_frame_impulses_match_pairing():
     u = fr.impulses((q, p))
     A = fr.frame_matrix(tuple(q))
     assert np.allclose(u, [p @ A[:, i] for i in range(3)], atol=1e-14)
+
+
+# the stencil's O(h^4) error is about 1e-10 here, and fd_step = 1e-3 would
+# reach 1e-7 on gendini1
+FD_ORACLE_STEP = 2e-4
+
+
+def rotating_cluster():
+    """gram2 = gram1 + w w^T: eigenvalue 1 twice on the plane w^T v = 0, which
+    turns with q, and 1 + w^T gram1^{-1} w once; gram1 is not constant."""
+    coords = ("x", "y", "z")
+    P = lambda s: ex.parse(s, coords)
+    g1 = [["1 + x^2/4", "x*y/10", "0"], ["x*y/10", "1 + y^2/4", "0"], ["0", "0", "1 + z/5"]]
+    w = ["1", "x", "y + z"]
+    g2 = [["(%s) + (%s)*(%s)" % (g1[i][j], w[i], w[j]) for j in range(3)] for i in range(3)]
+    eye = [[P("1" if i == j else "0") for j in range(3)] for i in range(3)]
+    return GeometryModel(coords, 3, eye, [[P(e) for e in row] for row in g1],
+                         [[P(e) for e in row] for row in g2], [-0.5] * 3, [0.5] * 3)
+
+
+@pytest.mark.parametrize("kind", sorted(FIELD_PARAMS) + ["conformal", "split-alpha",
+                                                         "rotating-cluster"])
+def test_point_data_matches_finite_differences(kind):
+    if kind == "conformal":
+        m = heisenberg("1 + x^2 + y^2")
+    elif kind == "split-alpha":
+        m = heisenberg(g2diag=("1", "4"))
+    elif kind == "rotating-cluster":
+        m = rotating_cluster()
+    else:
+        m = GENERATORS[kind](FIELD_PARAMS[kind])
+    rng = np.random.default_rng(29)
+    for _ in range(8):
+        center = m.sample_point(rng)
+        fr = AdaptedFrame(m, center=center)
+        # at the center and off it, where the reference leaves the eigenspaces
+        offset = 0.02 * (m.domain_max - m.domain_min) * rng.uniform(-1, 1, m.n)
+        for q in (tuple(center), tuple(center + offset)):
+            data = fr.point_data(q)
+            c, cbar = fd_structure_functions(fr, q, FD_ORACLE_STEP)
+            scale = max(1.0, np.max(np.abs(c)), np.max(np.abs(cbar)))
+            assert np.max(np.abs(data.c - c)) <= 1e-8 * scale, (kind, q)
+            assert np.max(np.abs(data.cbar - cbar)) <= 1e-8 * scale, (kind, q)
+    if kind in ("levi-civita", "quasi-contact", "conformal", "rotating-cluster"):
+        # the in-cluster gauge derivative is exercised, not only Nelson's case
+        assert max(len(idx) for idx in fr.clusters) == 2
+
+
+def test_new_frames_reuse_the_models_compiled_completion(monkeypatch):
+    m = build_quasi_contact({"beta": "exp(t)", "C1": 1.0, "C2": 1.0})
+    q0, q1 = (0.05, -0.02, 0.01, 0.03), (-0.04, 0.03, 0.02, -0.01)
+    first_divisibility(m, AdaptedFrame(m, center=np.array(q0)), q0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("symbolic work after the first frame")
+
+    monkeypatch.setattr(ex, "compile_exprs", forbidden)
+    monkeypatch.setattr(ex, "differentiate", forbidden)
+    fr = AdaptedFrame(m, center=np.array(q1))
+    assert second_divisibility(m, fr, q1).holds
+
+
+def test_first_divisibility_near_beltrami_umbilic():
+    # the eigenvalues stay split (gap about |q|^2), so the screen must hold
+    m = build_beltrami()
+    for q in [(0.05, 0.0), (0.01, 0.0)]:
+        assert transition_operator(m, q).N == 2
+        fr = AdaptedFrame(m, center=np.array(q))
+        res = first_divisibility(m, fr, q)
+        assert res.holds, (q, res.residual)
+        assert res.residual < 1e-10
 
 
 # ---------------------------------------------------------- fiber algebra
@@ -342,6 +415,17 @@ def test_second_divisibility_quasi_contact():
     for j, (r_trans, a2) in sd.transverse_r.items():
         assert a2 == pytest.approx(f, rel=1e-10)
         assert r_trans == pytest.approx(a2, rel=1e-6)
+
+
+def test_second_divisibility_rejects_split_alpha_heisenberg():
+    # every R_j divides by its Q_{j,3}, but the quotients over alpha_j differ
+    for g2diag, spread in [(("2", "3"), 1 / 3), (("1", "4"), 0.75)]:
+        m = heisenberg(g2diag=g2diag)
+        q = (0.1, -0.2, 0.05)
+        sd = second_divisibility(m, AdaptedFrame(m, center=np.array(q)), q)
+        assert sd.residual <= 1e-8
+        assert sd.spread == pytest.approx(spread, rel=1e-9)
+        assert sd.holds is False
 
 
 def test_second_divisibility_needs_corank_one():
