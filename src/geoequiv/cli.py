@@ -2,8 +2,10 @@
 
 Exit codes: 0 success (or verification pass), 1 usage or IO error,
 2 verification fail, 3 inconclusive, 4 invalid model: a manifest or
-validation error, or a model expression that leaves its real domain
-(EvalDomainError) at a requested point or along an extremal.
+validation error, a model expression that leaves its real domain
+(EvalDomainError) at a requested point or along an extremal, or a Gram
+matrix that is not positive definite where the transition operator is
+solved (LinAlgError). analyze and check-relations name the requested point.
 JSON outputs are canonicalized (sorted keys, 2-space indent) so identical
 inputs give byte-identical reports; every report carries schema
 "geoequiv-report/1" and the fully resolved configuration.
@@ -200,8 +202,8 @@ def _cmd_analyze(args):
             rec = _point_report(model, frame, q, args.radius, args.cluster_tol)
         except AdaptedFrameError as exc:
             rec = {"q": [float(v) for v in q], "frame_error": str(exc)}
-        except EvalDomainError as exc:
-            raise EvalDomainError("at q = %s: %s" % ([float(v) for v in q], exc)) from exc
+        except (EvalDomainError, np.linalg.LinAlgError) as exc:
+            raise type(exc)("at q = %s: %s" % ([float(v) for v in q], exc)) from exc
         records.append(rec)
     payload = {
         "schema": SCHEMA,
@@ -362,8 +364,8 @@ def _cmd_check_relations(args):
         except AdaptedFrameError as exc:
             rec["frame_error"] = str(exc)
             failed = True
-        except EvalDomainError as exc:
-            raise EvalDomainError("at q = %s: %s" % (rec["q"], exc)) from exc
+        except (EvalDomainError, np.linalg.LinAlgError) as exc:
+            raise type(exc)("at q = %s: %s" % (rec["q"], exc)) from exc
         records.append(rec)
     payload = {
         "schema": SCHEMA,
@@ -477,6 +479,9 @@ def main(argv=None):
         code = EXIT_INCONCLUSIVE
     except EvalDomainError as exc:
         sys.stderr.write("error: model expression out of its domain: %s\n" % exc)
+        code = EXIT_INVALID_MODEL
+    except np.linalg.LinAlgError as exc:
+        sys.stderr.write("error: invalid model: %s\n" % exc)
         code = EXIT_INVALID_MODEL
     return code
 

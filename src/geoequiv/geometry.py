@@ -41,6 +41,8 @@ class GeometryModel:
         self.gram2 = tuple(tuple(row) for row in gram2)
         self.domain_min = np.asarray(domain_min, dtype=float)
         self.domain_max = np.asarray(domain_max, dtype=float)
+        self._lo = self.domain_min.tolist()
+        self._hi = self.domain_max.tolist()
         self.meta = dict(meta) if meta else {}
         self._cache = {}
 
@@ -54,17 +56,19 @@ class GeometryModel:
 
     # -- compiled pointwise evaluators ------------------------------------
 
-    def _compiled(self, key, exprs):
+    def _compiled(self, key, build):
+        """The compiled evaluator cached under key; build() gives its
+        expressions and runs only on the first call."""
         fn = self._cache.get(key)
         if fn is None:
-            fn = ex.compile_exprs(exprs, name="_" + key)
-            self._cache[key] = fn
+            fn = self._cache[key] = ex.compile_exprs(build(), name="_" + key)
         return fn
 
     def frame_at(self, q):
         """n x n matrix, column i = components of X_{i+1} at q."""
         n = self.n
-        fn = self._compiled("frame", [self.frame[i][j] for i in range(n) for j in range(n)])
+        fn = self._compiled("frame", lambda: [self.frame[i][j] for i in range(n)
+                                              for j in range(n)])
         vals = fn(q)
         E = np.empty((n, n))
         for i in range(n):
@@ -75,12 +79,9 @@ class GeometryModel:
     def dframe_at(self, q):
         """dE[k] = coordinate partial d/dq_k of frame_at, shape (n, n, n)."""
         n = self.n
-        key = "dframe"
-        if key + "_exprs" not in self._cache:
-            self._cache[key + "_exprs"] = [
-                ex.differentiate(self.frame[i][j], k)
-                for k in range(n) for i in range(n) for j in range(n)]
-        fn = self._compiled(key, self._cache[key + "_exprs"])
+        fn = self._compiled("dframe", lambda: [
+            ex.differentiate(self.frame[i][j], k)
+            for k in range(n) for i in range(n) for j in range(n)])
         vals = fn(q)
         dE = np.empty((n, n, n))
         idx = 0
@@ -97,28 +98,26 @@ class GeometryModel:
     def gram_at(self, q, tag):
         m = self.m
         g = self._gram_exprs(tag)
-        fn = self._compiled("gram%d" % tag, [g[i][j] for i in range(m) for j in range(m)])
-        vals = fn(q)
-        return np.asarray(vals, dtype=float).reshape(m, m)
+        fn = self._compiled("gram%d" % tag, lambda: [g[i][j] for i in range(m)
+                                                    for j in range(m)])
+        return np.asarray(fn(q), dtype=float).reshape(m, m)
 
     def dgram_at(self, q, tag):
         m, n = self.m, self.n
         g = self._gram_exprs(tag)
-        key = "dgram%d" % tag
-        if key + "_exprs" not in self._cache:
-            self._cache[key + "_exprs"] = [
-                ex.differentiate(g[i][j], k)
-                for k in range(n) for i in range(m) for j in range(m)]
-        fn = self._compiled(key, self._cache[key + "_exprs"])
-        vals = np.asarray(fn(q), dtype=float)
-        return vals.reshape(n, m, m)
+        fn = self._compiled("dgram%d" % tag, lambda: [
+            ex.differentiate(g[i][j], k)
+            for k in range(n) for i in range(m) for j in range(m)])
+        return np.asarray(fn(q), dtype=float).reshape(n, m, m)
 
     # -- domain helpers -----------------------------------------------------
 
-    def in_domain(self, q, margin=0.0):
-        q = np.asarray(q, dtype=float)
-        pad = margin * (self.domain_max - self.domain_min)
-        return bool(np.all(q >= self.domain_min + pad) and np.all(q <= self.domain_max - pad))
+    def in_domain(self, q):
+        # plain float comparisons, several times cheaper than numpy's on short
+        # vectors; NaN compares false
+        if type(q) is np.ndarray:
+            q = q.tolist()
+        return all(lo <= x <= hi for x, lo, hi in zip(q, self._lo, self._hi))
 
     def boundary_distance(self, q):
         q = np.asarray(q, dtype=float)
@@ -316,7 +315,7 @@ class StructureFunctions:
         self.bracket_exprs = brackets
         self._pairs = sorted(brackets)
         flat = [c for pair in self._pairs for c in brackets[pair]]
-        self._fn = model._compiled("brackets", flat) if flat else None
+        self._fn = model._compiled("brackets", lambda: flat) if flat else None
 
     def brackets_at(self, q):
         n = self.model.n

@@ -17,7 +17,8 @@ fiber polynomials live in u_1..u_n.
 import itertools
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dsygvd
 from scipy.optimize import minimize
 
 from . import expr as ex
@@ -56,13 +57,38 @@ class TransitionData:
         self.gram2 = gram2
 
 
-def transition_operator(model, q, cluster_tol=_CLUSTER_TOL):
-    qt = tuple(np.asarray(q, dtype=float))
+def _pencil(model, qt, vectors=True):
+    """(W1, W2, lams, V) of the pencil (W2, W1) at the point tuple qt.
+
+    LAPACK dsygvd with the defaults of scipy.linalg.eigh(W2, W1) (itype 1,
+    lower triangle, default workspace), so lams and V are eigh's bit for bit,
+    without its per-call argument checks. V is None when vectors is false.
+    Raises np.linalg.LinAlgError, naming the point, when gram1 is not
+    positive definite or the solver fails.
+    """
     W1 = model.gram_at(qt, 1)
     W2 = model.gram_at(qt, 2)
-    lams, V = sla.eigh(W2, W1)
+    lams, V, info = dsygvd(W2, W1, jobz="V" if vectors else "N")
+    if info:
+        where = [float(v) for v in qt]
+        if info > len(lams):
+            raise np.linalg.LinAlgError(
+                "gram1 not positive definite at %s (leading minor of order %d)"
+                % (where, info - len(lams)))
+        raise np.linalg.LinAlgError(
+            "generalized eigenproblem of gram2 and gram1 failed at %s (LAPACK info %d)"
+            % (where, info))
+    return W1, W2, lams, V if vectors else None
+
+
+def transition_operator(model, q, cluster_tol=_CLUSTER_TOL):
+    qt = tuple(np.asarray(q, dtype=float))
+    W1, W2, lams, V = _pencil(model, qt)
     if lams[0] <= 0:
-        raise ValueError("transition operator not positive at %s" % (list(qt),))
+        # with gram1 positive definite, exactly when gram2 is not
+        raise np.linalg.LinAlgError(
+            "gram2 not positive definite at %s (transition operator not positive)"
+            % ([float(v) for v in qt],))
     S = np.linalg.solve(W1, W2)
     return TransitionData(q, S, lams, V, _cluster_indices(lams, cluster_tol), W1, W2)
 
@@ -81,18 +107,22 @@ class RegularityReport:
         self.N_witness = N_witness
 
 
-def _split_gap(model, q, boundaries, cluster_tol):
+def _gap(lams, boundaries):
+    """Smallest relative gap of the ascending lams across the boundaries."""
+    lams = lams.tolist()
+    scale = max(abs(lams[0]), abs(lams[-1]), 1e-300)
+    return min((lams[b] - lams[b - 1]) / scale for b in boundaries)
+
+
+def _split_gap(model, q, boundaries):
     """Smallest relative gap across the center's cluster boundaries at q."""
     if not model.in_domain(q):
         return np.inf
     try:
-        W1 = model.gram_at(tuple(q), 1)
-        W2 = model.gram_at(tuple(q), 2)
-        lams = sla.eigh(W2, W1, eigvals_only=True)
-    except (ValueError, ex.EvalDomainError, np.linalg.LinAlgError):
+        lams = _pencil(model, tuple(q), vectors=False)[2]
+    except (ex.EvalDomainError, np.linalg.LinAlgError):
         return np.inf
-    scale = max(np.max(np.abs(lams)), 1e-300)
-    return min((lams[b] - lams[b - 1]) / scale for b in boundaries)
+    return _gap(lams, boundaries)
 
 
 def regularity_probe(model, q, radius, samples=40, seed=0, cluster_tol=_CLUSTER_TOL,
@@ -109,10 +139,12 @@ def regularity_probe(model, q, radius, samples=40, seed=0, cluster_tol=_CLUSTER_
     q = np.asarray(q, dtype=float)
     td = transition_operator(model, q, cluster_tol)
     Nc = td.N
+    boundaries = [grp[0] for grp in td.clusters[1:]]
     rng = np.random.default_rng(seed)
     values = {Nc}
     used = 0
     kept = []
+    best_start = best_gap = None
     for _ in range(samples * 4):
         if used >= samples:
             break
@@ -124,23 +156,31 @@ def regularity_probe(model, q, radius, samples=40, seed=0, cluster_tol=_CLUSTER_
         if not model.in_domain(point):
             continue
         try:
-            values.add(transition_operator(model, point, cluster_tol).N)
-            kept.append(point)
-        except ValueError:
+            lams = _pencil(model, tuple(point), vectors=False)[2]
+        except np.linalg.LinAlgError:
+            lams = None
+        if lams is None or lams[0] <= 0:
             values.add(-1)
+        else:
+            values.add(len(_cluster_indices(lams, cluster_tol)))
+            kept.append(point)
+            if refine and boundaries:
+                gap = _gap(lams, boundaries)
+                if best_gap is None or gap < best_gap:
+                    best_start, best_gap = point, gap
         used += 1
 
     gap_min = None
     witness = None
     N_witness = None
-    boundaries = [grp[0] for grp in td.clusters[1:]]
     if refine and boundaries:
-        objective = lambda p: _split_gap(model, p, boundaries, cluster_tol)
+        objective = lambda p: _split_gap(model, p, boundaries)
         lo = np.maximum(q - radius, model.domain_min)
         hi = np.minimum(q + radius, model.domain_max)
         starts = [q] + kept[:3]
-        if kept:
-            starts.append(min(kept, key=objective))
+        if best_start is not None:
+            # the first sample with the smallest split gap (its objective value)
+            starts.append(best_start)
         best_p, best_g = q, objective(q)
         for start in starts:
             res = minimize(objective, np.clip(start, lo, hi), method="Nelder-Mead",
@@ -160,7 +200,7 @@ def regularity_probe(model, q, radius, samples=40, seed=0, cluster_tol=_CLUSTER_
             witness = best_p
             try:
                 N_witness = transition_operator(model, best_p, cluster_tol).N
-            except ValueError:
+            except np.linalg.LinAlgError:
                 N_witness = -1
             values.add(N_witness)
     return RegularityReport(q, radius, Nc, tuple(sorted(values)),
@@ -229,7 +269,7 @@ def _gauge_derivative(V, lams, clusters, W1, reference, dW1, dW2):
     Mc = np.where(same, Y, 0.0)                   # M = V Mc, block diagonal
     dMc = np.where(same, Om @ Y, 0.0) - Om @ Mc   # dM = V dMc
     U = np.linalg.cholesky(Mc.T @ Mc).T
-    Uinv = sla.solve_triangular(U, np.eye(len(lams)))
+    Uinv = solve_triangular(U, np.eye(len(lams)))
     dG = np.where(same, dMc.transpose(0, 2, 1) @ Mc + Mc.T @ dMc + Mc.T @ D1 @ Mc, 0.0)
     T = Uinv.T @ dG @ Uinv
     X = np.triu(T, 1) + 0.5 * T * np.eye(len(lams))
@@ -252,8 +292,8 @@ def _structure(A, dA):
 class AdaptedFrame:
     """Eigenfields of the transition operator, gauge-fixed around a center.
 
-    The gauge projects a reference eigenbasis (eigh at the center) onto the
-    spectral subspaces at the query point and re-orthonormalizes for gram1;
+    The gauge projects a reference eigenbasis (the pencil's at the center) onto
+    the spectral subspaces at the query point and re-orthonormalizes for gram1;
     this is smooth wherever the eigenvalue multiplicities stay those of the
     center. Queries raise AdaptedFrameError on cluster mismatch or when the
     projection degenerates (query too far from the center).
@@ -306,15 +346,13 @@ class AdaptedFrame:
         """(A, Vg, lams, clusters, W1, W2, V, E) at q.
 
         A is the full frame matrix, Vg the gauge-fixed eigenvectors, lams the
-        eigenvalues, V the eigenvectors as eigh returns them and E the model
-        frame.
+        eigenvalues, V the eigenvectors as _pencil returns them and E the
+        model frame.
         """
         qt = tuple(np.asarray(q, dtype=float))
         model = self.model
         n, m = model.n, model.m
-        W1 = model.gram_at(qt, 1)
-        W2 = model.gram_at(qt, 2)
-        lams, V = sla.eigh(W2, W1)
+        W1, W2, lams, V = _pencil(model, qt)
         if lams[0] <= 0:
             raise AdaptedFrameError("transition operator not positive at %s" % (list(qt),))
         clusters = _cluster_indices(lams, self.cluster_tol)

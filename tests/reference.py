@@ -4,14 +4,21 @@ The numpy Hamiltonian formulas evaluate the frame, the Gram matrices and
 their derivatives through the model's compiled evaluators and solve with
 numpy; the curve distance loops over every segment for every point; the
 structure functions of the adapted frames come from a 4th-order central
-finite-difference stencil over AdaptedFrame.at. Tests compare the generated
-Hamiltonian field, the pruned curve distance and the exact frame
-derivatives of AdaptedFrame.point_data with them.
+finite-difference stencil over AdaptedFrame.at; the regularity probe
+solves every pencil with scipy.linalg.eigh and evaluates its extra
+Nelder-Mead start by solving each kept sample again. Tests compare the
+generated Hamiltonian field, the pruned curve distance, the exact frame
+derivatives of AdaptedFrame.point_data and pair.regularity_probe with them.
 """
 
 import itertools
 
 import numpy as np
+import scipy.linalg as sla
+from scipy.optimize import minimize
+
+from geoequiv import expr as ex
+from geoequiv.pair import _CLUSTER_TOL, _cluster_indices
 
 
 def numpy_hamiltonian(model, metric_tag, lam):
@@ -114,3 +121,90 @@ def fd_structure_functions(frame, q, fd_step):
         return c
 
     return structure(A, dA), structure(Abar, dAbar)
+
+
+def eigh_clusters(model, q, cluster_tol):
+    """Eigenvalue clusters of the pencil (gram2, gram1) at q, through eigh."""
+    qt = tuple(np.asarray(q, dtype=float))
+    lams, _ = sla.eigh(model.gram_at(qt, 2), model.gram_at(qt, 1))
+    if lams[0] <= 0:
+        raise ValueError("transition operator not positive at %s" % (list(qt),))
+    return _cluster_indices(lams, cluster_tol)
+
+
+def eigh_split_gap(model, q, boundaries):
+    """Smallest relative gap across the cluster boundaries at q."""
+    if not model.in_domain(q):
+        return np.inf
+    try:
+        W1 = model.gram_at(tuple(q), 1)
+        W2 = model.gram_at(tuple(q), 2)
+        lams = sla.eigh(W2, W1, eigvals_only=True)
+    except (ValueError, ex.EvalDomainError, np.linalg.LinAlgError):
+        return np.inf
+    scale = max(np.max(np.abs(lams)), 1e-300)
+    return min((lams[b] - lams[b - 1]) / scale for b in boundaries)
+
+
+def eigh_regularity_probe(model, q, radius, samples=40, seed=0, cluster_tol=_CLUSTER_TOL):
+    """(N_values, samples_used, gap_min, witness, N_witness) of the probe.
+
+    The ball samples solve the full pencil, and the extra Nelder-Mead start
+    is the kept sample that minimizes the objective, evaluated afresh.
+    """
+    q = np.asarray(q, dtype=float)
+    clusters = eigh_clusters(model, q, cluster_tol)
+    rng = np.random.default_rng(seed)
+    values = {len(clusters)}
+    used = 0
+    kept = []
+    for _ in range(samples * 4):
+        if used >= samples:
+            break
+        direction = rng.normal(size=model.n)
+        norm = np.linalg.norm(direction)
+        if norm < 1e-12:
+            continue
+        point = q + direction / norm * radius * rng.random() ** (1.0 / model.n)
+        if not model.in_domain(point):
+            continue
+        try:
+            values.add(len(eigh_clusters(model, point, cluster_tol)))
+            kept.append(point)
+        except ValueError:
+            values.add(-1)
+        used += 1
+
+    gap_min = None
+    witness = None
+    N_witness = None
+    boundaries = [grp[0] for grp in clusters[1:]]
+    if boundaries:
+        objective = lambda p: eigh_split_gap(model, p, boundaries)
+        lo = np.maximum(q - radius, model.domain_min)
+        hi = np.minimum(q + radius, model.domain_max)
+        starts = [q] + kept[:3]
+        if kept:
+            starts.append(min(kept, key=objective))
+        best_p, best_g = q, objective(q)
+        for start in starts:
+            res = minimize(objective, np.clip(start, lo, hi), method="Nelder-Mead",
+                           bounds=list(zip(lo, hi)),
+                           options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400})
+            cand = np.asarray(res.x)
+            off = cand - q
+            dist = np.linalg.norm(off)
+            if dist > radius:
+                cand = q + off * (radius / dist)
+            g = objective(cand)
+            if g < best_g:
+                best_p, best_g = cand, g
+        gap_min = float(best_g) if np.isfinite(best_g) else None
+        if best_g < cluster_tol:
+            witness = best_p
+            try:
+                N_witness = len(eigh_clusters(model, best_p, cluster_tol))
+            except ValueError:
+                N_witness = -1
+            values.add(N_witness)
+    return tuple(sorted(values)), used, gap_min, witness, N_witness

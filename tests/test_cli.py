@@ -173,6 +173,29 @@ def test_eval_domain_error_exits_4_without_traceback(tmp_path):
             assert "at q = [0.2, 0.0]: power 0.0^-0.5" in proc.stderr
 
 
+@pytest.mark.parametrize("tag", ["gram1", "gram2"])
+def test_non_positive_gram_exits_4_without_traceback(tmp_path, tag):
+    # a narrow dip below zero at (0.2, 0) that the validation grid misses
+    dip = "1 - 10*exp(-1000*((x-0.2)^2 + y^2))"
+    doc = {"coords": ["x", "y"], "rank": 2,
+           "frame": [["1", "0"], ["0", "1"]],
+           "gram1": [["1", "0"], ["0", "1"]],
+           "gram2": [["2", "0"], ["0", "3"]],
+           "domain": {"min": [-1, -1], "max": [1, 1]}}
+    doc[tag] = [[dip, "0"], ["0", "1"]]
+    path = tmp_path / "dip.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--model", str(path), "--at", "0.5", "0"]) == 0
+    for command in ("analyze", "check-relations"):
+        proc = _run_cli(command, "--model", str(path), "--at", "0.2", "0")
+        assert proc.returncode == 4, (command, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "at q = [0.2, 0.0]: " in proc.stderr
+        assert "%s not positive definite at [0.2, 0.0]" % tag in proc.stderr
+
+
 def test_geodesic_csv(dini_model, capsys):
     assert main(["geodesic", "--model", dini_model, "--metric", "1",
                  "--q", "0", "0", "--p", "0.5", "0.1", "--T", "0.2",

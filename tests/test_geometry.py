@@ -213,3 +213,30 @@ def test_domain_helpers():
         p = m.sample_point(rng)
         assert m.in_domain(p)
         assert m.boundary_distance(p) >= 0.15 * 0.5 - 1e-12
+
+
+def test_in_domain_matches_numpy_formulation():
+    def numpy_in_domain(model, q):
+        q = np.asarray(q, dtype=float)
+        return bool(np.all(q >= model.domain_min) and np.all(q <= model.domain_max))
+
+    m = plane_pair(extent=([-1.5, -0.25], [0.5, 0.75]))
+    lo, hi = m.domain_min, m.domain_max
+    inside = 0.5 * (lo + hi)
+    points = [inside, lo, hi, np.array([lo[0], hi[1]])]
+    for k in range(m.n):
+        for face, outward in ((lo[k], -1.0), (hi[k], 1.0)):
+            for value in (face, np.nextafter(face, outward * np.inf), face + outward * 1e-3):
+                p = inside.copy()
+                p[k] = value
+                points.append(p)
+        p = inside.copy()
+        p[k] = np.nan
+        points.append(p)
+    seen = set()
+    for p in points:
+        for q in (p, tuple(p), list(map(float, p))):
+            expect = numpy_in_domain(m, q)
+            assert m.in_domain(q) is expect, q
+            seen.add(expect)
+    assert seen == {True, False}

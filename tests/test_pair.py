@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from geoequiv import expr as ex
 from geoequiv.geometry import GeometryModel
 from geoequiv.pair import (transition_operator, regularity_probe, AdaptedFrame,
                            AdaptedFrameError, FiberPolynomial, fiber_P, intrinsic_P,
                            fiber_hP, fiber_R, fiber_Q, first_divisibility,
-                           second_divisibility, relations_cor)
+                           second_divisibility, relations_cor, _pencil)
 from geoequiv.constructors import (GENERATORS, build_beltrami, build_dini,
                                    build_levi_civita, build_gendini_case1,
                                    build_quasi_contact)
 
 from conftest import FIELD_PARAMS, heisenberg, plane_pair, case2_origin_chart
-from reference import fd_structure_functions
+from reference import eigh_regularity_probe, fd_structure_functions
 
 
 # ------------------------------------------------------------- transition
@@ -50,6 +51,55 @@ def test_transition_requires_positive_pair():
         transition_operator(m, (-1.0, 0.0))
 
 
+# ----------------------------------------------------------- pencil kernel
+
+PAIR_KINDS = sorted(FIELD_PARAMS) + ["conformal", "rotating-cluster"]
+
+
+def pair_fixture(kind):
+    if kind == "conformal":
+        return heisenberg("1 + x^2 + y^2")
+    if kind == "split-alpha":
+        return heisenberg(g2diag=("1", "4"))
+    if kind == "rotating-cluster":
+        return rotating_cluster()
+    return GENERATORS[kind](FIELD_PARAMS[kind])
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_pencil_kernel_matches_eigh(kind):
+    m = pair_fixture(kind)
+    rng = np.random.default_rng(31)
+    for _ in range(8):
+        qt = tuple(m.sample_point(rng))
+        W1, W2, lams, V = _pencil(m, qt)
+        assert np.array_equal(W1, m.gram_at(qt, 1))
+        assert np.array_equal(W2, m.gram_at(qt, 2))
+        ref_lams, ref_V = sla.eigh(W2, W1)
+        assert np.array_equal(lams, ref_lams), (kind, qt)
+        assert np.array_equal(V, ref_V), (kind, qt)
+        _, _, only, none = _pencil(m, qt, vectors=False)
+        assert none is None
+        assert np.array_equal(only, sla.eigh(W2, W1, eigvals_only=True)), (kind, qt)
+
+
+def test_pencil_kernel_rejects_indefinite_gram1():
+    coords = ("x", "y")
+    P = lambda s: ex.parse(s, coords)
+    eye = ((P("1"), P("0")), (P("0"), P("1")))
+    g1 = ((P("x"), P("0")), (P("0"), P("1")))
+    m = GeometryModel(coords, 2, eye, g1, eye, [-1, -1], [1, 1])
+    q = (-0.5, 0.25)
+    with pytest.raises(np.linalg.LinAlgError):
+        sla.eigh(m.gram_at(q, 2), m.gram_at(q, 1))
+    for vectors in (True, False):
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"gram1 not positive definite at \[-0.5, 0.25\]"):
+            _pencil(m, q, vectors=vectors)
+    with pytest.raises(np.linalg.LinAlgError, match="gram1"):
+        transition_operator(m, np.array(q))
+
+
 # ------------------------------------------------------------- regularity
 
 def test_regularity_battery_origin_chart():
@@ -74,6 +124,46 @@ def test_regularity_regular_fixture():
     rep = regularity_probe(m, (0.1, 0.2), radius=0.05)
     assert rep.regular
     assert rep.gap_min > 1e-3
+
+
+def probe_matching_reference(m, q, radius=0.05):
+    """regularity_probe at q, after checking it against the eigh reference."""
+    rep = regularity_probe(m, q, radius=radius)
+    N_values, used, gap_min, witness, N_witness = eigh_regularity_probe(m, q, radius)
+    assert ((rep.N_values, rep.samples_used, rep.gap_min, rep.N_witness)
+            == (N_values, used, gap_min, N_witness)), q
+    assert (rep.witness is None) == (witness is None), q
+    if witness is not None:
+        assert np.array_equal(rep.witness, witness), q
+    return rep
+
+
+@pytest.mark.parametrize("kind", sorted(FIELD_PARAMS) + ["conformal"])
+def test_regularity_probe_matches_eigh_reference(kind):
+    m = pair_fixture(kind)
+    rng = np.random.default_rng(37)
+    center = probe_matching_reference(m, tuple(m.center()))
+    for _ in range(2):
+        probe_matching_reference(m, tuple(m.sample_point(rng)))
+    if kind == "beltrami":
+        # the umbilic (origin) lies in the ball, and the merge is witnessed
+        rep = probe_matching_reference(m, (0.03, 0.01))
+        assert rep.witness is not None and rep.N_values == (1, 2)
+    if kind == "conformal":
+        # one merged cluster at the center: no boundary, so no refine step
+        assert center.N_center == 1 and center.gap_min is None
+
+
+@pytest.mark.parametrize("tag", [1, 2])
+def test_regularity_probe_counts_non_positive_samples(tag):
+    # gram<tag> = diag(x, 1) turns indefinite on the half of the ball x < 0
+    coords = ("x", "y")
+    P = lambda s: ex.parse(s, coords)
+    eye = ((P("1"), P("0")), (P("0"), P("1")))
+    dip = ((P("x"), P("0")), (P("0"), P("1")))
+    grams = (dip, eye) if tag == 1 else (eye, dip)
+    m = GeometryModel(coords, 2, eye, *grams, [-1, -1], [1, 1])
+    assert probe_matching_reference(m, (0.02, 0.1)).N_values == (-1, 2)
 
 
 # ------------------------------------------------------------ adapted frame
@@ -167,17 +257,9 @@ def rotating_cluster():
                          [[P(e) for e in row] for row in g2], [-0.5] * 3, [0.5] * 3)
 
 
-@pytest.mark.parametrize("kind", sorted(FIELD_PARAMS) + ["conformal", "split-alpha",
-                                                         "rotating-cluster"])
+@pytest.mark.parametrize("kind", PAIR_KINDS + ["split-alpha"])
 def test_point_data_matches_finite_differences(kind):
-    if kind == "conformal":
-        m = heisenberg("1 + x^2 + y^2")
-    elif kind == "split-alpha":
-        m = heisenberg(g2diag=("1", "4"))
-    elif kind == "rotating-cluster":
-        m = rotating_cluster()
-    else:
-        m = GENERATORS[kind](FIELD_PARAMS[kind])
+    m = pair_fixture(kind)
     rng = np.random.default_rng(29)
     for _ in range(8):
         center = m.sample_point(rng)
