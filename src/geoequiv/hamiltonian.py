@@ -54,17 +54,18 @@ def _quadratic(prog, rows, names):
     return " + ".join(terms)
 
 
-def _generate_field(model, tag):
-    """One compiled function (q, p) -> (h, dq/dt, dp/dt) for metric `tag`.
+def _generate(model, tag, kind):
+    """One compiled program of metric `tag`: kind "flow" or "energy".
 
     With u_i = p(X_i), W the Gram matrix of the metric (symmetric; its lower
-    triangle is read) and v = W^{-1} u:
-      dq/dt = sum_i v_i X_i,  h = u.v / 2,
-      dp_k/dt = (1/2) v^T (d_k W) v - sum_i v_i p(d_k X_i).
-    W is solved by an unpivoted LDL^T factorization unrolled into straight-line
-    code, and structurally zero entries of the frame, the Gram matrix and their
-    derivatives emit nothing. For tag 1 the tuple ends with the intrinsic
-    P = v^T W2 v as well.
+    triangle is read) and v = W^{-1} u, the flow program gives
+      (q, p) -> (dq/dt, dp/dt),  dq/dt = sum_i v_i X_i,
+      dp_k/dt = (1/2) v^T (d_k W) v - sum_i v_i p(d_k X_i),
+    and the energy program gives (q, p) -> (h,) with h = u.v / 2, and for
+    tag 1 (h, P) with the intrinsic P = v^T W2 v; it has no derivative terms.
+    Both share one prelude: W is solved by an unpivoted LDL^T factorization
+    unrolled into straight-line code, and structurally zero entries of the
+    frame, the Gram matrix and their derivatives emit nothing.
     """
     n, m = model.n, model.m
     frame = model.frame
@@ -104,9 +105,15 @@ def _generate_field(model, tag):
         v[i] = prog.assign("v%d" % i, "%s - (%s)" % (src, " + ".join(terms))
                            if terms else src)
 
-    results = [prog.assign("energy", "0.5 * (%s)" % " + ".join(
-        "%s * %s" % (u[i], v[i]) for i in range(m)))]
-    results += [prog.assign("qd%d" % j, _dot(prog, [(frame[i][j], v[i]) for i in range(m)])
+    if kind == "energy":
+        results = [prog.assign("energy", "0.5 * (%s)" % " + ".join(
+            "%s * %s" % (u[i], v[i]) for i in range(m)))]
+        if tag == 1:
+            results.append(prog.assign("intrinsic",
+                                       _quadratic(prog, model.gram2, v) or "0.0"))
+        return prog.compile(results, name="_energy%d" % tag)
+
+    results = [prog.assign("qd%d" % j, _dot(prog, [(frame[i][j], v[i]) for i in range(m)])
                            or "0.0")
                for j in range(n)]
     for k in range(n):
@@ -122,31 +129,40 @@ def _generate_field(model, tag):
         if force:
             src += " - (%s)" % " + ".join(force)
         results.append(prog.assign("pd%d" % k, src or "0.0"))
-    if tag == 1:
-        results.append(prog.assign("intrinsic", _quadratic(prog, model.gram2, v) or "0.0"))
-    return prog.compile(results, name="_field%d" % tag)
+    return prog.compile(results, name="_flow%d" % tag)
 
 
-def _field(model, tag):
-    """The generated field of metric `tag`, cached on the model."""
-    key = ("field", tag)
+def _program(model, tag, kind):
+    """The generated `kind` program of metric `tag`, cached on the model."""
+    key = (kind, tag)
     fn = model._cache.get(key)
     if fn is None:
-        fn = model._cache[key] = _generate_field(model, tag)
+        fn = model._cache[key] = _generate(model, tag, kind)
     return fn
 
 
 def hamiltonian(model, metric_tag, lam):
-    """Kinetic energy (1/2) |p restricted to D|^2 in the dual metric norm."""
-    q, p = lam
-    return float(_field(model, metric_tag)(q, p)[0])
+    """Kinetic energy (1/2) |p restricted to D|^2 in the dual metric norm.
+
+    For one state lam = (q, p) it returns a float. For stacked states, q and
+    p of shape (N, n), it returns the (N,) energies of the rows from one lane
+    run of the energy program, each equal bit for bit to the value of its
+    row alone. Either way the values are taken as Python floats, which
+    raise on division by zero where numpy scalars would give inf.
+    """
+    q = np.asarray(lam[0], dtype=float)
+    p = np.asarray(lam[1], dtype=float)
+    energy = _program(model, metric_tag, "energy")
+    if q.ndim == 2:
+        return energy.lanes(q, p)[0]
+    return float(energy(q.tolist(), p.tolist())[0])
 
 
 def hamiltonian_rhs(model, metric_tag, q, p):
     """(dq/dt, dp/dt) for the canonical flow of h."""
     n = model.n
-    vals = _field(model, metric_tag)(q, p)
-    return np.array(vals[1:n + 1]), np.array(vals[n + 1:2 * n + 1])
+    vals = _program(model, metric_tag, "flow")(q, p)
+    return np.array(vals[:n]), np.array(vals[n:])
 
 
 class Trajectory:
@@ -171,12 +187,11 @@ class Trajectory:
 
 def _trajectory(model, metric_tag, t, y, clipped, t_exit, with_aux, dense=None,
                 resume=None):
-    """Trajectory from the states y[:, i] at the times t; h from the field."""
+    """Trajectory from the states y[:, i] at the times t; h from one lane call."""
     n = model.n
     q = y[:n].T.copy()
     p = y[n:2 * n].T.copy()
-    h = np.array([hamiltonian(model, metric_tag, lam)
-                  for lam in zip(q.tolist(), p.tolist())])
+    h = hamiltonian(model, metric_tag, (q, p))
     aux = None
     if with_aux:
         aux = float(y[2 * n, -1]) if y.shape[1] else 0.0
@@ -290,8 +305,8 @@ def arc_length(model, metric_tag, traj):
 
     The speed is sqrt(v^T W v) = sqrt(u^T W^{-1} u) = sqrt(2h).
     """
-    speeds = [np.sqrt(max(2.0 * hamiltonian(model, metric_tag, lam), 0.0))
-              for lam in zip(traj.q.tolist(), traj.p.tolist())]
+    speeds = np.sqrt(np.maximum(2.0 * hamiltonian(model, metric_tag, (traj.q, traj.p)),
+                                0.0))
     return float(np.trapezoid(speeds, traj.t))
 
 

@@ -23,7 +23,7 @@ from scipy.optimize import minimize
 
 from . import expr as ex
 from .geometry import StructureFunctions
-from .hamiltonian import _field
+from .hamiltonian import _program
 
 _CLUSTER_TOL = 1e-7
 _DIV_TOL = 1e-8
@@ -57,6 +57,11 @@ class TransitionData:
         self.gram2 = gram2
 
 
+def _floats(q):
+    """The point q as a list of plain floats, for messages."""
+    return [float(v) for v in q]
+
+
 def _pencil(model, qt, vectors=True):
     """(W1, W2, lams, V) of the pencil (W2, W1) at the point tuple qt.
 
@@ -70,7 +75,7 @@ def _pencil(model, qt, vectors=True):
     W2 = model.gram_at(qt, 2)
     lams, V, info = dsygvd(W2, W1, jobz="V" if vectors else "N")
     if info:
-        where = [float(v) for v in qt]
+        where = _floats(qt)
         if info > len(lams):
             raise np.linalg.LinAlgError(
                 "gram1 not positive definite at %s (leading minor of order %d)"
@@ -88,7 +93,7 @@ def transition_operator(model, q, cluster_tol=_CLUSTER_TOL):
         # with gram1 positive definite, exactly when gram2 is not
         raise np.linalg.LinAlgError(
             "gram2 not positive definite at %s (transition operator not positive)"
-            % ([float(v) for v in qt],))
+            % (_floats(qt),))
     S = np.linalg.solve(W1, W2)
     return TransitionData(q, S, lams, V, _cluster_indices(lams, cluster_tol), W1, W2)
 
@@ -335,7 +340,7 @@ class AdaptedFrame:
             if best is None or best_val < 1e-8:
                 raise AdaptedFrameError(
                     "no distribution bracket leaves D near %s; completion undefined"
-                    % (list(self.center),))
+                    % (_floats(self.center),))
             self.completion_pair = best
             self.completion_exprs = sf.bracket_exprs[best]
             self._completion_fn, self._dcompletion_fn = _completion(model, best)
@@ -354,12 +359,13 @@ class AdaptedFrame:
         n, m = model.n, model.m
         W1, W2, lams, V = _pencil(model, qt)
         if lams[0] <= 0:
-            raise AdaptedFrameError("transition operator not positive at %s" % (list(qt),))
+            raise AdaptedFrameError("transition operator not positive at %s"
+                                    % (_floats(qt),))
         clusters = _cluster_indices(lams, self.cluster_tol)
         if tuple(len(c) for c in clusters) != tuple(len(c) for c in self.clusters):
             raise AdaptedFrameError(
                 "eigenvalue multiplicity changes between %s and %s; shrink the region"
-                % (list(self.center), list(qt)))
+                % (_floats(self.center), _floats(qt)))
         Vg = np.empty_like(V)
         for idx in clusters:
             idx = list(idx)
@@ -369,7 +375,7 @@ class AdaptedFrame:
             if sv[-1] < _GAUGE_MIN_SV:
                 raise AdaptedFrameError(
                     "gauge reference degenerate at %s (eigenvectors rotated too far "
-                    "from the center %s)" % (list(qt), list(self.center)))
+                    "from the center %s)" % (_floats(qt), _floats(self.center)))
             block = B @ C
             # gram1 Gram-Schmidt within the cluster
             for a in range(block.shape[1]):
@@ -562,7 +568,7 @@ def fiber_hP(model, frame, q):
 def intrinsic_P(model, lam):
     """Frame-independent value of fiber_P: (W1^{-1}u)^T W2 (W1^{-1}u)."""
     q, p = lam
-    return float(_field(model, 1)(q, p)[-1])
+    return float(_program(model, 1, "energy")(q, p)[1])
 
 
 class DivisibilityResult:

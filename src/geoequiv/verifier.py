@@ -294,7 +294,11 @@ def verify_equivalence(model, sampling=None, exclusions=None):
                 continue
             qt = tuple(q)
             W1 = model.gram_at(qt, 1)
-            L = np.linalg.cholesky(W1)
+            try:
+                L = np.linalg.cholesky(W1)
+            except np.linalg.LinAlgError as exc:
+                raise np.linalg.LinAlgError("gram1 not positive definite at %s"
+                                            % ([float(v) for v in qt],)) from exc
             u = L @ (z / nz)
             if cone is not None:
                 v = np.linalg.solve(W1, u)

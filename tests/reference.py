@@ -2,12 +2,15 @@
 
 The numpy Hamiltonian formulas evaluate the frame, the Gram matrices and
 their derivatives through the model's compiled evaluators and solve with
-numpy; the curve distance loops over every segment for every point; the
-structure functions of the adapted frames come from a 4th-order central
-finite-difference stencil over AdaptedFrame.at; the regularity probe
-solves every pencil with scipy.linalg.eigh and evaluates its extra
-Nelder-Mead start by solving each kept sample again. Tests compare the
-generated Hamiltonian field, the pruned curve distance, the exact frame
+numpy; full_field is the one generated program (q, p) -> (h, dq/dt,
+dp/dt[, P]) that the flow and energy programs of geoequiv.hamiltonian
+replaced, and every energy was once read from it; the curve distance loops
+over every segment for every point; the structure functions of the
+adapted frames come from a 4th-order central finite-difference stencil
+over AdaptedFrame.at; the regularity probe solves every pencil with
+scipy.linalg.eigh and evaluates its extra Nelder-Mead start by solving
+each kept sample again. Tests compare the
+generated Hamiltonian programs, the pruned curve distance, the exact frame
 derivatives of AdaptedFrame.point_data and pair.regularity_probe with them.
 """
 
@@ -18,6 +21,7 @@ import scipy.linalg as sla
 from scipy.optimize import minimize
 
 from geoequiv import expr as ex
+from geoequiv.hamiltonian import _dot, _quadratic
 from geoequiv.pair import _CLUSTER_TOL, _cluster_indices
 
 
@@ -60,6 +64,79 @@ def numpy_intrinsic_P(model, lam):
     u = np.asarray(p, dtype=float) @ ED
     w = np.linalg.solve(model.gram_at(qt, 1), u)
     return float(w @ model.gram_at(qt, 2) @ w)
+
+
+def full_field(model, tag):
+    """One compiled function (q, p) -> (h, dq/dt, dp/dt) for metric `tag`.
+
+    With u_i = p(X_i), W the Gram matrix of the metric (symmetric; its lower
+    triangle is read) and v = W^{-1} u:
+      dq/dt = sum_i v_i X_i,  h = u.v / 2,
+      dp_k/dt = (1/2) v^T (d_k W) v - sum_i v_i p(d_k X_i).
+    W is solved by an unpivoted LDL^T factorization unrolled into straight-line
+    code, and structurally zero entries of the frame, the Gram matrix and their
+    derivatives emit nothing. For tag 1 the tuple ends with the intrinsic
+    P = v^T W2 v as well.
+    """
+    n, m = model.n, model.m
+    frame = model.frame
+    gram = model.gram1 if tag == 1 else model.gram2
+    prog = ex.Program(("q", "p"))
+    p = ["p[%d]" % j for j in range(n)]
+
+    u = [prog.assign("u%d" % i, _dot(prog, zip(frame[i], p)) or "0.0")
+         for i in range(m)]
+
+    # W = L D L^T with unit lower-triangular L; entries of L that are
+    # structurally zero are left out of L
+    L, D = {}, []
+    for j in range(m):
+        for i in range(j, m):
+            terms = ["%s * %s * %s" % (L[i, k], L[j, k], D[k])
+                     for k in range(j) if (i, k) in L and (j, k) in L]
+            w = gram[i][j]
+            if ex.is_zero(w) and not terms and i > j:
+                continue
+            src = prog.value(w)
+            if terms:
+                src = "%s - (%s)" % (src, " + ".join(terms))
+            if i == j:
+                D.append(prog.assign("d%d" % j, src))
+            else:
+                L[i, j] = prog.assign("l%d_%d" % (i, j), "(%s) / %s" % (src, D[j]))
+    y = []
+    for i in range(m):
+        terms = ["%s * %s" % (L[i, k], y[k]) for k in range(i) if (i, k) in L]
+        y.append(prog.assign("y%d" % i, "%s - (%s)" % (u[i], " + ".join(terms)))
+                 if terms else u[i])
+    v = [None] * m
+    for i in reversed(range(m)):
+        terms = ["%s * %s" % (L[k, i], v[k]) for k in range(i + 1, m) if (k, i) in L]
+        src = "%s / %s" % (y[i], D[i])
+        v[i] = prog.assign("v%d" % i, "%s - (%s)" % (src, " + ".join(terms))
+                           if terms else src)
+
+    results = [prog.assign("energy", "0.5 * (%s)" % " + ".join(
+        "%s * %s" % (u[i], v[i]) for i in range(m)))]
+    results += [prog.assign("qd%d" % j, _dot(prog, [(frame[i][j], v[i]) for i in range(m)])
+                           or "0.0")
+               for j in range(n)]
+    for k in range(n):
+        dW = [[ex.differentiate(gram[a][b], k) if a >= b else None for b in range(m)]
+              for a in range(m)]
+        quad = _quadratic(prog, dW, v)
+        force = []
+        for i in range(m):
+            inner = _dot(prog, [(ex.differentiate(frame[i][j], k), p[j]) for j in range(n)])
+            if inner:
+                force.append("(%s) * %s" % (inner, v[i]))
+        src = "0.5 * (%s)" % quad if quad else ""
+        if force:
+            src += " - (%s)" % " + ".join(force)
+        results.append(prog.assign("pd%d" % k, src or "0.0"))
+    if tag == 1:
+        results.append(prog.assign("intrinsic", _quadratic(prog, model.gram2, v) or "0.0"))
+    return prog.compile(results, name="_field%d" % tag)
 
 
 def loop_polyline_distances(points, poly):

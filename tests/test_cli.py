@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -194,6 +196,42 @@ def test_non_positive_gram_exits_4_without_traceback(tmp_path, tag):
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
         assert "at q = [0.2, 0.0]: " in proc.stderr
         assert "%s not positive definite at [0.2, 0.0]" % tag in proc.stderr
+
+
+def test_verify_gram1_not_positive_definite_exits_4(tmp_path):
+    # the dip of the test above; verify draws a base point inside it
+    dip = "1 - 10*exp(-1000*((x-0.2)^2 + y^2))"
+    path = tmp_path / "dip.json"
+    path.write_text(json.dumps({
+        "coords": ["x", "y"], "rank": 2,
+        "frame": [["1", "0"], ["0", "1"]],
+        "gram1": [[dip, "0"], ["0", "1"]],
+        "gram2": [["2", "0"], ["0", "3"]],
+        "domain": {"min": [-1, -1], "max": [1, 1]}}))
+    proc = _run_cli("verify", "--model", str(path), "--samples", "20")
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "np.float64" not in proc.stderr
+    found = re.search(r"gram1 not positive definite at \[(.*)\]", proc.stderr)
+    assert found, proc.stderr
+    x, y = (float(v) for v in found.group(1).split(","))
+    assert 1 - 10 * math.exp(-1000 * ((x - 0.2) ** 2 + y ** 2)) <= 0
+
+
+def test_frame_error_prints_plain_floats(tmp_path, capsys):
+    # D = span(d/dx, d/dy) is integrable, so no bracket completes the frame
+    path = tmp_path / "integrable.json"
+    path.write_text(json.dumps({
+        "coords": ["x", "y", "z"], "rank": 2,
+        "frame": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "gram1": [["1", "0"], ["0", "1"]],
+        "gram2": [["2", "0"], ["0", "3"]],
+        "domain": {"min": [-1, -1, -1], "max": [1, 1, 1]}}))
+    main(["check-relations", "--model", str(path), "--at", "0.1", "0", "0",
+          "--format", "json"])
+    rec = json.loads(capsys.readouterr().out)["points"][0]
+    assert rec["frame_error"] == ("no distribution bracket leaves D near "
+                                  "[0.1, 0.0, 0.0]; completion undefined")
 
 
 def test_geodesic_csv(dini_model, capsys):

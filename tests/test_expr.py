@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -193,6 +194,42 @@ def test_compiled_matches_interpreter(e):
     fn = ex.compile_exprs([e])
     for q in PROBES:
         assert abs(fn(q)[0] - ex.evaluate(e, q)) <= 1e-12 * max(1.0, abs(ex.evaluate(e, q)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_total_exprs())
+def test_lanes_equal_compiled(e):
+    fn = ex.compile_exprs([e, ex.log(ex.add(ex.Const(3.0), e)), ex.abs_(e)])
+    rows = np.array(PROBES + [(0.3, -1.1, 1.7), (-2.0, 2.0, 0.0)])
+    try:
+        expected = np.array([fn(q) for q in rows.tolist()]).T
+    except ex.EvalDomainError:
+        with pytest.raises(ex.EvalDomainError):
+            fn.lanes(rows)
+        return
+    assert np.array_equal(fn.lanes(rows), expected)
+
+
+def test_lanes_fall_back_to_the_scalar_path():
+    fn = ex.compile_exprs([ex.parse("1/x", ("x",)), ex.parse("log(x)", ("x",))])
+    rows = np.array([[2.0], [0.5], [-1.0], [0.0]])
+    with pytest.raises(ex.EvalDomainError) as scalar:
+        fn((-1.0,))
+    with pytest.raises(ex.EvalDomainError) as lanes:
+        fn.lanes(rows)
+    assert str(lanes.value) == str(scalar.value)
+    with pytest.raises(ex.EvalDomainError, match="division by zero"):
+        fn.lanes(rows[[0, 3]])
+    with pytest.raises(ex.EvalDomainError, match="not finite"):
+        fn.lanes(np.array([[2.0], [np.inf]]))
+    # numpy's 1 / 0 = inf would give a finite 1 / inf = 0; Python raises
+    fn = ex.compile_exprs([ex.parse("1/(1/x)", ("x",))])
+    with pytest.raises(ex.EvalDomainError, match="division by zero"):
+        fn.lanes(np.array([[2.0], [0.0]]))
+    # x * x overflows to inf, which numpy stops at and Python carries on
+    # with; 1 / inf = 0 is finite, so the scalar value stands
+    fn = ex.compile_exprs([ex.parse("1/(x*x)", ("x",))])
+    assert np.array_equal(fn.lanes(np.array([[2.0], [1e200]])), [[0.25, 0.0]])
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from geoequiv import expr as ex
+from geoequiv.expr import EvalDomainError
 from geoequiv.geometry import GeometryModel
 from geoequiv.hamiltonian import (quasi_impulses, hamiltonian, hamiltonian_rhs,
                                   integrate, initial_covector, arc_length, cut,
@@ -12,7 +13,8 @@ from geoequiv.constructors import GENERATORS, build_dini, build_quasi_contact
 from geoequiv.pair import intrinsic_P
 
 from conftest import FIELD_PARAMS, heisenberg, plane_pair
-from reference import numpy_hamiltonian, numpy_hamiltonian_rhs, numpy_intrinsic_P
+from reference import (full_field, numpy_hamiltonian, numpy_hamiltonian_rhs,
+                       numpy_intrinsic_P)
 
 
 def euclidean_plane():
@@ -175,13 +177,19 @@ def _close(new, ref, rel=1e-12):
 
 
 # every generator, plus the conformal Heisenberg pair
-@pytest.mark.parametrize("kind", sorted(FIELD_PARAMS) + ["conformal"])
-def test_generated_field_matches_numpy_reference(kind):
+FIELD_KINDS = sorted(FIELD_PARAMS) + ["conformal"]
+
+
+def _field_model(kind):
     assert set(FIELD_PARAMS) == set(GENERATORS)
     if kind == "conformal":
-        m = heisenberg("1 + x^2 + y^2")
-    else:
-        m = GENERATORS[kind](FIELD_PARAMS[kind])
+        return heisenberg("1 + x^2 + y^2")
+    return GENERATORS[kind](FIELD_PARAMS[kind])
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+def test_generated_field_matches_numpy_reference(kind):
+    m = _field_model(kind)
     rng = np.random.default_rng(17)
     for i in range(8):
         q = m.sample_point(rng)
@@ -214,3 +222,55 @@ def test_cut_matches_fresh_integration():
         assert np.max(np.abs(short.p - fresh.p)) <= 1e-11
         assert abs(short.aux - fresh.aux) <= 1e-11
         assert np.max(np.abs(short.h - fresh.h)) <= 1e-11
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+def test_split_programs_equal_the_full_field(kind):
+    # along a 601-sample extremal and at random phase points, the flow and
+    # energy programs, one state at a time and stacked, give the values of
+    # the one full field that they replaced, bit for bit
+    m = _field_model(kind)
+    rng = np.random.default_rng(29)
+    for tag in (1, 2):
+        field = full_field(m, tag)
+        tr = integrate(m, tag, (m.sample_point(rng), rng.normal(size=m.n)), 0.3,
+                       samples=601)
+        Q = np.concatenate([tr.q, [m.sample_point(rng) for _ in range(40)]])
+        P = np.concatenate([tr.p, rng.normal(size=(40, m.n))])
+        rows = list(zip(Q.tolist(), P.tolist()))
+        ref = [field(q, p) for q, p in rows]
+        h = np.array([vals[0] for vals in ref])
+        assert np.array_equal(hamiltonian(m, tag, (Q, P)), h)
+        assert np.array_equal([hamiltonian(m, tag, lam) for lam in rows], h)
+        assert np.array_equal(tr.h, h[:len(tr.t)])
+        speeds = [np.sqrt(max(2.0 * v, 0.0)) for v in h[:len(tr.t)]]
+        assert arc_length(m, tag, tr) == float(np.trapezoid(speeds, tr.t))
+        for lam, vals in zip(rows[::20], ref[::20]):
+            qdot, pdot = hamiltonian_rhs(m, tag, *lam)
+            assert qdot.tolist() + pdot.tolist() == list(vals[1:2 * m.n + 1])
+        if tag == 1:
+            assert [intrinsic_P(m, lam) for lam in rows] == [vals[-1] for vals in ref]
+
+
+@pytest.mark.parametrize("entry, bad", [
+    ("1 + (x + 0.9)^0.5", (-0.95, -0.97)),      # power of a negative base
+    ("2 + log(x + 0.9)", (-0.95, -0.97)),       # log of a negative number
+    ("2 + 1/(x + 0.9)", (-0.9, -0.9)),          # division by zero
+])
+def test_stacked_energy_raises_the_scalar_error(entry, bad):
+    m = plane_pair(g2xx=entry)
+    rng = np.random.default_rng(31)
+    Q = rng.uniform(-0.5, 0.5, size=(10, 2))
+    P = rng.normal(size=(10, 2))
+    Q[3, 0], Q[7, 0] = bad
+    # the gram1 energy program evaluates gram2 for P
+    for tag in (1, 2):
+        with pytest.raises(EvalDomainError) as scalar:
+            hamiltonian(m, tag, (Q[3].tolist(), P[3].tolist()))
+        with pytest.raises(EvalDomainError) as stacked:
+            hamiltonian(m, tag, (Q, P))
+        assert str(stacked.value) == str(scalar.value)
+        # numpy rows raise as lists do, not with numpy's inf and a warning
+        with pytest.raises(EvalDomainError) as row:
+            hamiltonian(m, tag, (Q[3], P[3]))
+        assert str(row.value) == str(scalar.value)
