@@ -1,7 +1,9 @@
 """Command-line front end: generate / analyze / geodesic / verify / check-relations.
 
 Exit codes: 0 success (or verification pass), 1 usage or IO error,
-2 verification fail, 3 inconclusive, 4 invalid model: a manifest or
+2 verification fail, 3 inconclusive (also when verify can draw no covector
+outside the excluded abnormal cone, or when check-relations has a point
+without an adapted frame and no failing point), 4 invalid model: a manifest or
 validation error, a model expression that leaves its real domain
 (EvalDomainError) at a requested point or along an extremal, or a Gram
 matrix that is not positive definite where the transition operator is
@@ -27,7 +29,7 @@ from .pair import (AdaptedFrameError, AdaptedFrame, transition_operator,
                    regularity_probe, first_divisibility, second_divisibility,
                    relations_cor)
 from .constructors import GENERATORS, ConstructionError
-from .verifier import verify_equivalence
+from .verifier import SamplingError, verify_equivalence
 
 SCHEMA = "geoequiv-report/1"
 
@@ -348,7 +350,7 @@ def _cmd_check_relations(args):
         points = [tuple(model.sample_point(rng)) for _ in range(args.points)]
     records = []
     worst = 0.0
-    failed = False
+    failed = unchecked = False
     for q in points:
         rec = {"q": [float(v) for v in q]}
         try:
@@ -363,10 +365,11 @@ def _cmd_check_relations(args):
                 failed = True
         except AdaptedFrameError as exc:
             rec["frame_error"] = str(exc)
-            failed = True
+            unchecked = True
         except (EvalDomainError, np.linalg.LinAlgError) as exc:
             raise type(exc)("at q = %s: %s" % (rec["q"], exc)) from exc
         records.append(rec)
+    verdict = "fail" if failed else "inconclusive" if unchecked else "pass"
     payload = {
         "schema": SCHEMA,
         "command": "check-relations",
@@ -374,7 +377,7 @@ def _cmd_check_relations(args):
         "config": {"tol": args.tol, "bracket_tol": args.bracket_tol,
                    "seed": args.seed, "points": [list(q) for q in points]},
         "worst_residual": worst,
-        "verdict": "fail" if failed else "pass",
+        "verdict": verdict,
         "points": records,
     }
     lines = []
@@ -386,10 +389,9 @@ def _cmd_check_relations(args):
             vals = [v for v in rec["relations"].values() if v is not None]
             lines.append("q = %s: worst residual %.3e"
                          % (rec["q"], max(vals, default=0.0)))
-    lines.append("verdict: %s (worst %.3e, tol %g)"
-                 % (payload["verdict"], worst, args.tol))
+    lines.append("verdict: %s (worst %.3e, tol %g)" % (verdict, worst, args.tol))
     _emit(payload, args, lines)
-    return EXIT_FAIL if failed else EXIT_OK
+    return {"fail": EXIT_FAIL, "inconclusive": EXIT_INCONCLUSIVE, "pass": EXIT_OK}[verdict]
 
 
 # ---------------------------------------------------------------- wiring
@@ -474,7 +476,7 @@ def main(argv=None):
     except (ManifestError, ModelValidationError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         code = EXIT_INVALID_MODEL
-    except AdaptedFrameError as exc:
+    except (AdaptedFrameError, SamplingError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         code = EXIT_INCONCLUSIVE
     except EvalDomainError as exc:

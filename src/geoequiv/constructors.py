@@ -473,7 +473,7 @@ def build_beltrami(half_width=2.0, domain=None):
 
 
 GENERATORS = {
-    "levi-civita": lambda params: build_levi_civita(params),
+    "levi-civita": build_levi_civita,
     "dini": lambda params: build_dini(params["beta1"], params["beta2"],
                                       params.get("domain")),
     "gendini1": lambda params: build_gendini_case1(params["U"], params["V"],
@@ -481,7 +481,7 @@ GENERATORS = {
     "gendini2": lambda params: build_gendini_case2(params["R"], params.get("a", 1.0),
                                                    params.get("C", 1.0),
                                                    params.get("domain")),
-    "quasi-contact": lambda params: build_quasi_contact(params),
+    "quasi-contact": build_quasi_contact,
     "beltrami": lambda params: build_beltrami(params.get("half_width", 2.0),
                                               params.get("domain")),
 }

@@ -256,28 +256,29 @@ def save_model(model, path):
 def validate_model(model, per_axis=3):
     """Pointwise sanity on a probe grid: frame nondegenerate, Grams SPD."""
     for q in model.probe_grid(per_axis=per_axis, margin=0.05):
+        q = q.tolist()
         qt = tuple(q)
         try:
             E = model.frame_at(qt)
         except ex.EvalDomainError as exc:
-            raise ModelValidationError("frame undefined at %s: %s" % (list(q), exc)) from exc
+            raise ModelValidationError("frame undefined at %s: %s" % (q, exc)) from exc
         scale = max(1.0, float(np.max(np.abs(E))) ** model.n)
         if abs(np.linalg.det(E)) < _DET_TOL * scale:
             raise ModelValidationError("frame degenerate at %s (|det| = %g)"
-                                       % (list(q), abs(np.linalg.det(E))))
+                                       % (q, abs(np.linalg.det(E))))
         for tag in (1, 2):
             try:
                 W = model.gram_at(qt, tag)
             except ex.EvalDomainError as exc:
                 raise ModelValidationError("gram%d undefined at %s: %s"
-                                           % (tag, list(q), exc)) from exc
+                                           % (tag, q, exc)) from exc
             if not np.allclose(W, W.T, rtol=1e-9, atol=1e-12 * max(1.0, np.max(np.abs(W)))):
-                raise ModelValidationError("gram%d not symmetric at %s" % (tag, list(q)))
+                raise ModelValidationError("gram%d not symmetric at %s" % (tag, q))
             try:
                 np.linalg.cholesky(W)
             except np.linalg.LinAlgError:
                 raise ModelValidationError("gram%d not positive definite at %s"
-                                           % (tag, list(q))) from None
+                                           % (tag, q)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +442,7 @@ def classify_distribution(model, samples=7, seed=0, tol=1e-8):
     points = [model.center()] + [model.sample_point(rng) for _ in range(samples)]
     ranks = set()
     for q in points:
-        vals = np.asarray(fn(tuple(q)), dtype=float).reshape(m, m)
+        vals = np.asarray(fn(tuple(q.tolist())), dtype=float).reshape(m, m)
         s = np.linalg.svd(vals, compute_uv=False)
         top = s[0] if s.size else 0.0
         ranks.add(int(np.sum(s > tol * max(top, 1e-30))) if top > 0 else 0)

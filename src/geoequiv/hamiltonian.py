@@ -284,7 +284,7 @@ def initial_covector(model, metric_tag, q, v, transverse=None):
     is fixed on D by the metric and on the transverse fields by `transverse`
     (defaults to zero quasi-impulses there).
     """
-    q = tuple(np.asarray(q, dtype=float))
+    q = tuple(np.asarray(q, dtype=float).tolist())
     v = np.asarray(v, dtype=float)
     n, m = model.n, model.m
     E = model.frame_at(q)

@@ -14,6 +14,7 @@ Fiber variables u_i = p(X_i) are quasi-impulses of the adapted frame; all
 fiber polynomials live in u_1..u_n.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -87,7 +88,7 @@ def _pencil(model, qt, vectors=True):
 
 
 def transition_operator(model, q, cluster_tol=_CLUSTER_TOL):
-    qt = tuple(np.asarray(q, dtype=float))
+    qt = tuple(np.asarray(q, dtype=float).tolist())
     W1, W2, lams, V = _pencil(model, qt)
     if lams[0] <= 0:
         # with gram1 positive definite, exactly when gram2 is not
@@ -124,7 +125,7 @@ def _split_gap(model, q, boundaries):
     if not model.in_domain(q):
         return np.inf
     try:
-        lams = _pencil(model, tuple(q), vectors=False)[2]
+        lams = _pencil(model, tuple(q.tolist()), vectors=False)[2]
     except (ex.EvalDomainError, np.linalg.LinAlgError):
         return np.inf
     return _gap(lams, boundaries)
@@ -161,7 +162,7 @@ def regularity_probe(model, q, radius, samples=40, seed=0, cluster_tol=_CLUSTER_
         if not model.in_domain(point):
             continue
         try:
-            lams = _pencil(model, tuple(point), vectors=False)[2]
+            lams = _pencil(model, tuple(point.tolist()), vectors=False)[2]
         except np.linalg.LinAlgError:
             lams = None
         if lams is None or lams[0] <= 0:
@@ -218,7 +219,7 @@ def regularity_probe(model, q, radius, samples=40, seed=0, cluster_tol=_CLUSTER_
 class AdaptedPoint:
     """Everything the fiber formulas need at one base point."""
 
-    __slots__ = ("q", "A", "Vg", "alphas", "alpha_sq", "grad_alpha_sq",
+    __slots__ = ("q", "A", "Vg", "alphas", "alpha_sq", "dalpha_sq",
                  "clusters", "W1", "W2", "c", "cbar")
 
     def __init__(self, **kw):
@@ -324,12 +325,11 @@ class AdaptedFrame:
         n, m = model.n, model.m
         if n - m not in (0, 1):
             raise AdaptedFrameError("adapted frames support corank 0 or 1 only")
-        self.completion_exprs = None
         self._completion_fn = self._dcompletion_fn = None
         if n - m == 1:
-            sf = StructureFunctions(model)
-            E = model.frame_at(tuple(self.center))
-            brackets = sf.brackets_at(tuple(self.center))
+            qc = tuple(self.center.tolist())
+            E = model.frame_at(qc)
+            brackets = StructureFunctions(model).brackets_at(qc)
             best, best_val = None, 0.0
             for (a, b), vals in brackets.items():
                 if a >= m or b >= m:
@@ -342,7 +342,6 @@ class AdaptedFrame:
                     "no distribution bracket leaves D near %s; completion undefined"
                     % (_floats(self.center),))
             self.completion_pair = best
-            self.completion_exprs = sf.bracket_exprs[best]
             self._completion_fn, self._dcompletion_fn = _completion(model, best)
 
     # -- pointwise frame ---------------------------------------------------
@@ -354,7 +353,7 @@ class AdaptedFrame:
         eigenvalues, V the eigenvectors as _pencil returns them and E the
         model frame.
         """
-        qt = tuple(np.asarray(q, dtype=float))
+        qt = tuple(np.asarray(q, dtype=float).tolist())
         model = self.model
         n, m = model.n, model.m
         W1, W2, lams, V = _pencil(model, qt)
@@ -400,7 +399,7 @@ class AdaptedFrame:
     # -- full point data (with exact structure functions) -------------------
 
     def point_data(self, q):
-        qt = tuple(np.asarray(q, dtype=float))
+        qt = tuple(np.asarray(q, dtype=float).tolist())
         cached = self._point_cache.get(qt)
         if cached is not None:
             return cached
@@ -420,7 +419,6 @@ class AdaptedFrame:
         dlams = np.diagonal(N, axis1=1, axis2=2).copy()
         for idx in clusters:
             dlams[:, idx] = dlams[:, idx].mean(axis=1, keepdims=True)
-        grad = dlams.T
 
         # the rescaled frame divides X_i by alpha_i for i <= m
         alph = np.sqrt(lams)
@@ -429,8 +427,9 @@ class AdaptedFrame:
         dAbar = dA.copy()
         dAbar[:, :, :m] = dA[:, :, :m] / alph - A[:, :m] * (dlams / (2.0 * alph ** 3))[:, None, :]
 
+        # dalpha_sq[i, j] = X_{i+1}(alpha_{j+1}^2)
         data = AdaptedPoint(q=np.asarray(qt), A=A, Vg=Vg, alphas=alph, alpha_sq=lams,
-                            grad_alpha_sq=grad, clusters=clusters, W1=W1, W2=W2,
+                            dalpha_sq=A[:, :m].T @ dlams, clusters=clusters, W1=W1, W2=W2,
                             c=_structure(A, dA), cbar=_structure(Abar, dAbar))
         if len(self._point_cache) > 256:
             self._point_cache.clear()
@@ -443,126 +442,77 @@ class AdaptedFrame:
         data = self.point_data(q)
         return np.asarray(p, dtype=float) @ data.A
 
-    def field_derivative(self, data, i, j):
-        """X_{i+1}(alpha_{j+1}^2) from the exact eigenvalue gradient."""
-        return float(data.grad_alpha_sq[j] @ data.A[:, i])
-
 
 # ---------------------------------------------------------------------------
-# homogeneous fiber polynomials
+# homogeneous fiber polynomials: coefficient vectors over one monomial basis
 
-class FiberPolynomial:
-    """Homogeneous polynomial in u_1..u_nvars, dense over exponent tuples."""
+@functools.cache
+def _basis(nvars, degree):
+    """The degree-`degree` monomials in u_1..u_nvars, in one fixed order.
 
-    def __init__(self, nvars, degree, coeffs=None):
-        self.nvars = nvars
-        self.degree = degree
-        self.coeffs = dict(coeffs) if coeffs else {}
+    Returns a (count, degree) array whose rows hold each monomial's variable
+    indices, ascending, in combinations_with_replacement order, and a dict from
+    each row, as a tuple, to its position. A fiber polynomial is the vector of
+    its coefficients in this order.
+    """
+    monos = list(itertools.combinations_with_replacement(range(nvars), degree))
+    index = np.array(monos, dtype=np.intp).reshape(len(monos), degree)
+    index.flags.writeable = False
+    return index, {mono: pos for pos, mono in enumerate(monos)}
 
-    @staticmethod
-    def basis(nvars, degree):
-        out = []
-        for combo in itertools.combinations_with_replacement(range(nvars), degree):
-            expo = [0] * nvars
-            for i in combo:
-                expo[i] += 1
-            out.append(tuple(expo))
-        return out
 
-    def add_term(self, expo, coef):
-        if coef == 0.0:
-            return
-        cur = self.coeffs.get(expo, 0.0) + coef
-        if cur == 0.0:
-            self.coeffs.pop(expo, None)
-        else:
-            self.coeffs[expo] = cur
+@functools.cache
+def _times_u(nvars, degree):
+    """Row i: the position of u_{i+1} times each degree-`degree` monomial in
+    the basis one degree up."""
+    where = _basis(nvars, degree + 1)[1]
+    shift = np.array([[where[tuple(sorted(mono + [i]))]
+                       for mono in _basis(nvars, degree)[0].tolist()]
+                      for i in range(nvars)], dtype=np.intp)
+    shift.flags.writeable = False
+    return shift
 
-    def add_monomial(self, indices, coef):
-        expo = [0] * self.nvars
-        for i in indices:
-            expo[i] += 1
-        self.add_term(tuple(expo), coef)
 
-    def __add__(self, other):
-        assert (self.nvars, self.degree) == (other.nvars, other.degree)
-        out = FiberPolynomial(self.nvars, self.degree, self.coeffs)
-        for expo, coef in other.coeffs.items():
-            out.add_term(expo, coef)
-        return out
+@functools.cache
+def _hP_positions(n, m):
+    """Positions of u_i u_j^2 and of u_i u_j u_k (k = 0..n-1) in the cubic
+    basis, shape (m, m, 1 + n), in the order fiber_hP sums its terms."""
+    where = _basis(n, 3)[1]
+    pos = np.array([[[where[tuple(sorted((i, j, k)))] for k in (j,) + tuple(range(n))]
+                     for j in range(m)] for i in range(m)], dtype=np.intp)
+    pos.flags.writeable = False
+    return pos
 
-    def __sub__(self, other):
-        return self + other.scale(-1.0)
 
-    def scale(self, factor):
-        return FiberPolynomial(self.nvars, self.degree,
-                               {e: c * factor for e, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        out = FiberPolynomial(self.nvars, self.degree + other.degree)
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out.add_term(tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return out
-
-    def evaluate(self, u):
-        total = 0.0
-        for expo, coef in self.coeffs.items():
-            val = coef
-            for i, e in enumerate(expo):
-                if e:
-                    val *= u[i] ** e
-            total += val
-        return total
-
-    def vector(self, basis):
-        return np.array([self.coeffs.get(e, 0.0) for e in basis])
-
-    def norm(self):
-        return float(np.sqrt(sum(c * c for c in self.coeffs.values())))
-
-    def max_abs_coeff(self):
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for expo in sorted(self.coeffs, reverse=True):
-            factors = []
-            for i, e in enumerate(expo):
-                if e == 1:
-                    factors.append("u%d" % (i + 1))
-                elif e > 1:
-                    factors.append("u%d^%d" % (i + 1, e))
-            mono = "*".join(factors) if factors else "1"
-            parts.append("%.6g*%s" % (self.coeffs[expo], mono))
-        return " + ".join(parts)
+def fiber_value(coeffs, u, degree):
+    """Value at the impulses u of the degree-`degree` fiber polynomial coeffs."""
+    u = np.asarray(u, dtype=float)
+    return float(coeffs @ np.prod(u[_basis(len(u), degree)[0]], axis=1))
 
 
 def fiber_P(model, frame, q):
     """Squared transported norm: sum alpha_i^2 u_i^2 in the adapted frame."""
     data = frame.point_data(q)
-    out = FiberPolynomial(model.n, 2)
-    for i in range(model.m):
-        out.add_monomial((i, i), data.alpha_sq[i])
+    index, where = _basis(model.n, 2)
+    out = np.zeros(len(index))
+    out[[where[(i, i)] for i in range(model.m)]] = data.alpha_sq
     return out
 
 
 def fiber_hP(model, frame, q):
-    """Derivative of fiber_P along the gram1 Hamiltonian flow (cubic in u)."""
+    """Derivative of fiber_P along the gram1 Hamiltonian flow (cubic in u).
+
+    For each i, then j <= m, the terms are X_i(alpha_j^2) u_i u_j^2 and
+    2 c_{ij}^k alpha_j^2 u_i u_j u_k for k = 1..n. np.bincount adds its
+    weights in input order, so every coefficient is summed in this order.
+    """
     data = frame.point_data(q)
     n, m = model.n, model.m
-    out = FiberPolynomial(n, 3)
-    for i in range(m):
-        for j in range(m):
-            out.add_monomial((i, j, j), frame.field_derivative(data, i, j))
-            for k in range(n):
-                # coefficient of X_k in [X_i, X_j], adapted frame
-                cval = data.c[i, j, k]
-                if cval:
-                    out.add_monomial((i, j, k), 2.0 * cval * data.alpha_sq[j])
-    return out
+    terms = np.empty((m, m, 1 + n))
+    terms[:, :, 0] = data.dalpha_sq
+    terms[:, :, 1:] = 2.0 * data.c[:m, :m] * data.alpha_sq[:, None]
+    return np.bincount(_hP_positions(n, m).ravel(), terms.ravel(),
+                       len(_basis(n, 3)[0]))
 
 
 def intrinsic_P(model, lam):
@@ -572,45 +522,34 @@ def intrinsic_P(model, lam):
 
 
 class DivisibilityResult:
-    def __init__(self, holds, residual, quotient, numerator, divisor):
+    def __init__(self, holds, residual, quotient):
         self.holds = holds
         self.residual = residual        # relative least-squares residual
         self.quotient = quotient        # linear coefficient vector, or None
-        self.numerator = numerator
-        self.divisor = divisor
 
 
-def _divide(numerator, divisor_polys):
-    """Least-squares division: min over linear combos L of ||num - sum L_i * div_i||."""
-    nvars, degree = numerator.nvars, numerator.degree
-    basis = FiberPolynomial.basis(nvars, degree)
-    b = numerator.vector(basis)
-    cols = [dp.vector(basis) for dp in divisor_polys]
-    M = np.stack(cols, axis=1)
-    scale = np.linalg.norm(b)
+def _divide(numerator, divisor, shift):
+    """Least-squares division: min over linear L of ||num - L * div||.
+
+    The columns of the system are u_i times the divisor, placed by the rows
+    of shift (see _times_u); the solution holds the coefficients of L.
+    """
+    count = len(shift)
+    M = np.zeros((len(numerator), count))
+    M[shift, np.arange(count)[:, None]] = divisor
+    scale = np.linalg.norm(numerator)
     if scale == 0.0:
-        return 0.0, np.zeros(len(divisor_polys))
-    sol, *_ = np.linalg.lstsq(M, b, rcond=None)
-    residual = np.linalg.norm(M @ sol - b) / scale
+        return 0.0, np.zeros(count)
+    sol, *_ = np.linalg.lstsq(M, numerator, rcond=None)
+    residual = np.linalg.norm(M @ sol - numerator) / scale
     return float(residual), sol
-
-
-def _linear_monomials(nvars, count):
-    out = []
-    for i in range(count):
-        mono = FiberPolynomial(nvars, 1)
-        mono.add_monomial((i,), 1.0)
-        out.append(mono)
-    return out
 
 
 def first_divisibility(model, frame, q, tol=_DIV_TOL):
     """Does fiber_P divide its Hamiltonian derivative (quotient linear in u)?"""
-    P = fiber_P(model, frame, q)
-    hP = fiber_hP(model, frame, q)
-    monos = _linear_monomials(model.n, model.n)
-    residual, sol = _divide(hP, [mono * P for mono in monos])
-    return DivisibilityResult(residual <= tol, residual, sol, hP, P)
+    residual, sol = _divide(fiber_hP(model, frame, q), fiber_P(model, frame, q),
+                            _times_u(model.n, 2))
+    return DivisibilityResult(residual <= tol, residual, sol)
 
 
 def fiber_R(model, frame, q, j):
@@ -625,26 +564,25 @@ def fiber_R(model, frame, q, j):
         raise ValueError("j must be in 1..%d" % m)
     jj = j - 1
     a2 = data.alpha_sq
-    out = FiberPolynomial(n, 2)
+    X = data.dalpha_sq
+    index, where = _basis(n, 2)
+    pos = lambda a, b: where[(a, b) if a <= b else (b, a)]
+    out = np.zeros(len(index))
     for i in range(m):
         if i == jj:
             continue
         # (alpha_j^2 - alpha_i^2) c_{ji}^i - (1/2) X_j(alpha_i^2), times u_i^2
-        cjii = data.c[i, jj, i]
-        out.add_monomial((i, i), (a2[jj] - a2[i]) * cjii
-                         - 0.5 * frame.field_derivative(data, jj, i))
+        out[pos(i, i)] += (a2[jj] - a2[i]) * data.c[i, jj, i] - 0.5 * X[jj, i]
         # (alpha_i^2 / 2 alpha_j^2) X_i(alpha_j^4 / alpha_i^2), times u_i u_j
-        di_j = frame.field_derivative(data, i, jj)
-        di_i = frame.field_derivative(data, i, i)
-        deriv = (2.0 * a2[jj] * di_j * a2[i] - a2[jj] ** 2 * di_i) / a2[i] ** 2
-        out.add_monomial((i, jj), deriv / (2.0 * a2[jj]) * a2[i])
+        deriv = (2.0 * a2[jj] * X[i, jj] * a2[i] - a2[jj] ** 2 * X[i, i]) / a2[i] ** 2
+        out[pos(i, jj)] += deriv / (2.0 * a2[jj]) * a2[i]
     for i in range(m):
         for k in range(m):
             if k == i:
                 continue
-            out.add_monomial((i, k), (a2[jj] - a2[k]) * data.c[i, jj, k])
+            out[pos(i, k)] += (a2[jj] - a2[k]) * data.c[i, jj, k]
         for k in range(m, n):
-            out.add_monomial((i, k), a2[jj] * data.c[i, jj, k])
+            out[pos(i, k)] += a2[jj] * data.c[i, jj, k]
     return out
 
 
@@ -654,11 +592,9 @@ def fiber_Q(model, frame, q, j, k):
     n, m = model.n, model.m
     if not (1 <= j <= n and 1 <= k <= n):
         raise ValueError("indices must be in 1..%d" % n)
-    out = FiberPolynomial(n, 1)
-    for i in range(m):
-        cval = data.cbar[i, j - 1, k - 1]
-        if cval:
-            out.add_monomial((i,), cval * data.alphas[i])
+    out = np.zeros(n)
+    # added to zeros, so a vanishing coefficient is +0.0, never -0.0
+    out[:m] += data.cbar[:m, j - 1, k - 1] * data.alphas
     return out
 
 
@@ -712,19 +648,17 @@ def second_divisibility(model, frame, q, tol=_DIV_TOL):
     if n - m != 1:
         raise ValueError("second divisibility applies to corank-one models")
     data = frame.point_data(q)
-    mono = _linear_monomials(n, m + 1)
     per_j, quotients, transverse_r = [], {}, {}
     scale = float(np.max(np.abs(data.cbar))) + 1e-30
     applicable = 0
     worst = 0.0
     for j in range(1, m + 1):
         Qj = fiber_Q(model, frame, q, j, m + 1)
-        if Qj.norm() <= 1e-10 * scale:
+        if np.linalg.norm(Qj) <= 1e-10 * scale:
             per_j.append((j, None, None, None))
             continue
         applicable += 1
-        Rj = fiber_R(model, frame, q, j)
-        residual, sol = _divide(Rj, [mi * Qj for mi in mono])
+        residual, sol = _divide(fiber_R(model, frame, q, j), Qj, _times_u(n, 1))
         ok = residual <= tol
         per_j.append((j, residual, ok, sol))
         worst = max(worst, residual)
@@ -772,13 +706,11 @@ def relations_cor(model, frame, q, bracket_tol=1e-6):
     n, m = model.n, model.m
     a2 = data.alpha_sq
     alph = data.alphas
+    X = data.dalpha_sq
     cluster_of = {}
     for sidx, idx in enumerate(data.clusters):
         for i in idx:
             cluster_of[i] = sidx
-
-    def X(i, j):
-        return frame.field_derivative(data, i, j)
 
     details = {name: [] for name in ("eigenvalue-transport", "ratio-invariance",
                                      "pair-invariance", "cyclic", "bracket-equality",
@@ -789,11 +721,11 @@ def relations_cor(model, frame, q, bracket_tol=1e-6):
             if i == j:
                 continue
             # X_i(a_j^2 / a_i^2) - 2 c_{ji}^j (1 - a_j^2 / a_i^2)
-            lhs = (X(i, j) * a2[i] - a2[j] * X(i, i)) / a2[i] ** 2
+            lhs = (X[i, j] * a2[i] - a2[j] * X[i, i]) / a2[i] ** 2
             rhs = 2.0 * data.c[i, j, j] * (1.0 - a2[j] / a2[i])
             details["eigenvalue-transport"].append(((i + 1, j + 1), abs(lhs - rhs)))
             if cluster_of[i] != cluster_of[j]:
-                val = (X(i, j) * alph[i] - a2[j] * X(i, i) / (2.0 * alph[i])) / a2[i]
+                val = (X[i, j] * alph[i] - a2[j] * X[i, i] / (2.0 * alph[i])) / a2[i]
                 details["ratio-invariance"].append(((i + 1, j + 1), abs(val)))
 
     for i in range(m):
@@ -801,8 +733,8 @@ def relations_cor(model, frame, q, bracket_tol=1e-6):
             for k in range(m):
                 if cluster_of.get(j) == cluster_of.get(i) or cluster_of.get(k) == cluster_of.get(i):
                     continue
-                dj = X(i, j) / (2.0 * alph[j])
-                dk = X(i, k) / (2.0 * alph[k])
+                dj = X[i, j] / (2.0 * alph[j])
+                dk = X[i, k] / (2.0 * alph[k])
                 val = (dj * alph[k] - alph[j] * dk) / a2[k]
                 details["pair-invariance"].append(((i + 1, j + 1, k + 1), abs(val)))
 
@@ -825,7 +757,7 @@ def relations_cor(model, frame, q, bracket_tol=1e-6):
         sidx = cluster_of[next(iter(transverse_fields))]
         bar = sorted(data.clusters[sidx])
         for jf in bar:
-            details["transverse-constancy"].append(((jf + 1,), abs(X(jf, bar[0]))))
+            details["transverse-constancy"].append(((jf + 1,), abs(X[jf, bar[0]])))
 
     checks = {}
     overall = 0.0

@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 from . import expr as ex
 from .geometry import classify_distribution
 from .hamiltonian import cut, integrate
-from .pair import (AdaptedFrame, AdaptedFrameError, fiber_Q, fiber_R,
+from .pair import (AdaptedFrame, AdaptedFrameError, fiber_Q, fiber_R, fiber_value,
                    intrinsic_P)
 
 _TINY = 1e-12
@@ -25,6 +25,11 @@ _TINY = 1e-12
 
 class OrbitalMapError(Exception):
     pass
+
+
+class SamplingError(Exception):
+    """No admissible covector could be drawn (the abnormal-cone exclusion
+    rejected every draw)."""
 
 
 class OrbitalResult:
@@ -42,7 +47,7 @@ def _transverse_phi(model, frame, q, u, a, jbar=None):
     data = frame.point_data(q)
     qvals = []
     for j in range(1, m + 1):
-        qvals.append(fiber_Q(model, frame, q, j, m + 1).evaluate(u))
+        qvals.append(fiber_value(fiber_Q(model, frame, q, j, m + 1), u, 1))
     if jbar is None:
         jbar = int(np.argmax(np.abs(qvals))) + 1
     qv = qvals[jbar - 1]
@@ -51,7 +56,7 @@ def _transverse_phi(model, frame, q, u, a, jbar=None):
         raise OrbitalMapError(
             "transverse component undefined: Q_{j,m+1} vanishes on this covector "
             "(abnormal cone); exclude such samples")
-    rv = fiber_R(model, frame, q, jbar).evaluate(u)
+    rv = fiber_value(fiber_R(model, frame, q, jbar), u, 2)
     return rv / (data.alphas[jbar - 1] * qv * a), jbar
 
 
@@ -118,8 +123,8 @@ def check_orbital_identities(model, frame, lam, flow_step=1e-5, flow_tol=1e-12):
         lhs = 0.0
         for k_off, pv in enumerate(phi_trans):
             Qjk = fiber_Q(model, frame, q, j, m + 1 + k_off)
-            lhs += data.alphas[j - 1] * Qjk.evaluate(u) * pv
-        rhs = fiber_R(model, frame, q, j).evaluate(u) / a
+            lhs += data.alphas[j - 1] * fiber_value(Qjk, u, 1) * pv
+        rhs = fiber_value(fiber_R(model, frame, q, j), u, 2) / a
         res_first.append(abs(lhs - rhs))
 
     res_second = []
@@ -138,10 +143,11 @@ def check_orbital_identities(model, frame, lam, flow_step=1e-5, flow_tol=1e-12):
 
         dphi = (phi_s_at(plus) - phi_s_at(minus)) / (2.0 * flow_step)
         s = m + 1
-        coupling = fiber_Q(model, frame, q, s, s).evaluate(u) * phi_trans[0]
+        coupling = fiber_value(fiber_Q(model, frame, q, s, s), u, 1) * phi_trans[0]
         source = 0.0
         for k in range(1, m + 1):
-            source += fiber_Q(model, frame, q, s, k).evaluate(u) * data.alphas[k - 1] * u[k - 1]
+            source += (fiber_value(fiber_Q(model, frame, q, s, k), u, 1)
+                       * data.alphas[k - 1] * u[k - 1])
         res_second.append(abs(dphi - coupling - source / a))
 
     return IdentityReport(res_first, res_second, jbar, a)
@@ -292,7 +298,7 @@ def verify_equivalence(model, sampling=None, exclusions=None):
             trans = rng.normal(size=n - m) * float(cfg["transverse_sigma"])
             if nz < 1e-12:
                 continue
-            qt = tuple(q)
+            qt = tuple(q.tolist())
             W1 = model.gram_at(qt, 1)
             try:
                 L = np.linalg.cholesky(W1)
@@ -312,8 +318,9 @@ def verify_equivalence(model, sampling=None, exclusions=None):
             E = model.frame_at(qt)
             p = np.linalg.solve(E.T, np.concatenate([u, trans]))
             return q, p, excluded
-        raise RuntimeError("could not draw an admissible covector "
-                           "(exclusion cone too wide or domain too tight)")
+        raise SamplingError("could not draw an admissible covector: %d of 200 draws "
+                            "fell within the abnormal cone of half-angle %s"
+                            % (excluded, cone))
 
     def a_rate(q, p):
         return np.sqrt(max(intrinsic_P(model, (q, p)), 0.0))

@@ -9,9 +9,12 @@ over every segment for every point; the structure functions of the
 adapted frames come from a 4th-order central finite-difference stencil
 over AdaptedFrame.at; the regularity probe solves every pencil with
 scipy.linalg.eigh and evaluates its extra Nelder-Mead start by solving
-each kept sample again. Tests compare the
+each kept sample again; the fiber polynomials were dicts from exponent
+tuples to coefficients, with their own products, and were copied into
+coefficient vectors only to be divided. Tests compare the
 generated Hamiltonian programs, the pruned curve distance, the exact frame
-derivatives of AdaptedFrame.point_data and pair.regularity_probe with them.
+derivatives of AdaptedFrame.point_data, pair.regularity_probe and the fiber
+polynomial screens with them.
 """
 
 import itertools
@@ -154,7 +157,8 @@ def loop_polyline_distances(points, poly):
 
 
 def fd_structure_functions(frame, q, fd_step):
-    """(c, cbar) of the adapted and rescaled frames at q, by finite differences.
+    """(c, cbar, dalpha_sq) of the adapted and rescaled frames at q, by
+    finite differences; dalpha_sq[i, j] = X_{i+1}(alpha_{j+1}^2).
 
     4n calls of frame.at around q; the error is O(fd_step^4) where the
     gauge is smooth.
@@ -166,21 +170,23 @@ def fd_structure_functions(frame, q, fd_step):
         Ap, _, lp = frame.at(point)[:3]
         Abar = Ap.copy()
         Abar[:, :m] /= np.sqrt(lp)[None, :]
-        return Ap, Abar
+        return Ap, Abar, lp
 
-    A, Abar = frames(qt)
+    A, Abar, _ = frames(qt)
     dA = np.empty((n, n, n))
     dAbar = np.empty((n, n, n))
+    dlams = np.empty((n, m))
     h = fd_step
     for k in range(n):
         step = np.zeros(n)
         step[k] = h
-        Ap1, Bp1 = frames(qt + step)
-        Am1, Bm1 = frames(qt - step)
-        Ap2, Bp2 = frames(qt + 2 * step)
-        Am2, Bm2 = frames(qt - 2 * step)
+        Ap1, Bp1, lp1 = frames(qt + step)
+        Am1, Bm1, lm1 = frames(qt - step)
+        Ap2, Bp2, lp2 = frames(qt + 2 * step)
+        Am2, Bm2, lm2 = frames(qt - 2 * step)
         dA[k] = (8.0 * (Ap1 - Am1) - (Ap2 - Am2)) / (12.0 * h)
         dAbar[k] = (8.0 * (Bp1 - Bm1) - (Bp2 - Bm2)) / (12.0 * h)
+        dlams[k] = (8.0 * (lp1 - lm1) - (lp2 - lm2)) / (12.0 * h)
 
     def structure(Amat, dAmat):
         c = np.zeros((n, n, n))
@@ -197,7 +203,7 @@ def fd_structure_functions(frame, q, fd_step):
             c[b, a, :] = -sol[:, col]
         return c
 
-    return structure(A, dA), structure(Abar, dAbar)
+    return structure(A, dA), structure(Abar, dAbar), A[:, :m].T @ dlams
 
 
 def eigh_clusters(model, q, cluster_tol):
@@ -285,3 +291,134 @@ def eigh_regularity_probe(model, q, radius, samples=40, seed=0, cluster_tol=_CLU
                 N_witness = -1
             values.add(N_witness)
     return tuple(sorted(values)), used, gap_min, witness, N_witness
+
+
+# ---------------------------------------------------------------------------
+# fiber polynomials as dicts from exponent tuples to coefficients
+
+class DictPolynomial:
+    """Homogeneous polynomial in u_1..u_nvars, dense over exponent tuples."""
+
+    def __init__(self, nvars, degree, coeffs=None):
+        self.nvars = nvars
+        self.degree = degree
+        self.coeffs = dict(coeffs) if coeffs else {}
+
+    @staticmethod
+    def basis(nvars, degree):
+        out = []
+        for combo in itertools.combinations_with_replacement(range(nvars), degree):
+            expo = [0] * nvars
+            for i in combo:
+                expo[i] += 1
+            out.append(tuple(expo))
+        return out
+
+    def add_term(self, expo, coef):
+        if coef == 0.0:
+            return
+        cur = self.coeffs.get(expo, 0.0) + coef
+        if cur == 0.0:
+            self.coeffs.pop(expo, None)
+        else:
+            self.coeffs[expo] = cur
+
+    def add_monomial(self, indices, coef):
+        expo = [0] * self.nvars
+        for i in indices:
+            expo[i] += 1
+        self.add_term(tuple(expo), coef)
+
+    def __mul__(self, other):
+        out = DictPolynomial(self.nvars, self.degree + other.degree)
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
+                out.add_term(tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        return out
+
+    def vector(self):
+        return np.array([self.coeffs.get(e, 0.0)
+                         for e in self.basis(self.nvars, self.degree)])
+
+    def norm(self):
+        return float(np.sqrt(sum(c * c for c in self.coeffs.values())))
+
+
+def _field_derivative(data, i, j):
+    """X_{i+1}(alpha_{j+1}^2), as a float, from the point data's matrix."""
+    return float(data.dalpha_sq[i, j])
+
+
+def dict_fiber_P(model, frame, q):
+    data = frame.point_data(q)
+    out = DictPolynomial(model.n, 2)
+    for i in range(model.m):
+        out.add_monomial((i, i), data.alpha_sq[i])
+    return out
+
+
+def dict_fiber_hP(model, frame, q):
+    data = frame.point_data(q)
+    n, m = model.n, model.m
+    out = DictPolynomial(n, 3)
+    for i in range(m):
+        for j in range(m):
+            out.add_monomial((i, j, j), _field_derivative(data, i, j))
+            for k in range(n):
+                cval = data.c[i, j, k]
+                if cval:
+                    out.add_monomial((i, j, k), 2.0 * cval * data.alpha_sq[j])
+    return out
+
+
+def dict_fiber_R(model, frame, q, j):
+    data = frame.point_data(q)
+    n, m = model.n, model.m
+    jj = j - 1
+    a2 = data.alpha_sq
+    out = DictPolynomial(n, 2)
+    for i in range(m):
+        if i == jj:
+            continue
+        cjii = data.c[i, jj, i]
+        out.add_monomial((i, i), (a2[jj] - a2[i]) * cjii
+                         - 0.5 * _field_derivative(data, jj, i))
+        di_j = _field_derivative(data, i, jj)
+        di_i = _field_derivative(data, i, i)
+        deriv = (2.0 * a2[jj] * di_j * a2[i] - a2[jj] ** 2 * di_i) / a2[i] ** 2
+        out.add_monomial((i, jj), deriv / (2.0 * a2[jj]) * a2[i])
+    for i in range(m):
+        for k in range(m):
+            if k == i:
+                continue
+            out.add_monomial((i, k), (a2[jj] - a2[k]) * data.c[i, jj, k])
+        for k in range(m, n):
+            out.add_monomial((i, k), a2[jj] * data.c[i, jj, k])
+    return out
+
+
+def dict_fiber_Q(model, frame, q, j, k):
+    data = frame.point_data(q)
+    n, m = model.n, model.m
+    out = DictPolynomial(n, 1)
+    for i in range(m):
+        cval = data.cbar[i, j - 1, k - 1]
+        if cval:
+            out.add_monomial((i,), cval * data.alphas[i])
+    return out
+
+
+def dict_divide(numerator, divisor):
+    """(residual, quotient) of the least-squares division by u_i * divisor."""
+    monos = []
+    for i in range(numerator.nvars):
+        mono = DictPolynomial(numerator.nvars, 1)
+        mono.add_monomial((i,), 1.0)
+        monos.append(mono)
+    b = numerator.vector()
+    M = np.stack([(mono * divisor).vector() for mono in monos], axis=1)
+    scale = np.linalg.norm(b)
+    if scale == 0.0:
+        return 0.0, np.zeros(len(monos))
+    sol, *_ = np.linalg.lstsq(M, b, rcond=None)
+    return float(np.linalg.norm(M @ sol - b) / scale), sol

@@ -14,7 +14,7 @@ import geoequiv
 from geoequiv.cli import main
 from geoequiv.geometry import save_model
 
-from conftest import heisenberg
+from conftest import FIELD_PARAMS, heisenberg, plane_pair
 
 
 @pytest.fixture()
@@ -227,11 +227,61 @@ def test_frame_error_prints_plain_floats(tmp_path, capsys):
         "gram1": [["1", "0"], ["0", "1"]],
         "gram2": [["2", "0"], ["0", "3"]],
         "domain": {"min": [-1, -1, -1], "max": [1, 1, 1]}}))
-    main(["check-relations", "--model", str(path), "--at", "0.1", "0", "0",
-          "--format", "json"])
-    rec = json.loads(capsys.readouterr().out)["points"][0]
+    # no relation could be checked, so the verdict is inconclusive, not fail
+    assert main(["check-relations", "--model", str(path), "--at", "0.1", "0", "0",
+                 "--format", "json"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "inconclusive"
+    rec = payload["points"][0]
     assert rec["frame_error"] == ("no distribution bracket leaves D near "
                                   "[0.1, 0.0, 0.0]; completion undefined")
+
+
+def test_check_relations_failing_point_outweighs_frame_error(tmp_path, capsys):
+    # [X1, X2] = 2x d/dz leaves D except on x = 0; gram2 is conformal there
+    path = tmp_path / "bracket.json"
+    path.write_text(json.dumps({
+        "coords": ["x", "y", "z"], "rank": 2,
+        "frame": [["1", "0", "0"], ["0", "1", "x^2"], ["0", "0", "1"]],
+        "gram1": [["1", "0"], ["0", "1"]],
+        "gram2": [["1 + x^2 + y^2", "0"], ["0", "1 + x^2 + y^2"]],
+        "domain": {"min": [-1, -1, -1], "max": [1, 1, 1]}}))
+    assert main(["check-relations", "--model", str(path), "--at", "0", "0.3", "0",
+                 "--at", "0.5", "0.3", "0", "--format", "json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "fail"
+    assert "completion undefined" in payload["points"][0]["frame_error"]
+    assert payload["points"][1]["relations"]["transverse-constancy"] > 1e-6
+
+
+def test_analyze_pole_cancelled_by_numpy_scalars_exits_4(tmp_path):
+    # 1/inf would cancel the pole of 1/(x + 0.9) if coordinates reached the
+    # compiled expressions as numpy scalars; as floats the pole raises
+    path = tmp_path / "pole.json"
+    save_model(plane_pair(g2xx="2 + 1/(1/(x + 0.9))"), str(path))
+    proc = _run_cli("analyze", "--model", str(path), "--at", "-0.9", "0")
+    assert proc.returncode == 4, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert "at q = [-0.9, 0.0]: float division by zero" in proc.stderr
+
+
+def test_verify_without_admissible_covector_exits_3(tmp_path, capsys):
+    # a cone wider than pi/2 around the abnormal line rejects every covector
+    path = tmp_path / "qc.json"
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(FIELD_PARAMS["quasi-contact"]))
+    assert main(["generate", "quasi-contact", "--params", str(params),
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--model", str(path), "--samples", "2",
+                 "--exclude-abnormal-cone", "1.6"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert "200 draws fell within the abnormal cone of half-angle 1.6" in lines[0]
 
 
 def test_geodesic_csv(dini_model, capsys):

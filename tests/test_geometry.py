@@ -99,6 +99,15 @@ def test_validate_model_rejects_non_spd_gram():
         validate_model(m)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_validate_model_rejects_cancelled_pole_on_the_grid():
+    # x = 0 is a probe point; as numpy scalars 1/inf would cancel the pole
+    m = plane_pair(g2xx="2 + 1/(1/x)", extent=(1.0, 1.0))
+    with pytest.raises(ModelValidationError,
+                       match=r"gram2 undefined at \[0\.0, -0\.9\]: float division by zero"):
+        validate_model(m)
+
+
 def test_lie_bracket_heisenberg():
     m = heisenberg()
     X1 = [m.frame[0][j] for j in range(3)]

@@ -1,19 +1,25 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from geoequiv import expr as ex
 from geoequiv.geometry import GeometryModel
+from geoequiv.hamiltonian import initial_covector
 from geoequiv.pair import (transition_operator, regularity_probe, AdaptedFrame,
-                           AdaptedFrameError, FiberPolynomial, fiber_P, intrinsic_P,
+                           AdaptedFrameError, fiber_P, intrinsic_P, fiber_value,
                            fiber_hP, fiber_R, fiber_Q, first_divisibility,
-                           second_divisibility, relations_cor, _pencil)
+                           second_divisibility, relations_cor, _basis, _pencil,
+                           _times_u)
 from geoequiv.constructors import (GENERATORS, build_beltrami, build_dini,
                                    build_levi_civita, build_gendini_case1,
                                    build_quasi_contact)
 
 from conftest import FIELD_PARAMS, heisenberg, plane_pair, case2_origin_chart
-from reference import eigh_regularity_probe, fd_structure_functions
+from reference import (dict_divide, dict_fiber_hP, dict_fiber_P, dict_fiber_Q,
+                       dict_fiber_R, eigh_regularity_probe, fd_structure_functions)
 
 
 # ------------------------------------------------------------- transition
@@ -98,6 +104,21 @@ def test_pencil_kernel_rejects_indefinite_gram1():
             _pencil(m, q, vectors=vectors)
     with pytest.raises(np.linalg.LinAlgError, match="gram1"):
         transition_operator(m, np.array(q))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_points_reach_compiled_evaluators_as_floats():
+    # as numpy scalars, 1/inf would cancel the pole of 1/(x + 0.9) and
+    # gram2 would read a finite, wrong 2 at x = -0.9
+    m = plane_pair(g2xx="2 + 1/(1/(x + 0.9))")
+    q = np.array([-0.9, 0.0])
+    with pytest.raises(ex.EvalDomainError, match="float division by zero"):
+        transition_operator(m, q)
+    fr = AdaptedFrame(m, center=np.array([0.5, 0.0]))
+    with pytest.raises(ex.EvalDomainError, match="float division by zero"):
+        fr.point_data(q)
+    with pytest.raises(ex.EvalDomainError, match="float division by zero"):
+        initial_covector(m, 2, q, [1.0, 0.0])
 
 
 # ------------------------------------------------------------- regularity
@@ -268,10 +289,12 @@ def test_point_data_matches_finite_differences(kind):
         offset = 0.02 * (m.domain_max - m.domain_min) * rng.uniform(-1, 1, m.n)
         for q in (tuple(center), tuple(center + offset)):
             data = fr.point_data(q)
-            c, cbar = fd_structure_functions(fr, q, FD_ORACLE_STEP)
+            c, cbar, dalpha_sq = fd_structure_functions(fr, q, FD_ORACLE_STEP)
             scale = max(1.0, np.max(np.abs(c)), np.max(np.abs(cbar)))
             assert np.max(np.abs(data.c - c)) <= 1e-8 * scale, (kind, q)
             assert np.max(np.abs(data.cbar - cbar)) <= 1e-8 * scale, (kind, q)
+            scale = max(1.0, np.max(np.abs(dalpha_sq)))
+            assert np.max(np.abs(data.dalpha_sq - dalpha_sq)) <= 1e-8 * scale, (kind, q)
     if kind in ("levi-civita", "quasi-contact", "conformal", "rotating-cluster"):
         # the in-cluster gauge derivative is exercised, not only Nelson's case
         assert max(len(idx) for idx in fr.clusters) == 2
@@ -304,22 +327,76 @@ def test_first_divisibility_near_beltrami_umbilic():
 
 # ---------------------------------------------------------- fiber algebra
 
-def test_fiber_polynomial_arithmetic():
-    p = FiberPolynomial(3, 2)
-    p.add_monomial((0, 0), 1.0)      # u1^2
-    p.add_monomial((1, 2), -2.0)     # u2 u3
-    u = np.array([0.5, 2.0, 3.0])
-    assert p.evaluate(u) == pytest.approx(0.25 - 12.0)
-    assert (p.scale(2.0) - p).evaluate(u) == pytest.approx(p.evaluate(u))
-    sq = p * p
-    assert sq.degree == 4
-    assert sq.evaluate(u) == pytest.approx(p.evaluate(u) ** 2)
-    basis = FiberPolynomial.basis(3, 2)
-    assert len(basis) == 6
-    assert np.count_nonzero(p.vector(basis)) == 2
-    assert p.norm() == pytest.approx(np.sqrt(5.0))
-    p.add_monomial((0, 0), -1.0)     # exact cancellation drops the term
-    assert (2, 0, 0) not in p.coeffs
+def test_fiber_basis_shift_and_evaluation():
+    for nvars, degree in itertools.product((1, 2, 3, 4), (1, 2, 3)):
+        rng = np.random.default_rng(10 * nvars + degree)
+        u = rng.normal(size=nvars)
+        index, where = _basis(nvars, degree)
+        # every monomial once, indices ascending, positions as listed
+        assert len(index) == math.comb(nvars + degree - 1, degree)
+        assert sorted(where) == sorted(itertools.combinations_with_replacement(
+            range(nvars), degree))
+        for pos, mono in enumerate(index.tolist()):
+            assert mono == sorted(mono) and where[tuple(mono)] == pos
+        # evaluation against brute-force expansion over all index words
+        coeffs = rng.normal(size=len(index))
+        brute = 0.0
+        for word in itertools.product(range(nvars), repeat=degree):
+            if list(word) == sorted(word):
+                brute += coeffs[where[word]] * np.prod(u[list(word)])
+        assert fiber_value(coeffs, u, degree) == pytest.approx(brute, rel=1e-13, abs=1e-13)
+        # u_i times a polynomial, by its shifted coefficients
+        up, _ = _basis(nvars, degree + 1)
+        shift = _times_u(nvars, degree)
+        assert shift.shape == (nvars, len(index))
+        for i in range(nvars):
+            assert len(set(shift[i].tolist())) == len(index)
+            for pos, mono in enumerate(index.tolist()):
+                assert up[shift[i, pos]].tolist() == sorted(mono + [i])
+            times = np.zeros(len(up))
+            times[shift[i]] = coeffs
+            assert fiber_value(times, u, degree + 1) == pytest.approx(
+                u[i] * fiber_value(coeffs, u, degree), rel=1e-13, abs=1e-13)
+
+
+def _vector_of(nvars, degree, terms):
+    """Coefficient vector of sum coef * u[indices] over (indices, coef) pairs."""
+    out = np.zeros(len(_basis(nvars, degree)[0]))
+    for indices, coef in terms:
+        out[_basis(nvars, degree)[1][tuple(sorted(indices))]] += coef
+    return out
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_fiber_polynomials_match_dict_oracle(kind):
+    m = pair_fixture(kind)
+    rng = np.random.default_rng(43)
+    checked = 0
+    for _ in range(6):
+        q = tuple(m.sample_point(rng))
+        fr = AdaptedFrame(m, center=np.array(q))
+        P, hP = fiber_P(m, fr, q), fiber_hP(m, fr, q)
+        assert np.array_equal(P, dict_fiber_P(m, fr, q).vector()), (kind, q)
+        assert np.array_equal(hP, dict_fiber_hP(m, fr, q).vector()), (kind, q)
+        residual, quotient = dict_divide(dict_fiber_hP(m, fr, q), dict_fiber_P(m, fr, q))
+        fd = first_divisibility(m, fr, q)
+        assert fd.residual == residual and np.array_equal(fd.quotient, quotient), (kind, q)
+        for j in range(1, m.m + 1):
+            assert np.array_equal(fiber_R(m, fr, q, j),
+                                  dict_fiber_R(m, fr, q, j).vector()), (kind, q, j)
+            for k in range(1, m.n + 1):
+                assert np.array_equal(fiber_Q(m, fr, q, j, k),
+                                      dict_fiber_Q(m, fr, q, j, k).vector()), (kind, q, j, k)
+        if m.n - m.m == 1:
+            sd = second_divisibility(m, fr, q)
+            for j, residual, _ok, quotient in sd.per_j:
+                if residual is None:
+                    continue
+                ref = dict_divide(dict_fiber_R(m, fr, q, j), dict_fiber_Q(m, fr, q, j, m.n))
+                assert residual == ref[0] and np.array_equal(quotient, ref[1]), (kind, q, j)
+                checked += 1
+    if m.n - m.m == 1:
+        assert checked
 
 
 def test_fiber_P_matches_intrinsic():
@@ -332,7 +409,7 @@ def test_fiber_P_matches_intrinsic():
     for _ in range(6):
         p = rng.normal(size=4)
         u = p @ A
-        assert poly.evaluate(u) == pytest.approx(intrinsic_P(m, (q, p)), rel=1e-10)
+        assert fiber_value(poly, u, 2) == pytest.approx(intrinsic_P(m, (q, p)), rel=1e-10)
 
 
 def test_plane_example_hand_values():
@@ -342,11 +419,12 @@ def test_plane_example_hand_values():
     q = (1.0, 0.0)
     fr = AdaptedFrame(m, center=np.array(q))
     P = fiber_P(m, fr, q)
-    assert P.coeffs[(2, 0)] == pytest.approx(1.0, abs=1e-12)
-    assert P.coeffs[(0, 2)] == pytest.approx(2.0, abs=1e-12)
+    assert P[_basis(2, 2)[1][(0, 0)]] == pytest.approx(1.0, abs=1e-12)
+    assert P[_basis(2, 2)[1][(1, 1)]] == pytest.approx(2.0, abs=1e-12)
     hP = fiber_hP(m, fr, q)
-    assert abs(hP.coeffs.get((0, 3), 0.0)) == pytest.approx(2.0, rel=1e-9)
-    rest = [abs(c) for e, c in hP.coeffs.items() if e != (0, 3)]
+    cube = _basis(2, 3)[1][(1, 1, 1)]
+    assert abs(hP[cube]) == pytest.approx(2.0, rel=1e-9)
+    rest = np.abs(np.delete(hP, cube))
     assert max(rest, default=0.0) < 1e-10
     res = first_divisibility(m, fr, q)
     assert not res.holds
@@ -380,8 +458,8 @@ def test_fiber_Q_oracle():
     Q13 = fiber_Q(m, fr, q, 1, 3)
     Q23 = fiber_Q(m, fr, q, 2, 3)
     u = np.array([0.4, -1.1, 0.9])
-    assert Q13.evaluate(u) == pytest.approx(-u[1], abs=1e-9)
-    assert Q23.evaluate(u) == pytest.approx(0.5 * u[0], abs=1e-9)
+    assert fiber_value(Q13, u, 1) == pytest.approx(-u[1], abs=1e-9)
+    assert fiber_value(Q23, u, 1) == pytest.approx(0.5 * u[0], abs=1e-9)
 
 
 def _fiber_R_direct(model, frame, q, j):
@@ -394,22 +472,13 @@ def _fiber_R_direct(model, frame, q, j):
     alph = data.alphas
     L = first_divisibility(model, frame, q).quotient
     jj = j - 1
-    out = FiberPolynomial(n, 2)
-    for i in range(m):
-        out.add_monomial((i, jj), 0.5 * frame.field_derivative(data, i, jj))
-    for i in range(m):
-        for k in range(n):
-            if data.c[i, jj, k]:
-                out.add_monomial((i, k), data.alpha_sq[jj] * data.c[i, jj, k])
-    for k in range(n):
-        if L[k]:
-            out.add_monomial((jj, k), -0.5 * data.alpha_sq[jj] * L[k])
-    for i in range(m):
-        for k in range(m):
-            cc = data.cbar[i, jj, k]
-            if cc:
-                out.add_monomial((i, k), -cc * alph[i] * alph[jj] * alph[k])
-    return out
+    terms = [((i, jj), 0.5 * data.dalpha_sq[i, jj]) for i in range(m)]
+    terms += [((i, k), data.alpha_sq[jj] * data.c[i, jj, k])
+              for i in range(m) for k in range(n)]
+    terms += [((jj, k), -0.5 * data.alpha_sq[jj] * L[k]) for k in range(n)]
+    terms += [((i, k), -data.cbar[i, jj, k] * alph[i] * alph[jj] * alph[k])
+              for i in range(m) for k in range(m)]
+    return _vector_of(n, 2, terms)
 
 
 def _compare_R_routes(m, q, tol=1e-7):
@@ -420,7 +489,7 @@ def _compare_R_routes(m, q, tol=1e-7):
         Rd = _fiber_R_direct(m, fr, q, j)
         for _ in range(5):
             u = rng.normal(size=m.n)
-            assert R.evaluate(u) == pytest.approx(Rd.evaluate(u), abs=tol), j
+            assert fiber_value(R, u, 2) == pytest.approx(fiber_value(Rd, u, 2), abs=tol), j
 
 
 def test_fiber_R_dual_route_surface():
@@ -438,7 +507,7 @@ def test_fiber_R_dual_route_conformal_contact():
     q = (0.2, 0.3, 0.0)
     _compare_R_routes(m, q)
     fr = AdaptedFrame(m, center=np.array(q))
-    assert fiber_R(m, fr, q, 1).max_abs_coeff() > 0.1
+    assert np.max(np.abs(fiber_R(m, fr, q, 1))) > 0.1
 
 
 def test_R_vanishes_for_block_product_pairs():
@@ -447,7 +516,7 @@ def test_R_vanishes_for_block_product_pairs():
     fr = AdaptedFrame(m, center=np.array([0.1, -0.2]))
     for j in (1, 2):
         R = fiber_R(m, fr, (0.1, -0.2), j)
-        assert R.max_abs_coeff() < 1e-9
+        assert np.max(np.abs(R)) < 1e-9
 
 
 def test_R_nonzero_for_conformal_plane():
@@ -455,8 +524,8 @@ def test_R_nonzero_for_conformal_plane():
     m = plane_pair(g2xx="1+x^2", g2yy="1+x^2")
     fr = AdaptedFrame(m, center=np.array([0.5, 0.0]))
     R = fiber_R(m, fr, (0.5, 0.0), 1)
-    assert R.max_abs_coeff() == pytest.approx(0.5, abs=1e-6)
-    assert R.max_abs_coeff() > 1e-3
+    assert np.max(np.abs(R)) == pytest.approx(0.5, abs=1e-6)
+    assert np.max(np.abs(R)) > 1e-3
 
 
 # ----------------------------------------------------- second divisibility
@@ -481,7 +550,7 @@ def test_second_divisibility_conformal_heisenberg():
     for _ in range(4):
         u = rng.normal(size=3)
         expect = u[1] * (q[1] * u[0] - q[0] * u[1] - f * u[2])
-        assert R1.evaluate(u) == pytest.approx(expect, abs=1e-9)
+        assert fiber_value(R1, u, 2) == pytest.approx(expect, abs=1e-9)
 
 
 def test_second_divisibility_quasi_contact():
