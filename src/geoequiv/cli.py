@@ -5,15 +5,18 @@ Exit codes: 0 success (or verification pass), 1 usage or IO error,
 outside the excluded abnormal cone, or when check-relations has a point
 without an adapted frame and no failing point), 4 invalid model: a manifest or
 validation error, a model expression that leaves its real domain
-(EvalDomainError) at a requested point or along an extremal, or a Gram
+(EvalDomainError) at a requested point or along an extremal, a Gram
 matrix that is not positive definite where the transition operator is
-solved (LinAlgError). analyze and check-relations name the requested point.
+solved (LinAlgError), or an extremal that the integrator cannot follow
+(IntegrationError, naming its start point and the time reached). analyze
+and check-relations name the requested point.
 JSON outputs are canonicalized (sorted keys, 2-space indent) so identical
 inputs give byte-identical reports; every report carries schema
 "geoequiv-report/1" and the fully resolved configuration.
 """
 
 import argparse
+import functools
 import io
 import json
 import re
@@ -24,7 +27,7 @@ import numpy as np
 from . import __version__
 from .expr import EvalDomainError
 from .geometry import load_model, save_model, ManifestError, ModelValidationError
-from .hamiltonian import integrate, write_trajectory_csv
+from .hamiltonian import IntegrationError, integrate, write_trajectory_csv
 from .pair import (AdaptedFrameError, AdaptedFrame, transition_operator,
                    regularity_probe, first_divisibility, second_divisibility,
                    relations_cor)
@@ -200,7 +203,8 @@ def _cmd_analyze(args):
     records = []
     for q in points:
         try:
-            frame = AdaptedFrame(model, center=np.array(q, dtype=float))
+            frame = AdaptedFrame(model, center=np.array(q, dtype=float),
+                                 cluster_tol=args.cluster_tol)
             rec = _point_report(model, frame, q, args.radius, args.cluster_tol)
         except AdaptedFrameError as exc:
             rec = {"q": [float(v) for v in q], "frame_error": str(exc)}
@@ -401,6 +405,7 @@ def _add_common(sp):
     sp.add_argument("--out", help="write the JSON report here as well")
 
 
+@functools.cache
 def build_parser():
     parser = _Parser(prog="geoequiv",
                      description="geodesically equivalent metric pairs:"
@@ -473,7 +478,7 @@ def main(argv=None):
         code = args.func(args)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except (ManifestError, ModelValidationError) as exc:
+    except (ManifestError, ModelValidationError, IntegrationError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         code = EXIT_INVALID_MODEL
     except (AdaptedFrameError, SamplingError) as exc:

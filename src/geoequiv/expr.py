@@ -637,11 +637,15 @@ def is_zero(e):
 # compilation to python source (fast repeated evaluation)
 
 def _emit(e, out, cache):
+    """The local (or literal) holding e; appends the lines it needs. cache maps
+    each emitted node (keeping it alive) and each emitted source to its local:
+    equal sources over the same locals compute equal values, so every
+    distinct value gets one line."""
     if isinstance(e, Const):
         return _fmt_float(e.value)
-    key = id(e)
-    if key in cache:
-        return cache[key]
+    var = cache.get(e)
+    if var is not None:
+        return var
     if isinstance(e, Coord):
         s = "q[%d]" % e.index
     elif isinstance(e, Pow):
@@ -658,9 +662,11 @@ def _emit(e, out, cache):
         a = _emit(e.left, out, cache)
         b = _emit(e.right, out, cache)
         s = "(%s %s %s)" % (a, "/" if e.op == "/" else e.op, b)
-    var = "t%d" % len(out)
-    out.append("    %s = %s" % (var, s))
-    cache[key] = var
+    var = cache.get(s)
+    if var is None:
+        var = cache[s] = "t%d" % len(out)
+        out.append("    %s = %s" % (var, s))
+    cache[e] = var
     return var
 
 
@@ -669,21 +675,17 @@ class Program:
 
     value(e) emits e through _emit and returns the local that holds it (a
     literal for a constant). assign() adds a line of plain arithmetic over
-    such locals; its names must not have the form t<digits> that _emit uses.
-    compile() returns the function params -> results. _emit caches by id(),
-    so the program keeps every Expr it emitted alive until it is compiled: a
-    collected node's id can be reused by a new node, which would then read a
-    stale local.
+    such locals; each name is assigned once, and names must not have the
+    form t<digits> that _emit uses. compile() returns the function
+    params -> results.
     """
 
     def __init__(self, params=("q",)):
         self.params = tuple(params)
         self.lines = []
         self._cache = {}
-        self._alive = []
 
     def value(self, e):
-        self._alive.append(e)
         return _emit(e, self.lines, self._cache)
 
     def assign(self, name, source):

@@ -69,12 +69,7 @@ class GeometryModel:
         n = self.n
         fn = self._compiled("frame", lambda: [self.frame[i][j] for i in range(n)
                                               for j in range(n)])
-        vals = fn(q)
-        E = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                E[j, i] = vals[i * n + j]
-        return E
+        return np.array(fn(q), dtype=float).reshape(n, n).T.copy()
 
     def dframe_at(self, q):
         """dE[k] = coordinate partial d/dq_k of frame_at, shape (n, n, n)."""
@@ -82,15 +77,7 @@ class GeometryModel:
         fn = self._compiled("dframe", lambda: [
             ex.differentiate(self.frame[i][j], k)
             for k in range(n) for i in range(n) for j in range(n)])
-        vals = fn(q)
-        dE = np.empty((n, n, n))
-        idx = 0
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    dE[k, j, i] = vals[idx]
-                    idx += 1
-        return dE
+        return np.array(fn(q), dtype=float).reshape(n, n, n).transpose(0, 2, 1).copy()
 
     def _gram_exprs(self, tag):
         return self.gram1 if tag == 1 else self.gram2

@@ -16,6 +16,10 @@ from . import expr as ex
 _BOUNDARY_EPS = 1e-12
 
 
+class IntegrationError(RuntimeError):
+    """The integrator could not follow an extremal (its step size collapsed)."""
+
+
 def quasi_impulses(model, frame, lam):
     """u_i = p(X_i) for the columns of `frame` (default: the model frame)."""
     q, p = lam
@@ -159,7 +163,11 @@ def hamiltonian(model, metric_tag, lam):
 
 
 def hamiltonian_rhs(model, metric_tag, q, p):
-    """(dq/dt, dp/dt) for the canonical flow of h."""
+    """(dq/dt, dp/dt) for the canonical flow of h. q and p that are not lists
+    are read as Python floats, which raise on division by zero where numpy
+    scalars would give inf."""
+    if type(q) is not list:
+        q, p = np.asarray(q, dtype=float).tolist(), np.asarray(p, dtype=float).tolist()
     n = model.n
     vals = _program(model, metric_tag, "flow")(q, p)
     return np.array(vals[:n]), np.array(vals[n:])
@@ -244,7 +252,9 @@ def integrate(model, metric_tag, lam0, T, tol=1e-10, max_step=1e-2,
     y0 = np.concatenate([q0, p0, [0.0]] if with_aux else [q0, p0])
     sol = solve(0.0, y0, T, np.linspace(0.0, T, samples) if samples else None)
     if sol.status == -1:
-        raise RuntimeError("integration failed: %s" % sol.message)
+        raise IntegrationError("integration failed from q = %s at t = %r of T = %r: %s"
+                               % (q0.tolist(), float(sol.sol.ts[-1]), float(T),
+                                  sol.message))
 
     clipped = sol.status == 1
     t_exit = float(sol.t_events[0][0]) if clipped and len(sol.t_events[0]) else None

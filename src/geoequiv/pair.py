@@ -244,42 +244,58 @@ def _completion(model, pair):
     return fns
 
 
-def _gauge_derivative(V, lams, clusters, W1, reference, dW1, dW2):
-    """Coordinate partials dVg[k] = d/dq_k of the gauge-fixed eigenvectors.
+def _gauge(V, clusters, W1, reference, q, center):
+    """Gauge-fixed eigenvectors Vg at q, and the factors (same, Y, Mc, U^-1, Mc U^-1).
 
-    V and lams solve the pencil (W2, W1) with V^T W1 V = I. AdaptedFrame.at
-    builds each cluster block of Vg from M = P R, where P is the cluster's
-    W1-orthogonal spectral projector and R the reference block, followed by
-    W1 Gram-Schmidt, M = Vg U with U the upper Cholesky factor of
-    G = M^T W1 M. Every factor is differentiated in the eigenbasis V:
-    with N_ab = v_a^T (dW2 - lam_b dW1) v_b (the pencil derivative),
-    dP = V Z V^T W1 where Z_ab = N_ab / (lam_a - lam_b) for a in the cluster
-    and b outside it, Z_ba = -N_ba / (lam_b - lam_a), and 0 otherwise, so only
-    gaps between clusters are divided by; then dU = Phi(U^-T dG U^-1) U with
-    Phi the upper triangle and half the diagonal, and dVg = (dM - Vg dU) U^-1.
-    For a split eigenvalue this is Nelson's formula (AIAA J. 14(9), 1976),
-    dv_i = sum_{j != i} v_j N_ji / (lam_i - lam_j) - (1/2) v_i v_i^T dW1 v_i,
-    times the gauge sign; clusters follow Dailey (AIAA J. 27(4), 1989) with
-    the gauge above in place of his.
-
-    Returns dVg (n, m, m) and the pencil derivative N (n, m, m).
+    V solves the pencil (W2, W1) at q with V^T W1 V = I; reference is its V at
+    the center. Each cluster block of Vg is the reference block projected onto
+    the cluster's eigenspace, M = V Mc with Mc the cluster blocks (marked by
+    same) of Y = V^T W1 reference, then orthonormalized for W1 by Gram-Schmidt:
+    Vg = V Mc U^-1 with U the upper Cholesky factor of M^T W1 M = Mc^T Mc.
+    This is smooth while the multiplicities stay the center's. Raises
+    AdaptedFrameError when a singular value of Mc is below _GAUGE_MIN_SV.
     """
-    same = np.zeros((len(lams), len(lams)), dtype=bool)
+    m = len(V)
+    same = np.zeros((m, m), dtype=bool)
     for idx in clusters:
         same[np.ix_(idx, idx)] = True
+    Y = V.T @ W1 @ reference
+    Mc = np.where(same, Y, 0.0)
+    if np.linalg.svd(Mc, compute_uv=False)[-1] < _GAUGE_MIN_SV:
+        raise AdaptedFrameError(
+            "gauge reference degenerate at %s (eigenvectors rotated too far "
+            "from the center %s)" % (_floats(q), _floats(center)))
+    U = np.linalg.cholesky(Mc.T @ Mc).T
+    Uinv = solve_triangular(U, np.eye(m))
+    MU = Mc @ Uinv
+    return V @ MU, (same, Y, Mc, Uinv, MU)
+
+
+def _gauge_derivative(V, lams, gauge, dW1, dW2):
+    """Coordinate partials dVg[k] = d/dq_k of Vg = V Mc U^-1, from _gauge's factors.
+
+    Every factor is differentiated in the eigenbasis V: with
+    N_ab = v_a^T (dW2 - lam_b dW1) v_b (the pencil derivative), a cluster's
+    projector moves by dP = V Z V^T W1, where Z_ab = N_ab / (lam_a - lam_b)
+    for a in the cluster and b outside it, Z_ba = -N_ba / (lam_b - lam_a), and
+    0 otherwise, so only gaps between clusters are divided by; then
+    dU = Phi(U^-T dG U^-1) U with G = Mc^T Mc and Phi the upper triangle and
+    half the diagonal, and dVg = (dM - Vg dU) U^-1. For a split eigenvalue
+    this is Nelson's formula (AIAA J. 14(9), 1976),
+    dv_i = sum_{j != i} v_j N_ji / (lam_i - lam_j) - (1/2) v_i v_i^T dW1 v_i,
+    times the gauge sign; clusters follow Dailey (AIAA J. 27(4), 1989) with
+    this gauge in place of his. Returns dVg (n, m, m) and N (n, m, m).
+    """
+    same, Y, Mc, Uinv, MU = gauge
     gap = np.where(same, 1.0, lams[:, None] - lams[None, :])
     D1 = V.T @ dW1 @ V
     N = V.T @ dW2 @ V - D1 * lams
     Om = np.where(same, 0.0, N / gap)
-    Y = V.T @ W1 @ reference
-    Mc = np.where(same, Y, 0.0)                   # M = V Mc, block diagonal
     dMc = np.where(same, Om @ Y, 0.0) - Om @ Mc   # dM = V dMc
-    U = np.linalg.cholesky(Mc.T @ Mc).T
-    Uinv = solve_triangular(U, np.eye(len(lams)))
     dG = np.where(same, dMc.transpose(0, 2, 1) @ Mc + Mc.T @ dMc + Mc.T @ D1 @ Mc, 0.0)
     T = Uinv.T @ dG @ Uinv
     X = np.triu(T, 1) + 0.5 * T * np.eye(len(lams))
-    dVg = V @ (dMc @ Uinv - (Mc @ Uinv) @ X)
+    dVg = V @ (dMc @ Uinv - MU @ X)
     return dVg, N
 
 
@@ -298,28 +314,18 @@ def _structure(A, dA):
 class AdaptedFrame:
     """Eigenfields of the transition operator, gauge-fixed around a center.
 
-    The gauge projects a reference eigenbasis (the pencil's at the center) onto
-    the spectral subspaces at the query point and re-orthonormalizes for gram1;
-    this is smooth wherever the eigenvalue multiplicities stay those of the
-    center. Queries raise AdaptedFrameError on cluster mismatch or when the
-    projection degenerates (query too far from the center).
+    The gauge (see _gauge) carries the pencil's eigenbasis at the center to
+    the query point. Queries raise AdaptedFrameError on cluster mismatch or
+    when the gauge degenerates (query too far from the center).
     """
 
-    def __init__(self, model, center=None, region=None, cluster_tol=_CLUSTER_TOL):
+    def __init__(self, model, center, cluster_tol=_CLUSTER_TOL):
         self.model = model
-        self.region = region
-        if center is None:
-            if region is not None:
-                lo, hi = region
-                center = 0.5 * (np.asarray(lo, dtype=float) + np.asarray(hi, dtype=float))
-            else:
-                center = model.center()
         self.center = np.asarray(center, dtype=float)
         self.cluster_tol = cluster_tol
         td = transition_operator(model, self.center, cluster_tol)
         self.reference = td.vectors
         self.clusters = td.clusters
-        self.center_eigenvalues = td.eigenvalues
         self._point_cache = {}
 
         n, m = model.n, model.m
@@ -347,11 +353,11 @@ class AdaptedFrame:
     # -- pointwise frame ---------------------------------------------------
 
     def at(self, q):
-        """(A, Vg, lams, clusters, W1, W2, V, E) at q.
+        """(A, Vg, lams, clusters, W1, W2, V, E, gauge) at q.
 
         A is the full frame matrix, Vg the gauge-fixed eigenvectors, lams the
-        eigenvalues, V the eigenvectors as _pencil returns them and E the
-        model frame.
+        eigenvalues, V the eigenvectors as _pencil returns them, E the model
+        frame and gauge the factors of Vg (see _gauge).
         """
         qt = tuple(np.asarray(q, dtype=float).tolist())
         model = self.model
@@ -365,29 +371,13 @@ class AdaptedFrame:
             raise AdaptedFrameError(
                 "eigenvalue multiplicity changes between %s and %s; shrink the region"
                 % (_floats(self.center), _floats(qt)))
-        Vg = np.empty_like(V)
-        for idx in clusters:
-            idx = list(idx)
-            B = V[:, idx]
-            C = B.T @ W1 @ self.reference[:, idx]
-            sv = np.linalg.svd(C, compute_uv=False)
-            if sv[-1] < _GAUGE_MIN_SV:
-                raise AdaptedFrameError(
-                    "gauge reference degenerate at %s (eigenvectors rotated too far "
-                    "from the center %s)" % (_floats(qt), _floats(self.center)))
-            block = B @ C
-            # gram1 Gram-Schmidt within the cluster
-            for a in range(block.shape[1]):
-                for b in range(a):
-                    block[:, a] -= (block[:, b] @ W1 @ block[:, a]) * block[:, b]
-                block[:, a] /= np.sqrt(block[:, a] @ W1 @ block[:, a])
-            Vg[:, idx] = block
+        Vg, gauge = _gauge(V, clusters, W1, self.reference, qt, self.center)
         E = model.frame_at(qt)
         A = np.empty((n, n))
         A[:, :m] = E[:, :m] @ Vg
         if n > m:
             A[:, m] = self._completion_fn(qt)
-        return A, Vg, lams, clusters, W1, W2, V, E
+        return A, Vg, lams, clusters, W1, W2, V, E, gauge
 
     def frame_matrix(self, q, rescaled=False):
         A, _, lams = self.at(q)[:3]
@@ -405,11 +395,11 @@ class AdaptedFrame:
             return cached
         model = self.model
         n, m = model.n, model.m
-        A, Vg, lams, clusters, W1, W2, V, E = self.at(qt)
+        A, Vg, lams, clusters, W1, W2, V, E, gauge = self.at(qt)
 
         # exact frame derivatives: dA[k] = d/dq_k of A
-        dVg, N = _gauge_derivative(V, lams, clusters, W1, self.reference,
-                                   model.dgram_at(qt, 1), model.dgram_at(qt, 2))
+        dVg, N = _gauge_derivative(V, lams, gauge, model.dgram_at(qt, 1),
+                                   model.dgram_at(qt, 2))
         dA = np.empty((n, n, n))
         dA[:, :, :m] = model.dframe_at(qt)[:, :, :m] @ Vg + E[:, :m] @ dVg
         if n > m:
@@ -518,6 +508,8 @@ def fiber_hP(model, frame, q):
 def intrinsic_P(model, lam):
     """Frame-independent value of fiber_P: (W1^{-1}u)^T W2 (W1^{-1}u)."""
     q, p = lam
+    if type(q) is not list:     # as Python floats, see hamiltonian_rhs
+        q, p = np.asarray(q, dtype=float).tolist(), np.asarray(p, dtype=float).tolist()
     return float(_program(model, 1, "energy")(q, p)[1])
 
 

@@ -17,8 +17,8 @@ from scipy.spatial import cKDTree
 from . import expr as ex
 from .geometry import classify_distribution
 from .hamiltonian import cut, integrate
-from .pair import (AdaptedFrame, AdaptedFrameError, fiber_Q, fiber_R, fiber_value,
-                   intrinsic_P)
+from .pair import (AdaptedFrame, AdaptedFrameError, _floats, fiber_Q, fiber_R,
+                   fiber_value, intrinsic_P)
 
 _TINY = 1e-12
 
@@ -70,7 +70,7 @@ def orbital_map(model, frame, lam, jbar=None):
     u = p @ data.A
     a_sq = float(np.sum(data.alpha_sq * u[:m] ** 2))
     if a_sq <= _TINY * max(1.0, float(np.dot(p, p))):
-        raise OrbitalMapError("covector annihilates the distribution at %s" % (list(q),))
+        raise OrbitalMapError("covector annihilates the distribution at %s" % (_floats(q),))
     a = np.sqrt(a_sq)
     phi = np.empty(n)
     phi[:m] = data.alpha_sq * u[:m] / a

@@ -7,14 +7,15 @@ dp/dt[, P]) that the flow and energy programs of geoequiv.hamiltonian
 replaced, and every energy was once read from it; the curve distance loops
 over every segment for every point; the structure functions of the
 adapted frames come from a 4th-order central finite-difference stencil
-over AdaptedFrame.at; the regularity probe solves every pencil with
+over AdaptedFrame.at, and the gauge of AdaptedFrame.at was a per-cluster
+singular-value check and a gram1 Gram-Schmidt loop; the regularity probe solves every pencil with
 scipy.linalg.eigh and evaluates its extra Nelder-Mead start by solving
 each kept sample again; the fiber polynomials were dicts from exponent
 tuples to coefficients, with their own products, and were copied into
 coefficient vectors only to be divided. Tests compare the
 generated Hamiltonian programs, the pruned curve distance, the exact frame
-derivatives of AdaptedFrame.point_data, pair.regularity_probe and the fiber
-polynomial screens with them.
+derivatives of AdaptedFrame.point_data, the gauge of AdaptedFrame.at,
+pair.regularity_probe and the fiber polynomial screens with them.
 """
 
 import itertools
@@ -25,7 +26,8 @@ from scipy.optimize import minimize
 
 from geoequiv import expr as ex
 from geoequiv.hamiltonian import _dot, _quadratic
-from geoequiv.pair import _CLUSTER_TOL, _cluster_indices
+from geoequiv.pair import (_CLUSTER_TOL, _GAUGE_MIN_SV, AdaptedFrameError,
+                           _cluster_indices)
 
 
 def numpy_hamiltonian(model, metric_tag, lam):
@@ -205,6 +207,38 @@ def fd_structure_functions(frame, q, fd_step):
 
     return structure(A, dA), structure(Abar, dAbar), A[:, :m].T @ dlams
 
+
+
+def loop_gauge(frame, q):
+    """(A, Vg) of the adapted frame at q, gauge-fixed cluster by cluster.
+
+    Each cluster block B of the pencil's eigenvectors is turned towards the
+    reference block R as B C with C = B^T W1 R, after a check that C is not
+    nearly singular, then orthonormalized for gram1 by Gram-Schmidt.
+    """
+    model = frame.model
+    n, m = model.n, model.m
+    qt = tuple(np.asarray(q, dtype=float).tolist())
+    W1 = model.gram_at(qt, 1)
+    lams, V = sla.eigh(model.gram_at(qt, 2), W1)
+    Vg = np.empty_like(V)
+    for idx in _cluster_indices(lams, frame.cluster_tol):
+        idx = list(idx)
+        B = V[:, idx]
+        C = B.T @ W1 @ frame.reference[:, idx]
+        if np.linalg.svd(C, compute_uv=False)[-1] < _GAUGE_MIN_SV:
+            raise AdaptedFrameError("gauge reference degenerate at %s" % (list(qt),))
+        block = B @ C
+        for a in range(block.shape[1]):
+            for b in range(a):
+                block[:, a] -= (block[:, b] @ W1 @ block[:, a]) * block[:, b]
+            block[:, a] /= np.sqrt(block[:, a] @ W1 @ block[:, a])
+        Vg[:, idx] = block
+    A = np.empty((n, n))
+    A[:, :m] = model.frame_at(qt)[:, :m] @ Vg
+    if n > m:
+        A[:, m] = frame._completion_fn(qt)
+    return A, Vg
 
 def eigh_clusters(model, q, cluster_tol):
     """Eigenvalue clusters of the pencil (gram2, gram1) at q, through eigh."""

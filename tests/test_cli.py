@@ -267,6 +267,37 @@ def test_analyze_pole_cancelled_by_numpy_scalars_exits_4(tmp_path):
     assert "at q = [-0.9, 0.0]: float division by zero" in proc.stderr
 
 
+def test_geodesic_integration_failure_exits_4(tmp_path):
+    # gram2 nearly vanishes on x = 0.3 and DOP853's step size collapses there
+    path = tmp_path / "thin.json"
+    save_model(plane_pair(g2xx="(x-0.3)^2 + 1e-24"), str(path))
+    proc = _run_cli("geodesic", "--model", str(path), "--metric", "2",
+                    "--q", "0", "0", "--p", "1", "0", "--T", "1")
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert re.match(r"error: integration failed from q = \[0.0, 0.0\] at t = 0.01\d* of "
+                    r"T = 1.0: ", lines[0]), proc.stderr
+
+
+def test_analyze_cluster_tol_reaches_the_adapted_frame(tmp_path, capsys):
+    # the eigenvalues 2 and 2.00012 split at the default tolerance and merge at 1e-3
+    path = tmp_path / "near.json"
+    save_model(plane_pair(g2xx="2", g2yy="2.00002 + x/1000"), str(path))
+    reports = {}
+    for tol in ("1e-3", "1e-7"):
+        assert main(["analyze", "--model", str(path), "--at", "0.1", "0.1",
+                     "--cluster-tol", tol, "--format", "json"]) == 0
+        reports[tol] = json.loads(capsys.readouterr().out)["points"][0]
+    merged, split = reports["1e-3"], reports["1e-7"]
+    assert (merged["N"], split["N"]) == (1, 2)
+    # one cluster: no split pair for the invariance screens to test
+    assert merged["relations"]["ratio-invariance"] is None
+    assert merged["relations"]["pair-invariance"] is None
+    assert split["relations"]["ratio-invariance"] == pytest.approx(7.071e-4, rel=1e-3)
+
+
 def test_verify_without_admissible_covector_exits_3(tmp_path, capsys):
     # a cone wider than pi/2 around the abnormal line rejects every covector
     path = tmp_path / "qc.json"

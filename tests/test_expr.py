@@ -267,9 +267,21 @@ def test_compiled_domain_error():
 
 
 def test_program_keeps_emitted_exprs_alive():
-    # _emit caches locals by id(); a node freed during code generation would
-    # hand its id to the next node built, which would then reuse a stale local
+    # _emit's cache holds every node it emitted, so a node freed during code
+    # generation cannot hand its id, and a stale local, to a new node
     prog = ex.Program()
     x = ex.Coord(0, "x")
     names = [prog.value(ex.add(x, ex.Const(float(k)))) for k in range(50)]
     assert prog.compile(names)((0.5,)) == tuple(0.5 + k for k in range(50))
+
+
+def test_program_emits_each_distinct_value_once():
+    # equal subtrees built apart are distinct nodes with the same source
+    prog = ex.Program()
+    x, y = ex.Coord(0, "x"), ex.Coord(1, "y")
+    first = prog.value(ex.sin(ex.mul(x, y)))
+    again = prog.value(ex.sin(ex.mul(ex.Coord(0, "x"), ex.Coord(1, "y"))))
+    other = prog.value(ex.sin(ex.mul(y, x)))
+    assert first == again != other
+    assert len(prog.lines) == 6
+    assert prog.compile([first, again, other])((0.5, 2.0)) == (math.sin(1.0),) * 3

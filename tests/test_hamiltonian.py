@@ -6,10 +6,11 @@ import pytest
 from geoequiv import expr as ex
 from geoequiv.expr import EvalDomainError
 from geoequiv.geometry import GeometryModel
-from geoequiv.hamiltonian import (quasi_impulses, hamiltonian, hamiltonian_rhs,
+from geoequiv.hamiltonian import (IntegrationError, quasi_impulses, hamiltonian, hamiltonian_rhs,
                                   integrate, initial_covector, arc_length, cut,
-                                  write_trajectory_csv)
-from geoequiv.constructors import GENERATORS, build_dini, build_quasi_contact
+                                  write_trajectory_csv, _program)
+from geoequiv.constructors import (GENERATORS, build_beltrami, build_dini,
+                                   build_quasi_contact)
 from geoequiv.pair import intrinsic_P
 
 from conftest import FIELD_PARAMS, heisenberg, plane_pair
@@ -163,6 +164,16 @@ def test_trajectory_csv_shape():
     assert float(row[-1]) == pytest.approx(hamiltonian(m, 1, (tr.q[0], tr.p[0])))
 
 
+def test_integrate_names_where_the_step_size_collapsed():
+    # gram2 nearly vanishes on x = 0.3, so the gram2 speed there is about 1e12
+    m = plane_pair(g2xx="(x-0.3)^2 + 1e-24")
+    with pytest.raises(IntegrationError,
+                       match=r"integration failed from q = \[0.0, 0.0\] at t = 0.01\d* of "
+                             r"T = 1.0: Required step size") as err:
+        integrate(m, 2, (np.zeros(2), np.array([1.0, 0.0])), 1.0)
+    assert isinstance(err.value, RuntimeError)
+
+
 def test_integrate_rejects_bad_start():
     m = euclidean_plane()
     with pytest.raises(ValueError, match="domain"):
@@ -251,6 +262,21 @@ def test_split_programs_equal_the_full_field(kind):
         if tag == 1:
             assert [intrinsic_P(m, lam) for lam in rows] == [vals[-1] for vals in ref]
 
+
+
+def test_generated_flow_emits_each_value_once(monkeypatch):
+    # the derivatives of beltrami's gram2 repeat their subtrees many times
+    # over; the flow has 213 distinct values
+    lines = {}
+    compile_ = ex.Program.compile
+
+    def record(self, results, name="_compiled"):
+        lines[name] = len(self.lines)
+        return compile_(self, results, name)
+
+    monkeypatch.setattr(ex.Program, "compile", record)
+    _program(build_beltrami(), 2, "flow")
+    assert lines["_flow2"] <= 250
 
 @pytest.mark.parametrize("entry, bad", [
     ("1 + (x + 0.9)^0.5", (-0.95, -0.97)),      # power of a negative base

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 
 from geoequiv import expr as ex
 from geoequiv.geometry import GeometryModel
-from geoequiv.hamiltonian import initial_covector
+from geoequiv.hamiltonian import hamiltonian_rhs, initial_covector
 from geoequiv.pair import (transition_operator, regularity_probe, AdaptedFrame,
                            AdaptedFrameError, fiber_P, intrinsic_P, fiber_value,
                            fiber_hP, fiber_R, fiber_Q, first_divisibility,
@@ -19,7 +19,8 @@ from geoequiv.constructors import (GENERATORS, build_beltrami, build_dini,
 
 from conftest import FIELD_PARAMS, heisenberg, plane_pair, case2_origin_chart
 from reference import (dict_divide, dict_fiber_hP, dict_fiber_P, dict_fiber_Q,
-                       dict_fiber_R, eigh_regularity_probe, fd_structure_functions)
+                       dict_fiber_R, eigh_regularity_probe, fd_structure_functions,
+                       loop_gauge)
 
 
 # ------------------------------------------------------------- transition
@@ -119,6 +120,11 @@ def test_points_reach_compiled_evaluators_as_floats():
         fr.point_data(q)
     with pytest.raises(ex.EvalDomainError, match="float division by zero"):
         initial_covector(m, 2, q, [1.0, 0.0])
+    p = np.array([1.0, 0.0])
+    with pytest.raises(ex.EvalDomainError, match="float division by zero"):
+        intrinsic_P(m, (q, p))
+    with pytest.raises(ex.EvalDomainError, match="float division by zero"):
+        hamiltonian_rhs(m, 2, q, p)
 
 
 # ------------------------------------------------------------- regularity
@@ -299,6 +305,33 @@ def test_point_data_matches_finite_differences(kind):
         # the in-cluster gauge derivative is exercised, not only Nelson's case
         assert max(len(idx) for idx in fr.clusters) == 2
 
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_gauge_matches_loop_oracle(kind):
+    m = pair_fixture(kind)
+    rng = np.random.default_rng(43)
+    for _ in range(4):
+        center = m.sample_point(rng)
+        fr = AdaptedFrame(m, center=center)
+        offset = 0.02 * (m.domain_max - m.domain_min) * rng.uniform(-1, 1, m.n)
+        for q in (tuple(center), tuple(center + offset)):
+            A, Vg, _, _, W1 = fr.at(q)[:5]
+            ref_A, ref_Vg = loop_gauge(fr, q)
+            assert np.max(np.abs(Vg - ref_Vg)) <= 1e-13 * np.max(np.abs(ref_Vg)), (kind, q)
+            assert np.max(np.abs(A - ref_A)) <= 1e-13 * np.max(np.abs(ref_A)), (kind, q)
+            assert np.max(np.abs(Vg.T @ W1 @ Vg - np.eye(m.m))) <= 1e-14, (kind, q)
+
+
+def test_gauge_degenerates_when_eigenvectors_rotate_away():
+    # gram2 = I + w w^T with w = (sin x, -cos x): the eigenvectors turn by x,
+    # so the reference taken at the origin keeps cos x of each
+    m = plane_pair(g2xx="1 + sin(x)^2", g2xy="-sin(x)*cos(x)", g2yy="1 + cos(x)^2")
+    fr = AdaptedFrame(m, center=np.zeros(2))
+    assert fr.point_data((1.3, 0.0)).A.shape == (2, 2)
+    with pytest.raises(AdaptedFrameError,
+                       match=r"gauge reference degenerate at \[1.4, 0.0\]"):
+        fr.point_data((1.4, 0.0))
 
 def test_new_frames_reuse_the_models_compiled_completion(monkeypatch):
     m = build_quasi_contact({"beta": "exp(t)", "C1": 1.0, "C2": 1.0})

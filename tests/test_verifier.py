@@ -49,7 +49,8 @@ def test_orbital_map_rejects_annihilating_covector():
     fr = AdaptedFrame(m, center=np.zeros(3))
     q = np.zeros(3)
     p = np.array([0.0, 0.0, 2.0])      # kills X1, X2 at the origin
-    with pytest.raises(OrbitalMapError, match="annihilates"):
+    with pytest.raises(OrbitalMapError,
+                       match=r"annihilates the distribution at \[0.0, 0.0, 0.0\]$"):
         orbital_map(m, fr, (q, p))
 
 
