@@ -1,6 +1,7 @@
 """Command-line front end: generate / analyze / geodesic / verify / check-relations.
 
-Exit codes: 0 success (or verification pass), 1 usage or IO error,
+Exit codes: 0 success (or verification pass), 1 usage or IO error (also an
+integrator tolerance that is not finite and positive, or a zero horizon),
 2 verification fail, 3 inconclusive (also when verify can draw no covector
 outside the excluded abnormal cone, or when check-relations has a point
 without an adapted frame and no failing point), 4 invalid model: a manifest or
@@ -317,6 +318,12 @@ def _cmd_verify(args):
     except AdaptedFrameError as exc:
         sys.stderr.write("error: adapted frame unavailable: %s\n" % exc)
         return EXIT_INCONCLUSIVE
+    except ValueError as exc:
+        if isinstance(exc, np.linalg.LinAlgError):
+            raise
+        # an argument integrate rejects: the tolerance or a zero horizon
+        sys.stderr.write("error: %s\n" % exc)
+        return EXIT_USAGE
     payload = {
         "schema": SCHEMA,
         "command": "verify",

@@ -228,11 +228,12 @@ def build_dini(beta1, beta2, domain=None):
                           meta={"generator": "dini",
                                 "params": {"beta1": str(beta1), "beta2": str(beta2)}})
     for q in model.probe_grid(per_axis=4, margin=0.02):
-        v1 = ex.evaluate(b1, tuple(q))
-        v2 = ex.evaluate(b2, tuple(q))
+        qt = tuple(q.tolist())
+        v1 = ex.evaluate(b1, qt)
+        v2 = ex.evaluate(b2, qt)
         if not 0 < v1 < v2:
             raise ConstructionError(
-                "need 0 < beta1 < beta2 on the domain; violated at %s" % (list(q),))
+                "need 0 < beta1 < beta2 on the domain; violated at %s" % (list(qt),))
     validate_model(model)
     return model
 

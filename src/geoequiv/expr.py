@@ -602,10 +602,6 @@ def differentiate(e, coord):
     return div(sub(mul(dl, e.right), mul(e.left, dr)), pow_(e.right, 2.0))
 
 
-def gradient(e, n):
-    return tuple(differentiate(e, k) for k in range(n))
-
-
 # ---------------------------------------------------------------------------
 # substitution
 

@@ -3,13 +3,18 @@
 For a metric given by a Gram matrix W on the distribution frame X_1..X_m,
 h(p, q) = (1/2) u^T W(q)^{-1} u with quasi-impulses u_i = p(X_i(q)). Hamilton's
 equations are evaluated with exact symbolic q-derivatives of the frame and the
-Gram matrix; no finite differencing enters the right-hand side.
+Gram matrix; no finite differencing enters the right-hand side. Extremals
+are integrated by a DOP853 loop that takes the steps of scipy's DOP853, as
+scipy's initial value solve runs it, bit for bit, without its per-step
+objects.
 """
 
 import csv
+import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _dop
+from scipy.optimize import brentq
 
 from . import expr as ex
 
@@ -168,14 +173,14 @@ def hamiltonian_rhs(model, metric_tag, q, p):
     scalars would give inf."""
     if type(q) is not list:
         q, p = np.asarray(q, dtype=float).tolist(), np.asarray(p, dtype=float).tolist()
-    n = model.n
     vals = _program(model, metric_tag, "flow")(q, p)
+    n = len(q)
     return np.array(vals[:n]), np.array(vals[n:])
 
 
 class Trajectory:
-    def __init__(self, t, q, p, h, clipped, t_exit=None, aux=None, dense=None,
-                 resume=None):
+    def __init__(self, t, q, p, h, clipped, t_exit=None, aux=None, steps=None,
+                 flow=None):
         self.t = t          # (N,)
         self.q = q          # (N, n)
         self.p = p          # (N, n)
@@ -183,27 +188,179 @@ class Trajectory:
         self.clipped = clipped
         self.t_exit = t_exit
         self.aux = aux      # accumulated aux_rate integral, if requested
-        self.dense = dense  # scipy OdeSolution of the state (q, p[, aux])
-        # resume(t0, y0, t1, t_eval): solve_ivp result of the same flow
-        # (right-hand side, tolerances, boundary event) from y0 at t0 to t1
-        self.resume = resume
+        self.steps = steps  # _Steps of the state (q, p[, aux]), for cut
+        self.flow = flow    # (fun, event, tol, max_step) that _dop853 stepped
 
     @property
     def end(self):
         return self.q[-1], self.p[-1]
 
 
-def _trajectory(model, metric_tag, t, y, clipped, t_exit, with_aux, dense=None,
-                resume=None):
-    """Trajectory from the states y[:, i] at the times t; h from one lane call."""
+def _trajectory(model, metric_tag, t, y, clipped, t_exit, with_aux, steps=None,
+                flow=None):
+    """Trajectory from the states y[i] at the times t; h from one lane call."""
     n = model.n
-    q = y[:n].T.copy()
-    p = y[n:2 * n].T.copy()
+    q = y[:, :n].copy()
+    p = y[:, n:2 * n].copy()
     h = hamiltonian(model, metric_tag, (q, p))
     aux = None
     if with_aux:
-        aux = float(y[2 * n, -1]) if y.shape[1] else 0.0
-    return Trajectory(t, q, p, h, clipped, t_exit, aux, dense, resume)
+        aux = float(y[-1, 2 * n]) if len(y) else 0.0
+    return Trajectory(t, q, p, h, clipped, t_exit, aux, steps, flow)
+
+
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6) with the
+# tableau, step control, dense output and event handling of scipy's DOP853
+# under scipy's initial value solve, operation for operation, so that every
+# trajectory is the one scipy gives. An 8th-order method: RK45 leaks ~1e-9
+# of energy per unit time at tol 1e-10, DOP853 keeps |dh| within tol.
+_STAGES = _dop.N_STAGES                 # 12 stages, then f at the new point
+_A = [_dop.A[s, :s] for s in range(_dop.N_STAGES_EXTENDED)]
+_B = _dop.B
+_E3, _E5, _D = _dop.E3, _dop.E5, _dop.D
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_EXPONENT = -1 / 8                      # -1 / (error estimator order + 1)
+_EPS = float(np.finfo(float).eps)
+
+
+class _Steps:
+    """Accepted steps of one run in the time direction (+1.0 or -1.0):
+    ts = [t0, step ends..., t_end] (t_end is the event root when the boundary
+    stopped the run), and per step its length h, initial state y_old (N,) and
+    dense-output coefficients F (7, N)."""
+
+    def __init__(self, direction, ts, hs, y_olds, Fs, N):
+        self.direction = direction
+        self.ts = np.array(ts)
+        self.h = np.array(hs)
+        self.y_old = np.array(y_olds).reshape(len(hs), N)
+        self.F = np.array(Fs).reshape(len(hs), _dop.INTERPOLATOR_POWER, N)
+
+
+def _dense(F, y_old, x):
+    """DOP853 dense output at x = (t - t_old) / h, evaluated as scipy does."""
+    y = np.zeros(y_old.shape)
+    for j in range(6, -1, -1):
+        y += F[..., j, :]
+        y *= x if j % 2 == 0 else 1 - x
+    y += y_old
+    return y
+
+
+def _sample(steps, t):
+    """(times, states) at the times t that the run reached, each state from
+    the interpolant of the step that contains it, the earlier step at a step
+    boundary, as scipy's t_eval and OdeSolution choose."""
+    ts, sign = steps.ts, steps.direction
+    t = t[sign * t <= sign * ts[-1]]
+    k = np.searchsorted(sign * ts, sign * t, side="left") - 1
+    k = np.clip(k, 0, len(steps.h) - 1)
+    x = (t - ts[k]) / steps.h[k]
+    return t, _dense(steps.F[k], steps.y_old[k], x[:, None])
+
+
+def _rms(x):
+    return np.sqrt(x.dot(x)) / x.size ** 0.5
+
+
+def _dop853(fun, event, t0, y0, t1, tol, max_step, first_step=None):
+    """DOP853 from y0 at t0 towards t1, stopped where event(y) changes sign.
+
+    Returns (status, steps, y_end): status 0 at t1, 1 at the event's root
+    (found by brentq on the step's interpolant), -1 when the step size fell
+    below 10 ulp of t; y_end is the state at the end time steps.ts[-1].
+    """
+    rtol, atol = max(tol, 100 * _EPS), tol
+    direction = 1.0 if t1 > t0 else -1.0
+    N = len(y0)
+    K = np.empty((_dop.N_STAGES_EXTENDED, N))
+    Kt = [K[:s].T for s in range(_dop.N_STAGES_EXTENDED)]
+    # (K[:s].T, a[:s], K[s]) of each stage after the first: the main
+    # stages, then the three of the dense output
+    stages = [(Kt[s], _A[s], K[s]) for s in range(1, _dop.N_STAGES_EXTENDED)]
+    main, extra = stages[:_STAGES - 1], stages[_STAGES:]
+    f = fun(y0, np.empty(N))
+    if first_step is None:
+        # select_initial_step of Hairer, Norsett & Wanner, II.4
+        span = abs(t1 - t0)
+        scale = atol + np.abs(y0) * rtol
+        d0, d1 = _rms(y0 / scale), _rms(f / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, span)
+        f1 = fun(y0 + h0 * direction * f, np.empty(N))
+        d2 = _rms((f1 - f) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+        h_abs = min(100 * h0, h1, span, max_step)
+    else:
+        h_abs = first_step
+    t, y = t0, y0
+    g = event(y)
+    ts, hs, y_olds, Fs = [t0], [], [], []
+    status = None
+    while status is None:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        K[0] = f
+        while True:
+            if h_abs < min_step:
+                return -1, _Steps(direction, ts, hs, y_olds, Fs, N), y
+            t_new = t + h_abs * direction
+            if direction * (t_new - t1) > 0:
+                t_new = t1
+            h = t_new - t
+            h_abs = abs(h)
+            for Ks, a, out in main:
+                fun(y + np.dot(Ks, a) * h, out)
+            y_new = y + h * np.dot(Kt[_STAGES], _B)
+            f_new = fun(y_new, K[_STAGES])
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = np.dot(Kt[_STAGES + 1], _E5) / scale
+            err3 = np.dot(Kt[_STAGES + 1], _E3) / scale
+            err5_2 = np.sqrt(err5.dot(err5)) ** 2
+            err3_2 = np.sqrt(err3.dot(err3)) ** 2
+            if err5_2 == 0 and err3_2 == 0:
+                error = 0.0
+            else:
+                error = np.abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * N)
+            if error < 1:
+                factor = (_MAX_FACTOR if error == 0 else
+                          min(_MAX_FACTOR, _SAFETY * error ** _EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _EXPONENT)
+            rejected = True
+        # dense output: three more stages and the interpolant coefficients
+        for Ks, a, out in extra:
+            fun(y + np.dot(Ks, a) * h, out)
+        F = np.empty((_dop.INTERPOLATOR_POWER, N))
+        delta = y_new - y
+        F[0] = delta
+        F[1] = h * K[0] - delta
+        F[2] = 2 * delta - h * (f_new + K[0])
+        F[3:] = h * np.dot(_D, K)
+        hs.append(h)
+        y_olds.append(y)
+        Fs.append(F)
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+        if direction * (t - t1) >= 0:
+            status = 0
+        g_new = event(y)
+        if g <= 0 <= g_new or g >= 0 >= g_new:
+            root = brentq(lambda r: event(_dense(F, y_old, (r - t_old) / h)),
+                          t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
+            t, y = root, _dense(F, y_old, (root - t_old) / h)
+            status = 1
+        g = g_new
+        ts.append(t)
+    return status, _Steps(direction, ts, hs, y_olds, Fs, N), y
 
 
 def integrate(model, metric_tag, lam0, T, tol=1e-10, max_step=1e-2,
@@ -212,58 +369,55 @@ def integrate(model, metric_tag, lam0, T, tol=1e-10, max_step=1e-2,
 
     Stops (clipped=True) when the base point reaches the domain boundary.
     aux_rate(q, p) -> float, when given, is integrated along the flow and the
-    total is returned in Trajectory.aux. The dense solution is kept, so that
-    cut() can shorten the horizon without integrating again.
+    total is returned in Trajectory.aux. tol is the relative and absolute
+    tolerance of the DOP853 steps, finite and positive (clipped to 100 eps
+    from below). The steps are kept, so that cut() can shorten the horizon
+    without integrating again.
     """
     q0, p0 = lam0
     q0 = np.asarray(q0, dtype=float)
     p0 = np.asarray(p0, dtype=float)
     n = model.n
-    if T == 0:
-        raise ValueError("integration time must be nonzero")
+    if not (math.isfinite(T) and T != 0):
+        raise ValueError("integration time must be finite and nonzero, got %r" % float(T))
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("integrator tolerance must be finite and positive, got %r"
+                         % float(tol))
     if not model.in_domain(q0):
         raise ValueError("initial point outside the model domain")
 
-    with_aux = aux_rate is not None
+    # fun(y, out) writes the rate of the state y into out and returns out
+    if aux_rate is None:
+        def fun(y, out):
+            state = y.tolist()
+            out[:n], out[n:] = hamiltonian_rhs(model, metric_tag, state[:n], state[n:])
+            return out
+    else:
+        def fun(y, out):
+            state = y.tolist()
+            q, p = state[:n], state[n:2 * n]
+            out[:n], out[n:2 * n] = hamiltonian_rhs(model, metric_tag, q, p)
+            out[2 * n] = aux_rate(q, p)
+            return out
 
-    def rhs(_t, y):
-        state = y.tolist()
-        q, p = state[:n], state[n:2 * n]
-        qdot, pdot = hamiltonian_rhs(model, metric_tag, q, p)
-        if with_aux:
-            return np.concatenate([qdot, pdot, [aux_rate(q, p)]])
-        return np.concatenate([qdot, pdot])
-
-    def hit_boundary(_t, y):
+    def event(y):
         return model.boundary_distance(y[:n]) - _BOUNDARY_EPS
 
-    hit_boundary.terminal = True
-
-    def solve(t0, y0, t1, t_eval, first_step=None):
-        # RK45 leaks ~1e-9 of energy per unit time at tol 1e-10; the 8th
-        # order stepper keeps |dh| within the advertised tolerance
-        return solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=tol, atol=tol,
-                         max_step=max_step, events=[hit_boundary], t_eval=t_eval,
-                         dense_output=True, first_step=first_step)
-
-    def resume(t0, y0, t1, t_eval):
-        return solve(t0, y0, t1, t_eval, first_step=abs(t1 - t0))
-
-    y0 = np.concatenate([q0, p0, [0.0]] if with_aux else [q0, p0])
-    sol = solve(0.0, y0, T, np.linspace(0.0, T, samples) if samples else None)
-    if sol.status == -1:
-        raise IntegrationError("integration failed from q = %s at t = %r of T = %r: %s"
-                               % (q0.tolist(), float(sol.sol.ts[-1]), float(T),
-                                  sol.message))
-
-    clipped = sol.status == 1
-    t_exit = float(sol.t_events[0][0]) if clipped and len(sol.t_events[0]) else None
-    t, y = sol.t, sol.y
-    if t.size == 0:
-        # immediate boundary hit; report the initial state only
-        t, y = np.array([0.0]), y0[:, None]
-    return _trajectory(model, metric_tag, t, y, clipped, t_exit, with_aux,
-                       sol.sol, resume)
+    flow = (fun, event, tol, max_step)
+    y0 = np.concatenate([q0, p0, [0.0]] if aux_rate is not None else [q0, p0])
+    status, steps, y_end = _dop853(fun, event, 0.0, y0, float(T), tol, max_step)
+    if status == -1:
+        raise IntegrationError("integration failed from q = %s at t = %r of T = %r: "
+                               "Required step size is less than spacing between numbers."
+                               % (q0.tolist(), float(steps.ts[-1]), float(T)))
+    if samples:
+        t, y = _sample(steps, np.linspace(0.0, T, samples))
+    else:
+        t = steps.ts
+        y = np.concatenate([steps.y_old, [y_end]])
+    t_exit = float(steps.ts[-1]) if status == 1 else None
+    return _trajectory(model, metric_tag, t, y, status == 1, t_exit,
+                       aux_rate is not None, steps, flow)
 
 
 def cut(model, metric_tag, traj, T, samples):
@@ -271,20 +425,24 @@ def cut(model, metric_tag, traj, T, samples):
 
     T must lie within the integrated span. Integrating to T repeats the steps
     of traj up to the last step boundary t_k before T, then takes one partial
-    step to T. So the samples up to t_k are read off the dense solution, and
-    only that partial step is taken again, from the exact state at t_k. The
-    aux total is the aux component at T.
+    step to T. So the samples up to t_k are read off the steps' interpolants,
+    and only that partial step is taken again, from the exact state at t_k.
+    The aux total is the aux component at T.
     """
-    dense = traj.dense
-    ts = dense.ts
+    steps = traj.steps
+    ts, sign = steps.ts, steps.direction
     t = np.linspace(0.0, T, samples)
-    sign = 1.0 if T > 0 else -1.0
     k = int(np.searchsorted(sign * ts, sign * T, side="left")) - 1
     head = sign * t <= sign * ts[k]
-    # a step's interpolant returns its initial state exactly
-    tail = traj.resume(ts[k], dense.interpolants[k](ts[k]), T, t[~head])
-    y = np.concatenate([dense(t[head]), tail.y], axis=1)
-    return _trajectory(model, metric_tag, t, y, False, None, traj.aux is not None)
+    # the state at t_k as step k's interpolant gives it, at x = +-0
+    y_k = _dense(steps.F[k], steps.y_old[k], (ts[k] - ts[k]) / steps.h[k])
+    fun, event, tol, max_step = traj.flow
+    _status, tail, _y = _dop853(fun, event, float(ts[k]), y_k, float(T), tol, max_step,
+                                first_step=abs(T - ts[k]))
+    t_head, y_head = _sample(steps, t[head])
+    t_tail, y_tail = _sample(tail, t[~head])
+    return _trajectory(model, metric_tag, np.concatenate([t_head, t_tail]),
+                       np.concatenate([y_head, y_tail]), False, None, traj.aux is not None)
 
 
 def initial_covector(model, metric_tag, q, v, transverse=None):

@@ -244,21 +244,20 @@ def _completion(model, pair):
     return fns
 
 
-def _gauge(V, clusters, W1, reference, q, center):
+def _gauge(V, same, W1, reference, q, center):
     """Gauge-fixed eigenvectors Vg at q, and the factors (same, Y, Mc, U^-1, Mc U^-1).
 
     V solves the pencil (W2, W1) at q with V^T W1 V = I; reference is its V at
-    the center. Each cluster block of Vg is the reference block projected onto
-    the cluster's eigenspace, M = V Mc with Mc the cluster blocks (marked by
-    same) of Y = V^T W1 reference, then orthonormalized for W1 by Gram-Schmidt:
+    the center; same marks the entries whose row and column share a cluster
+    (the clusters at q are the center's). Each cluster block of Vg is the
+    reference block projected onto the cluster's eigenspace, M = V Mc with Mc
+    the cluster blocks (marked by same) of Y = V^T W1 reference, then
+    orthonormalized for W1 by Gram-Schmidt:
     Vg = V Mc U^-1 with U the upper Cholesky factor of M^T W1 M = Mc^T Mc.
     This is smooth while the multiplicities stay the center's. Raises
     AdaptedFrameError when a singular value of Mc is below _GAUGE_MIN_SV.
     """
     m = len(V)
-    same = np.zeros((m, m), dtype=bool)
-    for idx in clusters:
-        same[np.ix_(idx, idx)] = True
     Y = V.T @ W1 @ reference
     Mc = np.where(same, Y, 0.0)
     if np.linalg.svd(Mc, compute_uv=False)[-1] < _GAUGE_MIN_SV:
@@ -326,6 +325,12 @@ class AdaptedFrame:
         td = transition_operator(model, self.center, cluster_tol)
         self.reference = td.vectors
         self.clusters = td.clusters
+        # at() goes on only when the cluster sizes at q are the center's, and
+        # _cluster_indices makes contiguous groups, so the clusters at q are
+        # the center's: one mask of same-cluster entries serves every point
+        self._same = np.zeros((model.m, model.m), dtype=bool)
+        for idx in self.clusters:
+            self._same[np.ix_(idx, idx)] = True
         self._point_cache = {}
 
         n, m = model.n, model.m
@@ -371,7 +376,7 @@ class AdaptedFrame:
             raise AdaptedFrameError(
                 "eigenvalue multiplicity changes between %s and %s; shrink the region"
                 % (_floats(self.center), _floats(qt)))
-        Vg, gauge = _gauge(V, clusters, W1, self.reference, qt, self.center)
+        Vg, gauge = _gauge(V, self._same, W1, self.reference, qt, self.center)
         E = model.frame_at(qt)
         A = np.empty((n, n))
         A[:, :m] = E[:, :m] @ Vg

@@ -10,6 +10,7 @@ transports them, integrates both flows and compares the base curves.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -323,7 +324,7 @@ def verify_equivalence(model, sampling=None, exclusions=None):
                             % (excluded, cone))
 
     def a_rate(q, p):
-        return np.sqrt(max(intrinsic_P(model, (q, p)), 0.0))
+        return math.sqrt(max(intrinsic_P(model, (q, p)), 0.0))
 
     samples = []
     max_dev = None

@@ -3,6 +3,7 @@
 import numpy as np
 
 from geoequiv import expr as ex
+from geoequiv.constructors import GENERATORS
 from geoequiv.geometry import GeometryModel
 
 
@@ -60,6 +61,33 @@ def case2_origin_chart(extent=0.45):
     g1 = ((P("1/(1+x^2+y^2)"), P("0")), (P("0"), P("1/(1+x^2+y^2)")))
     g2 = ((P("1+x^2"), P("x*y")), (P("x*y"), P("1+y^2")))
     return GeometryModel(coords, 2, eye, g1, g2, [-extent] * 2, [extent] * 2)
+
+
+def rotating_cluster():
+    """gram2 = gram1 + w w^T: eigenvalue 1 twice on the plane w^T v = 0, which
+    turns with q, and 1 + w^T gram1^{-1} w once; gram1 is not constant."""
+    coords = ("x", "y", "z")
+    P = lambda s: ex.parse(s, coords)
+    g1 = [["1 + x^2/4", "x*y/10", "0"], ["x*y/10", "1 + y^2/4", "0"], ["0", "0", "1 + z/5"]]
+    w = ["1", "x", "y + z"]
+    g2 = [["(%s) + (%s)*(%s)" % (g1[i][j], w[i], w[j]) for j in range(3)] for i in range(3)]
+    eye = [[P("1" if i == j else "0") for j in range(3)] for i in range(3)]
+    return GeometryModel(coords, 3, eye, [[P(e) for e in row] for row in g1],
+                         [[P(e) for e in row] for row in g2], [-0.5] * 3, [0.5] * 3)
+
+
+# every generator, the conformal Heisenberg pair and the rotating cluster
+PAIR_KINDS = sorted(FIELD_PARAMS) + ["conformal", "rotating-cluster"]
+
+
+def pair_fixture(kind):
+    if kind == "conformal":
+        return heisenberg("1 + x^2 + y^2")
+    if kind == "split-alpha":
+        return heisenberg(g2diag=("1", "4"))
+    if kind == "rotating-cluster":
+        return rotating_cluster()
+    return GENERATORS[kind](FIELD_PARAMS[kind])
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -15,17 +15,23 @@ tuples to coefficients, with their own products, and were copied into
 coefficient vectors only to be divided. Tests compare the
 generated Hamiltonian programs, the pruned curve distance, the exact frame
 derivatives of AdaptedFrame.point_data, the gauge of AdaptedFrame.at,
-pair.regularity_probe and the fiber polynomial screens with them.
+pair.regularity_probe and the fiber polynomial screens with them. The
+extremals were integrated by scipy's solve_ivp (DOP853 with a terminal
+boundary event and dense output), and cut re-took its partial step through
+solve_ivp; the library's own DOP853 loop must reproduce them bit for bit.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.integrate import solve_ivp
 from scipy.optimize import minimize
 
 from geoequiv import expr as ex
-from geoequiv.hamiltonian import _dot, _quadratic
+from geoequiv.hamiltonian import (_BOUNDARY_EPS, IntegrationError, _dot, _quadratic,
+                                  hamiltonian, hamiltonian_rhs)
 from geoequiv.pair import (_CLUSTER_TOL, _GAUGE_MIN_SV, AdaptedFrameError,
                            _cluster_indices)
 
@@ -456,3 +462,83 @@ def dict_divide(numerator, divisor):
         return 0.0, np.zeros(len(monos))
     sol, *_ = np.linalg.lstsq(M, b, rcond=None)
     return float(np.linalg.norm(M @ sol - b) / scale), sol
+
+
+def _solve_ivp_trajectory(model, metric_tag, t, y, clipped, t_exit, with_aux, dense=None,
+                          resume=None):
+    n = model.n
+    q = y[:n].T.copy()
+    p = y[n:2 * n].T.copy()
+    h = hamiltonian(model, metric_tag, (q, p))
+    aux = None
+    if with_aux:
+        aux = float(y[2 * n, -1]) if y.shape[1] else 0.0
+    return SimpleNamespace(t=t, q=q, p=p, h=h, clipped=clipped, t_exit=t_exit, aux=aux,
+                           dense=dense, resume=resume)
+
+
+def solve_ivp_integrate(model, metric_tag, lam0, T, tol=1e-10, max_step=1e-2,
+                        samples=None, aux_rate=None):
+    """hamiltonian.integrate as it was on scipy's solve_ivp."""
+    q0, p0 = lam0
+    q0 = np.asarray(q0, dtype=float)
+    p0 = np.asarray(p0, dtype=float)
+    n = model.n
+    if T == 0:
+        raise ValueError("integration time must be nonzero")
+    if not model.in_domain(q0):
+        raise ValueError("initial point outside the model domain")
+
+    with_aux = aux_rate is not None
+
+    def rhs(_t, y):
+        state = y.tolist()
+        q, p = state[:n], state[n:2 * n]
+        qdot, pdot = hamiltonian_rhs(model, metric_tag, q, p)
+        if with_aux:
+            return np.concatenate([qdot, pdot, [aux_rate(q, p)]])
+        return np.concatenate([qdot, pdot])
+
+    def hit_boundary(_t, y):
+        return model.boundary_distance(y[:n]) - _BOUNDARY_EPS
+
+    hit_boundary.terminal = True
+
+    def solve(t0, y0, t1, t_eval, first_step=None):
+        return solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=tol, atol=tol,
+                         max_step=max_step, events=[hit_boundary], t_eval=t_eval,
+                         dense_output=True, first_step=first_step)
+
+    def resume(t0, y0, t1, t_eval):
+        return solve(t0, y0, t1, t_eval, first_step=abs(t1 - t0))
+
+    y0 = np.concatenate([q0, p0, [0.0]] if with_aux else [q0, p0])
+    sol = solve(0.0, y0, T, np.linspace(0.0, T, samples) if samples else None)
+    if sol.status == -1:
+        raise IntegrationError("integration failed from q = %s at t = %r of T = %r: %s"
+                               % (q0.tolist(), float(sol.sol.ts[-1]), float(T),
+                                  sol.message))
+
+    clipped = sol.status == 1
+    t_exit = float(sol.t_events[0][0]) if clipped and len(sol.t_events[0]) else None
+    t, y = sol.t, sol.y
+    if t.size == 0:
+        t, y = np.array([0.0]), y0[:, None]
+    return _solve_ivp_trajectory(model, metric_tag, t, y, clipped, t_exit, with_aux,
+                                 sol.sol, resume)
+
+
+def solve_ivp_cut(model, metric_tag, traj, T, samples):
+    """hamiltonian.cut as it was on scipy's solve_ivp: the samples up to the
+    last step boundary before T from the dense solution, the rest from one
+    re-taken partial step."""
+    dense = traj.dense
+    ts = dense.ts
+    t = np.linspace(0.0, T, samples)
+    sign = 1.0 if T > 0 else -1.0
+    k = int(np.searchsorted(sign * ts, sign * T, side="left")) - 1
+    head = sign * t <= sign * ts[k]
+    tail = traj.resume(ts[k], dense.interpolants[k](ts[k]), T, t[~head])
+    y = np.concatenate([dense(t[head]), tail.y], axis=1)
+    return _solve_ivp_trajectory(model, metric_tag, t, y, False, None,
+                                 traj.aux is not None)

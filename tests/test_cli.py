@@ -281,6 +281,25 @@ def test_geodesic_integration_failure_exits_4(tmp_path):
                     r"T = 1.0: ", lines[0]), proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--integrator-tol", "-1"),
+    ("verify", "--integrator-tol", "0"),
+    ("verify", "--T", "0"),
+    ("verify", "--T", "nan"),
+    ("geodesic", "--tol", "0"),
+    ("geodesic", "--tol", "nan"),
+])
+def test_bad_integrator_arguments_exit_1(dini_model, capsys, argv):
+    # a usage error with one line, not a traceback or a model-domain error
+    extra = (["--samples", "2"] if argv[0] == "verify" else
+             ["--metric", "1", "--q", "0", "0", "--p", "1", "0", "--T", "0.2"])
+    assert main([argv[0], "--model", dini_model] + list(argv[1:]) + extra) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    what = "integration time" if "--T" in argv else "integrator tolerance"
+    assert what in lines[0], lines
+
+
 def test_analyze_cluster_tol_reaches_the_adapted_frame(tmp_path, capsys):
     # the eigenvalues 2 and 2.00012 split at the default tolerance and merge at 1e-3
     path = tmp_path / "near.json"

@@ -36,6 +36,12 @@ def test_dini_rejects_unordered_betas():
         build_dini("1 + x1", "1.2")        # order flips inside the box
 
 
+def test_dini_names_the_violating_point_in_plain_floats():
+    with pytest.raises(ConstructionError) as err:
+        build_dini("2", "1")
+    assert str(err.value).endswith("violated at [-0.48, -0.48]")
+
+
 # ------------------------------------------------------------ levi-civita
 
 def test_levi_civita_eigenvalue_formula():

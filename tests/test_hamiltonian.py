@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from geoequiv.constructors import (GENERATORS, build_beltrami, build_dini,
                                    build_quasi_contact)
 from geoequiv.pair import intrinsic_P
 
-from conftest import FIELD_PARAMS, heisenberg, plane_pair
+from conftest import FIELD_PARAMS, PAIR_KINDS, heisenberg, pair_fixture, plane_pair
 from reference import (full_field, numpy_hamiltonian, numpy_hamiltonian_rhs,
-                       numpy_intrinsic_P)
+                       numpy_intrinsic_P, solve_ivp_cut, solve_ivp_integrate)
 
 
 def euclidean_plane():
@@ -174,12 +175,70 @@ def test_integrate_names_where_the_step_size_collapsed():
     assert isinstance(err.value, RuntimeError)
 
 
+def _assert_same_trajectory(new, ref):
+    for name in ("t", "q", "p", "h"):
+        assert np.array_equal(getattr(new, name), getattr(ref, name)), name
+    for name in ("aux", "clipped", "t_exit"):
+        assert getattr(new, name) == getattr(ref, name), name
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_stepper_matches_solve_ivp(kind):
+    # the own DOP853 loop takes scipy's steps bit for bit: forward and
+    # backward, with and without samples and an aux rate, to the horizon or
+    # out through the boundary, and cut at 80% of the exit time
+    m = pair_fixture(kind)
+    rng = np.random.default_rng(43)
+    aux_rate = lambda q, p: math.sqrt(max(intrinsic_P(m, (q, p)), 0.0))
+    clipped = 0
+    for T in (0.3, -0.3, 5.0, -5.0):
+        lam0 = (m.sample_point(rng), rng.normal(size=m.n))
+        for tag in (1, 2):
+            for samples, rate in ((601, aux_rate), (None, aux_rate), (41, None), (None, None)):
+                new = integrate(m, tag, lam0, T, samples=samples, aux_rate=rate)
+                ref = solve_ivp_integrate(m, tag, lam0, T, samples=samples, aux_rate=rate)
+                _assert_same_trajectory(new, ref)
+                if new.clipped and samples:
+                    clipped += 1
+                    T_used = 0.8 * new.t_exit
+                    _assert_same_trajectory(cut(m, tag, new, T_used, samples),
+                                            solve_ivp_cut(m, tag, ref, T_used, samples))
+    assert clipped >= 4
+
+
+def test_stepper_collapses_where_solve_ivp_does():
+    lam0 = (np.zeros(2), np.array([1.0, 0.0]))
+    # mid-way, where gram2 nearly vanishes, and at the first step, where an
+    # infinite aux rate rejects every step
+    runs = [(plane_pair(g2xx="(x-0.3)^2 + 1e-24"), 2, None),
+            (plane_pair(), 1, lambda q, p: math.inf)]
+    for m, tag, rate in runs:
+        with pytest.raises(IntegrationError) as new, np.errstate(invalid="ignore"):
+            integrate(m, tag, lam0, 1.0, samples=11, aux_rate=rate)
+        with pytest.raises(IntegrationError) as ref, np.errstate(invalid="ignore"):
+            solve_ivp_integrate(m, tag, lam0, 1.0, samples=11, aux_rate=rate)
+        assert str(new.value) == str(ref.value)
+
+
+def test_integrate_rejects_bad_tolerance_and_clips_tiny_ones():
+    m = build_dini("1+x1/10", "2+x2/10")
+    lam0 = (np.zeros(2), np.array([0.5, 0.1]))
+    for tol in (0.0, -1e-10, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="integrator tolerance"):
+            integrate(m, 1, lam0, 0.1, tol=tol)
+    # below 100 eps the relative tolerance is clipped, the absolute one is not
+    with pytest.warns(UserWarning, match="rtol"):
+        ref = solve_ivp_integrate(m, 1, lam0, 0.05, tol=1e-17, samples=11)
+    _assert_same_trajectory(integrate(m, 1, lam0, 0.05, tol=1e-17, samples=11), ref)
+
+
 def test_integrate_rejects_bad_start():
     m = euclidean_plane()
     with pytest.raises(ValueError, match="domain"):
         integrate(m, 1, (np.array([5.0, 0.0]), np.array([1.0, 0.0])), 1.0)
-    with pytest.raises(ValueError, match="nonzero"):
-        integrate(m, 1, (np.zeros(2), np.array([1.0, 0.0])), 0.0)
+    for T in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            integrate(m, 1, (np.zeros(2), np.array([1.0, 0.0])), T)
 
 
 def _close(new, ref, rel=1e-12):

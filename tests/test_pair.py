@@ -13,11 +13,12 @@ from geoequiv.pair import (transition_operator, regularity_probe, AdaptedFrame,
                            fiber_hP, fiber_R, fiber_Q, first_divisibility,
                            second_divisibility, relations_cor, _basis, _pencil,
                            _times_u)
-from geoequiv.constructors import (GENERATORS, build_beltrami, build_dini,
+from geoequiv.constructors import (build_beltrami, build_dini,
                                    build_levi_civita, build_gendini_case1,
                                    build_quasi_contact)
 
-from conftest import FIELD_PARAMS, heisenberg, plane_pair, case2_origin_chart
+from conftest import (FIELD_PARAMS, PAIR_KINDS, case2_origin_chart, heisenberg,
+                      pair_fixture, plane_pair)
 from reference import (dict_divide, dict_fiber_hP, dict_fiber_P, dict_fiber_Q,
                        dict_fiber_R, eigh_regularity_probe, fd_structure_functions,
                        loop_gauge)
@@ -59,19 +60,6 @@ def test_transition_requires_positive_pair():
 
 
 # ----------------------------------------------------------- pencil kernel
-
-PAIR_KINDS = sorted(FIELD_PARAMS) + ["conformal", "rotating-cluster"]
-
-
-def pair_fixture(kind):
-    if kind == "conformal":
-        return heisenberg("1 + x^2 + y^2")
-    if kind == "split-alpha":
-        return heisenberg(g2diag=("1", "4"))
-    if kind == "rotating-cluster":
-        return rotating_cluster()
-    return GENERATORS[kind](FIELD_PARAMS[kind])
-
 
 @pytest.mark.parametrize("kind", PAIR_KINDS)
 def test_pencil_kernel_matches_eigh(kind):
@@ -269,19 +257,6 @@ def test_adapted_frame_impulses_match_pairing():
 # the stencil's O(h^4) error is about 1e-10 here, and fd_step = 1e-3 would
 # reach 1e-7 on gendini1
 FD_ORACLE_STEP = 2e-4
-
-
-def rotating_cluster():
-    """gram2 = gram1 + w w^T: eigenvalue 1 twice on the plane w^T v = 0, which
-    turns with q, and 1 + w^T gram1^{-1} w once; gram1 is not constant."""
-    coords = ("x", "y", "z")
-    P = lambda s: ex.parse(s, coords)
-    g1 = [["1 + x^2/4", "x*y/10", "0"], ["x*y/10", "1 + y^2/4", "0"], ["0", "0", "1 + z/5"]]
-    w = ["1", "x", "y + z"]
-    g2 = [["(%s) + (%s)*(%s)" % (g1[i][j], w[i], w[j]) for j in range(3)] for i in range(3)]
-    eye = [[P("1" if i == j else "0") for j in range(3)] for i in range(3)]
-    return GeometryModel(coords, 3, eye, [[P(e) for e in row] for row in g1],
-                         [[P(e) for e in row] for row in g2], [-0.5] * 3, [0.5] * 3)
 
 
 @pytest.mark.parametrize("kind", PAIR_KINDS + ["split-alpha"])
