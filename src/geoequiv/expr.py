@@ -501,8 +501,9 @@ def to_string(e, coords=None):
 # evaluation
 
 def _pow(base, exponent):
+    # a square is the product x * x, as the compiled programs emit it
     try:
-        v = math.pow(base, exponent)
+        v = base * base if exponent == 2.0 else math.pow(base, exponent)
     except (ValueError, OverflowError) as exc:
         raise EvalDomainError("power %s^%s out of real domain"
                               % (_fmt_float(float(base)), _fmt_float(float(exponent)))) from exc
@@ -645,7 +646,9 @@ def _emit(e, out, cache):
     if isinstance(e, Coord):
         s = "q[%d]" % e.index
     elif isinstance(e, Pow):
-        s = "_pow(%s, %s)" % (_emit(e.base, out, cache), _fmt_float(e.exponent))
+        b = _emit(e.base, out, cache)
+        s = ("(%s * %s)" % (b, b) if e.exponent == 2.0
+             else "_pow(%s, %s)" % (b, _fmt_float(e.exponent)))
     elif isinstance(e, Unary):
         inner = _emit(e.arg, out, cache)
         if e.op == "neg":
@@ -711,9 +714,13 @@ class Program:
                 raise
             except (ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise EvalDomainError(str(exc)) from exc
-            for v in values:
-                if not isfinite(v):
-                    raise EvalDomainError("compiled expression not finite")
+            # a finite sum has finite terms; only a sum that is not finite
+            # (a non-finite value, or finite values that overflow) is looked
+            # at value by value
+            if not isfinite(sum(values)):
+                for v in values:
+                    if not isfinite(v):
+                        raise EvalDomainError("compiled expression not finite")
             return values
 
         call.__name__ = name
@@ -730,7 +737,8 @@ def _lane_func(fn):
 
 
 def _lane_pow(base, exponent):
-    """_pow on every value of a lane: math.pow, and an error where not finite."""
+    """_pow on every value of a lane: math.pow, and an error where not finite.
+    Squares never get here: they are emitted as products."""
     values = np.ravel(base).tolist()
     v = np.fromiter(map(math.pow, values, itertools.repeat(exponent)), float, len(values))
     if not np.isfinite(v).all():
@@ -740,7 +748,8 @@ def _lane_pow(base, exponent):
 
 # the lanes apply the scalar program's own math functions value by value, so
 # every value is the scalar value; numpy's transcendental functions can differ
-# from math's by an ulp, and numpy's x ** 2.0 from math.pow(x, 2.0)
+# from math's by an ulp, and numpy's x ** 1.5 from math.pow(x, 1.5). Squares
+# are products on both paths, which round alike
 _LANE_NAMESPACE = {
     "_m": SimpleNamespace(**{f: _lane_func(getattr(math, f)) for f in _FUNCTIONS
                              if f != "abs"}),

@@ -13,6 +13,7 @@ c[a, b, k] = coefficient of X_{k+1} in [X_{a+1}, X_{b+1}].
 
 import itertools
 import json
+import math
 import re
 
 import numpy as np
@@ -107,8 +108,19 @@ class GeometryModel:
         return all(lo <= x <= hi for x, lo, hi in zip(q, self._lo, self._hi))
 
     def boundary_distance(self, q):
-        q = np.asarray(q, dtype=float)
-        return float(min(np.min(q - self.domain_min), np.min(self.domain_max - q)))
+        # plain floats, as in in_domain; a NaN coordinate gives NaN, as
+        # numpy's min does (comparisons would pass over it)
+        if type(q) is np.ndarray:
+            q = q.tolist()
+        d = math.inf
+        for x, lo, hi in zip(q, self._lo, self._hi):
+            if x != x:
+                return math.nan
+            if x - lo < d:
+                d = x - lo
+            if hi - x < d:
+                d = hi - x
+        return float(d)
 
     def sample_point(self, rng, margin=0.15):
         lo = self.domain_min + margin * (self.domain_max - self.domain_min)
@@ -458,49 +470,3 @@ def classify_distribution(model, samples=7, seed=0, tol=1e-8):
                               abnormal_coeffs=coeffs, abnormal=tuple(field))
     return Classification("other", omega=omega, omega_rank=r,
                           diagnostics="restricted two-form rank %d on rank-%d distribution" % (r, m))
-
-
-# ---------------------------------------------------------------------------
-# symbolic orthonormalization
-
-class OrthonormalFrame:
-    def __init__(self, fields, coeffs):
-        self.fields = fields    # m tuples of n Expr (coordinate components)
-        self.coeffs = coeffs    # m tuples of m Expr (in terms of X_1..X_m)
-
-
-def orthonormalize(model):
-    """Gram-Schmidt over gram1, symbolic; returns fields and frame coefficients."""
-    m, n = model.m, model.n
-    g = model.gram1
-
-    def inner(a, b):
-        acc = ex.ZERO
-        for i in range(m):
-            if ex.is_zero(a[i]):
-                continue
-            for j in range(m):
-                if ex.is_zero(b[j]):
-                    continue
-                acc = ex.add(acc, ex.mul(ex.mul(a[i], b[j]), g[i][j]))
-        return acc
-
-    coeffs = []
-    for s in range(m):
-        w = [ex.ONE if i == s else ex.ZERO for i in range(m)]
-        for t in range(s):
-            proj = inner(w, coeffs[t])
-            w = [ex.sub(w[i], ex.mul(proj, coeffs[t][i])) for i in range(m)]
-        norm = ex.sqrt(inner(w, w))
-        coeffs.append(tuple(ex.div(w[i], norm) for i in range(m)))
-
-    fields = []
-    for s in range(m):
-        comp = []
-        for k in range(n):
-            acc = ex.ZERO
-            for i in range(m):
-                acc = ex.add(acc, ex.mul(coeffs[s][i], model.frame[i][k]))
-            comp.append(acc)
-        fields.append(tuple(comp))
-    return OrthonormalFrame(tuple(fields), tuple(coeffs))

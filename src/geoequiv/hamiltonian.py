@@ -167,14 +167,18 @@ def hamiltonian(model, metric_tag, lam):
     return float(energy(q.tolist(), p.tolist())[0])
 
 
-def hamiltonian_rhs(model, metric_tag, q, p):
-    """(dq/dt, dp/dt) for the canonical flow of h. q and p that are not lists
+def hamiltonian_rhs(model, metric_tag, q, p, out=None):
+    """(dq/dt, dp/dt) for the canonical flow of h; with `out`, the 2n rates
+    are written into out[:2n] and out is returned. q and p that are not lists
     are read as Python floats, which raise on division by zero where numpy
     scalars would give inf."""
     if type(q) is not list:
         q, p = np.asarray(q, dtype=float).tolist(), np.asarray(p, dtype=float).tolist()
     vals = _program(model, metric_tag, "flow")(q, p)
     n = len(q)
+    if out is not None:
+        out[:2 * n] = vals
+        return out
     return np.array(vals[:n]), np.array(vals[n:])
 
 
@@ -263,6 +267,15 @@ def _rms(x):
     return np.sqrt(x.dot(x)) / x.size ** 0.5
 
 
+def _stage(Ks, a, h, y, out):
+    """y + (Ks . a) h written into out: scipy's y + np.dot(K[:s].T, a) * h,
+    the same operations on the same values, without temporaries."""
+    Ks.dot(a, out)
+    out *= h
+    out += y
+    return out
+
+
 def _dop853(fun, event, t0, y0, t1, tol, max_step, first_step=None):
     """DOP853 from y0 at t0 towards t1, stopped where event(y) changes sign.
 
@@ -279,6 +292,7 @@ def _dop853(fun, event, t0, y0, t1, tol, max_step, first_step=None):
     # stages, then the three of the dense output
     stages = [(Kt[s], _A[s], K[s]) for s in range(1, _dop.N_STAGES_EXTENDED)]
     main, extra = stages[:_STAGES - 1], stages[_STAGES:]
+    buf = np.empty(N)
     f = fun(y0, np.empty(N))
     if first_step is None:
         # select_initial_step of Hairer, Norsett & Wanner, II.4
@@ -317,8 +331,8 @@ def _dop853(fun, event, t0, y0, t1, tol, max_step, first_step=None):
             h = t_new - t
             h_abs = abs(h)
             for Ks, a, out in main:
-                fun(y + np.dot(Ks, a) * h, out)
-            y_new = y + h * np.dot(Kt[_STAGES], _B)
+                fun(_stage(Ks, a, h, y, buf), out)
+            y_new = _stage(Kt[_STAGES], _B, h, y, np.empty(N))
             f_new = fun(y_new, K[_STAGES])
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             err5 = np.dot(Kt[_STAGES + 1], _E5) / scale
@@ -338,7 +352,7 @@ def _dop853(fun, event, t0, y0, t1, tol, max_step, first_step=None):
             rejected = True
         # dense output: three more stages and the interpolant coefficients
         for Ks, a, out in extra:
-            fun(y + np.dot(Ks, a) * h, out)
+            fun(_stage(Ks, a, h, y, buf), out)
         F = np.empty((_dop.INTERPOLATOR_POWER, N))
         delta = y_new - y
         F[0] = delta
@@ -390,13 +404,12 @@ def integrate(model, metric_tag, lam0, T, tol=1e-10, max_step=1e-2,
     if aux_rate is None:
         def fun(y, out):
             state = y.tolist()
-            out[:n], out[n:] = hamiltonian_rhs(model, metric_tag, state[:n], state[n:])
-            return out
+            return hamiltonian_rhs(model, metric_tag, state[:n], state[n:], out)
     else:
         def fun(y, out):
             state = y.tolist()
             q, p = state[:n], state[n:2 * n]
-            out[:n], out[n:2 * n] = hamiltonian_rhs(model, metric_tag, q, p)
+            hamiltonian_rhs(model, metric_tag, q, p, out)
             out[2 * n] = aux_rate(q, p)
             return out
 
@@ -466,16 +479,6 @@ def initial_covector(model, metric_tag, q, v, transverse=None):
         raise ValueError("transverse part must have length %d" % (n - m))
     p = np.linalg.solve(E.T, np.concatenate([u, trans]))
     return np.array(q), p
-
-
-def arc_length(model, metric_tag, traj):
-    """Metric length of the projected curve, trapezoid rule on the samples.
-
-    The speed is sqrt(v^T W v) = sqrt(u^T W^{-1} u) = sqrt(2h).
-    """
-    speeds = np.sqrt(np.maximum(2.0 * hamiltonian(model, metric_tag, (traj.q, traj.p)),
-                                0.0))
-    return float(np.trapezoid(speeds, traj.t))
 
 
 def write_trajectory_csv(traj, fh):

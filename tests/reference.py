@@ -19,6 +19,8 @@ pair.regularity_probe and the fiber polynomial screens with them. The
 extremals were integrated by scipy's solve_ivp (DOP853 with a terminal
 boundary event and dense output), and cut re-took its partial step through
 solve_ivp; the library's own DOP853 loop must reproduce them bit for bit.
+The symbolic gram1 Gram-Schmidt (orthonormalize) and the trapezoid arc
+length had no caller in the library; tests use them as oracles.
 """
 
 import itertools
@@ -542,3 +544,59 @@ def solve_ivp_cut(model, metric_tag, traj, T, samples):
     y = np.concatenate([dense(t[head]), tail.y], axis=1)
     return _solve_ivp_trajectory(model, metric_tag, t, y, False, None,
                                  traj.aux is not None)
+
+
+# ---------------------------------------------------------------------------
+# symbolic orthonormalization and arc length
+
+class OrthonormalFrame:
+    def __init__(self, fields, coeffs):
+        self.fields = fields    # m tuples of n Expr (coordinate components)
+        self.coeffs = coeffs    # m tuples of m Expr (in terms of X_1..X_m)
+
+
+def orthonormalize(model):
+    """Gram-Schmidt over gram1, symbolic; returns fields and frame coefficients."""
+    m, n = model.m, model.n
+    g = model.gram1
+
+    def inner(a, b):
+        acc = ex.ZERO
+        for i in range(m):
+            if ex.is_zero(a[i]):
+                continue
+            for j in range(m):
+                if ex.is_zero(b[j]):
+                    continue
+                acc = ex.add(acc, ex.mul(ex.mul(a[i], b[j]), g[i][j]))
+        return acc
+
+    coeffs = []
+    for s in range(m):
+        w = [ex.ONE if i == s else ex.ZERO for i in range(m)]
+        for t in range(s):
+            proj = inner(w, coeffs[t])
+            w = [ex.sub(w[i], ex.mul(proj, coeffs[t][i])) for i in range(m)]
+        norm = ex.sqrt(inner(w, w))
+        coeffs.append(tuple(ex.div(w[i], norm) for i in range(m)))
+
+    fields = []
+    for s in range(m):
+        comp = []
+        for k in range(n):
+            acc = ex.ZERO
+            for i in range(m):
+                acc = ex.add(acc, ex.mul(coeffs[s][i], model.frame[i][k]))
+            comp.append(acc)
+        fields.append(tuple(comp))
+    return OrthonormalFrame(tuple(fields), tuple(coeffs))
+
+
+def arc_length(model, metric_tag, traj):
+    """Metric length of the projected curve, trapezoid rule on the samples.
+
+    The speed is sqrt(v^T W v) = sqrt(u^T W^{-1} u) = sqrt(2h).
+    """
+    speeds = np.sqrt(np.maximum(2.0 * hamiltonian(model, metric_tag, (traj.q, traj.p)),
+                                0.0))
+    return float(np.trapezoid(speeds, traj.t))

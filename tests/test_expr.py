@@ -232,6 +232,42 @@ def test_lanes_fall_back_to_the_scalar_path():
     assert np.array_equal(fn.lanes(np.array([[2.0], [1e200]])), [[0.25, 0.0]])
 
 
+def test_squares_are_products():
+    # x^2 is x * x on the compiled, lane and interpreted paths, bit for bit;
+    # math.pow(x, 2.0) differs from x * x in the last bit for some doubles
+    rng = np.random.default_rng(59)
+    xs = rng.standard_normal(20000) * 10.0 ** rng.uniform(-150, 150, 20000)
+    fn = ex.compile_exprs([ex.parse("x^2", ("x",)), ex.parse("x*x", ("x",))])
+    lanes = fn.lanes(xs[:, None])
+    assert np.array_equal(lanes[0], lanes[1])
+    assert np.array_equal(lanes[0], xs * xs)
+    for x in xs[:2000].tolist():
+        square, product = fn((x,))
+        assert square == product == ex.evaluate(ex.parse("x^2", ("x",)), (x,)) == x * x
+    # x^2 overflows to inf, and 1 / inf = 0 is finite, as for 1/(x*x) in
+    # test_lanes_fall_back_to_the_scalar_path
+    fn = ex.compile_exprs([ex.parse("1/(x^2)", ("x",))])
+    assert fn((1e200,)) == (0.0,)
+    assert np.array_equal(fn.lanes(np.array([[2.0], [1e200]])), [[0.25, 0.0]])
+    # other exponents keep math.pow
+    prog = ex.Program()
+    prog.value(ex.parse("x^3 + x^2", ("x",)))
+    assert prog.lines == ["    t0 = q[0]", "    t1 = _pow(t0, 3.0)", "    t2 = (t0 * t0)",
+                          "    t3 = (t1 + t2)"]
+
+
+def test_compiled_finiteness_guard():
+    # finite values whose sum overflows are returned; a value that is inf
+    # or NaN still raises
+    fn = ex.compile_exprs([ex.parse("x", ("x",)), ex.parse("x", ("x",)),
+                           ex.parse("y", ("x", "y"))])
+    assert fn((1e308, 1.0)) == (1e308, 1e308, 1.0)
+    assert fn((-1e308, 1e308)) == (-1e308, -1e308, 1e308)
+    for q in ((np.inf, 1.0), (1.0, -np.inf), (np.nan, 1.0), (1.0, np.nan), (np.inf, -np.inf)):
+        with pytest.raises(ex.EvalDomainError, match="compiled expression not finite"):
+            fn(q)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_total_exprs(), st.integers(0, 2))
 def test_derivative_linearity_and_fd(e, k):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from geoequiv import expr as ex
 from geoequiv.geometry import (GeometryModel, ManifestError, ModelValidationError,
                                from_manifest, to_manifest, load_model, save_model,
                                validate_model, lie_bracket, StructureFunctions,
-                               annihilator, classify_distribution, orthonormalize)
+                               annihilator, classify_distribution)
 from geoequiv.constructors import build_quasi_contact
 
 from conftest import heisenberg, plane_pair
@@ -201,17 +202,6 @@ def test_classification_invariant_under_frame_rescaling():
     assert classify_distribution(m).tag == "contact"
 
 
-def test_orthonormalize_gram_is_identity():
-    m = build_quasi_contact({"beta": "exp(t)", "C1": 1.0, "C2": 1.0})
-    onf = orthonormalize(m)
-    q = (0.1, 0.1, 0.0, 0.2)
-    E = m.frame_at(q)[:, : m.m]
-    C = np.array([[ex.evaluate(c, q) for c in row] for row in onf.coeffs])
-    W1 = m.gram_at(q, 1)
-    G = C @ W1 @ C.T
-    assert np.allclose(G, np.eye(m.m), atol=1e-10)
-
-
 def test_domain_helpers():
     m = heisenberg(extent=0.5)
     assert m.in_domain((0.0, 0.0, 0.0))
@@ -222,6 +212,43 @@ def test_domain_helpers():
         p = m.sample_point(rng)
         assert m.in_domain(p)
         assert m.boundary_distance(p) >= 0.15 * 0.5 - 1e-12
+
+
+def test_boundary_distance_matches_numpy_formulation():
+    # the plain-float distance gives the numpy formula's value, NaN
+    # included: a NaN coordinate in any position gives NaN, though Python's
+    # min passes over a NaN that is not first
+    def numpy_boundary_distance(model, q):
+        q = np.asarray(q, dtype=float)
+        return float(min(np.min(q - model.domain_min), np.min(model.domain_max - q)))
+
+    base = heisenberg()
+    m = GeometryModel(base.coords, 2, base.frame, base.gram1, base.gram2,
+                      [-1.5, -0.25, 0.0], [0.5, 0.75, 2.0])
+    lo, hi = m.domain_min, m.domain_max
+    inside = 0.5 * (lo + hi)
+    points = [inside, lo, hi, inside + 0.1 * (hi - lo)]
+    for k in range(m.n):
+        for value in (lo[k], hi[k], lo[k] - 0.3, hi[k] + 2.0, np.inf, -np.inf, np.nan):
+            p = inside.copy()
+            p[k] = value
+            points.append(p)
+        p = np.full(m.n, np.inf)
+        p[k] = np.nan
+        points.append(p)
+    nans = 0
+    for p in points:
+        expect = numpy_boundary_distance(m, p)
+        for q in (p, tuple(p), list(map(float, p))):
+            got = m.boundary_distance(q)
+            assert type(got) is float, q
+            if math.isnan(expect):
+                assert math.isnan(got), q
+                nans += 1
+            else:
+                assert got == expect, q
+    assert nans == 2 * m.n * 3
+    assert m.boundary_distance(inside) > 0 > m.boundary_distance(hi + 1.0)
 
 
 def test_in_domain_matches_numpy_formulation():

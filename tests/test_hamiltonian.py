@@ -8,15 +8,16 @@ from geoequiv import expr as ex
 from geoequiv.expr import EvalDomainError
 from geoequiv.geometry import GeometryModel
 from geoequiv.hamiltonian import (IntegrationError, quasi_impulses, hamiltonian, hamiltonian_rhs,
-                                  integrate, initial_covector, arc_length, cut,
+                                  integrate, initial_covector, cut,
                                   write_trajectory_csv, _program)
 from geoequiv.constructors import (GENERATORS, build_beltrami, build_dini,
                                    build_quasi_contact)
 from geoequiv.pair import intrinsic_P
 
 from conftest import FIELD_PARAMS, PAIR_KINDS, heisenberg, pair_fixture, plane_pair
-from reference import (full_field, numpy_hamiltonian, numpy_hamiltonian_rhs,
-                       numpy_intrinsic_P, solve_ivp_cut, solve_ivp_integrate)
+from reference import (arc_length, full_field, numpy_hamiltonian, numpy_hamiltonian_rhs,
+                       numpy_intrinsic_P, orthonormalize, solve_ivp_cut,
+                       solve_ivp_integrate)
 
 
 def euclidean_plane():
@@ -51,7 +52,6 @@ def test_hamiltonian_orthonormal_frame_cross_check():
     # on a gram1-orthonormal frame h = (1/2) sum u_i^2
     m = build_quasi_contact({"beta": "exp(t)", "C1": 1.0, "C2": 1.0})
     rng = np.random.default_rng(3)
-    from geoequiv.geometry import orthonormalize
     onf = orthonormalize(m)
     for _ in range(5):
         q = tuple(m.sample_point(rng))
@@ -109,20 +109,6 @@ def test_time_reversal():
     back = integrate(m, 1, fwd.end, -0.3, samples=7)
     assert np.allclose(back.q[-1], lam0[0], atol=1e-8)
     assert np.allclose(back.p[-1], lam0[1], atol=1e-8)
-
-
-def test_arc_length_unit_speed():
-    m = build_dini("1+x1/10", "2+x2/10")
-    q0 = (0.0, 0.0)
-    v = np.array([0.3, 0.4])
-    E = m.frame_at(q0)
-    W = m.gram_at(q0, 1)
-    v = v / np.sqrt(v @ W @ v)                   # unit gram1 speed
-    lam0 = initial_covector(m, 1, q0, v)
-    T = 0.4
-    tr = integrate(m, 1, lam0, T, samples=101)
-    assert hamiltonian(m, 1, lam0) == pytest.approx(0.5, abs=1e-12)
-    assert arc_length(m, 1, tr) == pytest.approx(T, abs=1e-8)
 
 
 def test_clipping_at_boundary():
@@ -272,6 +258,25 @@ def test_generated_field_matches_numpy_reference(kind):
             assert _close(np.concatenate([qdot, pdot]), ref), (kind, tag, q)
             assert _close(hamiltonian(m, tag, lam), numpy_hamiltonian(m, tag, (q, p)))
         assert _close(intrinsic_P(m, lam), numpy_intrinsic_P(m, (q, p)))
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_rhs_written_into_out_equals_the_returned_arrays(kind):
+    # integrate hands its stage row to hamiltonian_rhs as out; the rates
+    # land in out[:2n] as the two returned arrays hold them, and the rest of
+    # the row (the aux rate's slot) is left alone
+    m = pair_fixture(kind)
+    n = m.n
+    rng = np.random.default_rng(53)
+    for i in range(6):
+        q, p = m.sample_point(rng), rng.normal(size=n)
+        lam = (q.tolist(), p.tolist()) if i % 2 else (q, p)
+        for tag in (1, 2):
+            qdot, pdot = hamiltonian_rhs(m, tag, *lam)
+            out = np.full(2 * n + 1, 7.0)
+            assert hamiltonian_rhs(m, tag, *lam, out=out) is out
+            assert np.array_equal(out[:2 * n], np.concatenate([qdot, pdot]))
+            assert out[2 * n] == 7.0
 
 
 def test_cut_matches_fresh_integration():
