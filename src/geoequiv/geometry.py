@@ -271,7 +271,13 @@ def validate_model(model, per_axis=3):
             except ex.EvalDomainError as exc:
                 raise ModelValidationError("gram%d undefined at %s: %s"
                                            % (tag, q, exc)) from exc
-            if not np.allclose(W, W.T, rtol=1e-9, atol=1e-12 * max(1.0, np.max(np.abs(W)))):
+            # np.allclose(W, W.T, rtol=1e-9, atol=1e-12 * max(1, max |W|)) on
+            # plain floats: its test |a - b| <= atol + rtol |b| for finite
+            # values, and compiled calls raise on values that are not finite
+            rows = W.tolist()
+            atol = 1e-12 * max(1.0, max(abs(w) for row in rows for w in row))
+            if not all(abs(a - b) <= atol + 1e-9 * abs(b)
+                       for row, col in zip(rows, zip(*rows)) for a, b in zip(row, col)):
                 raise ModelValidationError("gram%d not symmetric at %s" % (tag, q))
             try:
                 np.linalg.cholesky(W)

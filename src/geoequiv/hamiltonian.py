@@ -11,6 +11,7 @@ objects.
 
 import csv
 import math
+import struct
 
 import numpy as np
 from scipy.integrate._ivp import dop853_coefficients as _dop
@@ -19,18 +20,11 @@ from scipy.optimize import brentq
 from . import expr as ex
 
 _BOUNDARY_EPS = 1e-12
+_FLOAT64 = np.dtype(float)
 
 
 class IntegrationError(RuntimeError):
     """The integrator could not follow an extremal (its step size collapsed)."""
-
-
-def quasi_impulses(model, frame, lam):
-    """u_i = p(X_i) for the columns of `frame` (default: the model frame)."""
-    q, p = lam
-    if frame is None:
-        frame = model.frame_at(tuple(q))
-    return np.asarray(p, dtype=float) @ np.asarray(frame, dtype=float)
 
 
 def _is_one(e):
@@ -138,7 +132,10 @@ def _generate(model, tag, kind):
         if force:
             src += " - (%s)" % " + ".join(force)
         results.append(prog.assign("pd%d" % k, src or "0.0"))
-    return prog.compile(results, name="_flow%d" % tag)
+    flow = prog.compile(results, name="_flow%d" % tag)
+    # writes the 2n rates into the buffer of a writable C-contiguous array
+    flow.pack_into = struct.Struct("%dd" % (2 * n)).pack_into
+    return flow
 
 
 def _program(model, tag, kind):
@@ -169,16 +166,22 @@ def hamiltonian(model, metric_tag, lam):
 
 def hamiltonian_rhs(model, metric_tag, q, p, out=None):
     """(dq/dt, dp/dt) for the canonical flow of h; with `out`, the 2n rates
-    are written into out[:2n] and out is returned. q and p that are not lists
-    are read as Python floats, which raise on division by zero where numpy
-    scalars would give inf."""
+    are written into out[:2n] and out is returned. out must then be a
+    writable C-contiguous 1-d float64 array (TypeError otherwise) of length
+    at least 2n. q and p that are not lists are read as Python floats, which
+    raise on division by zero where numpy scalars would give inf."""
     if type(q) is not list:
         q, p = np.asarray(q, dtype=float).tolist(), np.asarray(p, dtype=float).tolist()
-    vals = _program(model, metric_tag, "flow")(q, p)
-    n = len(q)
+    flow = _program(model, metric_tag, "flow")
+    vals = flow(q, p)
     if out is not None:
-        out[:2 * n] = vals
+        # the buffer protocol rejects read-only and non-contiguous arrays, but
+        # would take raw doubles into any other dtype
+        if not isinstance(out, np.ndarray) or out.dtype != _FLOAT64 or out.ndim != 1:
+            raise TypeError("out must be a 1-d float64 array")
+        flow.pack_into(out, 0, *vals)
         return out
+    n = len(q)
     return np.array(vals[:n]), np.array(vals[n:])
 
 

@@ -20,7 +20,6 @@ import itertools
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dsygvd
-from scipy.optimize import minimize
 
 from . import expr as ex
 from .geometry import StructureFunctions
@@ -121,14 +120,93 @@ def _gap(lams, boundaries):
 
 
 def _split_gap(model, q, boundaries):
-    """Smallest relative gap across the center's cluster boundaries at q."""
+    """Smallest relative gap across the center's cluster boundaries at the
+    point q, a list of floats."""
     if not model.in_domain(q):
         return np.inf
     try:
-        lams = _pencil(model, tuple(q.tolist()), vectors=False)[2]
+        lams = _pencil(model, tuple(q), vectors=False)[2]
     except (ex.EvalDomainError, np.linalg.LinAlgError):
         return np.inf
     return _gap(lams, boundaries)
+
+
+def _nelder_mead(f, x0, lo, hi, xatol, fatol, maxiter):
+    """Minimize f over the box [lo, hi] from x0 by Nelder-Mead (Nelder & Mead,
+    Comput. J. 7, 1965); returns the best vertex as a list of floats.
+
+    x0, lo and hi are lists of floats and f takes a list. The steps are those
+    of scipy's minimize(method="Nelder-Mead", bounds=...) with the default,
+    non-adaptive parameters, operation for operation, so the evaluated points
+    and the result are scipy's bit for bit: the start clipped to the box; the
+    initial simplex x0 plus 1.05 x0_k (0.00025 where x0_k is 0) along each
+    axis k, vertices above hi reflected into the box and all clipped; sorted
+    twice by np.argsort, whose tie order differs from sorted's; then until
+    the vertices lie within xatol and the values within fatol of the best
+    (inf - inf is NaN and fails the test, as in np.max), or maxiter
+    iterations: the centroid of all but the worst vertex as a sequential sum
+    from 0.0 divided by N, reflection, expansion, outside and inside
+    contraction and shrink towards the best vertex, each point clipped to
+    the box, and the simplex sorted again.
+    """
+    N = len(x0)
+
+    def clipped(y):
+        # np.clip keeps x itself where it ties a bound, so signed zeros agree
+        return [a if x < a else b if x > b else x for x, a, b in zip(y, lo, hi)]
+
+    def by_value(sim, fsim):
+        order = np.argsort(fsim).tolist()
+        return [sim[i] for i in order], [fsim[i] for i in order]
+
+    x0 = clipped(x0)
+    sim = [x0]
+    for k in range(N):
+        y = list(x0)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    sim = [clipped([2 * b - x if x > b else x for x, b in zip(y, hi)]) for y in sim]
+    sim, fsim = by_value(*by_value(sim, [f(y) for y in sim]))
+
+    iterations = 1
+    while iterations < maxiter:
+        best, fbest = sim[0], fsim[0]
+        if (all(abs(x - b) <= xatol for y in sim[1:] for x, b in zip(y, best))
+                and all(abs(fbest - fy) <= fatol for fy in fsim[1:])):
+            break
+        xbar = [0.0] * N
+        for y in sim[:-1]:
+            xbar = [s + x for s, x in zip(xbar, y)]
+        xbar = [s / N for s in xbar]
+        worst = sim[-1]
+        xr = clipped([2 * xb - x for xb, x in zip(xbar, worst)])
+        fxr = f(xr)
+        if fxr < fbest:
+            xe = clipped([3 * xb - 2 * x for xb, x in zip(xbar, worst)])
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                # outside contraction
+                xc = clipped([1.5 * xb - 0.5 * x for xb, x in zip(xbar, worst)])
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:
+                # inside contraction
+                xc = clipped([0.5 * xb + 0.5 * x for xb, x in zip(xbar, worst)])
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, N + 1):
+                    sim[j] = clipped([b + 0.5 * (x - b) for x, b in zip(sim[j], best)])
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        sim, fsim = by_value(sim, fsim)
+    return sim[0]
 
 
 def regularity_probe(model, q, radius, samples=40, seed=0, cluster_tol=_CLUSTER_TOL,
@@ -181,24 +259,22 @@ def regularity_probe(model, q, radius, samples=40, seed=0, cluster_tol=_CLUSTER_
     N_witness = None
     if refine and boundaries:
         objective = lambda p: _split_gap(model, p, boundaries)
-        lo = np.maximum(q - radius, model.domain_min)
-        hi = np.minimum(q + radius, model.domain_max)
+        lo = np.maximum(q - radius, model.domain_min).tolist()
+        hi = np.minimum(q + radius, model.domain_max).tolist()
         starts = [q] + kept[:3]
         if best_start is not None:
             # the first sample with the smallest split gap (its objective value)
             starts.append(best_start)
-        best_p, best_g = q, objective(q)
+        best_p, best_g = q, objective(q.tolist())
         for start in starts:
-            res = minimize(objective, np.clip(start, lo, hi), method="Nelder-Mead",
-                           bounds=list(zip(lo, hi)),
-                           options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400})
-            cand = np.asarray(res.x)
+            cand = np.array(_nelder_mead(objective, start.tolist(), lo, hi,
+                                         xatol=1e-9, fatol=1e-12, maxiter=400))
             # keep the iterate inside the probed ball
             off = cand - q
             dist = np.linalg.norm(off)
             if dist > radius:
                 cand = q + off * (radius / dist)
-            g = objective(cand)
+            g = objective(cand.tolist())
             if g < best_g:
                 best_p, best_g = cand, g
         gap_min = float(best_g) if np.isfinite(best_g) else None
@@ -430,12 +506,6 @@ class AdaptedFrame:
             self._point_cache.clear()
         self._point_cache[qt] = data
         return data
-
-    def impulses(self, lam):
-        """Quasi-impulses of the adapted frame at lam = (q, p)."""
-        q, p = lam
-        data = self.point_data(q)
-        return np.asarray(p, dtype=float) @ data.A
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ over every segment for every point; the structure functions of the
 adapted frames come from a 4th-order central finite-difference stencil
 over AdaptedFrame.at, and the gauge of AdaptedFrame.at was a per-cluster
 singular-value check and a gram1 Gram-Schmidt loop; the regularity probe solves every pencil with
-scipy.linalg.eigh and evaluates its extra Nelder-Mead start by solving
-each kept sample again; the fiber polynomials were dicts from exponent
+scipy.linalg.eigh, evaluates its extra Nelder-Mead start by solving
+each kept sample again, and still minimizes with scipy's
+minimize(method="Nelder-Mead", bounds=...), which pair's own bounded
+Nelder-Mead replaced; the fiber polynomials were dicts from exponent
 tuples to coefficients, with their own products, and were copied into
 coefficient vectors only to be divided. Tests compare the
 generated Hamiltonian programs, the pruned curve distance, the exact frame
@@ -19,8 +21,10 @@ pair.regularity_probe and the fiber polynomial screens with them. The
 extremals were integrated by scipy's solve_ivp (DOP853 with a terminal
 boundary event and dense output), and cut re-took its partial step through
 solve_ivp; the library's own DOP853 loop must reproduce them bit for bit.
-The symbolic gram1 Gram-Schmidt (orthonormalize) and the trapezoid arc
-length had no caller in the library; tests use them as oracles.
+The symbolic gram1 Gram-Schmidt (orthonormalize), the trapezoid arc
+length and the quasi-impulses u = p A of the model frame (quasi_impulses)
+and of an adapted frame (adapted_impulses) had no caller in the library;
+tests use them as oracles.
 """
 
 import itertools
@@ -600,3 +604,20 @@ def arc_length(model, metric_tag, traj):
     speeds = np.sqrt(np.maximum(2.0 * hamiltonian(model, metric_tag, (traj.q, traj.p)),
                                 0.0))
     return float(np.trapezoid(speeds, traj.t))
+
+
+# ---------------------------------------------------------------------------
+# quasi-impulses by hand
+
+def quasi_impulses(model, frame, lam):
+    """u_i = p(X_i) for the columns of `frame` (default: the model frame)."""
+    q, p = lam
+    if frame is None:
+        frame = model.frame_at(tuple(q))
+    return np.asarray(p, dtype=float) @ np.asarray(frame, dtype=float)
+
+
+def adapted_impulses(frame, lam):
+    """Quasi-impulses of the AdaptedFrame `frame` at lam = (q, p)."""
+    q, p = lam
+    return np.asarray(p, dtype=float) @ frame.point_data(q).A

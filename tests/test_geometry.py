@@ -100,6 +100,25 @@ def test_validate_model_rejects_non_spd_gram():
         validate_model(m)
 
 
+@pytest.mark.parametrize("g2xy, g2yx, symmetric", [
+    ("1/2", "1/2 + 1e-6", False),
+    ("1/2", "1/2 + 1e-11", True),   # within rtol 1e-9 of the entry
+])
+def test_validate_model_symmetry_gate_matches_allclose(g2xy, g2yx, symmetric):
+    coords = ("x", "y")
+    P = lambda s: ex.parse(s, coords)
+    eye = ((P("1"), P("0")), (P("0"), P("1")))
+    g2 = ((P("2"), P(g2xy)), (P(g2yx), P("2")))
+    m = GeometryModel(coords, 2, eye, eye, g2, [-1, -1], [1, 1])
+    W = m.gram_at((0.0, 0.0), 2)
+    assert np.allclose(W, W.T, rtol=1e-9, atol=1e-12 * max(1.0, np.max(np.abs(W)))) == symmetric
+    if symmetric:
+        validate_model(m)
+    else:
+        with pytest.raises(ModelValidationError, match=r"gram2 not symmetric at \[-0\.9, -0\.9\]"):
+            validate_model(m)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_validate_model_rejects_cancelled_pole_on_the_grid():
     # x = 0 is a probe point; as numpy scalars 1/inf would cancel the pole

@@ -7,7 +7,7 @@ import pytest
 from geoequiv import expr as ex
 from geoequiv.expr import EvalDomainError
 from geoequiv.geometry import GeometryModel
-from geoequiv.hamiltonian import (IntegrationError, quasi_impulses, hamiltonian, hamiltonian_rhs,
+from geoequiv.hamiltonian import (IntegrationError, hamiltonian, hamiltonian_rhs,
                                   integrate, initial_covector, cut,
                                   write_trajectory_csv, _program)
 from geoequiv.constructors import (GENERATORS, build_beltrami, build_dini,
@@ -16,7 +16,7 @@ from geoequiv.pair import intrinsic_P
 
 from conftest import FIELD_PARAMS, PAIR_KINDS, heisenberg, pair_fixture, plane_pair
 from reference import (arc_length, full_field, numpy_hamiltonian, numpy_hamiltonian_rhs,
-                       numpy_intrinsic_P, orthonormalize, solve_ivp_cut,
+                       numpy_intrinsic_P, orthonormalize, quasi_impulses, solve_ivp_cut,
                        solve_ivp_integrate)
 
 
@@ -84,6 +84,30 @@ def test_energy_conservation_and_frame_identity():
         u = p @ E[:, : m.m]
         v = np.linalg.solve(m.gram_at(tuple(q), 1), u)
         assert np.allclose(qdot, E[:, : m.m] @ v, atol=1e-12)
+
+
+def test_rhs_out_must_be_a_writable_contiguous_float64_vector():
+    m = heisenberg("1 + x^2/2 + y^2/3")
+    q, p = [0.2, -0.3, 0.1], [0.4, 0.7, -0.2]
+    rates = np.concatenate(hamiltonian_rhs(m, 2, q, p))
+    out = np.full(7, 9.0)
+    assert hamiltonian_rhs(m, 2, q, p, out) is out
+    assert np.array_equal(out[:6], rates) and out[6] == 9.0
+    # each of these raises and keeps its values: none takes raw doubles
+    strided = np.full(12, 9.0)
+    read_only = np.full(6, 9.0)
+    read_only.flags.writeable = False
+    for bad in (np.full(12, 9.0, dtype=np.float32), np.full(6, 9.0, dtype=">f8"),
+                strided[::2], read_only, np.full((2, 3), 9.0)):
+        with pytest.raises(TypeError):
+            hamiltonian_rhs(m, 2, q, p, bad)
+        assert np.all(bad == 9.0)
+    assert np.all(strided == 9.0)
+    raw = bytearray(48)
+    for bad in (raw, [9.0] * 6):
+        with pytest.raises(TypeError):
+            hamiltonian_rhs(m, 2, q, p, bad)
+    assert raw == bytearray(48)
 
 
 def test_rhs_matches_fd_of_hamiltonian():

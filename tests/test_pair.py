@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.optimize import minimize
 
 from geoequiv import expr as ex
 from geoequiv.geometry import GeometryModel
@@ -11,17 +12,17 @@ from geoequiv.hamiltonian import hamiltonian_rhs, initial_covector
 from geoequiv.pair import (transition_operator, regularity_probe, AdaptedFrame,
                            AdaptedFrameError, fiber_P, intrinsic_P, fiber_value,
                            fiber_hP, fiber_R, fiber_Q, first_divisibility,
-                           second_divisibility, relations_cor, _basis, _pencil,
-                           _times_u)
+                           second_divisibility, relations_cor, _basis, _nelder_mead,
+                           _pencil, _split_gap, _times_u)
 from geoequiv.constructors import (build_beltrami, build_dini,
                                    build_levi_civita, build_gendini_case1,
                                    build_quasi_contact)
 
 from conftest import (FIELD_PARAMS, PAIR_KINDS, case2_origin_chart, heisenberg,
                       pair_fixture, plane_pair)
-from reference import (dict_divide, dict_fiber_hP, dict_fiber_P, dict_fiber_Q,
-                       dict_fiber_R, eigh_regularity_probe, fd_structure_functions,
-                       loop_gauge)
+from reference import (adapted_impulses, dict_divide, dict_fiber_hP, dict_fiber_P,
+                       dict_fiber_Q, dict_fiber_R, eigh_regularity_probe,
+                       fd_structure_functions, loop_gauge)
 
 
 # ------------------------------------------------------------- transition
@@ -181,6 +182,85 @@ def test_regularity_probe_counts_non_positive_samples(tag):
     assert probe_matching_reference(m, (0.02, 0.1)).N_values == (-1, 2)
 
 
+def nelder_mead_matching_scipy(f, x0, lo, hi, maxiter=400):
+    """scipy's bounded Nelder-Mead result and the points _nelder_mead
+    evaluated, after checking that both runs agree bit for bit on x and on
+    the sequence of evaluated points. f takes a list of floats."""
+    ours, theirs = [], []
+    x = _nelder_mead(lambda p: ours.append(list(p)) or f(p), list(x0), list(lo), list(hi),
+                     xatol=1e-9, fatol=1e-12, maxiter=maxiter)
+    res = minimize(lambda p: theirs.append(p.tolist()) or f(p.tolist()),
+                   np.array(x0, dtype=float), method="Nelder-Mead", bounds=list(zip(lo, hi)),
+                   options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": maxiter})
+    assert np.array_equal(x, res.x)
+    assert np.array_equal(ours, theirs)
+    return res, ours
+
+
+def probe_objective(m, q):
+    """The split-gap objective that regularity_probe minimizes around q."""
+    boundaries = [grp[0] for grp in transition_operator(m, q).clusters[1:]]
+    assert boundaries
+    return lambda p: _split_gap(m, p, boundaries)
+
+
+# the conformal pair has one cluster everywhere, so no probe objective
+@pytest.mark.parametrize("kind", [k for k in PAIR_KINDS if k != "conformal"] + ["split-alpha"])
+def test_nelder_mead_matches_scipy_on_probe_objectives(kind):
+    m = pair_fixture(kind)
+    rng = np.random.default_rng(11)
+    # the Beltrami center is the umbilic, with one cluster; near it the
+    # minimized gap collapses
+    center = np.array([0.03, 0.01]) if kind == "beltrami" else m.center()
+    for q in [center] + [m.sample_point(rng) for _ in range(2)]:
+        f = probe_objective(m, q)
+        for radius in (0.05, 0.3):
+            lo = np.maximum(q - radius, m.domain_min)
+            hi = np.minimum(q + radius, m.domain_max)
+            for start in [q] + [lo + rng.random(m.n) * (hi - lo) for _ in range(2)]:
+                nelder_mead_matching_scipy(f, start, lo, hi)
+
+
+def test_nelder_mead_start_on_the_upper_bound():
+    # 1.05 x_k leaves the box: those vertices are reflected into it
+    m = pair_fixture("dini")
+    q = m.center()
+    lo, hi = q - 0.3, q + 0.3
+    _, points = nelder_mead_matching_scipy(probe_objective(m, q), hi, lo, hi)
+    assert all(points[1 + k][k] < hi[k] for k in range(m.n))
+
+
+def test_nelder_mead_inf_outside_the_domain():
+    # the box reaches past the domain, where the objective is inf
+    m = pair_fixture("dini")
+    q = m.domain_min + 0.05
+    f = probe_objective(m, q)
+    res, points = nelder_mead_matching_scipy(f, q, q - 0.3, q + 0.3)
+    assert any(f(p) == np.inf for p in points)
+    assert f(res.x.tolist()) < np.inf
+
+
+def test_nelder_mead_flat_directions():
+    # the quasi-contact gap depends on t alone: vertices along the other
+    # axes tie, and np.argsort's tie order decides the steps
+    m = pair_fixture("quasi-contact")
+    q = m.center()
+    f = probe_objective(m, q)
+    _, points = nelder_mead_matching_scipy(f, q, q - 0.05, q + 0.05)
+    values = [f(p) for p in points[:m.n + 1]]
+    assert len(set(values)) < len(values)
+
+
+def test_nelder_mead_stops_at_maxiter():
+    m = pair_fixture("gendini1")
+    q = m.center()
+    f = probe_objective(m, q)
+    res, points = nelder_mead_matching_scipy(f, q, q - 0.3, q + 0.3, maxiter=5)
+    assert res.status == 2      # scipy: maximum number of iterations reached
+    full = nelder_mead_matching_scipy(f, q, q - 0.3, q + 0.3)[1]
+    assert len(points) < len(full)
+
+
 # ------------------------------------------------------------ adapted frame
 
 def test_adapted_frame_eigen_properties():
@@ -249,7 +329,7 @@ def test_adapted_frame_impulses_match_pairing():
     fr = AdaptedFrame(m, center=np.zeros(3))
     q = np.array([0.1, 0.0, -0.2])
     p = np.array([0.3, -0.8, 1.1])
-    u = fr.impulses((q, p))
+    u = adapted_impulses(fr, (q, p))
     A = fr.frame_matrix(tuple(q))
     assert np.allclose(u, [p @ A[:, i] for i in range(3)], atol=1e-14)
 
