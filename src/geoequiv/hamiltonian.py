@@ -234,14 +234,17 @@ class _Steps:
     """Accepted steps of one run in the time direction (+1.0 or -1.0):
     ts = [t0, step ends..., t_end] (t_end is the event root when the boundary
     stopped the run), and per step its length h, initial state y_old (N,) and
-    dense-output coefficients F (7, N)."""
+    dense-output coefficients F (7, N), given as its first three rows and
+    its last four."""
 
-    def __init__(self, direction, ts, hs, y_olds, Fs, N):
+    def __init__(self, direction, ts, hs, y_olds, F_low, F_high, N):
+        k = len(hs)
         self.direction = direction
         self.ts = np.array(ts)
         self.h = np.array(hs)
-        self.y_old = np.array(y_olds).reshape(len(hs), N)
-        self.F = np.array(Fs).reshape(len(hs), _dop.INTERPOLATOR_POWER, N)
+        self.y_old = np.array(y_olds).reshape(k, N)
+        self.F = np.concatenate([np.array(F_low).reshape(k, 3, N),
+                                 np.array(F_high).reshape(k, 4, N)], axis=1)
 
 
 def _dense(F, y_old, x):
@@ -270,17 +273,23 @@ def _rms(x):
     return np.sqrt(x.dot(x)) / x.size ** 0.5
 
 
-def _stage(Ks, a, h, y, out):
-    """y + (Ks . a) h written into out: scipy's y + np.dot(K[:s].T, a) * h,
-    the same operations on the same values, without temporaries."""
-    Ks.dot(a, out)
-    out *= h
-    out += y
-    return out
+def _stage(Ks, a, h, y, buf):
+    """scipy's y + np.dot(K[:s].T, a) * h as a list of floats: the dot by
+    BLAS into buf, as numpy computes it, then each entry's product and sum
+    on Python floats, which round as numpy's elementwise operations do."""
+    return [x + d * h for x, d in zip(y, Ks.dot(a, buf).tolist())]
 
 
 def _dop853(fun, event, t0, y0, t1, tol, max_step, first_step=None):
-    """DOP853 from y0 at t0 towards t1, stopped where event(y) changes sign.
+    """DOP853 from the state array y0 at t0 towards t1, stopped where event(y)
+    changes sign.
+
+    fun(y, out) takes a state as a list of floats, writes its rate into the
+    float64 row out and returns out. Every dot product of scipy's step is
+    numpy's (BLAS order); the elementwise work around them (stage inputs,
+    y_new, the error scale and norm, the first three rows of the
+    interpolant) runs on Python floats, which round as numpy's elementwise
+    operations do.
 
     Returns (status, steps, y_end): status 0 at t1, 1 at the event's root
     (found by brentq on the step's interpolant), -1 when the step size fell
@@ -296,7 +305,8 @@ def _dop853(fun, event, t0, y0, t1, tol, max_step, first_step=None):
     stages = [(Kt[s], _A[s], K[s]) for s in range(1, _dop.N_STAGES_EXTENDED)]
     main, extra = stages[:_STAGES - 1], stages[_STAGES:]
     buf = np.empty(N)
-    f = fun(y0, np.empty(N))
+    y = y0.tolist()
+    f = fun(y, np.empty(N))
     if first_step is None:
         # select_initial_step of Hairer, Norsett & Wanner, II.4
         span = abs(t1 - t0)
@@ -304,7 +314,7 @@ def _dop853(fun, event, t0, y0, t1, tol, max_step, first_step=None):
         d0, d1 = _rms(y0 / scale), _rms(f / scale)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, span)
-        f1 = fun(y0 + h0 * direction * f, np.empty(N))
+        f1 = fun((y0 + h0 * direction * f).tolist(), np.empty(N))
         d2 = _rms((f1 - f) / scale) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
@@ -313,9 +323,10 @@ def _dop853(fun, event, t0, y0, t1, tol, max_step, first_step=None):
         h_abs = min(100 * h0, h1, span, max_step)
     else:
         h_abs = first_step
-    t, y = t0, y0
+    t = t0
+    f_old = f.tolist()
     g = event(y)
-    ts, hs, y_olds, Fs = [t0], [], [], []
+    ts, hs, y_olds, F_low, F_high = [t0], [], [], [], []
     status = None
     while status is None:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -327,7 +338,7 @@ def _dop853(fun, event, t0, y0, t1, tol, max_step, first_step=None):
         K[0] = f
         while True:
             if h_abs < min_step:
-                return -1, _Steps(direction, ts, hs, y_olds, Fs, N), y
+                return -1, _Steps(direction, ts, hs, y_olds, F_low, F_high, N), y
             t_new = t + h_abs * direction
             if direction * (t_new - t1) > 0:
                 t_new = t1
@@ -335,17 +346,22 @@ def _dop853(fun, event, t0, y0, t1, tol, max_step, first_step=None):
             h_abs = abs(h)
             for Ks, a, out in main:
                 fun(_stage(Ks, a, h, y, buf), out)
-            y_new = _stage(Kt[_STAGES], _B, h, y, np.empty(N))
+            y_new = _stage(Kt[_STAGES], _B, h, y, buf)
             f_new = fun(y_new, K[_STAGES])
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            # atol + np.maximum(|y|, |y_new|) rtol, NaN from either side
+            scale = np.array([atol + (u if u > v or u != u else v) * rtol
+                              for u, v in zip(map(abs, y), map(abs, y_new))])
             err5 = np.dot(Kt[_STAGES + 1], _E5) / scale
             err3 = np.dot(Kt[_STAGES + 1], _E3) / scale
-            err5_2 = np.sqrt(err5.dot(err5)) ** 2
-            err3_2 = np.sqrt(err3.dot(err3)) ** 2
+            err5_2 = math.sqrt(err5.dot(err5)) ** 2
+            err3_2 = math.sqrt(err3.dot(err3)) ** 2
             if err5_2 == 0 and err3_2 == 0:
                 error = 0.0
             else:
-                error = np.abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * N)
+                denom = math.sqrt((err5_2 + 0.01 * err3_2) * N)
+                # 0.01 err3_2 can underflow to 0 with err5_2 = 0, where
+                # numpy's 0 / 0 gives NaN (a rejected step)
+                error = abs(h) * err5_2 / denom if denom else math.nan
             if error < 1:
                 factor = (_MAX_FACTOR if error == 0 else
                           min(_MAX_FACTOR, _SAFETY * error ** _EXPONENT))
@@ -356,28 +372,31 @@ def _dop853(fun, event, t0, y0, t1, tol, max_step, first_step=None):
         # dense output: three more stages and the interpolant coefficients
         for Ks, a, out in extra:
             fun(_stage(Ks, a, h, y, buf), out)
-        F = np.empty((_dop.INTERPOLATOR_POWER, N))
-        delta = y_new - y
-        F[0] = delta
-        F[1] = h * K[0] - delta
-        F[2] = 2 * delta - h * (f_new + K[0])
-        F[3:] = h * np.dot(_D, K)
+        f_next = f_new.tolist()
+        delta = [u - v for u, v in zip(y_new, y)]
+        low = [delta,
+               [h * fo - d for fo, d in zip(f_old, delta)],
+               [2 * d - h * (fn + fo) for d, fo, fn in zip(delta, f_old, f_next)]]
+        high = h * np.dot(_D, K)
         hs.append(h)
         y_olds.append(y)
-        Fs.append(F)
+        F_low.append(low)
+        F_high.append(high)
         t_old, y_old = t, y
-        t, y, f = t_new, y_new, f_new
+        t, y, f, f_old = t_new, y_new, f_new, f_next
         if direction * (t - t1) >= 0:
             status = 0
         g_new = event(y)
         if g <= 0 <= g_new or g >= 0 >= g_new:
+            F = np.concatenate([low, high])
+            y_old = np.array(y_old)
             root = brentq(lambda r: event(_dense(F, y_old, (r - t_old) / h)),
                           t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
             t, y = root, _dense(F, y_old, (root - t_old) / h)
             status = 1
         g = g_new
         ts.append(t)
-    return status, _Steps(direction, ts, hs, y_olds, Fs, N), y
+    return status, _Steps(direction, ts, hs, y_olds, F_low, F_high, N), y
 
 
 def integrate(model, metric_tag, lam0, T, tol=1e-10, max_step=1e-2,
@@ -403,15 +422,14 @@ def integrate(model, metric_tag, lam0, T, tol=1e-10, max_step=1e-2,
     if not model.in_domain(q0):
         raise ValueError("initial point outside the model domain")
 
-    # fun(y, out) writes the rate of the state y into out and returns out
+    # fun(y, out) writes the rate of the state y, a list, into out and
+    # returns out
     if aux_rate is None:
         def fun(y, out):
-            state = y.tolist()
-            return hamiltonian_rhs(model, metric_tag, state[:n], state[n:], out)
+            return hamiltonian_rhs(model, metric_tag, y[:n], y[n:], out)
     else:
         def fun(y, out):
-            state = y.tolist()
-            q, p = state[:n], state[n:2 * n]
+            q, p = y[:n], y[n:2 * n]
             hamiltonian_rhs(model, metric_tag, q, p, out)
             out[2 * n] = aux_rate(q, p)
             return out

@@ -18,8 +18,7 @@ import functools
 import itertools
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dsygvd
+from scipy.linalg.lapack import dsygvd, dtrtrs
 
 from . import expr as ex
 from .geometry import StructureFunctions
@@ -65,14 +64,24 @@ def _floats(q):
 def _pencil(model, qt, vectors=True):
     """(W1, W2, lams, V) of the pencil (W2, W1) at the point tuple qt.
 
+    Both Gram matrices come from one compiled program cached on the model,
+    gram1's entries first; when it raises, gram_at(qt, 1) and then
+    gram_at(qt, 2) are evaluated, so the error is the one they give.
     LAPACK dsygvd with the defaults of scipy.linalg.eigh(W2, W1) (itype 1,
     lower triangle, default workspace), so lams and V are eigh's bit for bit,
     without its per-call argument checks. V is None when vectors is false.
     Raises np.linalg.LinAlgError, naming the point, when gram1 is not
     positive definite or the solver fails.
     """
-    W1 = model.gram_at(qt, 1)
-    W2 = model.gram_at(qt, 2)
+    m = model.m
+    grams = model._compiled("grams", lambda: [g[i][j] for g in (model.gram1, model.gram2)
+                                              for i in range(m) for j in range(m)])
+    try:
+        W1, W2 = np.array(grams(qt)).reshape(2, m, m)
+    except ex.EvalDomainError:
+        model.gram_at(qt, 1)
+        model.gram_at(qt, 2)
+        raise
     lams, V, info = dsygvd(W2, W1, jobz="V" if vectors else "N")
     if info:
         where = _floats(qt)
@@ -341,7 +350,14 @@ def _gauge(V, same, W1, reference, q, center):
             "gauge reference degenerate at %s (eigenvectors rotated too far "
             "from the center %s)" % (_floats(q), _floats(center)))
     U = np.linalg.cholesky(Mc.T @ Mc).T
-    Uinv = solve_triangular(U, np.eye(m))
+    # scipy.linalg.solve_triangular(U, I) without its wrapper: LAPACK trtrs
+    # on the F-ordered U, with its checks
+    if not np.isfinite(U).all():
+        raise ValueError("array must not contain infs or NaNs")
+    Uinv, info = dtrtrs(U, np.eye(m))
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix: resolution failed at diagonal %d"
+                                    % (info - 1))
     MU = Mc @ Uinv
     return V @ MU, (same, Y, Mc, Uinv, MU)
 

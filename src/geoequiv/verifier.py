@@ -9,7 +9,6 @@ integral of a along the gram1 extremal. verify_equivalence samples covectors,
 transports them, integrates both flows and compares the base curves.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -158,26 +157,34 @@ def check_orbital_identities(model, frame, lam, flow_step=1e-5, flow_tol=1e-12):
 # end-to-end verification
 
 def _polyline_distances(points, poly):
-    """Distance from each point to the polyline through the vertices `poly`.
+    """Distance from each point to the polyline through the vertices `poly`
+    (at least two).
 
     Equal, bit for bit, to taking for each point the minimum over all
     segments, but only candidate segments are evaluated. The nearest vertex
     bounds a point's distance by d, and the nearest point of the closest
     segment lies within half a segment length of one of its endpoints, so
     every segment that can attain the minimum has an endpoint within
-    d + (longest segment)/2; the slack covers rounding.
+    d + (longest segment)/2; the slack covers rounding. One k-nearest query
+    finds those vertices: k doubles until every point's k-th neighbour lies
+    beyond its radius, and any superset of them gives the same minimum.
     """
     seg_a = poly[:-1]
     seg_v = poly[1:] - seg_a
     seg_sq = (seg_v * seg_v).sum(axis=1)
     denom = np.maximum(seg_sq, 1e-300)
     tree = cKDTree(poly)
-    d_vertex, _ = tree.query(points)
     slack = 1e-9 * (1.0 + np.abs(poly).max() + np.abs(points).max())
-    near = tree.query_ball_point(points, d_vertex + 0.5 * np.sqrt(seg_sq.max()) + slack)
-    counts = np.fromiter(map(len, near), dtype=np.intp, count=len(points))
-    verts = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp,
-                        count=int(counts.sum()))
+    k = min(4, len(poly))
+    while True:
+        d, near = tree.query(points, k)
+        radius = d[:, :1] + (0.5 * np.sqrt(seg_sq.max()) + slack)
+        if k == len(poly) or not (d[:, -1:] <= radius).any():
+            break
+        k = min(2 * k, len(poly))
+    inside = d <= radius
+    counts = inside.sum(axis=1)
+    verts = near[inside]
     # the two segments at each vertex, folded onto the ends of the polyline
     seg = np.clip(np.stack([verts - 1, verts], axis=1).ravel(), 0, len(seg_a) - 1)
     pt = np.repeat(points, 2 * counts, axis=0)
@@ -253,6 +260,19 @@ _DEFAULT_SAMPLING = {
 }
 
 
+def _abnormal_program(model):
+    """Compiled q -> coefficients of the abnormal direction on X_1..X_m, or
+    None when the distribution has none; cached on the model."""
+    if "abnormal" not in model._cache:
+        fn = None
+        if model.n - model.m == 1:
+            cls = classify_distribution(model)
+            if cls.abnormal_coeffs is not None:
+                fn = ex.compile_exprs(cls.abnormal_coeffs, name="_abn")
+        model._cache["abnormal"] = fn
+    return model._cache["abnormal"]
+
+
 def verify_equivalence(model, sampling=None, exclusions=None):
     """Sample gram1 extremals, transport them, and compare the base curves.
 
@@ -280,14 +300,9 @@ def verify_equivalence(model, sampling=None, exclusions=None):
     S = int(cfg["curve_samples"])
     rng = np.random.default_rng(int(cfg["seed"]))
 
-    abnormal_fn = None
-    if cone is not None:
-        if n - m == 1:
-            cls = classify_distribution(model)
-            if cls.abnormal_coeffs is not None:
-                abnormal_fn = ex.compile_exprs(cls.abnormal_coeffs, name="_abn")
-        if abnormal_fn is None:
-            cone = None  # no abnormal direction to exclude
+    abnormal_fn = _abnormal_program(model) if cone is not None else None
+    if abnormal_fn is None:
+        cone = None  # no abnormal direction to exclude
 
     def sample_covector():
         """Unit-energy gram1 covector with Gaussian transverse impulses."""

@@ -219,10 +219,12 @@ def test_stepper_matches_solve_ivp(kind):
 def test_stepper_collapses_where_solve_ivp_does():
     lam0 = (np.zeros(2), np.array([1.0, 0.0]))
     # mid-way, where gram2 nearly vanishes, and at the first step, where an
-    # infinite aux rate rejects every step
-    runs = [(plane_pair(g2xx="(x-0.3)^2 + 1e-24"), 2, None),
-            (plane_pair(), 1, lambda q, p: math.inf)]
-    for m, tag, rate in runs:
+    # infinite aux rate rejects every step, or where a covector near 1e-156
+    # makes the error norm 0 / 0 (its squares underflow)
+    runs = [(plane_pair(g2xx="(x-0.3)^2 + 1e-24"), 2, None, lam0),
+            (plane_pair(), 1, lambda q, p: math.inf, lam0),
+            (plane_pair(), 2, None, (np.array([0.1, 0.2]), np.array([1e-156, 3e-157])))]
+    for m, tag, rate, lam0 in runs:
         with pytest.raises(IntegrationError) as new, np.errstate(invalid="ignore"):
             integrate(m, tag, lam0, 1.0, samples=11, aux_rate=rate)
         with pytest.raises(IntegrationError) as ref, np.errstate(invalid="ignore"):

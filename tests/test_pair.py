@@ -13,7 +13,8 @@ from geoequiv.pair import (transition_operator, regularity_probe, AdaptedFrame,
                            AdaptedFrameError, fiber_P, intrinsic_P, fiber_value,
                            fiber_hP, fiber_R, fiber_Q, first_divisibility,
                            second_divisibility, relations_cor, _basis, _nelder_mead,
-                           _pencil, _split_gap, _times_u)
+                           _CLUSTER_TOL, _cluster_indices, _gauge, _pencil, _split_gap,
+                           _times_u)
 from geoequiv.constructors import (build_beltrami, build_dini,
                                    build_levi_civita, build_gendini_case1,
                                    build_quasi_contact)
@@ -94,6 +95,56 @@ def test_pencil_kernel_rejects_indefinite_gram1():
             _pencil(m, q, vectors=vectors)
     with pytest.raises(np.linalg.LinAlgError, match="gram1"):
         transition_operator(m, np.array(q))
+
+
+def test_pencil_kernel_raises_what_gram_at_raises():
+    # one compiled program gives both Gram matrices; where it raises, the
+    # error is the one of the first gram_at call that raises. In the last
+    # case gram1 is inf and gram2 divides by zero: the joint program meets
+    # the division first, gram_at(q, 1) reports the value that is not finite
+    for g1xx, g2xx, bad in (("1/(x-0.25)", "1", 1), ("1", "log(x)", 2),
+                            ("1e300/(x-0.25+1e-300)", "1/(x-0.25)", 1)):
+        coords = ("x", "y")
+        P = lambda s: ex.parse(s, coords)
+        eye = ((P("1"), P("0")), (P("0"), P("1")))
+        g1 = ((P(g1xx), P("0")), (P("0"), P("1")))
+        g2 = ((P(g2xx), P("0")), (P("0"), P("1")))
+        m = GeometryModel(coords, 2, eye, g1, g2, [-1, -1], [1, 1])
+        q = (0.25, 0.0) if bad == 1 else (-0.5, 0.0)
+        with pytest.raises(ex.EvalDomainError) as ref:
+            m.gram_at(q, bad)
+        for vectors in (True, False):
+            with pytest.raises(type(ref.value)) as got:
+                _pencil(m, q, vectors=vectors)
+            assert str(got.value) == str(ref.value)
+        assert _split_gap(m, list(q), [1]) == np.inf
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_gauge_inverse_factor_matches_solve_triangular(m):
+    # _gauge calls LAPACK trtrs itself; its U^-1 is solve_triangular's, bit
+    # for bit, for split and clustered spectra
+    rng = np.random.default_rng(60 + m)
+    spectra = [rng.uniform(0.5, 3.0, m), np.full(m, 2.0), np.array([1.0, 1.0, 2.5][:m])]
+    for lam in spectra:
+        for _ in range(10):
+            B = rng.normal(size=(m, m))
+            W1 = B @ B.T + m * np.eye(m)
+            L = np.linalg.cholesky(W1)
+            Q = np.linalg.qr(rng.normal(size=(m, m)))[0]
+            W2 = L @ Q @ np.diag(lam) @ Q.T @ L.T
+            W2 = 0.5 * (W2 + W2.T)
+            lams, V = sla.eigh(W2, W1)
+            clusters = _cluster_indices(lams, _CLUSTER_TOL)
+            same = np.zeros((m, m), dtype=bool)
+            for idx in clusters:
+                same[np.ix_(idx, idx)] = True
+            reference = V + 0.05 * rng.normal(size=(m, m))
+            _, (_, _, Mc, Uinv, _) = _gauge(V, same, W1, reference, (0.0,), (0.0,))
+            U = np.linalg.cholesky(Mc.T @ Mc).T
+            assert np.array_equal(Uinv, sla.solve_triangular(U, np.eye(m))), (m, lam)
+        if m > 1 and lam[0] == lam[1]:
+            assert max(len(idx) for idx in clusters) >= 2
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from geoequiv import expr as ex
+from geoequiv import verifier
 from geoequiv.hamiltonian import hamiltonian
 from geoequiv.pair import AdaptedFrame
 from geoequiv.verifier import (OrbitalMapError, orbital_map,
@@ -127,6 +129,36 @@ def test_verify_quasi_contact_with_cone_exclusion():
     assert rep.config["abnormal_cone"] == pytest.approx(0.1)
 
 
+def test_verify_compiles_the_abnormal_direction_once_per_model(monkeypatch):
+    m = build_quasi_contact({"beta": "exp(t)", "C1": 1.0, "C2": 1.0})
+    exclusions = {"abnormal_cone": 0.1}
+    first = verify_equivalence(m, sampling={"count": 2}, exclusions=exclusions)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ex, "compile_exprs", counted(ex.compile_exprs))
+    monkeypatch.setattr(verifier, "classify_distribution",
+                        counted(verifier.classify_distribution))
+    second = verify_equivalence(m, sampling={"count": 2}, exclusions=exclusions)
+    assert calls == []
+    assert second.as_dict() == first.as_dict()
+    assert second.config["abnormal_cone"] == 0.1
+
+    # a contact distribution has no abnormal direction: None is cached, and
+    # the cone leaves the config
+    h = heisenberg()
+    for _ in range(2):
+        rep = verify_equivalence(h, sampling={"count": 1}, exclusions=exclusions)
+        assert "abnormal_cone" not in rep.config
+        assert h._cache["abnormal"] is None
+    assert calls.count("classify_distribution") == 1
+
+
 def test_verify_is_deterministic():
     m = build_dini("1+x1/10", "2+x2/10")
     a = verify_equivalence(m, sampling={"count": 5}).as_dict()
@@ -218,6 +250,32 @@ def test_polyline_distance_two_vertices_and_points_on_vertices():
     curve = np.cumsum(rng.normal(scale=0.01, size=(601, 2)), axis=0)
     assert np.array_equal(_same_as_loop(curve, curve), np.zeros(601))
     _same_as_loop(curve[::7], curve)
+
+
+def test_polyline_distance_k_doubles_while_the_radius_holds_more(monkeypatch):
+    # one long segment widens every radius by half its length, so points see
+    # more than 4 and more than 8 vertices within it: k goes 4, 8, 16, ...
+    ks = []
+
+    class Recording(verifier.cKDTree):
+        def query(self, x, k=1, **kwargs):
+            ks.append(k)
+            return super().query(x, k, **kwargs)
+
+    monkeypatch.setattr(verifier, "cKDTree", Recording)
+    s = np.linspace(0.0, 1.0, 40)
+    dense = np.stack([s, 0.1 * np.sin(6 * s)], axis=1)
+    poly = np.concatenate([dense, [[1.0, 0.6]], [[1.0, 0.61]]])
+    rng = np.random.default_rng(34)
+    points = dense[::3] + rng.normal(scale=1e-3, size=dense[::3].shape)
+    _same_as_loop(points, poly)
+    assert ks[:3] == [4, 8, 16] and len(ks) >= 3
+    # k is capped by the vertex count: 2 and 3 vertices
+    for poly in (np.array([[0.0, 0.0], [1.0, 0.5]]),
+                 np.array([[0.0, 0.0], [1.0, 0.5], [1.0, -2.0]])):
+        ks.clear()
+        _same_as_loop(rng.normal(size=(25, 2)), poly)
+        assert ks == [len(poly)]
 
 
 def test_polyline_distance_long_segment_far_from_nearest_vertex():
