@@ -65,12 +65,17 @@ class GeometryModel:
             fn = self._cache[key] = ex.compile_exprs(build(), name="_" + key)
         return fn
 
+    def _frame_program(self):
+        """The compiled q -> frame entries, field by field: entry i * n + j
+        is component j of X_{i+1}."""
+        n = self.n
+        return self._compiled("frame", lambda: [self.frame[i][j] for i in range(n)
+                                                for j in range(n)])
+
     def frame_at(self, q):
         """n x n matrix, column i = components of X_{i+1} at q."""
         n = self.n
-        fn = self._compiled("frame", lambda: [self.frame[i][j] for i in range(n)
-                                              for j in range(n)])
-        return np.array(fn(q), dtype=float).reshape(n, n).T.copy()
+        return np.array(self._frame_program()(q), dtype=float).reshape(n, n).T.copy()
 
     def dframe_at(self, q):
         """dE[k] = coordinate partial d/dq_k of frame_at, shape (n, n, n)."""
@@ -82,6 +87,18 @@ class GeometryModel:
 
     def _gram_exprs(self, tag):
         return self.gram1 if tag == 1 else self.gram2
+
+    def _grams_program(self):
+        """The compiled q -> gram1's entries, then gram2's, each row by row:
+        both Gram matrices from one program, cached on the model. A cached
+        program costs one dict lookup, without _compiled's closure."""
+        fn = self._cache.get("grams")
+        if fn is None:
+            m = self.m
+            fn = self._cache["grams"] = ex.compile_exprs(
+                [g[i][j] for g in (self.gram1, self.gram2) for i in range(m) for j in range(m)],
+                name="_grams")
+        return fn
 
     def gram_at(self, q, tag):
         m = self.m
@@ -101,11 +118,14 @@ class GeometryModel:
     # -- domain helpers -----------------------------------------------------
 
     def in_domain(self, q):
-        # plain float comparisons, several times cheaper than numpy's on short
-        # vectors; NaN compares false
+        # plain float comparisons in a plain loop, several times cheaper than
+        # numpy's on short vectors; NaN compares false
         if type(q) is np.ndarray:
             q = q.tolist()
-        return all(lo <= x <= hi for x, lo, hi in zip(q, self._lo, self._hi))
+        for x, lo, hi in zip(q, self._lo, self._hi):
+            if not lo <= x <= hi:
+                return False
+        return True
 
     def boundary_distance(self, q):
         # plain floats, as in in_domain; a NaN coordinate gives NaN, as
@@ -252,38 +272,108 @@ def save_model(model, path):
         fh.write("\n")
 
 
-def validate_model(model, per_axis=3):
-    """Pointwise sanity on a probe grid: frame nondegenerate, Grams SPD."""
-    for q in model.probe_grid(per_axis=per_axis, margin=0.05):
-        q = q.tolist()
-        qt = tuple(q)
+def _grid_rows(fn, points, width):
+    """fn's values at the points, row by row, and {row: error} for the points
+    where fn raises; those rows hold zeros. One lane call when no point
+    raises (its rows are the scalar calls' bit for bit), else point by point."""
+    try:
+        return fn.lanes(points).T, {}
+    except ex.EvalDomainError:
+        pass
+    values = np.zeros((len(points), width))
+    errors = {}
+    for i, q in enumerate(points):
         try:
-            E = model.frame_at(qt)
+            values[i] = fn(tuple(q))
         except ex.EvalDomainError as exc:
-            raise ModelValidationError("frame undefined at %s: %s" % (q, exc)) from exc
-        scale = max(1.0, float(np.max(np.abs(E))) ** model.n)
-        if abs(np.linalg.det(E)) < _DET_TOL * scale:
-            raise ModelValidationError("frame degenerate at %s (|det| = %g)"
-                                       % (q, abs(np.linalg.det(E))))
+            errors[i] = exc
+    return values, errors
+
+
+def validate_model(model, per_axis=3):
+    """Pointwise sanity on a probe grid: frame nondegenerate, Grams SPD.
+
+    The grid (probe_grid with a 5% margin) is checked in one pass: a lane
+    call of the frame program and one of the joint Gram program (see
+    _grid_rows), then stacked determinants, the symmetry gate and stacked
+    Cholesky factorizations. A failure raises ModelValidationError as a loop
+    over the grid would: at the first failing point, the first failing check
+    there, in the order frame undefined, frame degenerate, then for gram1
+    and for gram2 undefined, not symmetric, not positive definite. The error
+    of an undefined Gram matrix is gram_at's, so only a failing grid
+    compiles gram_at's programs.
+    """
+    n, m = model.n, model.m
+    points = [q.tolist() for q in model.probe_grid(per_axis=per_axis, margin=0.05)]
+    frames, frame_errors = _grid_rows(model._frame_program(), points, n * n)
+    E = frames.reshape(-1, n, n).transpose(0, 2, 1)
+    dets = np.linalg.det(E)
+    # the degeneracy scale as a Python float power, point by point; where it
+    # overflows, the loop over the grid raised that OverflowError
+    scale, overflows = [], {}
+    for i, v in enumerate(np.abs(frames).max(axis=1).tolist()):
+        try:
+            scale.append(max(1.0, v ** n))
+        except OverflowError as exc:
+            overflows[i] = exc
+            scale.append(math.inf)
+    degenerate = np.abs(dets) < _DET_TOL * np.array(scale)
+
+    grams, failed = _grid_rows(model._grams_program(), points, 2 * m * m)
+    W = grams.reshape(-1, 2, m, m)
+    gram_errors = {}
+    for i in failed:
         for tag in (1, 2):
             try:
-                W = model.gram_at(qt, tag)
+                W[i, tag - 1] = model.gram_at(tuple(points[i]), tag)
             except ex.EvalDomainError as exc:
-                raise ModelValidationError("gram%d undefined at %s: %s"
-                                           % (tag, q, exc)) from exc
-            # np.allclose(W, W.T, rtol=1e-9, atol=1e-12 * max(1, max |W|)) on
-            # plain floats: its test |a - b| <= atol + rtol |b| for finite
-            # values, and compiled calls raise on values that are not finite
-            rows = W.tolist()
-            atol = 1e-12 * max(1.0, max(abs(w) for row in rows for w in row))
-            if not all(abs(a - b) <= atol + 1e-9 * abs(b)
-                       for row, col in zip(rows, zip(*rows)) for a, b in zip(row, col)):
-                raise ModelValidationError("gram%d not symmetric at %s" % (tag, q))
-            try:
-                np.linalg.cholesky(W)
-            except np.linalg.LinAlgError:
-                raise ModelValidationError("gram%d not positive definite at %s"
-                                           % (tag, q)) from None
+                gram_errors[i, tag] = exc
+                break
+    # np.allclose(W, W.T, rtol=1e-9, atol=1e-12 * max(1, max |W|)): its test
+    # |a - b| <= atol + rtol |b| for finite values, and compiled calls raise
+    # on values that are not finite. On plain floats a difference that
+    # overflows is inf, without a warning
+    WT = W.swapaxes(2, 3)
+    atol = 1e-12 * np.maximum(1.0, np.abs(W).max(axis=(2, 3)))
+    with np.errstate(over="ignore"):
+        close = np.abs(W - WT) <= atol[..., None, None] + 1e-9 * np.abs(WT)
+    asymmetric = ~close.all(axis=(2, 3))
+    try:
+        np.linalg.cholesky(W)
+        indefinite = np.zeros(asymmetric.shape, dtype=bool)
+    except np.linalg.LinAlgError:
+        indefinite = np.array([[not _cholesky_ok(w) for w in pair] for pair in W])
+
+    bad = np.flatnonzero(degenerate | asymmetric.any(axis=1) | indefinite.any(axis=1))
+    first = min([*frame_errors, *overflows, *(i for i, _ in gram_errors), *bad.tolist()],
+                default=None)
+    if first is None:
+        return
+    q = points[first]
+    if first in frame_errors:
+        exc = frame_errors[first]
+        raise ModelValidationError("frame undefined at %s: %s" % (q, exc)) from exc
+    if first in overflows:
+        raise overflows[first]
+    if degenerate[first]:
+        raise ModelValidationError("frame degenerate at %s (|det| = %g)"
+                                   % (q, abs(dets[first])))
+    for tag in (1, 2):
+        exc = gram_errors.get((first, tag))
+        if exc is not None:
+            raise ModelValidationError("gram%d undefined at %s: %s" % (tag, q, exc)) from exc
+        if asymmetric[first, tag - 1]:
+            raise ModelValidationError("gram%d not symmetric at %s" % (tag, q))
+        if indefinite[first, tag - 1]:
+            raise ModelValidationError("gram%d not positive definite at %s" % (tag, q))
+
+
+def _cholesky_ok(W):
+    try:
+        np.linalg.cholesky(W)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,8 @@ def _cluster_indices(lams, tol):
 
 
 class TransitionData:
-    def __init__(self, q, S, eigenvalues, vectors, clusters, gram1, gram2):
+    def __init__(self, q, eigenvalues, vectors, clusters, gram1, gram2):
         self.q = np.asarray(q, dtype=float)
-        self.S = S
         self.eigenvalues = eigenvalues      # ascending alpha_i^2
         self.alphas = np.sqrt(eigenvalues)
         self.vectors = vectors              # columns, W1-orthonormal
@@ -54,6 +53,11 @@ class TransitionData:
         self.N = len(clusters)
         self.gram1 = gram1
         self.gram2 = gram2
+
+    @property
+    def S(self):
+        """The transition operator W1^{-1} W2, solved on each read."""
+        return np.linalg.solve(self.gram1, self.gram2)
 
 
 def _floats(q):
@@ -64,8 +68,8 @@ def _floats(q):
 def _pencil(model, qt, vectors=True):
     """(W1, W2, lams, V) of the pencil (W2, W1) at the point tuple qt.
 
-    Both Gram matrices come from one compiled program cached on the model,
-    gram1's entries first; when it raises, gram_at(qt, 1) and then
+    Both Gram matrices come from one array, the values of the model's joint
+    Gram program (gram1's entries first); when it raises, gram_at(qt, 1) and then
     gram_at(qt, 2) are evaluated, so the error is the one they give.
     LAPACK dsygvd with the defaults of scipy.linalg.eigh(W2, W1) (itype 1,
     lower triangle, default workspace), so lams and V are eigh's bit for bit,
@@ -74,14 +78,14 @@ def _pencil(model, qt, vectors=True):
     positive definite or the solver fails.
     """
     m = model.m
-    grams = model._compiled("grams", lambda: [g[i][j] for g in (model.gram1, model.gram2)
-                                              for i in range(m) for j in range(m)])
     try:
-        W1, W2 = np.array(grams(qt)).reshape(2, m, m)
+        W = np.array(model._grams_program()(qt)).reshape(2, m, m)
     except ex.EvalDomainError:
         model.gram_at(qt, 1)
         model.gram_at(qt, 2)
         raise
+    W1 = W[0]
+    W2 = W[1]
     lams, V, info = dsygvd(W2, W1, jobz="V" if vectors else "N")
     if info:
         where = _floats(qt)
@@ -103,8 +107,7 @@ def transition_operator(model, q, cluster_tol=_CLUSTER_TOL):
         raise np.linalg.LinAlgError(
             "gram2 not positive definite at %s (transition operator not positive)"
             % (_floats(qt),))
-    S = np.linalg.solve(W1, W2)
-    return TransitionData(q, S, lams, V, _cluster_indices(lams, cluster_tol), W1, W2)
+    return TransitionData(q, lams, V, _cluster_indices(lams, cluster_tol), W1, W2)
 
 
 class RegularityReport:
@@ -125,7 +128,14 @@ def _gap(lams, boundaries):
     """Smallest relative gap of the ascending lams across the boundaries."""
     lams = lams.tolist()
     scale = max(abs(lams[0]), abs(lams[-1]), 1e-300)
-    return min((lams[b] - lams[b - 1]) / scale for b in boundaries)
+    # min() over the boundaries as a plain loop: the first gap, then any
+    # smaller one
+    gap = None
+    for b in boundaries:
+        g = (lams[b] - lams[b - 1]) / scale
+        if gap is None or g < gap:
+            gap = g
+    return gap
 
 
 def _split_gap(model, q, boundaries):

@@ -60,15 +60,20 @@ def _transverse_phi(model, frame, q, u, a, jbar=None):
     return rv / (data.alphas[jbar - 1] * qv * a), jbar
 
 
-def orbital_map(model, frame, lam, jbar=None):
-    """gram2 covector whose extremal has the same trace as the gram1 extremal."""
-    q, p = lam
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    n, m = model.n, model.m
+def _adapted(frame, lam):
+    """(q, p, point data at q, quasi-impulses u = p A of the adapted frame,
+    a^2 = sum_{i <= m} alpha_i^2 u_i^2) of the covector lam = (q, p)."""
+    q = np.asarray(lam[0], dtype=float)
+    p = np.asarray(lam[1], dtype=float)
     data = frame.point_data(q)
     u = p @ data.A
-    a_sq = float(np.sum(data.alpha_sq * u[:m] ** 2))
+    return q, p, data, u, float(np.sum(data.alpha_sq * u[:frame.model.m] ** 2))
+
+
+def orbital_map(model, frame, lam, jbar=None):
+    """gram2 covector whose extremal has the same trace as the gram1 extremal."""
+    n, m = model.n, model.m
+    q, p, data, u, a_sq = _adapted(frame, lam)
     if a_sq <= _TINY * max(1.0, float(np.dot(p, p))):
         raise OrbitalMapError("covector annihilates the distribution at %s" % (_floats(q),))
     a = np.sqrt(a_sq)
@@ -102,13 +107,9 @@ def check_orbital_identities(model, frame, lam, flow_step=1e-5, flow_tol=1e-12):
                                 = (1/a) sum_{k<=m} Q_sk alpha_k u_k,
     with d/dt along the gram1 extremal (central difference of the flow).
     """
-    q, p = lam
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
     n, m = model.n, model.m
-    data = frame.point_data(q)
-    u = p @ data.A
-    a = np.sqrt(float(np.sum(data.alpha_sq * u[:m] ** 2)))
+    q, p, data, u, a_sq = _adapted(frame, lam)
+    a = np.sqrt(a_sq)
     if a <= _TINY:
         raise OrbitalMapError("covector annihilates the distribution")
 
@@ -133,13 +134,8 @@ def check_orbital_identities(model, frame, lam, flow_step=1e-5, flow_tol=1e-12):
         minus = integrate(model, 1, (q, p), -flow_step, tol=flow_tol).end
 
         def phi_s_at(lam_pt):
-            qq = np.asarray(lam_pt[0], dtype=float)
-            pp = np.asarray(lam_pt[1], dtype=float)
-            dat = frame.point_data(qq)
-            uu = pp @ dat.A
-            aa = np.sqrt(float(np.sum(dat.alpha_sq * uu[:m] ** 2)))
-            val, _ = _transverse_phi(model, frame, qq, uu, aa, jbar)
-            return val
+            qq, _, _, uu, aa_sq = _adapted(frame, lam_pt)
+            return _transverse_phi(model, frame, qq, uu, np.sqrt(aa_sq), jbar)[0]
 
         dphi = (phi_s_at(plus) - phi_s_at(minus)) / (2.0 * flow_step)
         s = m + 1

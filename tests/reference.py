@@ -24,7 +24,9 @@ solve_ivp; the library's own DOP853 loop must reproduce them bit for bit.
 The symbolic gram1 Gram-Schmidt (orthonormalize), the trapezoid arc
 length and the quasi-impulses u = p A of the model frame (quasi_impulses)
 and of an adapted frame (adapted_impulses) had no caller in the library;
-tests use them as oracles.
+tests use them as oracles. geometry.validate_model checked its probe grid
+point by point (loop_validate_model), evaluating the frame and each Gram
+matrix through the scalar evaluators.
 """
 
 import itertools
@@ -36,6 +38,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import minimize
 
 from geoequiv import expr as ex
+from geoequiv.geometry import _DET_TOL, ModelValidationError
 from geoequiv.hamiltonian import (_BOUNDARY_EPS, IntegrationError, _dot, _quadratic,
                                   hamiltonian, hamiltonian_rhs)
 from geoequiv.pair import (_CLUSTER_TOL, _GAUGE_MIN_SV, AdaptedFrameError,
@@ -81,6 +84,40 @@ def numpy_intrinsic_P(model, lam):
     u = np.asarray(p, dtype=float) @ ED
     w = np.linalg.solve(model.gram_at(qt, 1), u)
     return float(w @ model.gram_at(qt, 2) @ w)
+
+
+def loop_validate_model(model, per_axis=3):
+    """Pointwise sanity on a probe grid: frame nondegenerate, Grams SPD."""
+    for q in model.probe_grid(per_axis=per_axis, margin=0.05):
+        q = q.tolist()
+        qt = tuple(q)
+        try:
+            E = model.frame_at(qt)
+        except ex.EvalDomainError as exc:
+            raise ModelValidationError("frame undefined at %s: %s" % (q, exc)) from exc
+        scale = max(1.0, float(np.max(np.abs(E))) ** model.n)
+        if abs(np.linalg.det(E)) < _DET_TOL * scale:
+            raise ModelValidationError("frame degenerate at %s (|det| = %g)"
+                                       % (q, abs(np.linalg.det(E))))
+        for tag in (1, 2):
+            try:
+                W = model.gram_at(qt, tag)
+            except ex.EvalDomainError as exc:
+                raise ModelValidationError("gram%d undefined at %s: %s"
+                                           % (tag, q, exc)) from exc
+            # np.allclose(W, W.T, rtol=1e-9, atol=1e-12 * max(1, max |W|)) on
+            # plain floats: its test |a - b| <= atol + rtol |b| for finite
+            # values, and compiled calls raise on values that are not finite
+            rows = W.tolist()
+            atol = 1e-12 * max(1.0, max(abs(w) for row in rows for w in row))
+            if not all(abs(a - b) <= atol + 1e-9 * abs(b)
+                       for row, col in zip(rows, zip(*rows)) for a, b in zip(row, col)):
+                raise ModelValidationError("gram%d not symmetric at %s" % (tag, q))
+            try:
+                np.linalg.cholesky(W)
+            except np.linalg.LinAlgError:
+                raise ModelValidationError("gram%d not positive definite at %s"
+                                           % (tag, q)) from None
 
 
 def full_field(model, tag):
