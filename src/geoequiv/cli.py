@@ -1,7 +1,8 @@
 """Command-line front end: generate / analyze / geodesic / verify / check-relations.
 
-Exit codes: 0 success (or verification pass), 1 usage or IO error (also an
-integrator tolerance that is not finite and positive, or a zero horizon),
+Exit codes: 0 success (or verification pass), 1 usage or IO error (also a
+tolerance or radius that is not finite and positive, fewer than 1 verify
+sample or 2 curve samples, or a zero horizon),
 2 verification fail, 3 inconclusive (also when verify can draw no covector
 outside the excluded abnormal cone, or when check-relations has a point
 without an adapted frame and no failing point), 4 invalid model: a manifest or
@@ -20,6 +21,7 @@ import argparse
 import functools
 import io
 import json
+import math
 import re
 import sys
 
@@ -58,6 +60,23 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write("error: %s\n" % message)
         raise SystemExit(EXIT_USAGE)
+
+
+def _checked(cast, ok, what):
+    """An argparse type: cast(text), which must satisfy ok; otherwise argparse
+    reports a usage error that names the flag."""
+    def parse(text):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError("must be %s, got %s" % (what, text))
+        return value
+    parse.__name__ = cast.__name__      # argparse's "invalid float value: ..."
+    return parse
+
+
+_POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
+_SAMPLES = _checked(int, lambda v: v >= 1, "at least 1")
+_CURVE_SAMPLES = _checked(int, lambda v: v >= 2, "at least 2")
 
 
 def _canonical_json(obj):
@@ -431,8 +450,8 @@ def build_parser():
     a.add_argument("--model", required=True)
     a.add_argument("--at", nargs="+", type=float, action="append",
                    metavar="Q", help="a point (repeatable); default: domain center")
-    a.add_argument("--radius", type=float, default=0.05)
-    a.add_argument("--cluster-tol", type=float, default=1e-7)
+    a.add_argument("--radius", type=_POSITIVE, default=0.05)
+    a.add_argument("--cluster-tol", type=_POSITIVE, default=1e-7)
     _add_common(a)
     a.set_defaults(func=_cmd_analyze)
 
@@ -450,13 +469,13 @@ def build_parser():
 
     v = sub.add_parser("verify", help="sample extremals and certify the pair")
     v.add_argument("--model", required=True)
-    v.add_argument("--samples", type=int, default=50)
+    v.add_argument("--samples", type=_SAMPLES, default=50)
     v.add_argument("--seed", type=int, default=7)
     v.add_argument("--T", type=float, default=0.3)
-    v.add_argument("--tol", type=float, default=1e-6,
+    v.add_argument("--tol", type=_POSITIVE, default=1e-6,
                    help="max allowed point-to-curve deviation")
     v.add_argument("--integrator-tol", type=float, default=1e-10)
-    v.add_argument("--curve-samples", type=int, default=601)
+    v.add_argument("--curve-samples", type=_CURVE_SAMPLES, default=601)
     v.add_argument("--margin", type=float, default=0.15)
     v.add_argument("--transverse-sigma", type=float, default=1.0)
     v.add_argument("--exclude-abnormal-cone", type=float, metavar="ANGLE",
@@ -470,8 +489,8 @@ def build_parser():
     c.add_argument("--points", type=int, default=5,
                    help="sampled probe points when --at is omitted")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--tol", type=float, default=1e-6)
-    c.add_argument("--bracket-tol", type=float, default=1e-6)
+    c.add_argument("--tol", type=_POSITIVE, default=1e-6)
+    c.add_argument("--bracket-tol", type=_POSITIVE, default=1e-6)
     _add_common(c)
     c.set_defaults(func=_cmd_check_relations)
 

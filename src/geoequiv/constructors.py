@@ -47,13 +47,9 @@ def _uses_coords(e):
     return acc
 
 
-def _domain_box(spec, n, default_half=0.5, center=None):
-    if center is None:
-        center = [0.0] * n
+def _domain_box(spec, n, default_half=0.5):
     if spec is None:
-        lo = [c - default_half for c in center]
-        hi = [c + default_half for c in center]
-        return lo, hi
+        return [-default_half] * n, [default_half] * n
     try:
         lo = [float(v) for v in spec["min"]]
         hi = [float(v) for v in spec["max"]]

@@ -23,6 +23,9 @@ from . import expr as ex
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 _DET_TOL = 1e-10
+_CLASSIFY_SAMPLES = 7       # classify_distribution's random probes, past the center
+_CLASSIFY_SEED = 0
+_RANK_TOL = 1e-8            # relative singular-value cut of the two-form's rank
 
 
 class ManifestError(Exception):
@@ -254,15 +257,14 @@ def to_manifest(model):
     return doc
 
 
-def load_model(path, validate=True):
+def load_model(path):
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ManifestError("invalid JSON: %s" % exc) from exc
     model = from_manifest(doc)
-    if validate:
-        validate_model(model)
+    validate_model(model)
     return model
 
 
@@ -290,7 +292,7 @@ def _grid_rows(fn, points, width):
     return values, errors
 
 
-def validate_model(model, per_axis=3):
+def validate_model(model):
     """Pointwise sanity on a probe grid: frame nondegenerate, Grams SPD.
 
     The grid (probe_grid with a 5% margin) is checked in one pass: a lane
@@ -298,24 +300,25 @@ def validate_model(model, per_axis=3):
     _grid_rows), then stacked determinants, the symmetry gate and stacked
     Cholesky factorizations. A failure raises ModelValidationError as a loop
     over the grid would: at the first failing point, the first failing check
-    there, in the order frame undefined, frame degenerate, then for gram1
-    and for gram2 undefined, not symmetric, not positive definite. The error
-    of an undefined Gram matrix is gram_at's, so only a failing grid
-    compiles gram_at's programs.
+    there, in the order frame undefined, frame scale out of range (max |E|^n
+    overflows a float), frame degenerate, then for gram1 and for gram2
+    undefined, not symmetric, not positive definite. The error of an
+    undefined Gram matrix is gram_at's, so only a failing grid compiles
+    gram_at's programs.
     """
     n, m = model.n, model.m
-    points = [q.tolist() for q in model.probe_grid(per_axis=per_axis, margin=0.05)]
+    points = [q.tolist() for q in model.probe_grid(margin=0.05)]
     frames, frame_errors = _grid_rows(model._frame_program(), points, n * n)
     E = frames.reshape(-1, n, n).transpose(0, 2, 1)
     dets = np.linalg.det(E)
     # the degeneracy scale as a Python float power, point by point; where it
-    # overflows, the loop over the grid raised that OverflowError
+    # overflows, the frame is too large to judge
     scale, overflows = [], {}
     for i, v in enumerate(np.abs(frames).max(axis=1).tolist()):
         try:
             scale.append(max(1.0, v ** n))
         except OverflowError as exc:
-            overflows[i] = exc
+            overflows[i] = (v, exc)
             scale.append(math.inf)
     degenerate = np.abs(dets) < _DET_TOL * np.array(scale)
 
@@ -354,7 +357,9 @@ def validate_model(model, per_axis=3):
         exc = frame_errors[first]
         raise ModelValidationError("frame undefined at %s: %s" % (q, exc)) from exc
     if first in overflows:
-        raise overflows[first]
+        v, exc = overflows[first]
+        raise ModelValidationError("frame scale out of range at %s (max |entry|^%d with "
+                                   "max |entry| = %g)" % (q, n, v)) from exc
     if degenerate[first]:
         raise ModelValidationError("frame degenerate at %s (|det| = %g)"
                                    % (q, abs(dets[first])))
@@ -391,52 +396,16 @@ def lie_bracket(X, Y, n):
     return tuple(out)
 
 
-class StructureFunctions:
-    """Structure functions of the model frame.
-
-    at(q)[a, b, k] is the coefficient of X_{k+1} in [X_{a+1}, X_{b+1}];
-    brackets are exact symbolic fields, the frame solve is pointwise. The
-    brackets and their compiled evaluator are cached on the model, so only
-    the first instance per model does symbolic work.
-    """
-
-    def __init__(self, model):
-        self.model = model
-        n = model.n
-        brackets = model._cache.get("bracket_exprs")
-        if brackets is None:
-            brackets = model._cache["bracket_exprs"] = {
-                (a, b): lie_bracket(model.frame[a], model.frame[b], n)
-                for a in range(n) for b in range(a + 1, n)}
-        self.bracket_exprs = brackets
-        self._pairs = sorted(brackets)
-        flat = [c for pair in self._pairs for c in brackets[pair]]
-        self._fn = model._compiled("brackets", lambda: flat) if flat else None
-
-    def brackets_at(self, q):
-        n = self.model.n
-        out = {}
-        if self._fn is None:
-            return out
-        vals = self._fn(q)
-        for idx, pair in enumerate(self._pairs):
-            out[pair] = np.asarray(vals[idx * n:(idx + 1) * n], dtype=float)
-        return out
-
-    def at(self, q):
-        n = self.model.n
-        E = self.model.frame_at(q)
-        brackets = self.brackets_at(q)
-        c = np.zeros((n, n, n))
-        if not brackets:
-            return c
-        pairs = self._pairs
-        rhs = np.stack([brackets[p] for p in pairs], axis=1)
-        sol = np.linalg.solve(E, rhs)
-        for col, (a, b) in enumerate(pairs):
-            c[a, b, :] = sol[:, col]
-            c[b, a, :] = -sol[:, col]
-        return c
+def bracket_exprs(model):
+    """{(a, b): [X_{a+1}, X_{b+1}]} over the distribution fields, a < b < m,
+    as component tuples of exact expressions; cached on the model."""
+    brackets = model._cache.get("bracket_exprs")
+    if brackets is None:
+        n, m = model.n, model.m
+        brackets = model._cache["bracket_exprs"] = {
+            (a, b): lie_bracket(model.frame[a], model.frame[b], n)
+            for a in range(m) for b in range(a + 1, m)}
+    return brackets
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +476,7 @@ class Classification:
         return "Classification(%r, rank=%r)" % (self.tag, self.omega_rank)
 
 
-def classify_distribution(model, samples=7, seed=0, tol=1e-8):
+def classify_distribution(model):
     """Pointwise type of D: full tangent bundle, contact, quasi-contact, other.
 
     Uses the two-form d(omega) restricted to D, computed exactly through
@@ -521,11 +490,11 @@ def classify_distribution(model, samples=7, seed=0, tol=1e-8):
         raise ValueError("classification implemented for corank 0 or 1 only")
 
     omega = annihilator(model)
-    sf = StructureFunctions(model)
+    brackets = bracket_exprs(model)
     Omega = [[ex.ZERO] * m for _ in range(m)]
     for a in range(m):
         for b in range(a + 1, m):
-            br = sf.bracket_exprs[(a, b)]
+            br = brackets[(a, b)]
             val = ex.ZERO
             for k in range(n):
                 val = ex.add(val, ex.mul(omega[k], br[k]))
@@ -533,14 +502,14 @@ def classify_distribution(model, samples=7, seed=0, tol=1e-8):
             Omega[b][a] = val
 
     fn = ex.compile_exprs([Omega[a][b] for a in range(m) for b in range(m)], name="_Omega")
-    rng = np.random.default_rng(seed)
-    points = [model.center()] + [model.sample_point(rng) for _ in range(samples)]
+    rng = np.random.default_rng(_CLASSIFY_SEED)
+    points = [model.center()] + [model.sample_point(rng) for _ in range(_CLASSIFY_SAMPLES)]
     ranks = set()
     for q in points:
         vals = np.asarray(fn(tuple(q.tolist())), dtype=float).reshape(m, m)
         s = np.linalg.svd(vals, compute_uv=False)
         top = s[0] if s.size else 0.0
-        ranks.add(int(np.sum(s > tol * max(top, 1e-30))) if top > 0 else 0)
+        ranks.add(int(np.sum(s > _RANK_TOL * max(top, 1e-30))) if top > 0 else 0)
 
     if len(ranks) != 1:
         return Classification("other", omega=omega, omega_rank=None,

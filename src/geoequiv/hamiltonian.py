@@ -20,6 +20,7 @@ from scipy.optimize import brentq
 from . import expr as ex
 
 _BOUNDARY_EPS = 1e-12
+_MAX_STEP = 1e-2            # the longest DOP853 step of integrate
 _FLOAT64 = np.dtype(float)
 
 
@@ -164,25 +165,22 @@ def hamiltonian(model, metric_tag, lam):
     return float(energy(q.tolist(), p.tolist())[0])
 
 
-def hamiltonian_rhs(model, metric_tag, q, p, out=None):
-    """(dq/dt, dp/dt) for the canonical flow of h; with `out`, the 2n rates
-    are written into out[:2n] and out is returned. out must then be a
-    writable C-contiguous 1-d float64 array (TypeError otherwise) of length
-    at least 2n. q and p that are not lists are read as Python floats, which
-    raise on division by zero where numpy scalars would give inf."""
+def hamiltonian_rhs(model, metric_tag, q, p, out):
+    """Writes (dq/dt, dp/dt) of the canonical flow of h into out[:2n] and
+    returns out, a writable C-contiguous 1-d float64 array (TypeError
+    otherwise) of length at least 2n; the rest of out is left alone. q and
+    p that are not lists are read as Python floats, which raise on division
+    by zero where numpy scalars would give inf."""
     if type(q) is not list:
         q, p = np.asarray(q, dtype=float).tolist(), np.asarray(p, dtype=float).tolist()
     flow = _program(model, metric_tag, "flow")
     vals = flow(q, p)
-    if out is not None:
-        # the buffer protocol rejects read-only and non-contiguous arrays, but
-        # would take raw doubles into any other dtype
-        if not isinstance(out, np.ndarray) or out.dtype != _FLOAT64 or out.ndim != 1:
-            raise TypeError("out must be a 1-d float64 array")
-        flow.pack_into(out, 0, *vals)
-        return out
-    n = len(q)
-    return np.array(vals[:n]), np.array(vals[n:])
+    # the buffer protocol rejects read-only and non-contiguous arrays, but
+    # would take raw doubles into any other dtype
+    if not isinstance(out, np.ndarray) or out.dtype != _FLOAT64 or out.ndim != 1:
+        raise TypeError("out must be a 1-d float64 array")
+    flow.pack_into(out, 0, *vals)
+    return out
 
 
 class Trajectory:
@@ -196,7 +194,7 @@ class Trajectory:
         self.t_exit = t_exit
         self.aux = aux      # accumulated aux_rate integral, if requested
         self.steps = steps  # _Steps of the state (q, p[, aux]), for cut
-        self.flow = flow    # (fun, event, tol, max_step) that _dop853 stepped
+        self.flow = flow    # (fun, event, tol) that _dop853 stepped
 
     @property
     def end(self):
@@ -280,7 +278,7 @@ def _stage(Ks, a, h, y, buf):
     return [x + d * h for x, d in zip(y, Ks.dot(a, buf).tolist())]
 
 
-def _dop853(fun, event, t0, y0, t1, tol, max_step, first_step=None):
+def _dop853(fun, event, t0, y0, t1, tol, first_step=None):
     """DOP853 from the state array y0 at t0 towards t1, stopped where event(y)
     changes sign.
 
@@ -320,7 +318,7 @@ def _dop853(fun, event, t0, y0, t1, tol, max_step, first_step=None):
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-        h_abs = min(100 * h0, h1, span, max_step)
+        h_abs = min(100 * h0, h1, span, _MAX_STEP)
     else:
         h_abs = first_step
     t = t0
@@ -330,8 +328,8 @@ def _dop853(fun, event, t0, y0, t1, tol, max_step, first_step=None):
     status = None
     while status is None:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        if h_abs > max_step:
-            h_abs = max_step
+        if h_abs > _MAX_STEP:
+            h_abs = _MAX_STEP
         elif h_abs < min_step:
             h_abs = min_step
         rejected = False
@@ -399,8 +397,7 @@ def _dop853(fun, event, t0, y0, t1, tol, max_step, first_step=None):
     return status, _Steps(direction, ts, hs, y_olds, F_low, F_high, N), y
 
 
-def integrate(model, metric_tag, lam0, T, tol=1e-10, max_step=1e-2,
-              samples=None, aux_rate=None):
+def integrate(model, metric_tag, lam0, T, tol=1e-10, samples=None, aux_rate=None):
     """Integrate the extremal from lam0 = (q0, p0) over time T (sign allowed).
 
     Stops (clipped=True) when the base point reaches the domain boundary.
@@ -437,9 +434,9 @@ def integrate(model, metric_tag, lam0, T, tol=1e-10, max_step=1e-2,
     def event(y):
         return model.boundary_distance(y[:n]) - _BOUNDARY_EPS
 
-    flow = (fun, event, tol, max_step)
+    flow = (fun, event, tol)
     y0 = np.concatenate([q0, p0, [0.0]] if aux_rate is not None else [q0, p0])
-    status, steps, y_end = _dop853(fun, event, 0.0, y0, float(T), tol, max_step)
+    status, steps, y_end = _dop853(fun, event, 0.0, y0, float(T), tol)
     if status == -1:
         raise IntegrationError("integration failed from q = %s at t = %r of T = %r: "
                                "Required step size is less than spacing between numbers."
@@ -470,36 +467,13 @@ def cut(model, metric_tag, traj, T, samples):
     head = sign * t <= sign * ts[k]
     # the state at t_k as step k's interpolant gives it, at x = +-0
     y_k = _dense(steps.F[k], steps.y_old[k], (ts[k] - ts[k]) / steps.h[k])
-    fun, event, tol, max_step = traj.flow
-    _status, tail, _y = _dop853(fun, event, float(ts[k]), y_k, float(T), tol, max_step,
+    fun, event, tol = traj.flow
+    _status, tail, _y = _dop853(fun, event, float(ts[k]), y_k, float(T), tol,
                                 first_step=abs(T - ts[k]))
     t_head, y_head = _sample(steps, t[head])
     t_tail, y_tail = _sample(tail, t[~head])
     return _trajectory(model, metric_tag, np.concatenate([t_head, t_tail]),
                        np.concatenate([y_head, y_tail]), False, None, traj.aux is not None)
-
-
-def initial_covector(model, metric_tag, q, v, transverse=None):
-    """Phase point lam0 = (q, p) whose extremal starts with velocity v.
-
-    v is a coordinate-components vector required to lie in D(q); the covector
-    is fixed on D by the metric and on the transverse fields by `transverse`
-    (defaults to zero quasi-impulses there).
-    """
-    q = tuple(np.asarray(q, dtype=float).tolist())
-    v = np.asarray(v, dtype=float)
-    n, m = model.n, model.m
-    E = model.frame_at(q)
-    ED = E[:, :m]
-    coeff, residual, *_ = np.linalg.lstsq(ED, v, rcond=None)
-    if np.linalg.norm(ED @ coeff - v) > 1e-9 * max(1.0, np.linalg.norm(v)):
-        raise ValueError("velocity does not lie in the distribution at %s" % (list(q),))
-    u = model.gram_at(q, metric_tag) @ coeff
-    trans = np.zeros(n - m) if transverse is None else np.asarray(transverse, dtype=float)
-    if trans.shape != (n - m,):
-        raise ValueError("transverse part must have length %d" % (n - m))
-    p = np.linalg.solve(E.T, np.concatenate([u, trans]))
-    return np.array(q), p
 
 
 def write_trajectory_csv(traj, fh):

@@ -21,12 +21,14 @@ import numpy as np
 from scipy.linalg.lapack import dsygvd, dtrtrs
 
 from . import expr as ex
-from .geometry import StructureFunctions
+from .geometry import bracket_exprs
 from .hamiltonian import _program
 
 _CLUSTER_TOL = 1e-7
 _DIV_TOL = 1e-8
 _GAUGE_MIN_SV = 0.2
+_PROBE_SAMPLES = 40     # regularity_probe's random ball samples
+_PROBE_SEED = 0
 
 
 class AdaptedFrameError(Exception):
@@ -53,11 +55,6 @@ class TransitionData:
         self.N = len(clusters)
         self.gram1 = gram1
         self.gram2 = gram2
-
-    @property
-    def S(self):
-        """The transition operator W1^{-1} W2, solved on each read."""
-        return np.linalg.solve(self.gram1, self.gram2)
 
 
 def _floats(q):
@@ -228,8 +225,7 @@ def _nelder_mead(f, x0, lo, hi, xatol, fatol, maxiter):
     return sim[0]
 
 
-def regularity_probe(model, q, radius, samples=40, seed=0, cluster_tol=_CLUSTER_TOL,
-                     refine=True):
+def regularity_probe(model, q, radius, cluster_tol=_CLUSTER_TOL):
     """Is the number of distinct eigenvalues locally constant near q?
 
     Random ball samples catch N increasing (a cluster splitting away from
@@ -243,13 +239,13 @@ def regularity_probe(model, q, radius, samples=40, seed=0, cluster_tol=_CLUSTER_
     td = transition_operator(model, q, cluster_tol)
     Nc = td.N
     boundaries = [grp[0] for grp in td.clusters[1:]]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_PROBE_SEED)
     values = {Nc}
     used = 0
     kept = []
     best_start = best_gap = None
-    for _ in range(samples * 4):
-        if used >= samples:
+    for _ in range(_PROBE_SAMPLES * 4):
+        if used >= _PROBE_SAMPLES:
             break
         direction = rng.normal(size=model.n)
         norm = np.linalg.norm(direction)
@@ -267,7 +263,7 @@ def regularity_probe(model, q, radius, samples=40, seed=0, cluster_tol=_CLUSTER_
         else:
             values.add(len(_cluster_indices(lams, cluster_tol)))
             kept.append(point)
-            if refine and boundaries:
+            if boundaries:
                 gap = _gap(lams, boundaries)
                 if best_gap is None or gap < best_gap:
                     best_start, best_gap = point, gap
@@ -276,7 +272,7 @@ def regularity_probe(model, q, radius, samples=40, seed=0, cluster_tol=_CLUSTER_
     gap_min = None
     witness = None
     N_witness = None
-    if refine and boundaries:
+    if boundaries:
         objective = lambda p: _split_gap(model, p, boundaries)
         lo = np.maximum(q - radius, model.domain_min).tolist()
         hi = np.minimum(q + radius, model.domain_max).tolist()
@@ -331,7 +327,7 @@ def _completion(model, pair):
     fns = model._cache.get(key)
     if fns is None:
         n = model.n
-        br = StructureFunctions(model).bracket_exprs[pair]
+        br = bracket_exprs(model)[pair]
         fns = model._cache[key] = (
             ex.compile_exprs(br, name="_completion%d_%d" % pair),
             ex.compile_exprs([ex.differentiate(c, k) for k in range(n) for c in br],
@@ -442,14 +438,16 @@ class AdaptedFrame:
         if n - m == 1:
             qc = tuple(self.center.tolist())
             E = model.frame_at(qc)
-            brackets = StructureFunctions(model).brackets_at(qc)
+            brackets = bracket_exprs(model)
+            # the transverse component of each distribution bracket at the
+            # center, from one program of all of them, cached on the model
+            vals = model._compiled("brackets", lambda: [
+                c for br in brackets.values() for c in br])(qc) if brackets else []
             best, best_val = None, 0.0
-            for (a, b), vals in brackets.items():
-                if a >= m or b >= m:
-                    continue
-                t = abs(np.linalg.solve(E, vals)[m])
+            for idx, pair in enumerate(brackets):
+                t = abs(np.linalg.solve(E, vals[idx * n:(idx + 1) * n])[m])
                 if t > best_val:
-                    best, best_val = (a, b), t
+                    best, best_val = pair, t
             if best is None or best_val < 1e-8:
                 raise AdaptedFrameError(
                     "no distribution bracket leaves D near %s; completion undefined"
@@ -485,13 +483,6 @@ class AdaptedFrame:
         if n > m:
             A[:, m] = self._completion_fn(qt)
         return A, Vg, lams, clusters, W1, W2, V, E, gauge
-
-    def frame_matrix(self, q, rescaled=False):
-        A, _, lams = self.at(q)[:3]
-        if rescaled:
-            A = A.copy()
-            A[:, :self.model.m] /= np.sqrt(lams)[None, :]
-        return A
 
     # -- full point data (with exact structure functions) -------------------
 
@@ -638,11 +629,11 @@ def _divide(numerator, divisor, shift):
     return float(residual), sol
 
 
-def first_divisibility(model, frame, q, tol=_DIV_TOL):
+def first_divisibility(model, frame, q):
     """Does fiber_P divide its Hamiltonian derivative (quotient linear in u)?"""
     residual, sol = _divide(fiber_hP(model, frame, q), fiber_P(model, frame, q),
                             _times_u(model.n, 2))
-    return DivisibilityResult(residual <= tol, residual, sol)
+    return DivisibilityResult(residual <= _DIV_TOL, residual, sol)
 
 
 def fiber_R(model, frame, q, j):
@@ -702,12 +693,12 @@ class SecondDivisibilityResult:
         self.diagnostics = diagnostics
 
 
-def second_divisibility(model, frame, q, tol=_DIV_TOL):
+def second_divisibility(model, frame, q):
     """Is every R_j divisible by Q_{j,m+1}, with one quotient for every j?
 
     The screen holds when each applicable R_j divides by Q_{j,m+1} with a
-    linear quotient (residual <= tol) and the per-j quotients over alpha_j
-    agree (``spread`` <= tol). Their j-independence is what the equivalence
+    linear quotient (residual <= _DIV_TOL) and the per-j quotients over
+    alpha_j agree (``spread`` <= _DIV_TOL). Their j-independence is what the equivalence
     theory pins down: the orbital map's transverse component is R_j /
     (alpha_j Q_{j,m+1} a) for any applicable j, so it must not depend on j.
     ``holds`` therefore fails on pairs whose quotients differ, for example
@@ -752,7 +743,7 @@ def second_divisibility(model, frame, q, tol=_DIV_TOL):
             continue
         applicable += 1
         residual, sol = _divide(fiber_R(model, frame, q, j), Qj, _times_u(n, 1))
-        ok = residual <= tol
+        ok = residual <= _DIV_TOL
         per_j.append((j, residual, ok, sol))
         worst = max(worst, residual)
         r = sol / data.alphas[j - 1]
@@ -767,7 +758,7 @@ def second_divisibility(model, frame, q, tol=_DIV_TOL):
     for a in range(len(rs)):
         for b in range(a + 1, len(rs)):
             spread = max(spread, float(np.linalg.norm(rs[a] - rs[b]) / base))
-    holds = spread <= tol and all(ok for (_, _, ok, _) in per_j if ok is not None)
+    holds = spread <= _DIV_TOL and all(ok for (_, _, ok, _) in per_j if ok is not None)
     return SecondDivisibilityResult(per_j, holds, worst, quotients, spread, transverse_r)
 
 

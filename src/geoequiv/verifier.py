@@ -70,7 +70,7 @@ def _adapted(frame, lam):
     return q, p, data, u, float(np.sum(data.alpha_sq * u[:frame.model.m] ** 2))
 
 
-def orbital_map(model, frame, lam, jbar=None):
+def orbital_map(model, frame, lam):
     """gram2 covector whose extremal has the same trace as the gram1 extremal."""
     n, m = model.n, model.m
     q, p, data, u, a_sq = _adapted(frame, lam)
@@ -81,7 +81,7 @@ def orbital_map(model, frame, lam, jbar=None):
     phi[:m] = data.alpha_sq * u[:m] / a
     used_jbar = None
     if n > m:
-        phi[m], used_jbar = _transverse_phi(model, frame, q, u, a, jbar)
+        phi[m], used_jbar = _transverse_phi(model, frame, q, u, a)
     p2 = np.linalg.solve(data.A.T, phi)
     return OrbitalResult((q, p2), phi, u, a, used_jbar)
 

@@ -24,9 +24,12 @@ solve_ivp; the library's own DOP853 loop must reproduce them bit for bit.
 The symbolic gram1 Gram-Schmidt (orthonormalize), the trapezoid arc
 length and the quasi-impulses u = p A of the model frame (quasi_impulses)
 and of an adapted frame (adapted_impulses) had no caller in the library;
-tests use them as oracles. geometry.validate_model checked its probe grid
-point by point (loop_validate_model), evaluating the frame and each Gram
-matrix through the scalar evaluators.
+tests use them as oracles, and so is initial_covector, the phase point
+whose extremal starts with a given velocity. hamiltonian_rhs writes its
+rates into a buffer; rhs_arrays gives them as the two arrays (dq/dt,
+dp/dt) that it once returned. geometry.validate_model checked its probe
+grid point by point (loop_validate_model), evaluating the frame and each
+Gram matrix through the scalar evaluators.
 """
 
 import itertools
@@ -43,6 +46,13 @@ from geoequiv.hamiltonian import (_BOUNDARY_EPS, IntegrationError, _dot, _quadra
                                   hamiltonian, hamiltonian_rhs)
 from geoequiv.pair import (_CLUSTER_TOL, _GAUGE_MIN_SV, AdaptedFrameError,
                            _cluster_indices)
+
+
+def rhs_arrays(model, metric_tag, q, p):
+    """(dq/dt, dp/dt) of hamiltonian_rhs, read from the buffer it fills."""
+    n = len(q)
+    out = hamiltonian_rhs(model, metric_tag, q, p, np.empty(2 * n))
+    return out[:n], out[n:]
 
 
 def numpy_hamiltonian(model, metric_tag, lam):
@@ -537,7 +547,7 @@ def solve_ivp_integrate(model, metric_tag, lam0, T, tol=1e-10, max_step=1e-2,
     def rhs(_t, y):
         state = y.tolist()
         q, p = state[:n], state[n:2 * n]
-        qdot, pdot = hamiltonian_rhs(model, metric_tag, q, p)
+        qdot, pdot = rhs_arrays(model, metric_tag, q, p)
         if with_aux:
             return np.concatenate([qdot, pdot, [aux_rate(q, p)]])
         return np.concatenate([qdot, pdot])
@@ -658,3 +668,26 @@ def adapted_impulses(frame, lam):
     """Quasi-impulses of the AdaptedFrame `frame` at lam = (q, p)."""
     q, p = lam
     return np.asarray(p, dtype=float) @ frame.point_data(q).A
+
+
+def initial_covector(model, metric_tag, q, v, transverse=None):
+    """Phase point lam0 = (q, p) whose extremal starts with velocity v.
+
+    v is a coordinate-components vector required to lie in D(q); the covector
+    is fixed on D by the metric and on the transverse fields by `transverse`
+    (defaults to zero quasi-impulses there).
+    """
+    q = tuple(np.asarray(q, dtype=float).tolist())
+    v = np.asarray(v, dtype=float)
+    n, m = model.n, model.m
+    E = model.frame_at(q)
+    ED = E[:, :m]
+    coeff, residual, *_ = np.linalg.lstsq(ED, v, rcond=None)
+    if np.linalg.norm(ED @ coeff - v) > 1e-9 * max(1.0, np.linalg.norm(v)):
+        raise ValueError("velocity does not lie in the distribution at %s" % (list(q),))
+    u = model.gram_at(q, metric_tag) @ coeff
+    trans = np.zeros(n - m) if transverse is None else np.asarray(transverse, dtype=float)
+    if trans.shape != (n - m,):
+        raise ValueError("transverse part must have length %d" % (n - m))
+    p = np.linalg.solve(E.T, np.concatenate([u, trans]))
+    return np.array(q), p

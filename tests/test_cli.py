@@ -40,7 +40,7 @@ def test_version(capsys):
 
 
 def test_generate_writes_manifest(dini_model, capsys):
-    doc = json.loads(open(dini_model).read())
+    doc = json.loads(Path(dini_model).read_text())
     assert set(doc) >= {"coords", "rank", "frame", "gram1", "gram2", "domain"}
     assert doc["meta"]["generator"] == "dini"
 
@@ -298,6 +298,32 @@ def test_bad_integrator_arguments_exit_1(dini_model, capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     what = "integration time" if "--T" in argv else "integrator tolerance"
     assert what in lines[0], lines
+
+
+@pytest.mark.parametrize("argv", [
+    # at HEAD these passed the conformal pair, passed with nothing verified,
+    # failed an equivalent pair or reported regular from no probe samples
+    ("verify", "--tol", "nan"),
+    ("verify", "--tol", "0"),
+    ("verify", "--samples", "0"),
+    ("verify", "--samples", "-2"),
+    ("verify", "--curve-samples", "0"),
+    ("verify", "--curve-samples", "1"),
+    ("check-relations", "--tol", "nan"),
+    ("check-relations", "--bracket-tol", "-1e-6"),
+    ("analyze", "--radius", "nan"),
+    ("analyze", "--radius", "inf"),
+    ("analyze", "--cluster-tol", "nan"),
+])
+def test_arguments_that_void_a_verdict_exit_1(conformal_model, capsys, argv):
+    # a usage error naming the flag, before the model is read
+    assert main([argv[0], "--model", conformal_model] + list(argv[1:])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if line.startswith("error")]
+    assert errors == ["error: argument %s: must be %s, got %s" % (
+        argv[1], "at least 2" if argv[1] == "--curve-samples" else
+        "at least 1" if argv[1] == "--samples" else "finite and positive", argv[2])]
 
 
 def test_analyze_cluster_tol_reaches_the_adapted_frame(tmp_path, capsys):

@@ -7,9 +7,10 @@ import pytest
 from geoequiv import expr as ex
 from geoequiv.geometry import (GeometryModel, ManifestError, ModelValidationError,
                                from_manifest, to_manifest, load_model, save_model,
-                               validate_model, lie_bracket, StructureFunctions,
+                               validate_model, lie_bracket, bracket_exprs,
                                annihilator, classify_distribution)
 from geoequiv.constructors import build_quasi_contact
+from geoequiv.pair import _structure
 
 from conftest import heisenberg, plane_pair
 
@@ -139,9 +140,8 @@ def test_lie_bracket_heisenberg():
 
 def test_structure_functions_heisenberg():
     m = heisenberg()
-    sf = StructureFunctions(m)
     for q in [(0.0, 0.0, 0.0), (0.3, -0.2, 0.1)]:
-        c = sf.at(q)
+        c = _structure(m.frame_at(q), m.dframe_at(q))
         # natural indexing: c[a, b, k] = coefficient of X_{k+1} in [X_{a+1}, X_{b+1}]
         assert c[0, 1, 2] == pytest.approx(1.0, abs=1e-12)
         assert c[1, 0, 2] == pytest.approx(-1.0, abs=1e-12)
@@ -152,13 +152,15 @@ def test_structure_functions_heisenberg():
 def test_structure_functions_match_brackets():
     # c solves E c = [X_a, X_b] exactly, any frame
     m = build_quasi_contact({"beta": "exp(t)", "C1": 1.0, "C2": 2.0})
-    sf = StructureFunctions(m)
     q = (0.1, -0.05, 0.02, 0.2)
-    c = sf.at(q)
     E = m.frame_at(q)
-    for (a, b), br_exprs in sf.bracket_exprs.items():
+    c = _structure(E, m.dframe_at(q))
+    brackets = bracket_exprs(m)
+    assert sorted(brackets) == [(0, 1), (0, 2), (1, 2)]
+    for (a, b), br_exprs in brackets.items():
         br = np.array([ex.evaluate(e, q) for e in br_exprs])
         assert np.allclose(E @ c[a, b], br, atol=1e-12)
+        assert np.allclose(E @ c[b, a], -br, atol=1e-12)
 
 
 def test_classification_heisenberg_contact():

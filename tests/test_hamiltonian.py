@@ -8,16 +8,15 @@ from geoequiv import expr as ex
 from geoequiv.expr import EvalDomainError
 from geoequiv.geometry import GeometryModel
 from geoequiv.hamiltonian import (IntegrationError, hamiltonian, hamiltonian_rhs,
-                                  integrate, initial_covector, cut,
-                                  write_trajectory_csv, _program)
+                                  integrate, cut, write_trajectory_csv, _program)
 from geoequiv.constructors import (GENERATORS, build_beltrami, build_dini,
                                    build_quasi_contact)
 from geoequiv.pair import intrinsic_P
 
 from conftest import FIELD_PARAMS, PAIR_KINDS, heisenberg, pair_fixture, plane_pair
-from reference import (arc_length, full_field, numpy_hamiltonian, numpy_hamiltonian_rhs,
-                       numpy_intrinsic_P, orthonormalize, quasi_impulses, solve_ivp_cut,
-                       solve_ivp_integrate)
+from reference import (arc_length, full_field, initial_covector, numpy_hamiltonian,
+                       numpy_hamiltonian_rhs, numpy_intrinsic_P, orthonormalize,
+                       quasi_impulses, rhs_arrays, solve_ivp_cut, solve_ivp_integrate)
 
 
 def euclidean_plane():
@@ -79,7 +78,7 @@ def test_energy_conservation_and_frame_identity():
     # dq/dt lies in the distribution: check against the quasi-impulse velocity
     for i in (5, 20, 35):
         q, p = tr.q[i], tr.p[i]
-        qdot, _ = hamiltonian_rhs(m, 1, q, p)
+        qdot, _ = rhs_arrays(m, 1, q, p)
         E = m.frame_at(tuple(q))
         u = p @ E[:, : m.m]
         v = np.linalg.solve(m.gram_at(tuple(q), 1), u)
@@ -89,7 +88,7 @@ def test_energy_conservation_and_frame_identity():
 def test_rhs_out_must_be_a_writable_contiguous_float64_vector():
     m = heisenberg("1 + x^2/2 + y^2/3")
     q, p = [0.2, -0.3, 0.1], [0.4, 0.7, -0.2]
-    rates = np.concatenate(hamiltonian_rhs(m, 2, q, p))
+    rates = np.concatenate(rhs_arrays(m, 2, q, p))
     out = np.full(7, 9.0)
     assert hamiltonian_rhs(m, 2, q, p, out) is out
     assert np.array_equal(out[:6], rates) and out[6] == 9.0
@@ -115,7 +114,7 @@ def test_rhs_matches_fd_of_hamiltonian():
     m = heisenberg("1 + x^2/2 + y^2/3")
     q = np.array([0.2, -0.3, 0.1])
     p = np.array([0.4, 0.7, -0.2])
-    qdot, pdot = hamiltonian_rhs(m, 2, q, p)
+    qdot, pdot = rhs_arrays(m, 2, q, p)
     h = 1e-6
     for k in range(3):
         dp = np.zeros(3); dp[k] = h
@@ -149,7 +148,7 @@ def test_initial_covector_round_trip():
     E = m.frame_at(q)
     v = E[:, : m.m] @ np.array([0.5, -0.2, 0.8])
     lam0 = initial_covector(m, 1, q, v)
-    qdot, _ = hamiltonian_rhs(m, 1, *lam0)
+    qdot, _ = rhs_arrays(m, 1, *lam0)
     assert np.allclose(qdot, v, atol=1e-10)
     # transverse quasi-impulse defaults to zero
     u = quasi_impulses(m, None, lam0)
@@ -279,30 +278,11 @@ def test_generated_field_matches_numpy_reference(kind):
         # integrate passes lists of floats, other callers numpy arrays
         lam = (q.tolist(), p.tolist()) if i % 2 else (q, p)
         for tag in (1, 2):
-            qdot, pdot = hamiltonian_rhs(m, tag, *lam)
+            qdot, pdot = rhs_arrays(m, tag, *lam)
             ref = np.concatenate(numpy_hamiltonian_rhs(m, tag, q, p))
             assert _close(np.concatenate([qdot, pdot]), ref), (kind, tag, q)
             assert _close(hamiltonian(m, tag, lam), numpy_hamiltonian(m, tag, (q, p)))
         assert _close(intrinsic_P(m, lam), numpy_intrinsic_P(m, (q, p)))
-
-
-@pytest.mark.parametrize("kind", PAIR_KINDS)
-def test_rhs_written_into_out_equals_the_returned_arrays(kind):
-    # integrate hands its stage row to hamiltonian_rhs as out; the rates
-    # land in out[:2n] as the two returned arrays hold them, and the rest of
-    # the row (the aux rate's slot) is left alone
-    m = pair_fixture(kind)
-    n = m.n
-    rng = np.random.default_rng(53)
-    for i in range(6):
-        q, p = m.sample_point(rng), rng.normal(size=n)
-        lam = (q.tolist(), p.tolist()) if i % 2 else (q, p)
-        for tag in (1, 2):
-            qdot, pdot = hamiltonian_rhs(m, tag, *lam)
-            out = np.full(2 * n + 1, 7.0)
-            assert hamiltonian_rhs(m, tag, *lam, out=out) is out
-            assert np.array_equal(out[:2 * n], np.concatenate([qdot, pdot]))
-            assert out[2 * n] == 7.0
 
 
 def test_cut_matches_fresh_integration():
@@ -347,7 +327,7 @@ def test_split_programs_equal_the_full_field(kind):
         speeds = [np.sqrt(max(2.0 * v, 0.0)) for v in h[:len(tr.t)]]
         assert arc_length(m, tag, tr) == float(np.trapezoid(speeds, tr.t))
         for lam, vals in zip(rows[::20], ref[::20]):
-            qdot, pdot = hamiltonian_rhs(m, tag, *lam)
+            qdot, pdot = rhs_arrays(m, tag, *lam)
             assert qdot.tolist() + pdot.tolist() == list(vals[1:2 * m.n + 1])
         if tag == 1:
             assert [intrinsic_P(m, lam) for lam in rows] == [vals[-1] for vals in ref]

@@ -3,9 +3,9 @@ import pytest
 
 from geoequiv import expr as ex
 from geoequiv.constructors import build_dini, build_quasi_contact
-from geoequiv.hamiltonian import hamiltonian, initial_covector, integrate
+from geoequiv.hamiltonian import hamiltonian, integrate
 
-from reference import arc_length, orthonormalize
+from reference import arc_length, initial_covector, orthonormalize
 
 
 def test_orthonormalize_gram_is_identity():

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from geoequiv import expr as ex
 from geoequiv.cli import main
 from geoequiv.constructors import GENERATORS
-from geoequiv.geometry import (GeometryModel, ManifestError, from_manifest, load_model,
-                               to_manifest, validate_model)
+from geoequiv.geometry import (GeometryModel, ManifestError, ModelValidationError,
+                               from_manifest, load_model, to_manifest, validate_model)
 
 from conftest import FIELD_PARAMS, PAIR_KINDS, pair_fixture
 from reference import loop_validate_model
@@ -81,10 +81,6 @@ CASES = {
         plane((("1", "0"), ("0", "1 + 1/(x^2 + y^2)")), EYE,
               (("1 + log(x)", "0"), ("0", "1"))),
         r"gram2 undefined at \[-0\.9, -0\.9\]"),
-    # the degeneracy scale max |E|^n overflows a Python float at point 0
-    "frame-scale-overflows": (
-        plane((("1e200", "0"), ("0", "1")), EYE, EYE),
-        r"Numerical result out of range"),
 }
 
 
@@ -97,6 +93,25 @@ def test_validate_model_raises_what_the_loop_raises(case):
     assert outcome(validate_model, model) == expect
     with pytest.raises(expect[0], match=message):
         validate_model(model)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_frame_scale_overflow_is_a_validation_error(tmp_path, capsys):
+    # the degeneracy scale max |E|^n overflows a Python float at point 0: the
+    # loop over the grid lets that OverflowError out, validate_model names
+    # the point, and analyze exits 4 with one line
+    model = plane((("1e200", "0"), ("0", "1")), EYE, EYE)
+    with pytest.raises(OverflowError):
+        loop_validate_model(model)
+    message = r"frame scale out of range at [-0.9, -0.9] (max |entry|^2 with max |entry| = 1e+200)"
+    with pytest.raises(ModelValidationError) as exc:
+        validate_model(model)
+    assert str(exc.value) == message
+    path = str(tmp_path / "large.json")
+    with open(path, "w") as fh:
+        json.dump(to_manifest(model), fh)
+    assert main(["analyze", "--model", path]) == 4
+    assert capsys.readouterr().err.splitlines() == ["error: invalid model: " + message]
 
 
 @pytest.mark.parametrize("kind", PAIR_KINDS)
