@@ -1,8 +1,9 @@
 """Command-line front end: generate / analyze / geodesic / verify / check-relations.
 
 Exit codes: 0 success (or verification pass), 1 usage or IO error (also a
-tolerance or radius that is not finite and positive, fewer than 1 verify
-sample or 2 curve samples, or a zero horizon),
+tolerance, radius or abnormal cone that is not finite and positive, a verify
+margin outside [0, 0.5), a transverse sigma that is not finite and at least
+0, fewer than 1 verify sample or 2 curve samples, or a zero horizon),
 2 verification fail, 3 inconclusive (also when verify can draw no covector
 outside the excluded abnormal cone, or when check-relations has a point
 without an adapted frame and no failing point), 4 invalid model: a manifest or
@@ -12,9 +13,9 @@ matrix that is not positive definite where the transition operator is
 solved (LinAlgError), or an extremal that the integrator cannot follow
 (IntegrationError, naming its start point and the time reached). analyze
 and check-relations name the requested point.
-JSON outputs are canonicalized (sorted keys, 2-space indent) so identical
-inputs give byte-identical reports; every report carries schema
-"geoequiv-report/1" and the fully resolved configuration.
+JSON outputs are canonicalized (sorted keys, 2-space indent, no NaN or
+infinity) so identical inputs give byte-identical reports; every report
+carries schema "geoequiv-report/1" and the fully resolved configuration.
 """
 
 import argparse
@@ -75,12 +76,16 @@ def _checked(cast, ok, what):
 
 
 _POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
+_NONNEGATIVE = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and at least 0")
+# sample_point's box keeps this fraction of each side; 0.5 or more inverts it
+_MARGIN = _checked(float, lambda v: 0 <= v < 0.5, "in [0, 0.5)")
 _SAMPLES = _checked(int, lambda v: v >= 1, "at least 1")
 _CURVE_SAMPLES = _checked(int, lambda v: v >= 2, "at least 2")
 
 
 def _canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    # NaN and infinity are not JSON: a report that holds one raises ValueError
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(payload, args, human_lines=None):
@@ -476,9 +481,9 @@ def build_parser():
                    help="max allowed point-to-curve deviation")
     v.add_argument("--integrator-tol", type=float, default=1e-10)
     v.add_argument("--curve-samples", type=_CURVE_SAMPLES, default=601)
-    v.add_argument("--margin", type=float, default=0.15)
-    v.add_argument("--transverse-sigma", type=float, default=1.0)
-    v.add_argument("--exclude-abnormal-cone", type=float, metavar="ANGLE",
+    v.add_argument("--margin", type=_MARGIN, default=0.15)
+    v.add_argument("--transverse-sigma", type=_NONNEGATIVE, default=1.0)
+    v.add_argument("--exclude-abnormal-cone", type=_POSITIVE, metavar="ANGLE",
                    help="resample covectors within this angle of the abnormal line")
     _add_common(v)
     v.set_defaults(func=_cmd_verify)

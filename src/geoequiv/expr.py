@@ -1,11 +1,19 @@
-"""Scalar expression trees over a fixed coordinate tuple.
+"""Scalar expressions over a fixed coordinate tuple.
 
 Small closed language: +, -, *, /, ^ (constant exponent), unary minus, and the
-function set sin cos exp log sqrt abs. Expressions are immutable trees built
+function set sin cos exp log sqrt abs. Expressions are immutable DAGs built
 through smart constructors that fold constants, so symbolic derivatives stay
 compact. Evaluation is exact float arithmetic; anything leaving the real domain
 (log of a nonpositive number, division by zero, fractional power of a negative)
 raises EvalDomainError instead of returning nan/inf.
+
+parse() hash-conses through a table that the caller may share between texts
+(a manifest shares one across its cells): structurally equal subexpressions
+become one node, and a text or parenthesized group that recurs is parsed
+once. differentiate() takes a memo per coordinate, so a build that
+differentiates many expressions works once per distinct node. Neither
+changes a value or a printed or emitted source: sharing is invisible except
+to identity.
 
 Coordinates are referenced by index into the coords tuple supplied at parse
 time; printing uses the stored names. parse() reports syntax and unknown-name
@@ -258,7 +266,10 @@ def abs_(a):
 # parsing
 
 def _tokenize(text):
-    tokens = []  # (kind, value, offset)
+    """(tokens, closing): the (kind, value, offset) tokens of text ending with
+    ("end", None, len(text)), and the token index of each "(" -> that of its
+    matching ")"."""
+    tokens, closing, opened = [], {}, []
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -292,20 +303,58 @@ def _tokenize(text):
             i = j
             continue
         if ch in "+-*/^(),":
+            if ch == "(":
+                opened.append(len(tokens))
+            elif ch == ")" and opened:
+                closing[opened.pop()] = len(tokens)
             tokens.append(("op", ch, i))
             i += 1
             continue
         raise ExprSyntaxError("unexpected character %r" % ch, i)
     tokens.append(("end", None, n))
-    return tokens
+    return tokens, closing
+
+
+def hashcons(e, table):
+    """The node of table structurally equal to e, which becomes it when there
+    is none. The key is the node type (which an operator names),
+    operator, a constant's or exponent's bits (float.hex, so 0.0 and -0.0
+    differ), a coordinate's index and name and the children by identity;
+    the children must be table nodes, which the table keeps alive, so their
+    ids are not reused while it lives. The module's ZERO and ONE are copied
+    in, so two tables share no node."""
+    t = type(e)
+    if t is Binary:
+        key = (e.op, id(e.left), id(e.right))
+    elif t is Unary:
+        key = (e.op, id(e.arg))
+    elif t is Const:
+        key = (Const, e.value.hex())
+    elif t is Coord:
+        key = (Coord, e.index, e.name)
+    else:
+        key = (Pow, id(e.base), e.exponent.hex())
+    node = table.get(key)
+    if node is None:
+        if e is ZERO or e is ONE:
+            e = Const(e.value)
+        node = table[key] = e
+    return node
 
 
 class _Parser:
-    def __init__(self, text, coords):
+    """Recursive descent over the tokens of text. Nodes are hash-consed
+    through table; texts maps the text of each parenthesized group parsed
+    through the table to its node, so a group whose text recurs is parsed
+    once."""
+
+    def __init__(self, text, coords, table, texts):
         self.text = text
         self.coords = {name: idx for idx, name in enumerate(coords)}
-        self.tokens = _tokenize(text)
+        self.tokens, self.closing = _tokenize(text)
         self.pos = 0
+        self.table = table
+        self.texts = texts
 
     def peek(self):
         return self.tokens[self.pos]
@@ -334,7 +383,7 @@ class _Parser:
             if kind == "op" and value in "+-":
                 self.next()
                 rhs = self.term()
-                e = add(e, rhs) if value == "+" else sub(e, rhs)
+                e = hashcons(add(e, rhs) if value == "+" else sub(e, rhs), self.table)
             else:
                 return e
 
@@ -345,7 +394,7 @@ class _Parser:
             if kind == "op" and value in "*/":
                 self.next()
                 rhs = self.unary()
-                e = mul(e, rhs) if value == "*" else div(e, rhs)
+                e = hashcons(mul(e, rhs) if value == "*" else div(e, rhs), self.table)
             else:
                 return e
 
@@ -353,7 +402,7 @@ class _Parser:
         kind, value, _ = self.peek()
         if kind == "op" and value == "-":
             self.next()
-            return neg(self.unary())
+            return hashcons(neg(self.unary()), self.table)
         if kind == "op" and value == "+":
             self.next()
             return self.unary()
@@ -365,7 +414,7 @@ class _Parser:
             kind, value, _ = self.peek()
             if kind == "op" and value == "^":
                 self.next()
-                e = pow_(e, self.exponent())
+                e = hashcons(pow_(e, self.exponent()), self.table)
             else:
                 return e
 
@@ -394,11 +443,9 @@ class _Parser:
     def atom(self):
         kind, value, offset = self.next()
         if kind == "num":
-            return Const(value)
+            return hashcons(Const(value), self.table)
         if kind == "op" and value == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
+            return self.group(None)
         if kind == "ident":
             if value in _FUNCTIONS:
                 kind2, value2, offset2 = self.peek()
@@ -406,20 +453,44 @@ class _Parser:
                     raise ExprSyntaxError(
                         "function %r must be applied to a parenthesized argument" % value, offset)
                 self.next()
-                arg = self.expr()
-                kind3, value3, offset3 = self.peek()
-                if kind3 == "op" and value3 == ",":
-                    raise ExprSyntaxError("function %r takes exactly one argument" % value, offset3)
-                self.expect_op(")")
-                return func(value, arg)
+                return hashcons(func(value, self.group(value)), self.table)
             if value in self.coords:
-                return Coord(self.coords[value], value)
+                return hashcons(Coord(self.coords[value], value), self.table)
             raise UnknownIdentifierError("unknown identifier %r" % value, offset)
         raise ExprSyntaxError("expected a number, name, or parenthesized expression", offset)
 
+    def group(self, function):
+        """The expression between the "(" just read and its ")", which this
+        consumes: the node of the group's text in texts, else parsed (as the
+        argument of `function`, if given) and put there. Only a group that
+        parsed without error is put there, so its ")" is the matching one."""
+        start = self.pos - 1
+        end = self.closing.get(start)
+        if end is not None:
+            text = self.text[self.tokens[start][2]:self.tokens[end][2] + 1]
+            e = self.texts.get(text)
+            if e is not None:
+                self.pos = end + 1
+                return e
+        e = self.expr()
+        kind, value, offset = self.peek()
+        if function is not None and kind == "op" and value == ",":
+            raise ExprSyntaxError("function %r takes exactly one argument" % function, offset)
+        self.expect_op(")")
+        if end is not None:
+            self.texts[text] = e
+        return e
 
-def parse(text, coords):
-    """Parse text into an Expr over the given coordinate name tuple."""
+
+def parse(text, coords, table=None):
+    """Parse text into an Expr over the given coordinate name tuple.
+
+    Nodes are hash-consed through table (see hashcons), a fresh one by
+    default; texts parsed through one table share their equal subexpressions.
+    The table also maps, for these coords (which decide what a text means),
+    each text and parenthesized group parsed through it to its node, so a
+    text or group that recurs is parsed once.
+    """
     for name in coords:
         if name in _FUNCTIONS:
             raise ValueError("coordinate name %r shadows a function" % name)
@@ -428,7 +499,13 @@ def parse(text, coords):
         if name in seen:
             raise ValueError("duplicate coordinate name %r" % name)
         seen.add(name)
-    return _Parser(text, coords).parse()
+    if table is None:
+        table = {}
+    texts = table.setdefault(("texts", tuple(coords)), {})
+    e = texts.get(text)
+    if e is None:
+        e = texts[text] = _Parser(text, coords, table, texts).parse()
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -566,17 +643,46 @@ def evaluate(e, q):
 # ---------------------------------------------------------------------------
 # differentiation
 
-def differentiate(e, coord):
-    """Exact partial derivative with respect to coordinate index `coord`."""
+def differentiate(e, coord, memo=None):
+    """Exact partial derivative with respect to coordinate index `coord`.
+
+    memo maps the nodes already differentiated in `coord` to their
+    derivatives, so each distinct node of a DAG is differentiated once; a
+    build that differentiates many expressions passes one memo per
+    coordinate (see partials). The memo holds the nodes it keys, so their
+    ids are not reused while it lives. The derivative does not depend on it.
+    """
+    return _derive(e, coord, {} if memo is None else memo)
+
+
+def partials(exprs, n):
+    """d/dq_k of every expression of exprs for k < n, k-major: entry
+    k * len(exprs) + i is d exprs[i] / dq_k. One memo per coordinate."""
+    exprs = list(exprs)
+    out = []
+    for k in range(n):
+        memo = {}
+        out.extend(differentiate(e, k, memo) for e in exprs)
+    return out
+
+
+def _derive(e, coord, memo):
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Coord):
         return ONE if e.index == coord else ZERO
+    d = memo.get(e)
+    if d is None:
+        d = memo[e] = _derivative(e, coord, memo)
+    return d
+
+
+def _derivative(e, coord, memo):
     if isinstance(e, Pow):
-        db = differentiate(e.base, coord)
+        db = _derive(e.base, coord, memo)
         return mul(mul(Const(e.exponent), pow_(e.base, e.exponent - 1.0)), db)
     if isinstance(e, Unary):
-        da = differentiate(e.arg, coord)
+        da = _derive(e.arg, coord, memo)
         if e.op == "neg":
             return neg(da)
         if e.op == "sin":
@@ -591,8 +697,8 @@ def differentiate(e, coord):
             return div(da, mul(Const(2.0), sqrt(e.arg)))
         # abs: f'*f/|f|, undefined (division by zero) at f = 0
         return div(mul(da, e.arg), abs_(e.arg))
-    dl = differentiate(e.left, coord)
-    dr = differentiate(e.right, coord)
+    dl = _derive(e.left, coord, memo)
+    dr = _derive(e.right, coord, memo)
     if e.op == "+":
         return add(dl, dr)
     if e.op == "-":

@@ -3,8 +3,10 @@
 A model is a coordinate box with a global frame X_1..X_n of the tangent bundle
 whose first m fields span the distribution D, plus two symmetric positive
 Gram matrices gram1/gram2 giving the metrics on D in that frame. Everything
-symbolic is an expr.Expr tree over the model coordinates; pointwise numerics
-go through compiled evaluators cached on the model.
+symbolic is an expr.Expr DAG over the model coordinates: from_manifest
+hash-conses all cells of one manifest through one table, and each derivative
+build memoizes per coordinate. Neither table nor memo outlives its load or
+build. Pointwise numerics go through compiled evaluators cached on the model.
 
 Frame matrices are stored column-wise: frame_at(q)[:, i] are the coordinate
 components of X_{i+1}. Structure function arrays use the natural indexing
@@ -83,9 +85,8 @@ class GeometryModel:
     def dframe_at(self, q):
         """dE[k] = coordinate partial d/dq_k of frame_at, shape (n, n, n)."""
         n = self.n
-        fn = self._compiled("dframe", lambda: [
-            ex.differentiate(self.frame[i][j], k)
-            for k in range(n) for i in range(n) for j in range(n)])
+        fn = self._compiled("dframe", lambda: ex.partials(
+            [self.frame[i][j] for i in range(n) for j in range(n)], n))
         return np.array(fn(q), dtype=float).reshape(n, n, n).transpose(0, 2, 1).copy()
 
     def _gram_exprs(self, tag):
@@ -113,9 +114,8 @@ class GeometryModel:
     def dgram_at(self, q, tag):
         m, n = self.m, self.n
         g = self._gram_exprs(tag)
-        fn = self._compiled("dgram%d" % tag, lambda: [
-            ex.differentiate(g[i][j], k)
-            for k in range(n) for i in range(m) for j in range(m)])
+        fn = self._compiled("dgram%d" % tag, lambda: ex.partials(
+            [g[i][j] for i in range(m) for j in range(m)], n))
         return np.asarray(fn(q), dtype=float).reshape(n, m, m)
 
     # -- domain helpers -----------------------------------------------------
@@ -168,7 +168,7 @@ def _require(cond, path, message):
         raise ManifestError("%s: %s" % (path, message))
 
 
-def _parse_matrix(rows, coords, path, shape):
+def _parse_matrix(rows, coords, path, shape, table):
     _require(isinstance(rows, list) and len(rows) == shape[0], path,
              "expected a list of %d rows" % shape[0])
     out = []
@@ -179,11 +179,11 @@ def _parse_matrix(rows, coords, path, shape):
         for j, cell in enumerate(row):
             cellpath = "%s[%d][%d]" % (path, i, j)
             if isinstance(cell, (int, float)) and not isinstance(cell, bool):
-                parsed.append(ex.Const(cell))
+                parsed.append(ex.hashcons(ex.Const(cell), table))
                 continue
             _require(isinstance(cell, str), cellpath, "expected an expression string or number")
             try:
-                parsed.append(ex.parse(cell, coords))
+                parsed.append(ex.parse(cell, coords, table))
             except ex.ExprSyntaxError as exc:
                 raise ManifestError("%s: %s" % (cellpath, exc)) from exc
         out.append(tuple(parsed))
@@ -214,9 +214,11 @@ def from_manifest(doc):
     _require(isinstance(rank, int) and not isinstance(rank, bool), "rank", "expected an integer")
     _require(1 <= rank <= n, "rank", "must satisfy 1 <= rank <= %d" % n)
 
-    frame = _parse_matrix(doc["frame"], coords, "frame", (n, n))
-    gram1 = _parse_matrix(doc["gram1"], coords, "gram1", (rank, rank))
-    gram2 = _parse_matrix(doc["gram2"], coords, "gram2", (rank, rank))
+    # one hash-consing table for every cell, dropped with this call
+    table = {}
+    frame = _parse_matrix(doc["frame"], coords, "frame", (n, n), table)
+    gram1 = _parse_matrix(doc["gram1"], coords, "gram1", (rank, rank), table)
+    gram2 = _parse_matrix(doc["gram2"], coords, "gram2", (rank, rank), table)
 
     dom = doc["domain"]
     _require(isinstance(dom, dict), "domain", "expected an object with min/max")
@@ -384,14 +386,18 @@ def _cholesky_ok(W):
 # ---------------------------------------------------------------------------
 # frame calculus
 
-def lie_bracket(X, Y, n):
-    """[X, Y] componentwise for coordinate component tuples of length n."""
+def lie_bracket(X, Y, n, memos=None):
+    """[X, Y] componentwise for coordinate component tuples of length n.
+    memos[j] is the differentiate memo of coordinate j, which the brackets
+    of one build share; fresh ones by default."""
+    if memos is None:
+        memos = [{} for _ in range(n)]
     out = []
     for k in range(n):
         acc = ex.ZERO
         for j in range(n):
-            acc = ex.add(acc, ex.sub(ex.mul(X[j], ex.differentiate(Y[k], j)),
-                                     ex.mul(Y[j], ex.differentiate(X[k], j))))
+            acc = ex.add(acc, ex.sub(ex.mul(X[j], ex.differentiate(Y[k], j, memos[j])),
+                                     ex.mul(Y[j], ex.differentiate(X[k], j, memos[j]))))
         out.append(acc)
     return tuple(out)
 
@@ -402,8 +408,9 @@ def bracket_exprs(model):
     brackets = model._cache.get("bracket_exprs")
     if brackets is None:
         n, m = model.n, model.m
+        memos = [{} for _ in range(n)]
         brackets = model._cache["bracket_exprs"] = {
-            (a, b): lie_bracket(model.frame[a], model.frame[b], n)
+            (a, b): lie_bracket(model.frame[a], model.frame[b], n, memos)
             for a in range(m) for b in range(a + 1, m)}
     return brackets
 

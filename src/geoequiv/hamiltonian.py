@@ -121,12 +121,14 @@ def _generate(model, tag, kind):
                            or "0.0")
                for j in range(n)]
     for k in range(n):
-        dW = [[ex.differentiate(gram[a][b], k) if a >= b else None for b in range(m)]
+        memo = {}   # the differentiate memo of coordinate k, for this build
+        dW = [[ex.differentiate(gram[a][b], k, memo) if a >= b else None for b in range(m)]
               for a in range(m)]
         quad = _quadratic(prog, dW, v)
         force = []
         for i in range(m):
-            inner = _dot(prog, [(ex.differentiate(frame[i][j], k), p[j]) for j in range(n)])
+            inner = _dot(prog, [(ex.differentiate(frame[i][j], k, memo), p[j])
+                                for j in range(n)])
             if inner:
                 force.append("(%s) * %s" % (inner, v[i]))
         src = "0.5 * (%s)" % quad if quad else ""

@@ -330,8 +330,7 @@ def _completion(model, pair):
         br = bracket_exprs(model)[pair]
         fns = model._cache[key] = (
             ex.compile_exprs(br, name="_completion%d_%d" % pair),
-            ex.compile_exprs([ex.differentiate(c, k) for k in range(n) for c in br],
-                             name="_dcompletion%d_%d" % pair))
+            ex.compile_exprs(ex.partials(br, n), name="_dcompletion%d_%d" % pair))
     return fns
 
 

@@ -29,7 +29,9 @@ whose extremal starts with a given velocity. hamiltonian_rhs writes its
 rates into a buffer; rhs_arrays gives them as the two arrays (dq/dt,
 dp/dt) that it once returned. geometry.validate_model checked its probe
 grid point by point (loop_validate_model), evaluating the frame and each
-Gram matrix through the scalar evaluators.
+Gram matrix through the scalar evaluators. The parser built trees, with a
+node of its own for every occurrence of a subexpression; unshare rebuilds
+such a tree from a hash-consed expression.
 """
 
 import itertools
@@ -46,6 +48,20 @@ from geoequiv.hamiltonian import (_BOUNDARY_EPS, IntegrationError, _dot, _quadra
                                   hamiltonian, hamiltonian_rhs)
 from geoequiv.pair import (_CLUSTER_TOL, _GAUGE_MIN_SV, AdaptedFrameError,
                            _cluster_indices)
+
+
+def unshare(e):
+    """e rebuilt with the plain node classes as a tree: every occurrence of
+    a node gets a node of its own, so no two positions share one."""
+    if isinstance(e, ex.Const):
+        return ex.Const(e.value)
+    if isinstance(e, ex.Coord):
+        return ex.Coord(e.index, e.name)
+    if isinstance(e, ex.Pow):
+        return ex.Pow(unshare(e.base), e.exponent)
+    if isinstance(e, ex.Unary):
+        return ex.Unary(e.op, unshare(e.arg))
+    return ex.Binary(e.op, unshare(e.left), unshare(e.right))
 
 
 def rhs_arrays(model, metric_tag, q, p):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import geoequiv
-from geoequiv.cli import main
+from geoequiv.cli import _canonical_json, main
+from geoequiv.constructors import GENERATORS
 from geoequiv.geometry import save_model
 
 from conftest import FIELD_PARAMS, heisenberg, plane_pair
@@ -324,6 +325,56 @@ def test_arguments_that_void_a_verdict_exit_1(conformal_model, capsys, argv):
     assert errors == ["error: argument %s: must be %s, got %s" % (
         argv[1], "at least 2" if argv[1] == "--curve-samples" else
         "at least 1" if argv[1] == "--samples" else "finite and positive", argv[2])]
+
+
+@pytest.mark.parametrize("flag,value,what", [
+    # before these were checked, a NaN cone excluded nothing and wrote NaN
+    # into the JSON report (exit 0), a NaN margin or sigma exited 4 blaming
+    # the model, and a margin of 0.6 inverted sample_point's box
+    ("--exclude-abnormal-cone", "nan", "finite and positive"),
+    ("--exclude-abnormal-cone", "inf", "finite and positive"),
+    ("--exclude-abnormal-cone", "0", "finite and positive"),
+    ("--margin", "nan", "in [0, 0.5)"),
+    ("--margin", "0.6", "in [0, 0.5)"),
+    ("--margin", "0.5", "in [0, 0.5)"),
+    ("--margin", "-0.1", "in [0, 0.5)"),
+    ("--transverse-sigma", "nan", "finite and at least 0"),
+    ("--transverse-sigma", "inf", "finite and at least 0"),
+    ("--transverse-sigma", "-1", "finite and at least 0"),
+])
+def test_verify_sampling_arguments_exit_1(conformal_model, capsys, flag, value, what):
+    assert main(["verify", "--model", conformal_model, "--samples", "2",
+                 "--format", "json", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if line.startswith("error")]
+    assert errors == ["error: argument %s: must be %s, got %s" % (flag, what, value)]
+
+
+def _strict_json(text):
+    """json.loads that rejects NaN and infinity, as allow_nan=False writes."""
+    def reject(name):
+        raise ValueError("not JSON: %s" % name)
+    return json.loads(text, parse_constant=reject)
+
+
+def test_verify_report_with_abnormal_cone_is_strict_json(tmp_path, capsys):
+    path = tmp_path / "qc.json"
+    save_model(GENERATORS["quasi-contact"](FIELD_PARAMS["quasi-contact"]), str(path))
+    assert main(["verify", "--model", str(path), "--samples", "3", "--format", "json",
+                 "--exclude-abnormal-cone", "0.1", "--margin", "0",
+                 "--transverse-sigma", "0"]) == 0
+    report = _strict_json(capsys.readouterr().out)
+    config = report["config"]
+    assert (config["abnormal_cone"], config["margin"], config["transverse_sigma"]) == (0.1, 0, 0)
+    assert report["verdict"] == "pass"
+
+
+def test_canonical_json_refuses_nan_and_infinity():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            _canonical_json({"value": bad})
+    assert _strict_json(_canonical_json({"value": 0.5})) == {"value": 0.5}
 
 
 def test_analyze_cluster_tol_reaches_the_adapted_frame(tmp_path, capsys):
