@@ -1,9 +1,10 @@
 """Command-line front end: generate / analyze / geodesic / verify / check-relations.
 
 Exit codes: 0 success (or verification pass), 1 usage or IO error (also a
-tolerance, radius or abnormal cone that is not finite and positive, a verify
-margin outside [0, 0.5), a transverse sigma that is not finite and at least
-0, fewer than 1 verify sample or 2 curve samples, or a zero horizon),
+point or covector coordinate that is not finite, a tolerance, radius or
+abnormal cone that is not finite and positive, a verify margin outside
+[0, 0.5), a transverse sigma that is not finite and at least 0, fewer than
+1 verify sample or 2 curve samples, or a zero horizon),
 2 verification fail, 3 inconclusive (also when verify can draw no covector
 outside the excluded abnormal cone, or when check-relations has a point
 without an adapted frame and no failing point), 4 invalid model: a manifest or
@@ -75,6 +76,7 @@ def _checked(cast, ok, what):
     return parse
 
 
+_FINITE = _checked(float, math.isfinite, "finite")
 _POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
 _NONNEGATIVE = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and at least 0")
 # sample_point's box keeps this fraction of each side; 0.5 or more inverts it
@@ -453,7 +455,7 @@ def build_parser():
 
     a = sub.add_parser("analyze", help="spectrum, regularity and divisibility at points")
     a.add_argument("--model", required=True)
-    a.add_argument("--at", nargs="+", type=float, action="append",
+    a.add_argument("--at", nargs="+", type=_FINITE, action="append",
                    metavar="Q", help="a point (repeatable); default: domain center")
     a.add_argument("--radius", type=_POSITIVE, default=0.05)
     a.add_argument("--cluster-tol", type=_POSITIVE, default=1e-7)
@@ -463,8 +465,8 @@ def build_parser():
     ge = sub.add_parser("geodesic", help="integrate one extremal, emit CSV")
     ge.add_argument("--model", required=True)
     ge.add_argument("--metric", type=int, choices=(1, 2), required=True)
-    ge.add_argument("--q", nargs="+", type=float, required=True)
-    ge.add_argument("--p", nargs="+", type=float, required=True)
+    ge.add_argument("--q", nargs="+", type=_FINITE, required=True)
+    ge.add_argument("--p", nargs="+", type=_FINITE, required=True)
     ge.add_argument("--T", type=float, required=True)
     ge.add_argument("--tol", type=float, default=1e-10)
     ge.add_argument("--samples", type=int, default=201)
@@ -490,7 +492,7 @@ def build_parser():
 
     c = sub.add_parser("check-relations", help="pointwise equivalence relations")
     c.add_argument("--model", required=True)
-    c.add_argument("--at", nargs="+", type=float, action="append", metavar="Q")
+    c.add_argument("--at", nargs="+", type=_FINITE, action="append", metavar="Q")
     c.add_argument("--points", type=int, default=5,
                    help="sampled probe points when --at is omitted")
     c.add_argument("--seed", type=int, default=0)

@@ -743,7 +743,9 @@ def _emit(e, out, cache):
     """The local (or literal) holding e; appends the lines it needs. cache maps
     each emitted node (keeping it alive) and each emitted source to its local:
     equal sources over the same locals compute equal values, so every
-    distinct value gets one line."""
+    distinct value gets one line. Each line applies one operation to locals
+    and literals, so it needs no outer parentheses: without them it compiles
+    to the same bytecode, and the parser reads it faster."""
     if isinstance(e, Const):
         return _fmt_float(e.value)
     var = cache.get(e)
@@ -753,12 +755,12 @@ def _emit(e, out, cache):
         s = "q[%d]" % e.index
     elif isinstance(e, Pow):
         b = _emit(e.base, out, cache)
-        s = ("(%s * %s)" % (b, b) if e.exponent == 2.0
+        s = ("%s * %s" % (b, b) if e.exponent == 2.0
              else "_pow(%s, %s)" % (b, _fmt_float(e.exponent)))
     elif isinstance(e, Unary):
         inner = _emit(e.arg, out, cache)
         if e.op == "neg":
-            s = "(-%s)" % inner
+            s = "-%s" % inner
         elif e.op == "abs":
             s = "abs(%s)" % inner
         else:
@@ -766,7 +768,7 @@ def _emit(e, out, cache):
     else:
         a = _emit(e.left, out, cache)
         b = _emit(e.right, out, cache)
-        s = "(%s %s %s)" % (a, "/" if e.op == "/" else e.op, b)
+        s = "%s %s %s" % (a, "/" if e.op == "/" else e.op, b)
     var = cache.get(s)
     if var is None:
         var = cache[s] = "t%d" % len(out)

@@ -16,9 +16,11 @@ fiber polynomials live in u_1..u_n.
 
 import functools
 import itertools
+import struct
 
 import numpy as np
-from scipy.linalg.lapack import dsygvd, dtrtrs
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dsygvd
 
 from . import expr as ex
 from .geometry import bracket_exprs
@@ -62,38 +64,89 @@ def _floats(q):
     return [float(v) for v in q]
 
 
-def _pencil(model, qt, vectors=True):
-    """(W1, W2, lams, V) of the pencil (W2, W1) at the point tuple qt.
+def _gram_values(model, grams, qt):
+    """The values of the model's joint Gram program grams at the point qt.
 
-    Both Gram matrices come from one array, the values of the model's joint
-    Gram program (gram1's entries first); when it raises, gram_at(qt, 1) and then
-    gram_at(qt, 2) are evaluated, so the error is the one they give.
-    LAPACK dsygvd with the defaults of scipy.linalg.eigh(W2, W1) (itype 1,
-    lower triangle, default workspace), so lams and V are eigh's bit for bit,
-    without its per-call argument checks. V is None when vectors is false.
-    Raises np.linalg.LinAlgError, naming the point, when gram1 is not
-    positive definite or the solver fails.
+    When it raises, gram_at(qt, 1) and then gram_at(qt, 2) are evaluated, so
+    the error is the one they give.
     """
-    m = model.m
     try:
-        W = np.array(model._grams_program()(qt)).reshape(2, m, m)
+        return grams(qt)
     except ex.EvalDomainError:
         model.gram_at(qt, 1)
         model.gram_at(qt, 2)
         raise
+
+
+def _pencil_error(qt, info, m):
+    """The LinAlgError, naming the point qt, for dsygvd's nonzero info."""
+    if info > m:
+        return np.linalg.LinAlgError(
+            "gram1 not positive definite at %s (leading minor of order %d)"
+            % (_floats(qt), info - m))
+    return np.linalg.LinAlgError(
+        "generalized eigenproblem of gram2 and gram1 failed at %s (LAPACK info %d)"
+        % (_floats(qt), info))
+
+
+def _pencil(model, qt):
+    """(W1, W2, lams, V) of the pencil (W2, W1) at the point tuple qt.
+
+    Both Gram matrices come from one array, the values of the model's joint
+    Gram program (gram1's entries first), which raises what gram_at raises
+    (see _gram_values). LAPACK dsygvd with the defaults of
+    scipy.linalg.eigh(W2, W1) (itype 1, lower triangle, default workspace),
+    so lams and V are eigh's bit for bit, without its per-call argument
+    checks. Raises np.linalg.LinAlgError, naming the point, when gram1 is not
+    positive definite or the solver fails.
+    """
+    m = model.m
+    W = np.array(_gram_values(model, model._grams_program(), qt)).reshape(2, m, m)
     W1 = W[0]
     W2 = W[1]
-    lams, V, info = dsygvd(W2, W1, jobz="V" if vectors else "N")
+    lams, V, info = dsygvd(W2, W1, jobz="V")
     if info:
-        where = _floats(qt)
-        if info > len(lams):
-            raise np.linalg.LinAlgError(
-                "gram1 not positive definite at %s (leading minor of order %d)"
-                % (where, info - len(lams)))
-        raise np.linalg.LinAlgError(
-            "generalized eigenproblem of gram2 and gram1 failed at %s (LAPACK info %d)"
-            % (where, info))
-    return W1, W2, lams, V if vectors else None
+        raise _pencil_error(qt, info, m)
+    return W1, W2, lams, V
+
+
+def _eigenvalue_kernel(model):
+    """The function q -> eigenvalues of the pencil (W2, W1) at q, ascending,
+    as a list of floats; q is a sequence of floats.
+
+    They are scipy.linalg.eigh(W2, W1, eigvals_only=True)'s bit for bit:
+    the joint Gram program's values are packed into one preallocated
+    (2, m, m) buffer and LAPACK dsygvd runs on its halves without vectors.
+    A point's result, or its error, is kept under the exact bits of q (so
+    -0.0 and 0.0 are distinct points) and the program runs once per point.
+    Raises what gram_at raises where the model's expressions do (see
+    _gram_values), and np.linalg.LinAlgError as _pencil does where dsygvd
+    fails.
+    """
+    m = model.m
+    grams = model._grams_program()
+    W = np.empty((2, m, m))
+    W1, W2 = W
+    pack_into = struct.Struct("%dd" % (2 * m * m)).pack_into
+    key = struct.Struct("%dd" % model.n).pack
+    memo = {}
+
+    def eigenvalues(q):
+        k = key(*q)
+        lams = memo.get(k)
+        if lams is None:
+            try:
+                pack_into(W, 0, *_gram_values(model, grams, q))
+                w, _, info = dsygvd(W2, W1, jobz="N")
+                lams = _pencil_error(q, info, m) if info else w.tolist()
+            except ex.EvalDomainError as exc:
+                lams = exc
+            memo[k] = lams
+        if type(lams) is not list:
+            raise lams
+        return lams
+
+    return eigenvalues
 
 
 def transition_operator(model, q, cluster_tol=_CLUSTER_TOL):
@@ -122,8 +175,8 @@ class RegularityReport:
 
 
 def _gap(lams, boundaries):
-    """Smallest relative gap of the ascending lams across the boundaries."""
-    lams = lams.tolist()
+    """Smallest relative gap of the ascending lams, a list of floats, across
+    the boundaries."""
     scale = max(abs(lams[0]), abs(lams[-1]), 1e-300)
     # min() over the boundaries as a plain loop: the first gap, then any
     # smaller one
@@ -135,16 +188,21 @@ def _gap(lams, boundaries):
     return gap
 
 
-def _split_gap(model, q, boundaries):
-    """Smallest relative gap across the center's cluster boundaries at the
-    point q, a list of floats."""
-    if not model.in_domain(q):
-        return np.inf
-    try:
-        lams = _pencil(model, tuple(q), vectors=False)[2]
-    except (ex.EvalDomainError, np.linalg.LinAlgError):
-        return np.inf
-    return _gap(lams, boundaries)
+def _gap_objective(model, eigenvalues, boundaries):
+    """The function p -> smallest relative gap across the boundaries at the
+    point p, a list of floats, from the kernel eigenvalues (see
+    _eigenvalue_kernel); inf outside the domain, where the model's
+    expressions raise and where the pencil cannot be solved."""
+    def objective(p):
+        if not model.in_domain(p):
+            return np.inf
+        try:
+            lams = eigenvalues(p)
+        except (ex.EvalDomainError, np.linalg.LinAlgError):
+            return np.inf
+        return _gap(lams, boundaries)
+
+    return objective
 
 
 def _nelder_mead(f, x0, lo, hi, xatol, fatol, maxiter):
@@ -172,7 +230,9 @@ def _nelder_mead(f, x0, lo, hi, xatol, fatol, maxiter):
         return [a if x < a else b if x > b else x for x, a, b in zip(y, lo, hi)]
 
     def by_value(sim, fsim):
-        order = np.argsort(fsim).tolist()
+        # np.argsort(fsim) without its list round trip through _wrapit: the
+        # same sort, so the same tie order
+        order = np.array(fsim).argsort().tolist()
         return [sim[i] for i in order], [fsim[i] for i in order]
 
     x0 = clipped(x0)
@@ -239,7 +299,10 @@ def regularity_probe(model, q, radius, cluster_tol=_CLUSTER_TOL):
     td = transition_operator(model, q, cluster_tol)
     Nc = td.N
     boundaries = [grp[0] for grp in td.clusters[1:]]
+    eigenvalues = _eigenvalue_kernel(model)
     rng = np.random.default_rng(_PROBE_SEED)
+    n = model.n
+    qs = q.tolist()
     values = {Nc}
     used = 0
     kept = []
@@ -247,15 +310,17 @@ def regularity_probe(model, q, radius, cluster_tol=_CLUSTER_TOL):
     for _ in range(_PROBE_SAMPLES * 4):
         if used >= _PROBE_SAMPLES:
             break
-        direction = rng.normal(size=model.n)
-        norm = np.linalg.norm(direction)
+        direction = rng.normal(size=n)
+        norm = float(np.linalg.norm(direction))
         if norm < 1e-12:
             continue
-        point = q + direction / norm * radius * rng.random() ** (1.0 / model.n)
+        # q + direction / norm * radius * s in numpy's order, on floats
+        s = rng.random() ** (1.0 / n)
+        point = [c + d / norm * radius * s for c, d in zip(qs, direction.tolist())]
         if not model.in_domain(point):
             continue
         try:
-            lams = _pencil(model, tuple(point.tolist()), vectors=False)[2]
+            lams = eigenvalues(point)
         except np.linalg.LinAlgError:
             lams = None
         if lams is None or lams[0] <= 0:
@@ -273,16 +338,16 @@ def regularity_probe(model, q, radius, cluster_tol=_CLUSTER_TOL):
     witness = None
     N_witness = None
     if boundaries:
-        objective = lambda p: _split_gap(model, p, boundaries)
+        objective = _gap_objective(model, eigenvalues, boundaries)
         lo = np.maximum(q - radius, model.domain_min).tolist()
         hi = np.minimum(q + radius, model.domain_max).tolist()
-        starts = [q] + kept[:3]
+        starts = [qs] + kept[:3]
         if best_start is not None:
             # the first sample with the smallest split gap (its objective value)
             starts.append(best_start)
-        best_p, best_g = q, objective(q.tolist())
+        best_p, best_g = q, objective(qs)
         for start in starts:
-            cand = np.array(_nelder_mead(objective, start.tolist(), lo, hi,
+            cand = np.array(_nelder_mead(objective, start, lo, hi,
                                          xatol=1e-9, fatol=1e-12, maxiter=400))
             # keep the iterate inside the probed ball
             off = cand - q
@@ -355,14 +420,16 @@ def _gauge(V, same, W1, reference, q, center):
             "gauge reference degenerate at %s (eigenvectors rotated too far "
             "from the center %s)" % (_floats(q), _floats(center)))
     U = np.linalg.cholesky(Mc.T @ Mc).T
-    # scipy.linalg.solve_triangular(U, I) without its wrapper: LAPACK trtrs
-    # on the F-ordered U, with its checks
+    # scipy.linalg.solve_triangular(U, I), bit for bit, with its checks: the
+    # BLAS dtrsm that LAPACK trtrs calls after its check for an exact zero
+    # on the diagonal; OpenBLAS runs trtrs itself on its thread pool
     if not np.isfinite(U).all():
         raise ValueError("array must not contain infs or NaNs")
-    Uinv, info = dtrtrs(U, np.eye(m))
-    if info > 0:
+    zero = np.flatnonzero(np.diagonal(U) == 0)
+    if zero.size:
         raise np.linalg.LinAlgError("singular matrix: resolution failed at diagonal %d"
-                                    % (info - 1))
+                                    % zero[0])
+    Uinv = dtrsm(1.0, U, np.eye(m))
     MU = Mc @ Uinv
     return V @ MU, (same, Y, Mc, Uinv, MU)
 

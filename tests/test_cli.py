@@ -351,6 +351,35 @@ def test_verify_sampling_arguments_exit_1(conformal_model, capsys, flag, value, 
     assert errors == ["error: argument %s: must be %s, got %s" % (flag, what, value)]
 
 
+@pytest.mark.parametrize("argv", [
+    # before these were checked, NaN points exited 4 blaming the model,
+    # infinite analyze points ended in a traceback from the JSON writer and
+    # geodesic --q nan read as a point outside the domain
+    ("analyze", "--at", "nan", "0", "0", "0"),
+    ("analyze", "--at", "0", "inf", "0", "0"),
+    ("analyze", "--at", "0.1", "0", "0", "0", "--at", "0", "0", "1e400", "0"),
+    ("check-relations", "--at", "nan", "0", "0", "0"),
+    ("check-relations", "--at", "0", "0", "0", "-1e999"),
+    ("geodesic", "--q", "nan", "0", "0", "0"),
+    ("geodesic", "--p", "0", "0", "nan", "0"),
+])
+def test_non_finite_points_exit_1(tmp_path, capsys, argv):
+    path = tmp_path / "qc.json"
+    save_model(GENERATORS["quasi-contact"](FIELD_PARAMS["quasi-contact"]), str(path))
+    extra = []
+    if argv[0] == "geodesic":
+        extra = ["--metric", "1", "--T", "0.1"] + [
+            arg for flag in ("--q", "--p") if flag not in argv
+            for arg in (flag, "0", "0", "0", "1")]
+    assert main([argv[0], "--model", str(path)] + list(argv[1:]) + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if line.startswith("error")]
+    bad = next(v for v in argv if v in ("nan", "inf", "1e400", "-1e999"))
+    flag = "--at" if "--at" in argv else "--q" if "--q" in argv else "--p"
+    assert errors == ["error: argument %s: must be finite, got %s" % (flag, bad)]
+
+
 def _strict_json(text):
     """json.loads that rejects NaN and infinity, as allow_nan=False writes."""
     def reject(name):

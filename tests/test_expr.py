@@ -1,12 +1,19 @@
 """Expression language: parsing, evaluation, differentiation, printing, codegen."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from geoequiv import expr as ex
+from geoequiv.geometry import bracket_exprs
+from geoequiv.hamiltonian import _program
+from geoequiv.pair import AdaptedFrame, _completion
+from geoequiv.verifier import _abnormal_program
+
+from conftest import PAIR_KINDS, pair_fixture
 
 
 COORDS3 = ("x", "y", "z")
@@ -252,8 +259,8 @@ def test_squares_are_products():
     # other exponents keep math.pow
     prog = ex.Program()
     prog.value(ex.parse("x^3 + x^2", ("x",)))
-    assert prog.lines == ["    t0 = q[0]", "    t1 = _pow(t0, 3.0)", "    t2 = (t0 * t0)",
-                          "    t3 = (t1 + t2)"]
+    assert prog.lines == ["    t0 = q[0]", "    t1 = _pow(t0, 3.0)", "    t2 = t0 * t0",
+                          "    t3 = t1 + t2"]
 
 
 def test_compiled_finiteness_guard():
@@ -321,3 +328,59 @@ def test_program_emits_each_distinct_value_once():
     assert first == again != other
     assert len(prog.lines) == 6
     assert prog.compile([first, again, other])((0.5, 2.0)) == (math.sin(1.0),) * 3
+
+
+# an emitted line whose right-hand side is one operation on locals and
+# literals: a binary operation or a negation (a square is a product)
+_SINGLE_OP = re.compile(r"^(    t\d+ = )(\S+ [-+*/] \S+|-\S+)$", re.MULTILINE)
+
+
+def _function_code(code, name):
+    return next(c for c in code.co_consts if getattr(c, "co_name", None) == name)
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_emitted_lines_compile_as_parenthesized_lines(kind, monkeypatch):
+    # every program compiles to the bytecode of the same source with each
+    # single-operation right-hand side in parentheses
+    sources = {}
+
+    def record(source, filename, mode):
+        sources[source.split("(", 1)[0][4:]] = source
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(ex, "compile", record, raising=False)
+    m = pair_fixture(kind)
+    q = tuple(m.center().tolist())
+    m.frame_at(q)
+    m.dframe_at(q)
+    m._grams_program()
+    for tag in (1, 2):
+        m.gram_at(q, tag)
+        m.dgram_at(q, tag)
+        _program(m, tag, "flow")
+        _program(m, tag, "energy")
+    expected = {"_frame", "_dframe", "_grams", "_gram1", "_gram2", "_dgram1", "_dgram2",
+                "_flow1", "_flow2", "_energy1", "_energy2"}
+    if m.n - m.m == 1:
+        AdaptedFrame(m, m.center())
+        for pair in bracket_exprs(m):
+            _completion(m, pair)
+            expected |= {"_completion%d_%d" % pair, "_dcompletion%d_%d" % pair}
+        _abnormal_program(m)
+        expected |= {"_brackets", "_Omega"}
+    assert expected <= set(sources), sorted(expected - set(sources))
+    wrapped_lines = 0
+    for name, source in sources.items():
+        # the other emitted lines read a coordinate or call a function of
+        # locals and literals
+        for line in re.findall(r"^    t\d+ = .*$", source, re.MULTILINE):
+            assert (_SINGLE_OP.match(line)
+                    or re.match(r"^    t\d+ = (q\[\d+\]|[\w.]+\([^()]*\))$", line)), line
+        wrapped, count = _SINGLE_OP.subn(r"\1(\2)", source)
+        wrapped_lines += count
+        ours = _function_code(compile(source, "<geoequiv-expr>", "exec"), name)
+        theirs = _function_code(compile(wrapped, "<geoequiv-expr>", "exec"), name)
+        assert ours.co_code == theirs.co_code, name
+        assert ours.co_consts == theirs.co_consts, name
+    assert wrapped_lines > 0

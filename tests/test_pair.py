@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,14 +8,15 @@ import scipy.linalg as sla
 from scipy.optimize import minimize
 
 from geoequiv import expr as ex
+from geoequiv import pair as pair_module
 from geoequiv.geometry import GeometryModel
 from geoequiv.hamiltonian import hamiltonian_rhs
 from geoequiv.pair import (transition_operator, regularity_probe, AdaptedFrame,
                            AdaptedFrameError, fiber_P, intrinsic_P, fiber_value,
                            fiber_hP, fiber_R, fiber_Q, first_divisibility,
                            second_divisibility, relations_cor, _basis, _nelder_mead,
-                           _CLUSTER_TOL, _cluster_indices, _gauge, _pencil, _split_gap,
-                           _times_u)
+                           _CLUSTER_TOL, _cluster_indices, _eigenvalue_kernel, _gap_objective,
+                           _gauge, _pencil, _times_u)
 from geoequiv.constructors import (build_beltrami, build_dini,
                                    build_levi_civita, build_gendini_case1,
                                    build_quasi_contact)
@@ -76,9 +78,19 @@ def test_pencil_kernel_matches_eigh(kind):
         ref_lams, ref_V = sla.eigh(W2, W1)
         assert np.array_equal(lams, ref_lams), (kind, qt)
         assert np.array_equal(V, ref_V), (kind, qt)
-        _, _, only, none = _pencil(m, qt, vectors=False)
-        assert none is None
-        assert np.array_equal(only, sla.eigh(W2, W1, eigvals_only=True)), (kind, qt)
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_eigenvalue_kernel_matches_eigh(kind):
+    m = pair_fixture(kind)
+    eigenvalues = _eigenvalue_kernel(m)
+    rng = np.random.default_rng(31)
+    for _ in range(8):
+        q = m.sample_point(rng).tolist()
+        only = eigenvalues(q)
+        assert type(only) is list
+        ref = sla.eigh(m.gram_at(q, 2), m.gram_at(q, 1), eigvals_only=True)
+        assert np.array_equal(only, ref), (kind, q)
 
 
 def test_pencil_kernel_rejects_indefinite_gram1():
@@ -90,10 +102,10 @@ def test_pencil_kernel_rejects_indefinite_gram1():
     q = (-0.5, 0.25)
     with pytest.raises(np.linalg.LinAlgError):
         sla.eigh(m.gram_at(q, 2), m.gram_at(q, 1))
-    for vectors in (True, False):
+    for solve in (lambda q: _pencil(m, q), _eigenvalue_kernel(m)):
         with pytest.raises(np.linalg.LinAlgError,
                            match=r"gram1 not positive definite at \[-0.5, 0.25\]"):
-            _pencil(m, q, vectors=vectors)
+            solve(q)
     with pytest.raises(np.linalg.LinAlgError, match="gram1"):
         transition_operator(m, np.array(q))
 
@@ -114,16 +126,92 @@ def test_pencil_kernel_raises_what_gram_at_raises():
         q = (0.25, 0.0) if bad == 1 else (-0.5, 0.0)
         with pytest.raises(ex.EvalDomainError) as ref:
             m.gram_at(q, bad)
-        for vectors in (True, False):
+        for solve in (lambda q: _pencil(m, q), _eigenvalue_kernel(m)):
             with pytest.raises(type(ref.value)) as got:
-                _pencil(m, q, vectors=vectors)
+                solve(q)
             assert str(got.value) == str(ref.value)
-        assert _split_gap(m, list(q), [1]) == np.inf
+        assert _gap_objective(m, _eigenvalue_kernel(m), [1])(list(q)) == np.inf
+
+
+def _counting_grams(m):
+    """Replace the model's joint Gram program by one that records its points."""
+    calls = []
+    grams = m._grams_program()
+    m._cache["grams"] = lambda q: calls.append(list(q)) or grams(q)
+    return calls
+
+
+def test_eigenvalue_kernel_runs_the_program_once_per_point():
+    m = pair_fixture("quasi-contact")
+    calls = _counting_grams(m)
+    eigenvalues = _eigenvalue_kernel(m)
+    q = m.center().tolist()
+    p = (m.center() + 0.01).tolist()
+    first = eigenvalues(q)
+    assert eigenvalues(list(q)) == first and eigenvalues(tuple(q)) == first
+    eigenvalues(p)
+    eigenvalues(np.array(p))
+    assert calls == [q, p]
+
+
+def test_eigenvalue_kernel_keeps_signed_zeros_apart():
+    m = plane_pair()
+    calls = _counting_grams(m)
+    eigenvalues = _eigenvalue_kernel(m)
+    for q in ([0.0, 0.25], [-0.0, 0.25], [0.0, 0.25], [-0.0, 0.25]):
+        assert eigenvalues(q) == [1.0, 1.0]
+    assert [math.copysign(1.0, q[0]) for q in calls] == [1.0, -1.0]
+
+
+def test_regularity_probe_runs_the_program_once_per_distinct_point(monkeypatch):
+    # beltrami near its umbilic: the probe samples, refines and finds a witness
+    m = pair_fixture("beltrami")
+    calls = _counting_grams(m)
+    pencils = []
+    pencil = pair_module._pencil
+    monkeypatch.setattr(pair_module, "_pencil",
+                        lambda model, qt: pencils.append(qt) or pencil(model, qt))
+    asked = []
+    kernel = pair_module._eigenvalue_kernel
+
+    def recording_kernel(model):
+        eigenvalues = kernel(model)
+        return lambda q: asked.append(struct.pack("2d", *q)) or eigenvalues(q)
+
+    monkeypatch.setattr(pair_module, "_eigenvalue_kernel", recording_kernel)
+    rep = regularity_probe(m, (0.03, 0.01), radius=0.05)
+    assert rep.witness is not None
+    assert len(asked) > len(set(asked))
+    assert len(calls) == len(set(asked)) + len(pencils)
+
+
+def test_probe_kernel_raises_in_sampling_and_objective_is_inf():
+    # left of x = 0.01 gram2's root raises first in the joint program, while
+    # gram_at(q, 1) finds gram1's entry, inf there, not finite: sampling
+    # gives gram_at's error and the objective inf
+    coords = ("x", "y")
+    P = lambda s: ex.parse(s, coords)
+    eye = ((P("1"), P("0")), (P("0"), P("1")))
+    g1 = ((P("1 + (1e200*(0.01 - x) + abs(1e200*(0.01 - x)))*1e200"), P("0")),
+          (P("0"), P("1")))
+    g2 = ((P("2 + (x - 0.01)^0.5"), P("0")), (P("0"), P("1")))
+    m = GeometryModel(coords, 2, eye, g1, g2, [-1, -1], [1, 1])
+    eigenvalues = _eigenvalue_kernel(m)
+    with pytest.raises(ex.EvalDomainError, match="out of real domain"):
+        m._grams_program()((0.0, 0.0))
+    for _ in range(2):
+        with pytest.raises(ex.EvalDomainError, match="^compiled expression not finite$"):
+            eigenvalues([0.0, 0.0])
+    with pytest.raises(ex.EvalDomainError, match="^compiled expression not finite$"):
+        regularity_probe(m, (0.03, 0.0), radius=0.05)
+    objective = _gap_objective(m, eigenvalues, [1])
+    assert objective([0.0, 0.0]) == np.inf
+    assert 0 < objective([0.02, 0.0]) < np.inf
 
 
 @pytest.mark.parametrize("m", (1, 2, 3))
 def test_gauge_inverse_factor_matches_solve_triangular(m):
-    # _gauge calls LAPACK trtrs itself; its U^-1 is solve_triangular's, bit
+    # _gauge calls BLAS trsm itself; its U^-1 is solve_triangular's, bit
     # for bit, for split and clustered spectra
     rng = np.random.default_rng(60 + m)
     spectra = [rng.uniform(0.5, 3.0, m), np.full(m, 2.0), np.array([1.0, 1.0, 2.5][:m])]
@@ -146,6 +234,22 @@ def test_gauge_inverse_factor_matches_solve_triangular(m):
             assert np.array_equal(Uinv, sla.solve_triangular(U, np.eye(m))), (m, lam)
         if m > 1 and lam[0] == lam[1]:
             assert max(len(idx) for idx in clusters) >= 2
+
+
+@pytest.mark.parametrize("diagonal", [(2.0, 0.0, 3.0), (2.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                      (2.0, np.nan, 3.0), (np.inf, 1.0, 3.0)])
+def test_gauge_inverse_factor_checks_match_solve_triangular(monkeypatch, diagonal):
+    # the checks before trsm raise what solve_triangular raises: an exact
+    # zero on U's diagonal names the first one, and U must be finite
+    L = np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.25, -0.5, 1.0]])
+    np.fill_diagonal(L, diagonal)
+    with pytest.raises((ValueError, np.linalg.LinAlgError)) as ref:
+        sla.solve_triangular(L.T, np.eye(3))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: L)
+    eye = np.eye(3)
+    with pytest.raises(type(ref.value)) as got:
+        _gauge(eye, np.ones((3, 3), dtype=bool), eye, eye, (0.0,), (0.0,))
+    assert str(got.value) == str(ref.value)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -253,7 +357,7 @@ def probe_objective(m, q):
     """The split-gap objective that regularity_probe minimizes around q."""
     boundaries = [grp[0] for grp in transition_operator(m, q).clusters[1:]]
     assert boundaries
-    return lambda p: _split_gap(m, p, boundaries)
+    return _gap_objective(m, _eigenvalue_kernel(m), boundaries)
 
 
 # the conformal pair has one cluster everywhere, so no probe objective
