@@ -1,10 +1,11 @@
 """Command-line front end: generate / analyze / geodesic / verify / check-relations.
 
 Exit codes: 0 success (or verification pass), 1 usage or IO error (also a
-point or covector coordinate that is not finite, a tolerance, radius or
-abnormal cone that is not finite and positive, a verify margin outside
-[0, 0.5), a transverse sigma that is not finite and at least 0, fewer than
-1 verify sample or 2 curve samples, or a zero horizon),
+point or covector coordinate that is not finite, a geodesic covector too
+large for its energy to be finite where the model evaluates, a tolerance,
+radius or abnormal cone that is not finite and positive, a verify margin
+outside [0, 0.5), a transverse sigma that is not finite and at least 0,
+fewer than 1 verify sample or 2 curve samples, or a zero horizon),
 2 verification fail, 3 inconclusive (also when verify can draw no covector
 outside the excluded abnormal cone, or when check-relations has a point
 without an adapted frame and no failing point), 4 invalid model: a manifest or
@@ -32,7 +33,7 @@ import numpy as np
 from . import __version__
 from .expr import EvalDomainError
 from .geometry import load_model, save_model, ManifestError, ModelValidationError
-from .hamiltonian import IntegrationError, integrate, write_trajectory_csv
+from .hamiltonian import IntegrationError, hamiltonian, integrate, write_trajectory_csv
 from .pair import (AdaptedFrameError, AdaptedFrame, transition_operator,
                    regularity_probe, first_divisibility, second_divisibility,
                    relations_cor)
@@ -279,6 +280,23 @@ def _cmd_analyze(args):
 
 # ---------------------------------------------------------------- geodesic
 
+def _check_energy(model, tag, q, p):
+    """Every trajectory report starts with the energy at (q, p). Where it is
+    not finite, the model is at fault when the energy of p scaled to a
+    largest entry of 1 fails at q too (its EvalDomainError, exit 4), and
+    otherwise the size of p is (a usage error, exit 1)."""
+    try:
+        hamiltonian(model, tag, (q, p))
+        return
+    except EvalDomainError:
+        scale = float(np.abs(p).max())
+        if not scale > 1:
+            raise
+    hamiltonian(model, tag, (q, p / scale))
+    _usage_error("argument --p: the energy of this covector at --q is not "
+                 "finite; scale it down")
+
+
 def _cmd_geodesic(args):
     model = _load(args.model)
     if len(args.q) != model.n or len(args.p) != model.n:
@@ -286,6 +304,8 @@ def _cmd_geodesic(args):
         return EXIT_USAGE
     q0 = np.array(args.q, dtype=float)
     p0 = np.array(args.p, dtype=float)
+    if model.in_domain(q0):
+        _check_energy(model, args.metric, q0, p0)
     try:
         traj = integrate(model, args.metric, (q0, p0), args.T,
                          tol=args.tol, samples=args.samples)

@@ -10,12 +10,11 @@ objects.
 """
 
 import csv
+import functools
 import math
 import struct
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.optimize import brentq
 
 from . import expr as ex
 
@@ -221,10 +220,20 @@ def _trajectory(model, metric_tag, t, y, clipped, t_exit, with_aux, steps=None,
 # under scipy's initial value solve, operation for operation, so that every
 # trajectory is the one scipy gives. An 8th-order method: RK45 leaks ~1e-9
 # of energy per unit time at tol 1e-10, DOP853 keeps |dh| within tol.
-_STAGES = _dop.N_STAGES                 # 12 stages, then f at the new point
-_A = [_dop.A[s, :s] for s in range(_dop.N_STAGES_EXTENDED)]
-_B = _dop.B
-_E3, _E5, _D = _dop.E3, _dop.E5, _dop.D
+_STAGES = 12                            # 12 stages, then f at the new point
+_STAGES_EXTENDED = 16                   # and three more for the dense output
+
+
+@functools.cache
+def _tableau():
+    """(A, B, E3, E5, D): scipy's DOP853 tableau, with A[s] the first s
+    coefficients of row s. Read from scipy's module on the first integration,
+    so that importing geoequiv does not load scipy.integrate."""
+    from scipy.integrate._ivp import dop853_coefficients as dop
+    A = [dop.A[s, :s] for s in range(_STAGES_EXTENDED)]
+    return A, dop.B, dop.E3, dop.E5, dop.D
+
+
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _EXPONENT = -1 / 8                      # -1 / (error estimator order + 1)
 _EPS = float(np.finfo(float).eps)
@@ -295,14 +304,15 @@ def _dop853(fun, event, t0, y0, t1, tol, first_step=None):
     (found by brentq on the step's interpolant), -1 when the step size fell
     below 10 ulp of t; y_end is the state at the end time steps.ts[-1].
     """
+    A, B, E3, E5, D = _tableau()
     rtol, atol = max(tol, 100 * _EPS), tol
     direction = 1.0 if t1 > t0 else -1.0
     N = len(y0)
-    K = np.empty((_dop.N_STAGES_EXTENDED, N))
-    Kt = [K[:s].T for s in range(_dop.N_STAGES_EXTENDED)]
+    K = np.empty((_STAGES_EXTENDED, N))
+    Kt = [K[:s].T for s in range(_STAGES_EXTENDED)]
     # (K[:s].T, a[:s], K[s]) of each stage after the first: the main
     # stages, then the three of the dense output
-    stages = [(Kt[s], _A[s], K[s]) for s in range(1, _dop.N_STAGES_EXTENDED)]
+    stages = [(Kt[s], A[s], K[s]) for s in range(1, _STAGES_EXTENDED)]
     main, extra = stages[:_STAGES - 1], stages[_STAGES:]
     buf = np.empty(N)
     y = y0.tolist()
@@ -346,13 +356,13 @@ def _dop853(fun, event, t0, y0, t1, tol, first_step=None):
             h_abs = abs(h)
             for Ks, a, out in main:
                 fun(_stage(Ks, a, h, y, buf), out)
-            y_new = _stage(Kt[_STAGES], _B, h, y, buf)
+            y_new = _stage(Kt[_STAGES], B, h, y, buf)
             f_new = fun(y_new, K[_STAGES])
             # atol + np.maximum(|y|, |y_new|) rtol, NaN from either side
             scale = np.array([atol + (u if u > v or u != u else v) * rtol
                               for u, v in zip(map(abs, y), map(abs, y_new))])
-            err5 = np.dot(Kt[_STAGES + 1], _E5) / scale
-            err3 = np.dot(Kt[_STAGES + 1], _E3) / scale
+            err5 = np.dot(Kt[_STAGES + 1], E5) / scale
+            err3 = np.dot(Kt[_STAGES + 1], E3) / scale
             err5_2 = math.sqrt(err5.dot(err5)) ** 2
             err3_2 = math.sqrt(err3.dot(err3)) ** 2
             if err5_2 == 0 and err3_2 == 0:
@@ -377,7 +387,7 @@ def _dop853(fun, event, t0, y0, t1, tol, first_step=None):
         low = [delta,
                [h * fo - d for fo, d in zip(f_old, delta)],
                [2 * d - h * (fn + fo) for d, fo, fn in zip(delta, f_old, f_next)]]
-        high = h * np.dot(_D, K)
+        high = h * np.dot(D, K)
         hs.append(h)
         y_olds.append(y)
         F_low.append(low)
@@ -388,6 +398,8 @@ def _dop853(fun, event, t0, y0, t1, tol, first_step=None):
             status = 0
         g_new = event(y)
         if g <= 0 <= g_new or g >= 0 >= g_new:
+            # loaded only when a run meets the boundary
+            from scipy.optimize import brentq
             F = np.concatenate([low, high])
             y_old = np.array(y_old)
             root = brentq(lambda r: event(_dense(F, y_old, (r - t_old) / h)),

@@ -16,6 +16,7 @@ fiber polynomials live in u_1..u_n.
 
 import functools
 import itertools
+import math
 import struct
 
 import numpy as np
@@ -150,7 +151,12 @@ def _eigenvalue_kernel(model):
 
 
 def transition_operator(model, q, cluster_tol=_CLUSTER_TOL):
+    """The pencil (gram2, gram1) at q, clustered. Raises ValueError, naming
+    q, when a coordinate is not finite; AdaptedFrame and regularity_probe
+    start here, so they raise it too, before any arithmetic on q."""
     qt = tuple(np.asarray(q, dtype=float).tolist())
+    if not all(map(math.isfinite, qt)):
+        raise ValueError("point must be finite, got %s" % (_floats(qt),))
     W1, W2, lams, V = _pencil(model, qt)
     if lams[0] <= 0:
         # with gram1 positive definite, exactly when gram2 is not

@@ -12,7 +12,6 @@ transports them, integrates both flows and compares the base curves.
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import expr as ex
 from .geometry import classify_distribution
@@ -165,6 +164,9 @@ def _polyline_distances(points, poly):
     finds those vertices: k doubles until every point's k-th neighbour lies
     beyond its radius, and any superset of them gives the same minimum.
     """
+    # loaded at the first curve distance, so that importing geoequiv does
+    # not load scipy.spatial
+    from scipy.spatial import cKDTree
     seg_a = poly[:-1]
     seg_v = poly[1:] - seg_a
     seg_sq = (seg_v * seg_v).sum(axis=1)

@@ -282,6 +282,41 @@ def test_geodesic_integration_failure_exits_4(tmp_path):
                     r"T = 1.0: ", lines[0]), proc.stderr
 
 
+def test_geodesic_covector_too_large_exits_1(tmp_path, capsys):
+    # the energy of p = (1e200, 0, 0) overflows where lc3 evaluates: the
+    # argument is at fault, not the model
+    path = tmp_path / "lc3.json"
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(FIELD_PARAMS["levi-civita"]))
+    assert main(["generate", "levi-civita", "--params", str(params),
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    for metric in ("1", "2"):
+        assert main(["geodesic", "--model", str(path), "--metric", metric,
+                     "--q", "0", "0", "0", "--p", "1e200", "0", "0",
+                     "--T", "0.1"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: argument --p: the energy of this covector at --q is not "
+            "finite; scale it down"], err
+
+
+def test_geodesic_covector_too_large_where_the_model_fails_exits_4(tmp_path, capsys):
+    # gram2 has a pole at x = -0.9: there the model is at fault whatever the
+    # covector, and at the origin the same covector is
+    path = tmp_path / "pole.json"
+    save_model(plane_pair(g2xx="2 + 1/(1/(x + 0.9))"), str(path))
+    for metric in ("1", "2"):
+        for p in ("1e200", "1"):
+            assert main(["geodesic", "--model", str(path), "--metric", metric,
+                         "--q", "-0.9", "0", "--p", p, "0", "--T", "0.1"]) == 4
+            assert capsys.readouterr().err == ("error: model expression out of "
+                                               "its domain: float division by zero\n")
+        assert main(["geodesic", "--model", str(path), "--metric", metric,
+                     "--q", "0", "0", "--p", "1e200", "0", "--T", "0.1"]) == 1
+        assert "error: argument --p: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--integrator-tol", "-1"),
     ("verify", "--integrator-tol", "0"),
@@ -552,6 +587,45 @@ def test_console_script_entry_point():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == geoequiv.__version__
+
+
+_FOOTPRINT = """
+import contextlib, io, json, sys
+from geoequiv.cli import main
+
+HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.spatial")
+
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(list(argv))
+    return [argv[0], code, [name for name in HEAVY if name in sys.modules]]
+
+
+m = sys.argv[1]
+print(json.dumps([run("generate", "quasi-contact", "--out", m),
+                  run("analyze", "--model", m),
+                  run("check-relations", "--model", m),
+                  run("verify", "--model", m, "--samples", "1")]))
+"""
+
+
+def test_algebraic_commands_leave_the_integrator_and_kd_tree_unloaded(tmp_path):
+    # generate, analyze and check-relations use numpy and scipy.linalg alone;
+    # scipy's integrate, optimize and spatial load with the first extremal
+    src = os.path.dirname(os.path.dirname(geoequiv.__file__))
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, str(tmp_path / "qc.json")],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert runs[:3] == [["generate", 0, []], ["analyze", 0, []],
+                        ["check-relations", 0, []]]
+    # verify passes on quasi-contact (exit 0); its extremal is stepped and
+    # its curve distance taken. The one sample stays inside the domain, so
+    # the boundary root finder (scipy.optimize) is not needed
+    assert runs[3][:2] == ["verify", 0]
+    assert {"scipy.integrate", "scipy.spatial"} <= set(runs[3][2])
 
 
 @pytest.mark.skipif(shutil.which("geoequiv") is None,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import struct
 
 import numpy as np
@@ -62,6 +63,29 @@ def test_transition_requires_positive_pair():
     m = plane_pair(g2xx="x", g2yy="1", extent=(1.5, 0.5))
     with pytest.raises(ValueError, match="positive"):
         transition_operator(m, (-1.0, 0.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda m, q: transition_operator(m, q),
+    lambda m, q: AdaptedFrame(m, center=q),
+    lambda m, q: regularity_probe(m, q, radius=0.05),
+], ids=["transition_operator", "AdaptedFrame", "regularity_probe"])
+def test_non_finite_point_raises_before_arithmetic(monkeypatch, call, bad):
+    # quasi-contact's Gram entries do not depend on y, so (0, inf, 0, 0)
+    # would evaluate; the point is refused before the pencil is formed
+    m = pair_fixture("quasi-contact")
+
+    def no_pencil(*args):
+        raise AssertionError("pencil formed at a non-finite point")
+
+    monkeypatch.setattr(pair_module, "_pencil", no_pencil)
+    monkeypatch.setattr(pair_module, "_eigenvalue_kernel", no_pencil)
+    q = np.array([0.0, bad, 0.0, 0.0])
+    with pytest.raises(ValueError, match=re.escape(
+            "point must be finite, got [0.0, %r, 0.0, 0.0]" % bad)):
+        call(m, q)
 
 
 # ----------------------------------------------------------- pencil kernel

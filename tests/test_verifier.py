@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.spatial
 
 from geoequiv import expr as ex
 from geoequiv import verifier
@@ -257,12 +258,12 @@ def test_polyline_distance_k_doubles_while_the_radius_holds_more(monkeypatch):
     # more than 4 and more than 8 vertices within it: k goes 4, 8, 16, ...
     ks = []
 
-    class Recording(verifier.cKDTree):
+    class Recording(scipy.spatial.cKDTree):
         def query(self, x, k=1, **kwargs):
             ks.append(k)
             return super().query(x, k, **kwargs)
 
-    monkeypatch.setattr(verifier, "cKDTree", Recording)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", Recording)
     s = np.linspace(0.0, 1.0, 40)
     dense = np.stack([s, 0.1 * np.sin(6 * s)], axis=1)
     poly = np.concatenate([dense, [[1.0, 0.6]], [[1.0, 0.61]]])
