@@ -2,14 +2,17 @@
 
 Exit codes: 0 success (or verification pass), 1 usage or IO error (also a
 point or covector coordinate that is not finite, a geodesic covector too
-large for its energy to be finite where the model evaluates, a tolerance,
-radius or abnormal cone that is not finite and positive, a verify margin
-outside [0, 0.5), a transverse sigma that is not finite and at least 0,
-fewer than 1 verify sample or 2 curve samples, or a zero horizon),
-2 verification fail, 3 inconclusive (also when verify can draw no covector
-outside the excluded abnormal cone, or when check-relations has a point
-without an adapted frame and no failing point), 4 invalid model: a manifest or
-validation error, a model expression that leaves its real domain
+large for its energy to be finite where the model evaluates or for its
+scaled initial rate to be squared in floats, a tolerance, radius or
+abnormal cone that is not finite and positive, a verify margin outside
+[0, 0.5), a transverse sigma that is not finite and at least 0, fewer than
+1 verify sample or check-relations point or 2 curve samples, a negative
+geodesic sample count, or a zero horizon), 2 verification fail,
+3 inconclusive (also when verify can draw no covector outside the excluded
+abnormal cone, or when check-relations has a point without an adapted frame
+and no failing point), 4 invalid model: a manifest error (also a number or
+constant expression in a cell that is not finite) or validation error, a
+model expression that leaves its real domain
 (EvalDomainError) at a requested point or along an extremal, a Gram
 matrix that is not positive definite where the transition operator is
 solved (LinAlgError), or an extremal that the integrator cannot follow
@@ -33,7 +36,8 @@ import numpy as np
 from . import __version__
 from .expr import EvalDomainError
 from .geometry import load_model, save_model, ManifestError, ModelValidationError
-from .hamiltonian import IntegrationError, hamiltonian, integrate, write_trajectory_csv
+from .hamiltonian import (CovectorTooLargeError, IntegrationError, hamiltonian, integrate,
+                          write_trajectory_csv)
 from .pair import (AdaptedFrameError, AdaptedFrame, transition_operator,
                    regularity_probe, first_divisibility, second_divisibility,
                    relations_cor)
@@ -83,6 +87,7 @@ _NONNEGATIVE = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite an
 # sample_point's box keeps this fraction of each side; 0.5 or more inverts it
 _MARGIN = _checked(float, lambda v: 0 <= v < 0.5, "in [0, 0.5)")
 _SAMPLES = _checked(int, lambda v: v >= 1, "at least 1")
+_SAMPLE_TIMES = _checked(int, lambda v: v >= 0, "at least 0")
 _CURVE_SAMPLES = _checked(int, lambda v: v >= 2, "at least 2")
 
 
@@ -309,6 +314,8 @@ def _cmd_geodesic(args):
     try:
         traj = integrate(model, args.metric, (q0, p0), args.T,
                          tol=args.tol, samples=args.samples)
+    except CovectorTooLargeError as exc:
+        _usage_error("argument --p: %s; scale it down" % exc)
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
@@ -489,7 +496,8 @@ def build_parser():
     ge.add_argument("--p", nargs="+", type=_FINITE, required=True)
     ge.add_argument("--T", type=float, required=True)
     ge.add_argument("--tol", type=float, default=1e-10)
-    ge.add_argument("--samples", type=int, default=201)
+    ge.add_argument("--samples", type=_SAMPLE_TIMES, default=201,
+                    help="even sample times; 0 gives the accepted step times")
     ge.add_argument("--format", choices=("csv", "json"), default="csv")
     ge.add_argument("--out")
     ge.set_defaults(func=_cmd_geodesic)
@@ -513,7 +521,7 @@ def build_parser():
     c = sub.add_parser("check-relations", help="pointwise equivalence relations")
     c.add_argument("--model", required=True)
     c.add_argument("--at", nargs="+", type=_FINITE, action="append", metavar="Q")
-    c.add_argument("--points", type=int, default=5,
+    c.add_argument("--points", type=_SAMPLES, default=5,
                    help="sampled probe points when --at is omitted")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--tol", type=_POSITIVE, default=1e-6)

@@ -17,11 +17,21 @@ to identity.
 
 Coordinates are referenced by index into the coords tuple supplied at parse
 time; printing uses the stored names. parse() reports syntax and unknown-name
-errors with the character offset into the source text.
+errors, and a number or a folded constant that is not finite, with the
+character offset into the source text.
+
+compile_exprs() returns a program that is compiled to Python on its second
+call (or its first lane call) and walks the expressions on its first: most
+derivative programs of a cold `analyze` are called once, and the walk costs
+a fraction of compile(). Both paths read one table of operations (_RULES),
+so they compute the same values and raise the same errors. evaluate() is a
+third path, with a check and a message per operation, that the smart
+constructors' folding relies on; a program checks only its results.
 """
 
 import itertools
 import math
+import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -292,7 +302,10 @@ def _tokenize(text):
                     j = k
                     while j < n and text[j].isdigit():
                         j += 1
-            tokens.append(("num", float(text[i:j]), i))
+            value = float(text[i:j])
+            if not math.isfinite(value):
+                raise ExprSyntaxError("number %s is not finite" % text[i:j], i)
+            tokens.append(("num", value, i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -376,25 +389,32 @@ class _Parser:
             raise ExprSyntaxError("unexpected trailing input %r" % (value,), offset)
         return e
 
+    def folded(self, e, offset):
+        """The table node of e, which the operator at offset built; a
+        constant that it folded must be finite, as every literal is."""
+        if type(e) is Const and not math.isfinite(e.value):
+            raise ExprSyntaxError("constant expression is not finite", offset)
+        return hashcons(e, self.table)
+
     def expr(self):
         e = self.term()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind == "op" and value in "+-":
                 self.next()
                 rhs = self.term()
-                e = hashcons(add(e, rhs) if value == "+" else sub(e, rhs), self.table)
+                e = self.folded(add(e, rhs) if value == "+" else sub(e, rhs), offset)
             else:
                 return e
 
     def term(self):
         e = self.unary()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind == "op" and value in "*/":
                 self.next()
                 rhs = self.unary()
-                e = hashcons(mul(e, rhs) if value == "*" else div(e, rhs), self.table)
+                e = self.folded(mul(e, rhs) if value == "*" else div(e, rhs), offset)
             else:
                 return e
 
@@ -739,6 +759,48 @@ def is_zero(e):
 # ---------------------------------------------------------------------------
 # compilation to python source (fast repeated evaluation)
 
+# the operation of a node that is neither a Const nor a Coord, keyed as
+# _operation keys it: (its source over the operands' locals and literals,
+# the function of their values). _emit writes the source and _walk applies
+# the function, so a compiled program and the walk compute the same
+# operations in the same order
+_RULES = {
+    "+": ("%s + %s", operator.add),
+    "-": ("%s - %s", operator.sub),
+    "*": ("%s * %s", operator.mul),
+    "/": ("%s / %s", operator.truediv),
+    "neg": ("-%s", operator.neg),
+    "abs": ("abs(%s)", abs),
+    "pow": ("_pow(%s, %s)", _pow),
+}
+_RULES.update((f, ("_m.%s(%%s)" % f, getattr(math, f))) for f in _FUNCTIONS if f != "abs")
+
+
+def _operation(e):
+    """(rule key, operands) of e, a node that is neither a Const nor a Coord:
+    e's value is the rule's function of the operands' values. A square is
+    the product x * x (math.pow(x, 2.0) differs from it in the last bit for
+    some doubles); another power takes its exponent as a Const operand."""
+    t = type(e)
+    if t is Binary:
+        return e.op, (e.left, e.right)
+    if t is Unary:
+        return e.op, (e.arg,)
+    if e.exponent == 2.0:
+        return "*", (e.base, e.base)
+    return "pow", (e.base, Const(e.exponent))
+
+
+def _literal(v):
+    """Source of the float v. repr() round-trips finite doubles; it writes an
+    infinity or NaN as a bare name, so those are read from math."""
+    if math.isfinite(v):
+        return repr(v)
+    if v != v:
+        return "_m.nan"
+    return "_m.inf" if v > 0 else "-_m.inf"
+
+
 def _emit(e, out, cache):
     """The local (or literal) holding e; appends the lines it needs. cache maps
     each emitted node (keeping it alive) and each emitted source to its local:
@@ -746,35 +808,77 @@ def _emit(e, out, cache):
     distinct value gets one line. Each line applies one operation to locals
     and literals, so it needs no outer parentheses: without them it compiles
     to the same bytecode, and the parser reads it faster."""
-    if isinstance(e, Const):
-        return _fmt_float(e.value)
+    if type(e) is Const:
+        return _literal(e.value)
     var = cache.get(e)
     if var is not None:
         return var
-    if isinstance(e, Coord):
+    if type(e) is Coord:
         s = "q[%d]" % e.index
-    elif isinstance(e, Pow):
-        b = _emit(e.base, out, cache)
-        s = ("%s * %s" % (b, b) if e.exponent == 2.0
-             else "_pow(%s, %s)" % (b, _fmt_float(e.exponent)))
-    elif isinstance(e, Unary):
-        inner = _emit(e.arg, out, cache)
-        if e.op == "neg":
-            s = "-%s" % inner
-        elif e.op == "abs":
-            s = "abs(%s)" % inner
-        else:
-            s = "_m.%s(%s)" % (e.op, inner)
     else:
-        a = _emit(e.left, out, cache)
-        b = _emit(e.right, out, cache)
-        s = "%s %s %s" % (a, "/" if e.op == "/" else e.op, b)
+        key, operands = _operation(e)
+        a = _emit(operands[0], out, cache)
+        s = _RULES[key][0] % ((a,) if len(operands) == 1
+                              else (a, _emit(operands[1], out, cache)))
     var = cache.get(s)
     if var is None:
         var = cache[s] = "t%d" % len(out)
         out.append("    %s = %s" % (var, s))
     cache[e] = var
     return var
+
+
+def _walk(exprs, q):
+    """The values of exprs at q as their compiled program computes them,
+    without compiling it: every node is computed once, in _emit's order,
+    by the function of its rule. Errors are the operations' own, as in the
+    program (see _guarded)."""
+    values = {}
+
+    def value(e):
+        t = type(e)
+        if t is Const:
+            return e.value
+        v = values.get(e)
+        if v is None:
+            if t is Coord:
+                v = q[e.index]
+            else:
+                key, operands = _operation(e)
+                fn = _RULES[key][1]
+                a = value(operands[0])
+                v = fn(a) if len(operands) == 1 else fn(a, value(operands[1]))
+            values[e] = v
+        return v
+
+    return tuple([value(e) for e in exprs])
+
+
+def _guarded(raw):
+    """raw with the guard of compiled programs: domain violations and
+    non-finite results raise EvalDomainError, as evaluate() does."""
+    isfinite = math.isfinite
+
+    def call(*args):
+        try:
+            values = raw(*args)
+        except EvalDomainError:
+            raise
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise EvalDomainError(str(exc)) from exc
+        # a finite sum has finite terms; only a sum that is not finite
+        # (a non-finite value, or finite values that overflow) is looked
+        # at value by value
+        if not isfinite(sum(values)):
+            for v in values:
+                if not isfinite(v):
+                    raise EvalDomainError("compiled expression not finite")
+        return values
+
+    return call
+
+
+_walked = _guarded(_walk)
 
 
 class Program:
@@ -812,25 +916,7 @@ class Program:
         code = compile("\n".join(src), "<geoequiv-expr>", "exec")
         namespace = {"_m": math, "_pow": _pow}
         exec(code, namespace)
-        raw = namespace[name]
-        isfinite = math.isfinite
-
-        def call(*args):
-            try:
-                values = raw(*args)
-            except EvalDomainError:
-                raise
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise EvalDomainError(str(exc)) from exc
-            # a finite sum has finite terms; only a sum that is not finite
-            # (a non-finite value, or finite values that overflow) is looked
-            # at value by value
-            if not isfinite(sum(values)):
-                for v in values:
-                    if not isfinite(v):
-                        raise EvalDomainError("compiled expression not finite")
-            return values
-
+        call = _guarded(namespace[name])
         call.__name__ = name
         call.lanes = _lanes(code, name, call, len(results))
         return call
@@ -859,7 +945,8 @@ def _lane_pow(base, exponent):
 # from math's by an ulp, and numpy's x ** 1.5 from math.pow(x, 1.5). Squares
 # are products on both paths, which round alike
 _LANE_NAMESPACE = {
-    "_m": SimpleNamespace(**{f: _lane_func(getattr(math, f)) for f in _FUNCTIONS
+    "_m": SimpleNamespace(inf=math.inf, nan=math.nan,
+                          **{f: _lane_func(getattr(math, f)) for f in _FUNCTIONS
                              if f != "abs"}),
     "_pow": _lane_pow,
 }
@@ -901,10 +988,53 @@ def _lanes(code, name, scalar, count):
     return lanes
 
 
-def compile_exprs(exprs, name="_compiled"):
-    """Compile a flat sequence of Expr into one function q -> tuple of floats.
+class _LazyProgram:
+    """compile_exprs' function q -> values of exprs. Its first call walks
+    the expressions (_walk); its second call, or the first use of `lanes`,
+    compiles them, and it calls the compiled function from then on. Either
+    way a call returns and raises what the compiled function does."""
 
-    Domain violations raise EvalDomainError, matching evaluate().
+    __slots__ = ("exprs", "name", "slot", "walked", "compiled")
+
+    def __init__(self, exprs, name, slot):
+        self.exprs = exprs
+        self.name = name
+        self.slot = slot
+        self.walked = False
+        self.compiled = None
+
+    def __call__(self, q):
+        fn = self.compiled
+        if fn is None:
+            if not self.walked:
+                self.walked = True
+                return _walked(self.exprs, q)
+            fn = self._compile()
+        return fn(q)
+
+    @property
+    def lanes(self):
+        return (self.compiled or self._compile()).lanes
+
+    def _compile(self):
+        prog = Program()
+        fn = self.compiled = prog.compile([prog.value(e) for e in self.exprs],
+                                          name=self.name)
+        self.exprs = None
+        if self.slot is not None:
+            cache, key = self.slot
+            if cache.get(key) is self:
+                cache[key] = fn
+        return fn
+
+
+def compile_exprs(exprs, name="_compiled", slot=None):
+    """A function q -> tuple of the values of the flat sequence exprs.
+
+    Domain violations raise EvalDomainError, matching evaluate(). A
+    program called once is walked, not compiled (see _LazyProgram). slot,
+    when given, is the (dict, key) that the caller stores the function
+    under: once it compiles, the compiled function takes its place there,
+    so that later lookups call it directly.
     """
-    prog = Program()
-    return prog.compile([prog.value(e) for e in exprs], name=name)
+    return _LazyProgram(list(exprs), name, slot)

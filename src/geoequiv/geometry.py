@@ -63,11 +63,13 @@ class GeometryModel:
     # -- compiled pointwise evaluators ------------------------------------
 
     def _compiled(self, key, build):
-        """The compiled evaluator cached under key; build() gives its
-        expressions and runs only on the first call."""
+        """The evaluator cached under key; build() gives its expressions and
+        runs only on the first call. Once the evaluator compiles, the cache
+        holds the compiled function (see expr.compile_exprs)."""
         fn = self._cache.get(key)
         if fn is None:
-            fn = self._cache[key] = ex.compile_exprs(build(), name="_" + key)
+            fn = self._cache[key] = ex.compile_exprs(build(), name="_" + key,
+                                                     slot=(self._cache, key))
         return fn
 
     def _frame_program(self):
@@ -93,15 +95,16 @@ class GeometryModel:
         return self.gram1 if tag == 1 else self.gram2
 
     def _grams_program(self):
-        """The compiled q -> gram1's entries, then gram2's, each row by row:
-        both Gram matrices from one program, cached on the model. A cached
-        program costs one dict lookup, without _compiled's closure."""
+        """The evaluator q -> gram1's entries, then gram2's, each row by row:
+        both Gram matrices from one program, cached on the model as
+        _compiled caches. A cached program costs one dict lookup, without
+        _compiled's closure."""
         fn = self._cache.get("grams")
         if fn is None:
             m = self.m
             fn = self._cache["grams"] = ex.compile_exprs(
                 [g[i][j] for g in (self.gram1, self.gram2) for i in range(m) for j in range(m)],
-                name="_grams")
+                name="_grams", slot=(self._cache, "grams"))
         return fn
 
     def gram_at(self, q, tag):

@@ -27,6 +27,11 @@ class IntegrationError(RuntimeError):
     """The integrator could not follow an extremal (its step size collapsed)."""
 
 
+class CovectorTooLargeError(ValueError):
+    """integrate's initial rate is finite, but too large for the step size
+    selection: over the error scale, its norm overflows a float."""
+
+
 def _is_one(e):
     return isinstance(e, ex.Const) and e.value == 1.0
 
@@ -321,7 +326,13 @@ def _dop853(fun, event, t0, y0, t1, tol, first_step=None):
         # select_initial_step of Hairer, Norsett & Wanner, II.4
         span = abs(t1 - t0)
         scale = atol + np.abs(y0) * rtol
-        d0, d1 = _rms(y0 / scale), _rms(f / scale)
+        d0 = _rms(y0 / scale)
+        with np.errstate(over="ignore"):
+            d1 = _rms(f / scale)
+        if d1 == math.inf and np.isfinite(f).all():
+            raise CovectorTooLargeError(
+                "the initial rate over the error scale (tolerance %r) cannot be "
+                "squared in floats" % tol)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, span)
         f1 = fun((y0 + h0 * direction * f).tolist(), np.empty(N))
@@ -419,7 +430,8 @@ def integrate(model, metric_tag, lam0, T, tol=1e-10, samples=None, aux_rate=None
     total is returned in Trajectory.aux. tol is the relative and absolute
     tolerance of the DOP853 steps, finite and positive (clipped to 100 eps
     from below). The steps are kept, so that cut() can shorten the horizon
-    without integrating again.
+    without integrating again. Raises CovectorTooLargeError, a ValueError,
+    when the initial rate is finite but its scaled norm is not.
     """
     q0, p0 = lam0
     q0 = np.asarray(q0, dtype=float)

@@ -390,19 +390,15 @@ class AdaptedPoint:
 
 
 def _completion(model, pair):
-    """Compiled q -> [X_a, X_b] and q -> its coordinate partials, cached on the model.
+    """The evaluators q -> [X_a, X_b] and q -> its coordinate partials, each
+    cached on the model by GeometryModel._compiled.
 
     The partials come flat, k-major: entry k * n + j is d/dq_k of component j.
     """
-    key = ("completion", pair)
-    fns = model._cache.get(key)
-    if fns is None:
-        n = model.n
-        br = bracket_exprs(model)[pair]
-        fns = model._cache[key] = (
-            ex.compile_exprs(br, name="_completion%d_%d" % pair),
-            ex.compile_exprs(ex.partials(br, n), name="_dcompletion%d_%d" % pair))
-    return fns
+    tag = "completion%d_%d" % pair
+    return (model._compiled(tag, lambda: bracket_exprs(model)[pair]),
+            model._compiled("d" + tag, lambda: ex.partials(bracket_exprs(model)[pair],
+                                                            model.n)))
 
 
 def _gauge(V, same, W1, reference, q, center):

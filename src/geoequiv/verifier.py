@@ -259,14 +259,16 @@ _DEFAULT_SAMPLING = {
 
 
 def _abnormal_program(model):
-    """Compiled q -> coefficients of the abnormal direction on X_1..X_m, or
-    None when the distribution has none; cached on the model."""
+    """The evaluator q -> coefficients of the abnormal direction on
+    X_1..X_m, or None when the distribution has none; cached on the model,
+    which holds the compiled function once it compiles."""
     if "abnormal" not in model._cache:
         fn = None
         if model.n - model.m == 1:
             cls = classify_distribution(model)
             if cls.abnormal_coeffs is not None:
-                fn = ex.compile_exprs(cls.abnormal_coeffs, name="_abn")
+                fn = ex.compile_exprs(cls.abnormal_coeffs, name="_abn",
+                                      slot=(model._cache, "abnormal"))
         model._cache["abnormal"] = fn
     return model._cache["abnormal"]
 

@@ -90,6 +90,73 @@ def pair_fixture(kind):
     return GENERATORS[kind](FIELD_PARAMS[kind])
 
 
+def site_programs(model):
+    """[(name, expressions)] of every program that geoequiv's compile_exprs
+    sites make for model, in the order made: the frame, Gram and
+    derivative evaluators, and on corank one the brackets, the completions
+    and their partials, the restricted two-form and the abnormal direction.
+    The model's cache is emptied first, so that every site makes its
+    program. Each site runs once at the center; an error there ends that
+    site only, after its program was made."""
+    from geoequiv.geometry import bracket_exprs, classify_distribution
+    from geoequiv.pair import AdaptedFrame, AdaptedFrameError, _completion
+    from geoequiv.verifier import _abnormal_program
+
+    made = []
+    compile_exprs = ex.compile_exprs
+    model._cache.clear()
+
+    def record(exprs, name="_compiled", slot=None):
+        exprs = list(exprs)
+        made.append((name, exprs))
+        return compile_exprs(exprs, name, slot)
+
+    q = tuple(model.center().tolist())
+    sites = [lambda: model.frame_at(q), lambda: model.dframe_at(q),
+             lambda: model._grams_program()(q)]
+    sites += [lambda tag=tag: model.gram_at(q, tag) for tag in (1, 2)]
+    sites += [lambda tag=tag: model.dgram_at(q, tag) for tag in (1, 2)]
+    if model.n - model.m == 1:
+        sites.append(lambda: AdaptedFrame(model, model.center()))
+        sites += [lambda pair=pair: [fn(q) for fn in _completion(model, pair)]
+                  for pair in bracket_exprs(model)]
+        sites += [lambda: classify_distribution(model), lambda: _abnormal_program(model)]
+    ex.compile_exprs = record
+    try:
+        for site in sites:
+            try:
+                site()
+            except (ex.EvalDomainError, AdaptedFrameError, np.linalg.LinAlgError,
+                    ValueError):
+                pass
+    finally:
+        ex.compile_exprs = compile_exprs
+    return made
+
+
+def call_outcome(fn, q):
+    """The bits of fn(q)'s values, or the type and message of its error."""
+    try:
+        return [float(v).hex() for v in fn(q)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def compiled_program(exprs):
+    """exprs compiled at once, as a program compiles on its second call."""
+    prog = ex.Program()
+    return prog.compile([prog.value(e) for e in exprs])
+
+
+def assert_walk_is_compiled(exprs, points):
+    """The first call of a new program of exprs, which walks them, returns
+    the compiled program's values bit for bit at each point, or raises its
+    error type and message."""
+    compiled = compiled_program(exprs)
+    for q in points:
+        assert call_outcome(ex.compile_exprs(exprs), q) == call_outcome(compiled, q), q
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     # acceptance verdict lines are worth seeing even when the tests pass
     # and pytest has swallowed their stdout

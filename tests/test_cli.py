@@ -13,7 +13,7 @@ import pytest
 import geoequiv
 from geoequiv.cli import _canonical_json, main
 from geoequiv.constructors import GENERATORS
-from geoequiv.geometry import save_model
+from geoequiv.geometry import save_model, to_manifest
 
 from conftest import FIELD_PARAMS, heisenberg, plane_pair
 
@@ -350,6 +350,11 @@ def test_bad_integrator_arguments_exit_1(dini_model, capsys, argv):
     ("analyze", "--radius", "nan"),
     ("analyze", "--radius", "inf"),
     ("analyze", "--cluster-tol", "nan"),
+    # check-relations checked the center and passed; geodesic integrated,
+    # then numpy refused the sample count
+    ("check-relations", "--points", "0"),
+    ("check-relations", "--points", "-2"),
+    ("geodesic", "--samples", "-3"),
 ])
 def test_arguments_that_void_a_verdict_exit_1(conformal_model, capsys, argv):
     # a usage error naming the flag, before the model is read
@@ -359,7 +364,56 @@ def test_arguments_that_void_a_verdict_exit_1(conformal_model, capsys, argv):
     errors = [line for line in captured.err.splitlines() if line.startswith("error")]
     assert errors == ["error: argument %s: must be %s, got %s" % (
         argv[1], "at least 2" if argv[1] == "--curve-samples" else
-        "at least 1" if argv[1] == "--samples" else "finite and positive", argv[2])]
+        "at least 0" if argv[0] == "geodesic" else
+        "at least 1" if argv[1] in ("--samples", "--points") else "finite and positive",
+        argv[2])]
+
+
+def test_geodesic_samples_0_gives_the_accepted_step_times(dini_model, capsys):
+    argv = ["geodesic", "--model", dini_model, "--metric", "1", "--q", "0", "0",
+            "--p", "1", "0", "--T", "0.2", "--format", "json"]
+    assert main(argv + ["--samples", "0"]) == 0
+    steps = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--samples", "3"]) == 0
+    even = json.loads(capsys.readouterr().out)
+    assert even["t"] == [0.0, 0.1, 0.2]
+    assert steps["t"][0] == 0.0 and steps["t"][-1] == 0.2 and len(steps["t"]) > 3
+    assert steps["t"] != np.linspace(0.0, 0.2, len(steps["t"])).tolist()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_geodesic_covector_too_large_for_the_first_step_exits_1(tmp_path, capsys):
+    # the energy of p = (1e150, 0, 0, 0) is finite, but the initial rate over
+    # the error scale cannot be squared: before, five numpy warnings and a
+    # trajectory clipped at t = 2.6e-151
+    path = str(tmp_path / "qc.json")
+    save_model(GENERATORS["quasi-contact"](FIELD_PARAMS["quasi-contact"]), path)
+    assert main(["geodesic", "--model", path, "--metric", "1", "--q", "0", "0", "0", "0",
+                 "--p", "1e150", "0", "0", "0", "--T", "0.1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: argument --p: the initial rate over the error scale (tolerance 1e-10) "
+        "cannot be squared in floats; scale it down"]
+    assert main(["geodesic", "--model", path, "--metric", "1", "--q", "0", "0", "0", "0",
+                 "--p", "1", "0", "0", "0", "--T", "0.1"]) == 0
+
+
+@pytest.mark.parametrize("cell,message", [
+    ("1.0 + 0.5*w*1e400", "number 1e400 is not finite (at offset 12)"),
+    ("1.0 + 0.5*w*(1e200*1e200)", "constant expression is not finite (at offset 18)"),
+])
+def test_non_finite_constant_in_a_manifest_exits_4(tmp_path, cell, message):
+    # the compiled Gram program read the constant as the undefined name inf:
+    # a NameError traceback and exit 1
+    doc = to_manifest(GENERATORS["quasi-contact"](FIELD_PARAMS["quasi-contact"]))
+    doc["gram1"][2][2] = cell
+    path = tmp_path / "qc.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("analyze",), ("verify", "--samples", "2")):
+        proc = _run_cli(*argv, "--model", str(path))
+        assert proc.returncode == 4, (argv, proc.stderr)
+        assert proc.stderr.splitlines() == ["error: invalid model: gram1[2][2]: " + message]
 
 
 @pytest.mark.parametrize("flag,value,what", [

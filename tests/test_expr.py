@@ -1,5 +1,6 @@
 """Expression language: parsing, evaluation, differentiation, printing, codegen."""
 
+import inspect
 import math
 import re
 
@@ -8,12 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geoequiv import expr as ex
-from geoequiv.geometry import bracket_exprs
+from geoequiv.cli import main
+from geoequiv.geometry import bracket_exprs, load_model, save_model
 from geoequiv.hamiltonian import _program
 from geoequiv.pair import AdaptedFrame, _completion
 from geoequiv.verifier import _abnormal_program
 
-from conftest import PAIR_KINDS, pair_fixture
+from conftest import (PAIR_KINDS, assert_walk_is_compiled, call_outcome, compiled_program,
+                      pair_fixture, site_programs)
 
 
 COORDS3 = ("x", "y", "z")
@@ -352,20 +355,26 @@ def test_emitted_lines_compile_as_parenthesized_lines(kind, monkeypatch):
     monkeypatch.setattr(ex, "compile", record, raising=False)
     m = pair_fixture(kind)
     q = tuple(m.center().tolist())
-    m.frame_at(q)
-    m.dframe_at(q)
-    m._grams_program()
+    # a program compiles on its second call: each evaluator is called twice
+    for _ in range(2):
+        m.frame_at(q)
+        m.dframe_at(q)
+        m._grams_program()(q)
+        for tag in (1, 2):
+            m.gram_at(q, tag)
+            m.dgram_at(q, tag)
     for tag in (1, 2):
-        m.gram_at(q, tag)
-        m.dgram_at(q, tag)
         _program(m, tag, "flow")
         _program(m, tag, "energy")
     expected = {"_frame", "_dframe", "_grams", "_gram1", "_gram2", "_dgram1", "_dgram2",
                 "_flow1", "_flow2", "_energy1", "_energy2"}
     if m.n - m.m == 1:
-        AdaptedFrame(m, m.center())
+        for _ in range(2):
+            AdaptedFrame(m, m.center())
+            for pair in bracket_exprs(m):
+                for fn in _completion(m, pair):
+                    fn(q)
         for pair in bracket_exprs(m):
-            _completion(m, pair)
             expected |= {"_completion%d_%d" % pair, "_dcompletion%d_%d" % pair}
         _abnormal_program(m)
         expected |= {"_brackets", "_Omega"}
@@ -384,3 +393,146 @@ def test_emitted_lines_compile_as_parenthesized_lines(kind, monkeypatch):
         assert ours.co_code == theirs.co_code, name
         assert ours.co_consts == theirs.co_consts, name
     assert wrapped_lines > 0
+
+
+# ------------------------------------------------------ first call and compile
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_first_call_walk_equals_the_compiled_program(kind):
+    m = pair_fixture(kind)
+    rng = np.random.default_rng(67)
+    points = [tuple(m.center().tolist())] + [tuple(m.sample_point(rng).tolist())
+                                             for _ in range(6)]
+    programs = site_programs(m)
+    names = {name for name, _exprs in programs}
+    assert {"_frame", "_dframe", "_grams", "_gram1", "_gram2", "_dgram1", "_dgram2"} <= names
+    if m.n - m.m == 1:
+        assert {"_brackets", "_Omega"} <= names
+        assert any(name.startswith("_dcompletion") for name in names)
+    if kind == "quasi-contact":
+        assert "_abn" in names
+    for _name, exprs in programs:
+        assert_walk_is_compiled(exprs, points)
+
+
+def test_first_call_walk_raises_what_the_compiled_program_raises():
+    xy = ("x", "y")
+    texts = ["1/x", "log(x)", "sqrt(x)", "x^1.5", "1/(1/x)", "exp(1/x)", "exp(y*1e3)",
+             "abs(x)^(-0.5)", "1/(x*x)", "x*1e300*y*1e300", "log(y) + 1/x"]
+    exprs = [ex.parse(t, xy) for t in texts]
+    points = [(2.0, 1.0), (0.0, 1.0), (-1.0, 1.0), (-0.0, 2.0), (0.5, 1e3), (1e-200, 1.0),
+              (1.0, -1.0)]
+    for e in exprs:
+        assert_walk_is_compiled([e], points)
+    assert_walk_is_compiled(exprs, points)
+    # at a pole and at a log of a negative number, as the compiled program
+    assert call_outcome(ex.compile_exprs(exprs[:2]), (0.0, 1.0)) == (
+        ex.EvalDomainError, "float division by zero")
+    assert call_outcome(ex.compile_exprs(exprs[1:]), (-1.0, 1.0)) == (
+        ex.EvalDomainError, "math domain error")
+    # the first error in emission order wins: log(y) comes before 1/x
+    assert call_outcome(ex.compile_exprs(exprs[-1:]), (0.0, -1.0)) == (
+        ex.EvalDomainError, "math domain error")
+
+
+def test_a_program_compiles_on_its_second_call_or_its_lanes(monkeypatch):
+    compiled = []
+
+    def record(source, filename, mode):
+        compiled.append(source.split("(", 1)[0][4:])
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(ex, "compile", record, raising=False)
+    x = ex.parse("1/x", ("x",))
+    fn = ex.compile_exprs([x], name="_f")
+    assert fn((2.0,)) == (0.5,) and compiled == []
+    assert fn((4.0,)) == (0.25,) and compiled == ["_f"]
+    assert fn((8.0,)) == (0.125,) and compiled == ["_f"]
+    fn = ex.compile_exprs([x], name="_g")
+    assert np.array_equal(fn.lanes(np.array([[2.0]])), [[0.5]]) and compiled == ["_f", "_g"]
+    # a first call that raises counts as a call
+    fn = ex.compile_exprs([x], name="_h")
+    with pytest.raises(ex.EvalDomainError):
+        fn((0.0,))
+    assert fn((2.0,)) == (0.5,) and compiled == ["_f", "_g", "_h"]
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_one_point_analyze_compiles_only_the_frame_and_gram_programs(
+        kind, tmp_path, monkeypatch):
+    compiled = []
+
+    def record(source, filename, mode):
+        compiled.append(source.split("(", 1)[0][4:])
+        return compile(source, filename, mode)
+
+    path = str(tmp_path / "model.json")
+    save_model(pair_fixture(kind), path)
+    monkeypatch.setattr(ex, "compile", record, raising=False)
+    assert main(["analyze", "--model", path, "--out", str(tmp_path / "report.json")]) == 0
+    assert compiled == ["_frame", "_grams"]
+    # on a model of its own, the second call of an evaluator compiles it,
+    # and the model's cache then holds the compiled function itself
+    m = load_model(path)
+    q = tuple(m.center().tolist())
+    evaluators = {"dframe": m.dframe_at, "gram1": lambda q: m.gram_at(q, 1),
+                  "gram2": lambda q: m.gram_at(q, 2), "dgram1": lambda q: m.dgram_at(q, 1),
+                  "dgram2": lambda q: m.dgram_at(q, 2)}
+    if m.n - m.m == 1:
+        frame = AdaptedFrame(m, m.center())
+        tag = "completion%d_%d" % frame.completion_pair
+        evaluators[tag] = lambda q: _completion(m, frame.completion_pair)[0](q)
+        evaluators["d" + tag] = lambda q: _completion(m, frame.completion_pair)[1](q)
+    for key, evaluate in evaluators.items():
+        del compiled[:]
+        first = evaluate(q)
+        assert compiled == [] and not inspect.isfunction(m._cache[key]), key
+        assert np.array_equal(evaluate(q), first) and compiled == ["_" + key], key
+        assert inspect.isfunction(m._cache[key]), key
+    assert all(inspect.isfunction(m._cache[key]) for key in ("frame", "grams"))
+
+
+# ------------------------------------------------------ non-finite constants
+
+@pytest.mark.parametrize("text,message", [
+    ("1e400", "number 1e400 is not finite (at offset 0)"),
+    ("x + -1e999", "number 1e999 is not finite (at offset 5)"),
+    ("x^1e400", "number 1e400 is not finite (at offset 2)"),
+    ("1e200*1e200", "constant expression is not finite (at offset 5)"),
+    ("x + 1e300/1e-300", "constant expression is not finite (at offset 9)"),
+    ("1.0 + 0.5*x*(1e200*1e200)", "constant expression is not finite (at offset 18)"),
+])
+def test_parse_rejects_non_finite_constants(text, message):
+    with pytest.raises(ex.ExprSyntaxError) as exc:
+        ex.parse(text, COORDS3)
+    assert str(exc.value) == message
+    # a large finite constant parses, and its product at run time is the
+    # program's to judge
+    assert ex.parse("1e200*x*1e200", COORDS3) is not None
+
+
+def test_non_finite_constants_compile_to_their_values():
+    # derivatives fold constants without a finiteness check: d/dx of
+    # exp(-(1e200*x*1e200)) holds the constant -inf
+    d = ex.differentiate(ex.parse("exp(-(1e200*x*1e200))", COORDS3), 0)
+    x = ex.Coord(0, "x")
+    exprs = [d, ex.exp(ex.mul(ex.Const(-math.inf), ex.mul(x, x))),
+             ex.div(ex.ONE, ex.mul(x, ex.Const(math.inf))),
+             ex.add(x, ex.Const(math.nan)), ex.pow_(x, math.inf)]
+    # no emitted line holds a bare inf or nan, which no program defines
+    prog = ex.Program()
+    for e in exprs:
+        prog.value(e)
+    assert not [line for line in prog.lines
+                if re.search(r"(?<!_m\.)\b(inf|nan)\b", line)], prog.lines
+    points = [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.5, 0.0, 0.0)]
+    for e in exprs:
+        assert_walk_is_compiled([e], points)
+        fn = compiled_program([e])
+        for q in points:
+            try:
+                value = fn(q)
+            except ex.EvalDomainError:
+                continue
+            assert np.array_equal(fn.lanes(np.array([q])), np.array([value]).T)
+    assert compiled_program(exprs[1:3])((2.0, 0.0, 0.0)) == (0.0, 0.0)

@@ -7,8 +7,9 @@ import pytest
 from geoequiv import expr as ex
 from geoequiv.expr import EvalDomainError
 from geoequiv.geometry import GeometryModel
-from geoequiv.hamiltonian import (IntegrationError, hamiltonian, hamiltonian_rhs,
-                                  integrate, cut, write_trajectory_csv, _program)
+from geoequiv.hamiltonian import (CovectorTooLargeError, IntegrationError, hamiltonian,
+                                  hamiltonian_rhs, integrate, cut, write_trajectory_csv,
+                                  _program)
 from geoequiv.constructors import (GENERATORS, build_beltrami, build_dini,
                                    build_quasi_contact)
 from geoequiv.pair import intrinsic_P
@@ -241,6 +242,20 @@ def test_integrate_rejects_bad_tolerance_and_clips_tiny_ones():
     with pytest.warns(UserWarning, match="rtol"):
         ref = solve_ivp_integrate(m, 1, lam0, 0.05, tol=1e-17, samples=11)
     _assert_same_trajectory(integrate(m, 1, lam0, 0.05, tol=1e-17, samples=11), ref)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_integrate_rejects_a_covector_whose_scaled_rate_overflows():
+    # the energy is finite, but the initial rate over the error scale
+    # atol + rtol |y0| cannot be squared in floats; the step size selection
+    # warned five times and the run clipped at t = 2.6e-151
+    m = pair_fixture("quasi-contact")
+    q0 = np.zeros(4)
+    for p0 in ([1e150, 0.0, 0.0, 0.0], [0.0, 1e150, 0.0, 0.0]):
+        assert math.isfinite(hamiltonian(m, 1, (q0, np.array(p0))))
+        with pytest.raises(CovectorTooLargeError, match="cannot be squared") as err:
+            integrate(m, 1, (q0, np.array(p0)), 0.1)
+        assert isinstance(err.value, ValueError)
 
 
 def test_integrate_rejects_bad_start():

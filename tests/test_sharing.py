@@ -92,16 +92,20 @@ def _generated_sources(model, monkeypatch):
 
     monkeypatch.setattr(ex, "compile", capture, raising=False)
     q = tuple(model.center())
-    model.frame_at(q)
-    model._grams_program()
-    for tag in (1, 2):
-        model.gram_at(q, tag)
-        model.dgram_at(q, tag)
-    model.dframe_at(q)
+    # a program compiles on its second call: each evaluator is called twice
+    for _ in range(2):
+        model.frame_at(q)
+        model._grams_program()(q)
+        for tag in (1, 2):
+            model.gram_at(q, tag)
+            model.dgram_at(q, tag)
+        model.dframe_at(q)
     if model.m == model.n - 1:
         classify_distribution(model)
-    for key in sorted(bracket_exprs(model)):
-        pair._completion(model, key)
+    for _ in range(2):
+        for key in sorted(bracket_exprs(model)):
+            for fn in pair._completion(model, key):
+                fn(q)
     for tag in (1, 2):
         for kind in ("flow", "energy"):
             hamiltonian._program(model, tag, kind)

@@ -1,5 +1,6 @@
 """geometry.validate_model against the point-by-point loop it replaced, and a
-fuzz test of load_model and `geoequiv analyze` on small random manifests."""
+fuzz test of load_model, `geoequiv analyze` and the first-call walk of the
+programs on small random manifests."""
 
 import contextlib
 import io
@@ -17,7 +18,8 @@ from geoequiv.constructors import GENERATORS
 from geoequiv.geometry import (GeometryModel, ManifestError, ModelValidationError,
                                from_manifest, load_model, to_manifest, validate_model)
 
-from conftest import FIELD_PARAMS, PAIR_KINDS, pair_fixture
+from conftest import (FIELD_PARAMS, PAIR_KINDS, assert_walk_is_compiled, call_outcome,
+                      compiled_program, pair_fixture, site_programs)
 from reference import loop_validate_model
 
 
@@ -218,3 +220,29 @@ def test_fuzzed_manifests_load_as_the_loop_loads_and_analyze_exits_cleanly():
                     "gram1 undefined", "gram2 undefined", "gram1 not symmetric",
                     "gram2 not symmetric", "gram1 not positive definite",
                     "gram2 not positive definite"}
+
+
+def test_fuzzed_manifests_walk_as_their_programs_compute():
+    # every program of every fuzzed manifest that parses: its first call
+    # (the walk) and the compiled program agree at every probe-grid point,
+    # where the templates' poles and logs of negative numbers raise
+    raised = set()
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=manifests())
+    def check(doc):
+        try:
+            model = from_manifest(doc)
+        except ManifestError:
+            return
+        points = [tuple(q.tolist()) for q in model.probe_grid(margin=0.05)]
+        for _name, exprs in site_programs(model):
+            assert_walk_is_compiled(exprs, points)
+            for q in points:
+                result = call_outcome(compiled_program(exprs), q)
+                if isinstance(result, tuple):
+                    raised.add(result[1])
+
+    check()
+    assert {"float division by zero", "math domain error"} <= raised
