@@ -89,6 +89,7 @@ _MARGIN = _checked(float, lambda v: 0 <= v < 0.5, "in [0, 0.5)")
 _SAMPLES = _checked(int, lambda v: v >= 1, "at least 1")
 _SAMPLE_TIMES = _checked(int, lambda v: v >= 0, "at least 0")
 _CURVE_SAMPLES = _checked(int, lambda v: v >= 2, "at least 2")
+_SEED = _checked(int, lambda v: v >= 0, "at least 0")
 
 
 def _canonical_json(obj):
@@ -163,7 +164,11 @@ def _cmd_generate(args):
     except ConstructionError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        sys.stderr.write("error: bad params for %s: missing parameter %r\n"
+                         % (args.kind, exc.args[0]))
+        return EXIT_USAGE
+    except (TypeError, ValueError) as exc:
         sys.stderr.write("error: bad params for %s: %s\n" % (args.kind, exc))
         return EXIT_USAGE
     except ModelValidationError as exc:
@@ -408,10 +413,11 @@ def _cmd_verify(args):
 
 def _cmd_check_relations(args):
     model = _load(args.model)
-    points = _parse_points(model, args.at)
-    if args.at is None and args.points > 1:
+    if args.at is None:
         rng = np.random.default_rng(args.seed)
         points = [tuple(model.sample_point(rng)) for _ in range(args.points)]
+    else:
+        points = _parse_points(model, args.at)
     records = []
     worst = 0.0
     failed = unchecked = False
@@ -505,7 +511,7 @@ def build_parser():
     v = sub.add_parser("verify", help="sample extremals and certify the pair")
     v.add_argument("--model", required=True)
     v.add_argument("--samples", type=_SAMPLES, default=50)
-    v.add_argument("--seed", type=int, default=7)
+    v.add_argument("--seed", type=_SEED, default=7)
     v.add_argument("--T", type=float, default=0.3)
     v.add_argument("--tol", type=_POSITIVE, default=1e-6,
                    help="max allowed point-to-curve deviation")
@@ -523,7 +529,7 @@ def build_parser():
     c.add_argument("--at", nargs="+", type=_FINITE, action="append", metavar="Q")
     c.add_argument("--points", type=_SAMPLES, default=5,
                    help="sampled probe points when --at is omitted")
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_SEED, default=0)
     c.add_argument("--tol", type=_POSITIVE, default=1e-6)
     c.add_argument("--bracket-tol", type=_POSITIVE, default=1e-6)
     _add_common(c)

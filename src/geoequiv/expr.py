@@ -20,13 +20,15 @@ time; printing uses the stored names. parse() reports syntax and unknown-name
 errors, and a number or a folded constant that is not finite, with the
 character offset into the source text.
 
-compile_exprs() returns a program that is compiled to Python on its second
-call (or its first lane call) and walks the expressions on its first: most
-derivative programs of a cold `analyze` are called once, and the walk costs
-a fraction of compile(). Both paths read one table of operations (_RULES),
-so they compute the same values and raise the same errors. evaluate() is a
-third path, with a check and a message per operation, that the smart
-constructors' folding relies on; a program checks only its results.
+compile_exprs() makes every generated program: a function of one point q
+(the Hamiltonian programs read the state (q, p) as one vector) that is
+compiled to Python on its second call (or its first lane call) and walks
+the expressions on its first: most derivative programs of a cold `analyze`
+are called once, and the walk costs a fraction of compile(). Both paths
+read one table of operations (_RULES), so they compute the same values and
+raise the same errors. evaluate() is a third path, with a check and a
+message per operation, that the smart constructors' folding relies on; a
+program checks only its results.
 """
 
 import itertools
@@ -882,35 +884,27 @@ _walked = _guarded(_walk)
 
 
 class Program:
-    """Straight-line Python source built from Expr values and arithmetic lines.
+    """Straight-line Python source of a function q -> values of expressions.
 
     value(e) emits e through _emit and returns the local that holds it (a
-    literal for a constant). assign() adds a line of plain arithmetic over
-    such locals; each name is assigned once, and names must not have the
-    form t<digits> that _emit uses. compile() returns the function
-    params -> results.
+    literal for a constant); compile() returns the function.
     """
 
-    def __init__(self, params=("q",)):
-        self.params = tuple(params)
+    def __init__(self):
         self.lines = []
         self._cache = {}
 
     def value(self, e):
         return _emit(e, self.lines, self._cache)
 
-    def assign(self, name, source):
-        self.lines.append("    %s = %s" % (name, source))
-        return name
-
     def compile(self, results, name="_compiled"):
-        """The function params -> tuple of results, guarded like evaluate().
+        """The function q -> tuple of results, guarded like evaluate().
 
         Domain violations and non-finite results raise EvalDomainError. The
         function's `lanes` attribute runs the same source over numpy lanes
         (see _lanes).
         """
-        src = ["def %s(%s):" % (name, ", ".join(self.params))]
+        src = ["def %s(q):" % name]
         src.extend(self.lines)
         src.append("    return (%s%s)" % (", ".join(results), "," if len(results) == 1 else ""))
         code = compile("\n".join(src), "<geoequiv-expr>", "exec")
@@ -955,33 +949,33 @@ _LANE_NAMESPACE = {
 def _lanes(code, name, scalar, count):
     """Run the compiled source `code` over numpy lanes, one lane per row.
 
-    The returned function takes, for each param, an (N, k) array whose rows
-    are the values that the scalar function takes, and returns the results
-    as a (count, N) array. Row i equals scalar(*(a[i] for a in arrays)) bit
-    for bit: on float64 lanes +, -, * and / round as Python floats do, and
-    abs, negation, the math functions and _pow act value by value. The lanes
-    run under np.errstate(raise), so every value they compute from finite
-    input stays finite. On any error there, on non-finite input or output,
-    the rows are evaluated again by `scalar`, which raises its own errors.
+    The returned function takes an (N, k) array whose rows are the points
+    that the scalar function takes, and returns the results as a (count, N)
+    array. Row i equals scalar(a[i]) bit for bit: on float64 lanes +, -, *
+    and / round as Python floats do, and abs, negation, the math functions
+    and _pow act value by value. The lanes run under np.errstate(raise), so
+    every value they compute from finite input stays finite. On any error
+    there, on non-finite input or output, the rows are evaluated again by
+    `scalar`, which raises its own errors.
     """
     namespace = dict(_LANE_NAMESPACE)
     exec(code, namespace)
     raw = namespace[name]
 
-    def lanes(*arrays):
-        arrays = [np.asarray(a, dtype=float) for a in arrays]
-        out = np.empty((count, len(arrays[0])))
-        if all(np.isfinite(a).all() for a in arrays):
+    def lanes(points):
+        points = np.asarray(points, dtype=float)
+        out = np.empty((count, len(points)))
+        if np.isfinite(points).all():
             try:
                 with np.errstate(divide="raise", over="raise", invalid="raise"):
-                    for i, v in enumerate(raw(*(a.T.copy() for a in arrays))):
+                    for i, v in enumerate(raw(points.T.copy())):
                         out[i] = v
                 if np.isfinite(out).all():
                     return out
             except (ArithmeticError, ValueError, ExprError):
                 pass
-        for i, row in enumerate(zip(*(a.tolist() for a in arrays))):
-            out[:, i] = scalar(*row)
+        for i, row in enumerate(points.tolist()):
+            out[:, i] = scalar(row)
         return out
 
     lanes.__name__ = name + "_lanes"

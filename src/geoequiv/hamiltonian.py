@@ -3,10 +3,11 @@
 For a metric given by a Gram matrix W on the distribution frame X_1..X_m,
 h(p, q) = (1/2) u^T W(q)^{-1} u with quasi-impulses u_i = p(X_i(q)). Hamilton's
 equations are evaluated with exact symbolic q-derivatives of the frame and the
-Gram matrix; no finite differencing enters the right-hand side. Extremals
-are integrated by a DOP853 loop that takes the steps of scipy's DOP853, as
-scipy's initial value solve runs it, bit for bit, without its per-step
-objects.
+Gram matrix; no finite differencing enters the right-hand side. Flow and
+energy are expressions over one state y = (q, p), compiled by compile_exprs.
+Extremals are integrated by a DOP853 loop that takes the steps of scipy's
+DOP853, as scipy's initial value solve runs it, bit for bit, without its
+per-step objects.
 """
 
 import csv
@@ -32,126 +33,120 @@ class CovectorTooLargeError(ValueError):
     selection: over the error scale, its norm overflows a float."""
 
 
-def _is_one(e):
-    return isinstance(e, ex.Const) and e.value == 1.0
+def _sum(terms):
+    """The sum of the nodes terms, added left to right as Python adds a + b + c."""
+    return functools.reduce(functools.partial(ex.Binary, "+"), terms)
 
 
-def _dot(prog, pairs):
-    """Source of sum coef * var over (Expr coef, local name) pairs, zeros dropped."""
-    terms = []
-    for coef, var in pairs:
-        if ex.is_zero(coef):
-            continue
-        terms.append(var if _is_one(coef) else "%s * %s" % (prog.value(coef), var))
-    return " + ".join(terms)
+def _dot(pairs):
+    """sum coef * x over (coef, x) node pairs, or None when every coef is
+    zero; a coefficient of one is left out of its term. The nodes are built
+    as they stand: the smart constructors' folding could flip a zero's sign."""
+    terms = [x if type(coef) is ex.Const and coef.value == 1.0 else ex.Binary("*", coef, x)
+             for coef, x in pairs if not ex.is_zero(coef)]
+    return _sum(terms) if terms else None
 
 
-def _lower(rows, a, b):
-    # symmetric matrix entry [a][b] read from the lower triangle
-    return rows[a][b] if a >= b else rows[b][a]
-
-
-def _quadratic(prog, rows, names):
-    """Source of w^T M w for the symmetric Expr matrix `rows`, or "" when M = 0."""
-    m = len(names)
+def _quadratic(rows, w):
+    """w^T M w for the symmetric node matrix M = rows, whose lower triangle
+    is read, or None when M = 0."""
+    m = len(w)
     terms = []
     for a in range(m):
-        inner = _dot(prog, [(_lower(rows, a, b), names[b]) for b in range(m)])
-        if inner:
-            terms.append("%s * (%s)" % (names[a], inner))
-    return " + ".join(terms)
+        inner = _dot([(rows[a][b] if a >= b else rows[b][a], w[b]) for b in range(m)])
+        if inner is not None:
+            terms.append(ex.Binary("*", w[a], inner))
+    return _sum(terms) if terms else None
 
 
 def _generate(model, tag, kind):
-    """One compiled program of metric `tag`: kind "flow" or "energy".
+    """The outputs of metric `tag`'s program `kind`, "flow" or "energy", as
+    expressions over the state y = (q, p): Coord(j) is q_j and Coord(n + j)
+    is p_j.
 
     With u_i = p(X_i), W the Gram matrix of the metric (symmetric; its lower
     triangle is read) and v = W^{-1} u, the flow program gives
-      (q, p) -> (dq/dt, dp/dt),  dq/dt = sum_i v_i X_i,
+      y -> (dq/dt, dp/dt),  dq/dt = sum_i v_i X_i,
       dp_k/dt = (1/2) v^T (d_k W) v - sum_i v_i p(d_k X_i),
-    and the energy program gives (q, p) -> (h,) with h = u.v / 2, and for
-    tag 1 (h, P) with the intrinsic P = v^T W2 v; it has no derivative terms.
+    and the energy program gives y -> (h,) with h = u.v / 2, and for tag 1
+    (h, P) with the intrinsic P = v^T W2 v; it has no derivative terms.
     Both share one prelude: W is solved by an unpivoted LDL^T factorization
-    unrolled into straight-line code, and structurally zero entries of the
-    frame, the Gram matrix and their derivatives emit nothing.
+    unrolled into straight-line expressions, and structurally zero entries of
+    the frame, the Gram matrix and their derivatives add no term.
     """
     n, m = model.n, model.m
     frame = model.frame
     gram = model.gram1 if tag == 1 else model.gram2
-    prog = ex.Program(("q", "p"))
-    p = ["p[%d]" % j for j in range(n)]
-
-    u = [prog.assign("u%d" % i, _dot(prog, zip(frame[i], p)) or "0.0")
-         for i in range(m)]
+    p = [ex.Coord(n + j) for j in range(n)]
+    u = [_dot(zip(frame[i], p)) or ex.ZERO for i in range(m)]
 
     # W = L D L^T with unit lower-triangular L; entries of L that are
     # structurally zero are left out of L
     L, D = {}, []
     for j in range(m):
         for i in range(j, m):
-            terms = ["%s * %s * %s" % (L[i, k], L[j, k], D[k])
+            terms = [ex.Binary("*", ex.Binary("*", L[i, k], L[j, k]), D[k])
                      for k in range(j) if (i, k) in L and (j, k) in L]
             w = gram[i][j]
             if ex.is_zero(w) and not terms and i > j:
                 continue
-            src = prog.value(w)
             if terms:
-                src = "%s - (%s)" % (src, " + ".join(terms))
+                w = ex.Binary("-", w, _sum(terms))
             if i == j:
-                D.append(prog.assign("d%d" % j, src))
+                D.append(w)
             else:
-                L[i, j] = prog.assign("l%d_%d" % (i, j), "(%s) / %s" % (src, D[j]))
+                L[i, j] = ex.Binary("/", w, D[j])
     y = []
     for i in range(m):
-        terms = ["%s * %s" % (L[i, k], y[k]) for k in range(i) if (i, k) in L]
-        y.append(prog.assign("y%d" % i, "%s - (%s)" % (u[i], " + ".join(terms)))
-                 if terms else u[i])
+        terms = [ex.Binary("*", L[i, k], y[k]) for k in range(i) if (i, k) in L]
+        y.append(ex.Binary("-", u[i], _sum(terms)) if terms else u[i])
     v = [None] * m
     for i in reversed(range(m)):
-        terms = ["%s * %s" % (L[k, i], v[k]) for k in range(i + 1, m) if (k, i) in L]
-        src = "%s / %s" % (y[i], D[i])
-        v[i] = prog.assign("v%d" % i, "%s - (%s)" % (src, " + ".join(terms))
-                           if terms else src)
+        terms = [ex.Binary("*", L[k, i], v[k]) for k in range(i + 1, m) if (k, i) in L]
+        v[i] = ex.Binary("/", y[i], D[i])
+        if terms:
+            v[i] = ex.Binary("-", v[i], _sum(terms))
 
     if kind == "energy":
-        results = [prog.assign("energy", "0.5 * (%s)" % " + ".join(
-            "%s * %s" % (u[i], v[i]) for i in range(m)))]
+        results = [ex.Binary("*", ex.Const(0.5),
+                             _sum([ex.Binary("*", u[i], v[i]) for i in range(m)]))]
         if tag == 1:
-            results.append(prog.assign("intrinsic",
-                                       _quadratic(prog, model.gram2, v) or "0.0"))
-        return prog.compile(results, name="_energy%d" % tag)
+            results.append(_quadratic(model.gram2, v) or ex.ZERO)
+        return results
 
-    results = [prog.assign("qd%d" % j, _dot(prog, [(frame[i][j], v[i]) for i in range(m)])
-                           or "0.0")
-               for j in range(n)]
+    results = [_dot([(frame[i][j], v[i]) for i in range(m)]) or ex.ZERO for j in range(n)]
     for k in range(n):
         memo = {}   # the differentiate memo of coordinate k, for this build
         dW = [[ex.differentiate(gram[a][b], k, memo) if a >= b else None for b in range(m)]
               for a in range(m)]
-        quad = _quadratic(prog, dW, v)
+        quad = _quadratic(dW, v)
         force = []
         for i in range(m):
-            inner = _dot(prog, [(ex.differentiate(frame[i][j], k, memo), p[j])
-                                for j in range(n)])
-            if inner:
-                force.append("(%s) * %s" % (inner, v[i]))
-        src = "0.5 * (%s)" % quad if quad else ""
+            inner = _dot([(ex.differentiate(frame[i][j], k, memo), p[j]) for j in range(n)])
+            if inner is not None:
+                force.append(ex.Binary("*", inner, v[i]))
+        rate = ex.Binary("*", ex.Const(0.5), quad) if quad is not None else None
         if force:
-            src += " - (%s)" % " + ".join(force)
-        results.append(prog.assign("pd%d" % k, src or "0.0"))
-    flow = prog.compile(results, name="_flow%d" % tag)
-    # writes the 2n rates into the buffer of a writable C-contiguous array
-    flow.pack_into = struct.Struct("%dd" % (2 * n)).pack_into
-    return flow
+            rate = (ex.Unary("neg", _sum(force)) if rate is None
+                    else ex.Binary("-", rate, _sum(force)))
+        results.append(rate or ex.ZERO)
+    return results
 
 
 def _program(model, tag, kind):
-    """The generated `kind` program of metric `tag`, cached on the model."""
+    """The `kind` program of metric `tag` over the state (q, p), cached on
+    the model, which holds the compiled function once it compiles."""
     key = (kind, tag)
     fn = model._cache.get(key)
     if fn is None:
-        fn = model._cache[key] = _generate(model, tag, kind)
+        fn = model._cache[key] = ex.compile_exprs(_generate(model, tag, kind),
+                                                  name="_%s%d" % (kind, tag),
+                                                  slot=(model._cache, key))
     return fn
+
+
+# pack_into of `count` doubles, into the buffer of a writable C-contiguous array
+_packer = functools.cache(lambda count: struct.Struct("%dd" % count).pack_into)
 
 
 def hamiltonian(model, metric_tag, lam):
@@ -167,25 +162,25 @@ def hamiltonian(model, metric_tag, lam):
     p = np.asarray(lam[1], dtype=float)
     energy = _program(model, metric_tag, "energy")
     if q.ndim == 2:
-        return energy.lanes(q, p)[0]
-    return float(energy(q.tolist(), p.tolist())[0])
+        return energy.lanes(np.concatenate([q, p], axis=1))[0]
+    return float(energy(q.tolist() + p.tolist())[0])
 
 
-def hamiltonian_rhs(model, metric_tag, q, p, out):
-    """Writes (dq/dt, dp/dt) of the canonical flow of h into out[:2n] and
+def hamiltonian_rhs(model, metric_tag, y, out):
+    """Writes (dq/dt, dp/dt) of the canonical flow of h at the state
+    y = [q..., p...] (entries past the 2n are not read) into out[:2n] and
     returns out, a writable C-contiguous 1-d float64 array (TypeError
-    otherwise) of length at least 2n; the rest of out is left alone. q and
-    p that are not lists are read as Python floats, which raise on division
-    by zero where numpy scalars would give inf."""
-    if type(q) is not list:
-        q, p = np.asarray(q, dtype=float).tolist(), np.asarray(p, dtype=float).tolist()
-    flow = _program(model, metric_tag, "flow")
-    vals = flow(q, p)
+    otherwise) of length at least 2n; the rest of out is left alone. A y that
+    is not a list is read as Python floats, which raise on division by zero
+    where numpy scalars would give inf."""
+    if type(y) is not list:
+        y = np.asarray(y, dtype=float).tolist()
+    vals = _program(model, metric_tag, "flow")(y)
     # the buffer protocol rejects read-only and non-contiguous arrays, but
     # would take raw doubles into any other dtype
     if not isinstance(out, np.ndarray) or out.dtype != _FLOAT64 or out.ndim != 1:
         raise TypeError("out must be a 1-d float64 array")
-    flow.pack_into(out, 0, *vals)
+    _packer(len(vals))(out, 0, *vals)
     return out
 
 
@@ -449,12 +444,11 @@ def integrate(model, metric_tag, lam0, T, tol=1e-10, samples=None, aux_rate=None
     # returns out
     if aux_rate is None:
         def fun(y, out):
-            return hamiltonian_rhs(model, metric_tag, y[:n], y[n:], out)
+            return hamiltonian_rhs(model, metric_tag, y, out)
     else:
         def fun(y, out):
-            q, p = y[:n], y[n:2 * n]
-            hamiltonian_rhs(model, metric_tag, q, p, out)
-            out[2 * n] = aux_rate(q, p)
+            hamiltonian_rhs(model, metric_tag, y, out)
+            out[2 * n] = aux_rate(y[:n], y[n:2 * n])
             return out
 
     def event(y):

@@ -668,9 +668,9 @@ def fiber_hP(model, frame, q):
 def intrinsic_P(model, lam):
     """Frame-independent value of fiber_P: (W1^{-1}u)^T W2 (W1^{-1}u)."""
     q, p = lam
-    if type(q) is not list:     # as Python floats, see hamiltonian_rhs
+    if type(q) is not list or type(p) is not list:  # as Python floats, see hamiltonian_rhs
         q, p = np.asarray(q, dtype=float).tolist(), np.asarray(p, dtype=float).tolist()
-    return float(_program(model, 1, "energy")(q, p)[1])
+    return float(_program(model, 1, "energy")(q + p)[1])
 
 
 class DivisibilityResult:

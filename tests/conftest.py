@@ -93,12 +93,15 @@ def pair_fixture(kind):
 def site_programs(model):
     """[(name, expressions)] of every program that geoequiv's compile_exprs
     sites make for model, in the order made: the frame, Gram and
-    derivative evaluators, and on corank one the brackets, the completions
-    and their partials, the restricted two-form and the abnormal direction.
-    The model's cache is emptied first, so that every site makes its
-    program. Each site runs once at the center; an error there ends that
-    site only, after its program was made."""
+    derivative evaluators, the flow and energy programs of both metrics,
+    and on corank one the brackets, the completions and their partials, the
+    restricted two-form and the abnormal direction. The flow and energy
+    programs read the state (q, p), the others q: a phase point serves
+    them all. The model's cache is emptied first, so that every site makes
+    its program. Each site runs once at the center; an error there ends
+    that site only, after its program was made."""
     from geoequiv.geometry import bracket_exprs, classify_distribution
+    from geoequiv.hamiltonian import _program
     from geoequiv.pair import AdaptedFrame, AdaptedFrameError, _completion
     from geoequiv.verifier import _abnormal_program
 
@@ -116,6 +119,8 @@ def site_programs(model):
              lambda: model._grams_program()(q)]
     sites += [lambda tag=tag: model.gram_at(q, tag) for tag in (1, 2)]
     sites += [lambda tag=tag: model.dgram_at(q, tag) for tag in (1, 2)]
+    sites += [lambda tag=tag, kind=kind: _program(model, tag, kind)(q + (1.0,) * model.n)
+              for tag in (1, 2) for kind in ("flow", "energy")]
     if model.n - model.m == 1:
         sites.append(lambda: AdaptedFrame(model, model.center()))
         sites += [lambda pair=pair: [fn(q) for fn in _completion(model, pair)]
@@ -132,6 +137,15 @@ def site_programs(model):
     finally:
         ex.compile_exprs = compile_exprs
     return made
+
+
+def phase_points(model, points, rng):
+    """Each point q of points as the states (q, 0) and (q, p), p normal
+    draws of rng: points that the programs over q and those over (q, p)
+    both read."""
+    n = model.n
+    return [tuple(q) + tuple(p) for q in points
+            for p in ([0.0] * n, rng.normal(size=n).tolist())]
 
 
 def call_outcome(fn, q):

@@ -35,6 +35,7 @@ such a tree from a hash-consed expression.
 """
 
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -44,8 +45,7 @@ from scipy.optimize import minimize
 
 from geoequiv import expr as ex
 from geoequiv.geometry import _DET_TOL, ModelValidationError
-from geoequiv.hamiltonian import (_BOUNDARY_EPS, IntegrationError, _dot, _quadratic,
-                                  hamiltonian, hamiltonian_rhs)
+from geoequiv.hamiltonian import _BOUNDARY_EPS, IntegrationError, hamiltonian, hamiltonian_rhs
 from geoequiv.pair import (_CLUSTER_TOL, _GAUGE_MIN_SV, AdaptedFrameError,
                            _cluster_indices)
 
@@ -67,7 +67,7 @@ def unshare(e):
 def rhs_arrays(model, metric_tag, q, p):
     """(dq/dt, dp/dt) of hamiltonian_rhs, read from the buffer it fills."""
     n = len(q)
-    out = hamiltonian_rhs(model, metric_tag, q, p, np.empty(2 * n))
+    out = hamiltonian_rhs(model, metric_tag, np.concatenate([q, p]), np.empty(2 * n))
     return out[:n], out[n:]
 
 
@@ -146,7 +146,53 @@ def loop_validate_model(model, per_axis=3):
                                            % (tag, q)) from None
 
 
-def full_field(model, tag):
+class _FieldProgram:
+    """Straight-line source over (q, p): the model's expressions emitted by
+    expr._emit, and lines of plain arithmetic over their locals."""
+
+    def __init__(self):
+        self.lines = []
+        self._cache = {}
+
+    def value(self, e):
+        return ex._emit(e, self.lines, self._cache)
+
+    def assign(self, name, source):
+        self.lines.append("    %s = %s" % (name, source))
+        return name
+
+    def compile(self, results, name):
+        src = ["def %s(q, p):" % name] + self.lines
+        src.append("    return (%s,)" % ", ".join(results))
+        namespace = {"_m": math, "_pow": ex._pow}
+        exec(compile("\n".join(src), "<reference-field>", "exec"), namespace)
+        return ex._guarded(namespace[name])
+
+
+def _dot(prog, pairs):
+    """Source of sum coef * var over (Expr coef, local name) pairs, zeros dropped."""
+    terms = []
+    for coef, var in pairs:
+        if ex.is_zero(coef):
+            continue
+        one = isinstance(coef, ex.Const) and coef.value == 1.0
+        terms.append(var if one else "%s * %s" % (prog.value(coef), var))
+    return " + ".join(terms)
+
+
+def _quadratic(prog, rows, names):
+    """Source of w^T M w for the symmetric Expr matrix `rows`, or "" when M = 0."""
+    m = len(names)
+    terms = []
+    for a in range(m):
+        inner = _dot(prog, [(rows[a][b] if a >= b else rows[b][a], names[b])
+                            for b in range(m)])
+        if inner:
+            terms.append("%s * (%s)" % (names[a], inner))
+    return " + ".join(terms)
+
+
+def full_field(model, tag, kind=None):
     """One compiled function (q, p) -> (h, dq/dt, dp/dt) for metric `tag`.
 
     With u_i = p(X_i), W the Gram matrix of the metric (symmetric; its lower
@@ -156,12 +202,14 @@ def full_field(model, tag):
     W is solved by an unpivoted LDL^T factorization unrolled into straight-line
     code, and structurally zero entries of the frame, the Gram matrix and their
     derivatives emit nothing. For tag 1 the tuple ends with the intrinsic
-    P = v^T W2 v as well.
+    P = v^T W2 v as well. kind "flow" keeps only the lines of (dq/dt, dp/dt),
+    and kind "energy" only those of h (and P): the source of the flow and
+    energy programs that geoequiv.hamiltonian once generated as text.
     """
     n, m = model.n, model.m
     frame = model.frame
     gram = model.gram1 if tag == 1 else model.gram2
-    prog = ex.Program(("q", "p"))
+    prog = _FieldProgram()
     p = ["p[%d]" % j for j in range(n)]
 
     u = [prog.assign("u%d" % i, _dot(prog, zip(frame[i], p)) or "0.0")
@@ -196,25 +244,29 @@ def full_field(model, tag):
         v[i] = prog.assign("v%d" % i, "%s - (%s)" % (src, " + ".join(terms))
                            if terms else src)
 
-    results = [prog.assign("energy", "0.5 * (%s)" % " + ".join(
-        "%s * %s" % (u[i], v[i]) for i in range(m)))]
-    results += [prog.assign("qd%d" % j, _dot(prog, [(frame[i][j], v[i]) for i in range(m)])
-                           or "0.0")
-               for j in range(n)]
-    for k in range(n):
-        dW = [[ex.differentiate(gram[a][b], k) if a >= b else None for b in range(m)]
-              for a in range(m)]
-        quad = _quadratic(prog, dW, v)
-        force = []
-        for i in range(m):
-            inner = _dot(prog, [(ex.differentiate(frame[i][j], k), p[j]) for j in range(n)])
-            if inner:
-                force.append("(%s) * %s" % (inner, v[i]))
-        src = "0.5 * (%s)" % quad if quad else ""
-        if force:
-            src += " - (%s)" % " + ".join(force)
-        results.append(prog.assign("pd%d" % k, src or "0.0"))
-    if tag == 1:
+    results = []
+    if kind != "flow":
+        results.append(prog.assign("energy", "0.5 * (%s)" % " + ".join(
+            "%s * %s" % (u[i], v[i]) for i in range(m))))
+    if kind != "energy":
+        results += [prog.assign("qd%d" % j, _dot(prog, [(frame[i][j], v[i])
+                                                         for i in range(m)]) or "0.0")
+                    for j in range(n)]
+        for k in range(n):
+            dW = [[ex.differentiate(gram[a][b], k) if a >= b else None for b in range(m)]
+                  for a in range(m)]
+            quad = _quadratic(prog, dW, v)
+            force = []
+            for i in range(m):
+                inner = _dot(prog, [(ex.differentiate(frame[i][j], k), p[j])
+                                    for j in range(n)])
+                if inner:
+                    force.append("(%s) * %s" % (inner, v[i]))
+            src = "0.5 * (%s)" % quad if quad else ""
+            if force:
+                src += " - (%s)" % " + ".join(force)
+            results.append(prog.assign("pd%d" % k, src or "0.0"))
+    if tag == 1 and kind != "flow":
         results.append(prog.assign("intrinsic", _quadratic(prog, model.gram2, v) or "0.0"))
     return prog.compile(results, name="_field%d" % tag)
 

@@ -63,6 +63,23 @@ def test_generate_usage_errors(tmp_path, capsys):
     assert "bad params" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["dini", "gendini1", "gendini2"])
+def test_generate_names_a_missing_parameter(kind, tmp_path, capsys):
+    # the bare KeyError read "error: bad params for dini: 'beta1'"
+    required = {"dini": ["beta1", "beta2"], "gendini1": ["U", "V"], "gendini2": ["R"]}[kind]
+    for key in required:
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({k: v for k, v in FIELD_PARAMS[kind].items() if k != key}))
+        argv = ["generate", kind, "--out", str(tmp_path / "x.json")]
+        assert main(argv + ["--params", str(params)]) == 1
+        assert capsys.readouterr().err == (
+            "error: bad params for %s: missing parameter '%s'\n" % (kind, key))
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: bad params for %s: missing parameter '%s'\n" % (kind, required[0]))
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_generate_hypothesis_violation(tmp_path, capsys):
     params = tmp_path / "p.json"
     params.write_text(json.dumps({"U": "2 - u", "V": "1 + v"}))
@@ -355,6 +372,10 @@ def test_bad_integrator_arguments_exit_1(dini_model, capsys, argv):
     ("check-relations", "--points", "0"),
     ("check-relations", "--points", "-2"),
     ("geodesic", "--samples", "-3"),
+    # check-relations ended in numpy's ValueError traceback; verify exited
+    # 1 without naming the flag
+    ("check-relations", "--seed", "-1"),
+    ("verify", "--seed", "-1"),
 ])
 def test_arguments_that_void_a_verdict_exit_1(conformal_model, capsys, argv):
     # a usage error naming the flag, before the model is read
@@ -364,7 +385,7 @@ def test_arguments_that_void_a_verdict_exit_1(conformal_model, capsys, argv):
     errors = [line for line in captured.err.splitlines() if line.startswith("error")]
     assert errors == ["error: argument %s: must be %s, got %s" % (
         argv[1], "at least 2" if argv[1] == "--curve-samples" else
-        "at least 0" if argv[0] == "geodesic" else
+        "at least 0" if argv[0] == "geodesic" or argv[1] == "--seed" else
         "at least 1" if argv[1] in ("--samples", "--points") else "finite and positive",
         argv[2])]
 
@@ -618,6 +639,21 @@ def test_check_relations_multiple_points(dini_model, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["points"]) == 2
     assert payload["worst_residual"] < 1e-6
+
+
+def test_check_relations_one_point_is_sampled(dini_model, capsys):
+    # --points 1 checked the center whatever the seed
+    sampled = {}
+    for seed in (0, 5):
+        assert main(["check-relations", "--model", dini_model, "--points", "1",
+                     "--seed", str(seed), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config"]["seed"] == seed
+        sampled[seed] = payload["config"]["points"]
+        assert [rec["q"] for rec in payload["points"]] == sampled[seed]
+    assert len(sampled[0]) == len(sampled[5]) == 1
+    assert sampled[0] != sampled[5]
+    assert [0.0, 0.0] not in sampled[0] + sampled[5]
 
 
 def test_console_script_entry_point():

@@ -16,7 +16,7 @@ from geoequiv.pair import AdaptedFrame, _completion
 from geoequiv.verifier import _abnormal_program
 
 from conftest import (PAIR_KINDS, assert_walk_is_compiled, call_outcome, compiled_program,
-                      pair_fixture, site_programs)
+                      pair_fixture, phase_points, site_programs)
 
 
 COORDS3 = ("x", "y", "z")
@@ -363,9 +363,8 @@ def test_emitted_lines_compile_as_parenthesized_lines(kind, monkeypatch):
         for tag in (1, 2):
             m.gram_at(q, tag)
             m.dgram_at(q, tag)
-    for tag in (1, 2):
-        _program(m, tag, "flow")
-        _program(m, tag, "energy")
+            _program(m, tag, "flow")(q + (1.0,) * m.n)
+            _program(m, tag, "energy")(q + (1.0,) * m.n)
     expected = {"_frame", "_dframe", "_grams", "_gram1", "_gram2", "_dgram1", "_dgram2",
                 "_flow1", "_flow2", "_energy1", "_energy2"}
     if m.n - m.m == 1:
@@ -403,9 +402,11 @@ def test_first_call_walk_equals_the_compiled_program(kind):
     rng = np.random.default_rng(67)
     points = [tuple(m.center().tolist())] + [tuple(m.sample_point(rng).tolist())
                                              for _ in range(6)]
+    points = phase_points(m, points, rng)
     programs = site_programs(m)
     names = {name for name, _exprs in programs}
-    assert {"_frame", "_dframe", "_grams", "_gram1", "_gram2", "_dgram1", "_dgram2"} <= names
+    assert {"_frame", "_dframe", "_grams", "_gram1", "_gram2", "_dgram1", "_dgram2",
+            "_flow1", "_flow2", "_energy1", "_energy2"} <= names
     if m.n - m.m == 1:
         assert {"_brackets", "_Omega"} <= names
         assert any(name.startswith("_dcompletion") for name in names)

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -9,12 +10,13 @@ from geoequiv.expr import EvalDomainError
 from geoequiv.geometry import GeometryModel
 from geoequiv.hamiltonian import (CovectorTooLargeError, IntegrationError, hamiltonian,
                                   hamiltonian_rhs, integrate, cut, write_trajectory_csv,
-                                  _program)
+                                  _generate, _program)
 from geoequiv.constructors import (GENERATORS, build_beltrami, build_dini,
                                    build_quasi_contact)
 from geoequiv.pair import intrinsic_P
 
-from conftest import FIELD_PARAMS, PAIR_KINDS, heisenberg, pair_fixture, plane_pair
+from conftest import (FIELD_PARAMS, PAIR_KINDS, call_outcome, compiled_program, heisenberg,
+                      pair_fixture, plane_pair)
 from reference import (arc_length, full_field, initial_covector, numpy_hamiltonian,
                        numpy_hamiltonian_rhs, numpy_intrinsic_P, orthonormalize,
                        quasi_impulses, rhs_arrays, solve_ivp_cut, solve_ivp_integrate)
@@ -91,7 +93,7 @@ def test_rhs_out_must_be_a_writable_contiguous_float64_vector():
     q, p = [0.2, -0.3, 0.1], [0.4, 0.7, -0.2]
     rates = np.concatenate(rhs_arrays(m, 2, q, p))
     out = np.full(7, 9.0)
-    assert hamiltonian_rhs(m, 2, q, p, out) is out
+    assert hamiltonian_rhs(m, 2, q + p, out) is out
     assert np.array_equal(out[:6], rates) and out[6] == 9.0
     # each of these raises and keeps its values: none takes raw doubles
     strided = np.full(12, 9.0)
@@ -100,13 +102,13 @@ def test_rhs_out_must_be_a_writable_contiguous_float64_vector():
     for bad in (np.full(12, 9.0, dtype=np.float32), np.full(6, 9.0, dtype=">f8"),
                 strided[::2], read_only, np.full((2, 3), 9.0)):
         with pytest.raises(TypeError):
-            hamiltonian_rhs(m, 2, q, p, bad)
+            hamiltonian_rhs(m, 2, q + p, bad)
         assert np.all(bad == 9.0)
     assert np.all(strided == 9.0)
     raw = bytearray(48)
     for bad in (raw, [9.0] * 6):
         with pytest.raises(TypeError):
-            hamiltonian_rhs(m, 2, q, p, bad)
+            hamiltonian_rhs(m, 2, q + p, bad)
     assert raw == bytearray(48)
 
 
@@ -322,36 +324,72 @@ def test_cut_matches_fresh_integration():
 
 @pytest.mark.parametrize("kind", FIELD_KINDS)
 def test_split_programs_equal_the_full_field(kind):
-    # along a 601-sample extremal and at random phase points, the flow and
-    # energy programs, one state at a time and stacked, give the values of
-    # the one full field that they replaced, bit for bit
+    # along a 601-sample extremal and at random phase points, p = 0 rows
+    # among them, the flow and energy programs, one state at a time and
+    # stacked, give the values of the one full field that they replaced,
+    # bit for bit (float.hex tells -0.0 from 0.0)
     m = _field_model(kind)
     rng = np.random.default_rng(29)
     for tag in (1, 2):
         field = full_field(m, tag)
         tr = integrate(m, tag, (m.sample_point(rng), rng.normal(size=m.n)), 0.3,
                        samples=601)
-        Q = np.concatenate([tr.q, [m.sample_point(rng) for _ in range(40)]])
-        P = np.concatenate([tr.p, rng.normal(size=(40, m.n))])
+        Q = np.concatenate([tr.q, [m.sample_point(rng) for _ in range(60)]])
+        P = np.concatenate([tr.p, rng.normal(size=(40, m.n)), np.zeros((20, m.n))])
         rows = list(zip(Q.tolist(), P.tolist()))
-        ref = [field(q, p) for q, p in rows]
-        h = np.array([vals[0] for vals in ref])
-        assert np.array_equal(hamiltonian(m, tag, (Q, P)), h)
-        assert np.array_equal([hamiltonian(m, tag, lam) for lam in rows], h)
-        assert np.array_equal(tr.h, h[:len(tr.t)])
-        speeds = [np.sqrt(max(2.0 * v, 0.0)) for v in h[:len(tr.t)]]
+        ref = [call_outcome(lambda lam: field(*lam), lam) for lam in rows]
+        h = [vals[0] for vals in ref]
+        assert call_outcome(lambda lam: hamiltonian(m, tag, lam), (Q, P)) == h
+        assert [call_outcome(lambda lam: [hamiltonian(m, tag, lam)], lam)[0]
+                for lam in rows] == h
+        assert call_outcome(lambda t: t.h, tr) == h[:len(tr.t)]
+        speeds = [np.sqrt(max(2.0 * float.fromhex(v), 0.0)) for v in h[:len(tr.t)]]
         assert arc_length(m, tag, tr) == float(np.trapezoid(speeds, tr.t))
-        for lam, vals in zip(rows[::20], ref[::20]):
-            qdot, pdot = rhs_arrays(m, tag, *lam)
-            assert qdot.tolist() + pdot.tolist() == list(vals[1:2 * m.n + 1])
+        zero_rows = range(len(rows) - 20, len(rows))
+        for i in itertools.chain(range(0, len(rows), 20), zero_rows):
+            rates = call_outcome(lambda lam: np.concatenate(rhs_arrays(m, tag, *lam)), rows[i])
+            assert rates == ref[i][1:2 * m.n + 1]
         if tag == 1:
-            assert [intrinsic_P(m, lam) for lam in rows] == [vals[-1] for vals in ref]
+            assert [call_outcome(lambda lam: [intrinsic_P(m, lam)], lam)[0]
+                    for lam in rows] == [vals[-1] for vals in ref]
 
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_flow_and_energy_walk_and_compile_to_the_full_field(kind):
+    # the first call of each program (the walk) and the compiled program
+    # return the values of the full field's lines of that program, bit for
+    # bit, and raise its error: in the domain, p = 0 rows included, at the
+    # poles and logs of negative numbers of a box seven times as wide, and
+    # at covectors whose energy overflows
+    m = pair_fixture(kind)
+    rng = np.random.default_rng(71)
+    lo, hi = np.array(m.domain_min), np.array(m.domain_max)
+    points = []
+    for i in range(120):
+        q = rng.uniform(lo, hi) if i < 40 else rng.uniform(4 * lo - 3 * hi, 4 * hi - 3 * lo)
+        if i % 4 == 0:
+            q = np.round(q, 1)
+        p = np.zeros(m.n) if i % 5 == 0 else rng.normal(size=m.n)
+        if i % 6 == 0:
+            p *= 10.0 ** rng.uniform(100, 200)
+        points.append(q.tolist() + p.tolist())
+    raised = 0
+    for tag in (1, 2):
+        for program in ("flow", "energy"):
+            field = full_field(m, tag, program)
+            exprs = _generate(m, tag, program)
+            compiled = compiled_program(exprs)
+            for y in points:
+                expected = call_outcome(lambda y: field(y[:m.n], y[m.n:]), y)
+                assert call_outcome(ex.compile_exprs(exprs), y) == expected, (tag, program, y)
+                assert call_outcome(compiled, y) == expected, (tag, program, y)
+                raised += isinstance(expected, tuple)
+    assert raised > 0
 
 
 def test_generated_flow_emits_each_value_once(monkeypatch):
     # the derivatives of beltrami's gram2 repeat their subtrees many times
-    # over; the flow has 213 distinct values
+    # over; the flow has 233 distinct values
     lines = {}
     compile_ = ex.Program.compile
 
@@ -360,7 +398,11 @@ def test_generated_flow_emits_each_value_once(monkeypatch):
         return compile_(self, results, name)
 
     monkeypatch.setattr(ex.Program, "compile", record)
-    _program(build_beltrami(), 2, "flow")
+    m = build_beltrami()
+    y = m.center().tolist() + [1.0] * m.n
+    # a program compiles on its second call
+    flow = _program(m, 2, "flow")
+    assert flow(y) == flow(y)
     assert lines["_flow2"] <= 250
 
 @pytest.mark.parametrize("entry, bad", [

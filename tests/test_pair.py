@@ -293,7 +293,7 @@ def test_points_reach_compiled_evaluators_as_floats():
     with pytest.raises(ex.EvalDomainError, match="float division by zero"):
         intrinsic_P(m, (q, p))
     with pytest.raises(ex.EvalDomainError, match="float division by zero"):
-        hamiltonian_rhs(m, 2, q, p, np.empty(4))
+        hamiltonian_rhs(m, 2, np.concatenate([q, p]), np.empty(4))
 
 
 # ------------------------------------------------------------- regularity

@@ -106,9 +106,11 @@ def _generated_sources(model, monkeypatch):
         for key in sorted(bracket_exprs(model)):
             for fn in pair._completion(model, key):
                 fn(q)
-    for tag in (1, 2):
-        for kind in ("flow", "energy"):
-            hamiltonian._program(model, tag, kind)
+    y = q + (1.0,) * model.n
+    for _ in range(2):
+        for tag in (1, 2):
+            for kind in ("flow", "energy"):
+                hamiltonian._program(model, tag, kind)(y)
     monkeypatch.undo()
     return sources
 

@@ -8,6 +8,7 @@ import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from geoequiv.geometry import (GeometryModel, ManifestError, ModelValidationErro
                                from_manifest, load_model, to_manifest, validate_model)
 
 from conftest import (FIELD_PARAMS, PAIR_KINDS, assert_walk_is_compiled, call_outcome,
-                      compiled_program, pair_fixture, site_programs)
+                      compiled_program, pair_fixture, phase_points, site_programs)
 from reference import loop_validate_model
 
 
@@ -236,11 +237,13 @@ def test_fuzzed_manifests_walk_as_their_programs_compute():
             model = from_manifest(doc)
         except ManifestError:
             return
-        points = [tuple(q.tolist()) for q in model.probe_grid(margin=0.05)]
+        points = phase_points(model, [q.tolist() for q in model.probe_grid(margin=0.05)],
+                              np.random.default_rng(0))
         for _name, exprs in site_programs(model):
             assert_walk_is_compiled(exprs, points)
+            compiled = compiled_program(exprs)
             for q in points:
-                result = call_outcome(compiled_program(exprs), q)
+                result = call_outcome(compiled, q)
                 if isinstance(result, tuple):
                     raised.add(result[1])
 
