@@ -32,6 +32,7 @@ _DIV_TOL = 1e-8
 _GAUGE_MIN_SV = 0.2
 _PROBE_SAMPLES = 40     # regularity_probe's random ball samples
 _PROBE_SEED = 0
+_FD_STEP = 1e-8         # forward-difference step of the probe's gap gradient
 
 
 class AdaptedFrameError(Exception):
@@ -175,7 +176,9 @@ class RegularityReport:
         self.N_values = N_values
         self.regular = regular
         self.samples_used = samples_used
-        self.gap_min = gap_min          # smallest relative split-gap found
+        # the smallest relative split gap that the root search visited, an
+        # upper bound on the ball's minimum
+        self.gap_min = gap_min
         self.witness = witness          # point where clusters merge, if any
         self.N_witness = N_witness
 
@@ -211,84 +214,42 @@ def _gap_objective(model, eigenvalues, boundaries):
     return objective
 
 
-def _nelder_mead(f, x0, lo, hi, xatol, fatol, maxiter):
-    """Minimize f over the box [lo, hi] from x0 by Nelder-Mead (Nelder & Mead,
-    Comput. J. 7, 1965); returns the best vertex as a list of floats.
-
-    x0, lo and hi are lists of floats and f takes a list. The steps are those
-    of scipy's minimize(method="Nelder-Mead", bounds=...) with the default,
-    non-adaptive parameters, operation for operation, so the evaluated points
-    and the result are scipy's bit for bit: the start clipped to the box; the
-    initial simplex x0 plus 1.05 x0_k (0.00025 where x0_k is 0) along each
-    axis k, vertices above hi reflected into the box and all clipped; sorted
-    twice by np.argsort, whose tie order differs from sorted's; then until
-    the vertices lie within xatol and the values within fatol of the best
-    (inf - inf is NaN and fails the test, as in np.max), or maxiter
-    iterations: the centroid of all but the worst vertex as a sequential sum
-    from 0.0 divided by N, reflection, expansion, outside and inside
-    contraction and shrink towards the best vertex, each point clipped to
-    the box, and the simplex sorted again.
+def _gap_root(objective, p, g, center, radius, lo, hi, tol):
+    """Newton steps towards a root of the gap objective from the point p, a
+    list of floats, whose gap is g: p <- p - g grad / |grad|^2, clipped to
+    the box [lo, hi] and then projected radially into the ball of the radius
+    around the center. The gradient is forward differences of the objective
+    of step _FD_STEP (or one unit in the last place of p_k, where that is
+    larger), stepping inward where p sits at the box. A step is taken when
+    it at least halves the gap; the first one that does not ends the
+    search, keeping its point if its gap is lower. The search also ends at
+    a gap below tol and where the gradient is zero or not finite. Returns
+    (p, g).
     """
-    N = len(x0)
-
-    def clipped(y):
-        # np.clip keeps x itself where it ties a bound, so signed zeros agree
-        return [a if x < a else b if x > b else x for x, a, b in zip(y, lo, hi)]
-
-    def by_value(sim, fsim):
-        # np.argsort(fsim) without its list round trip through _wrapit: the
-        # same sort, so the same tie order
-        order = np.array(fsim).argsort().tolist()
-        return [sim[i] for i in order], [fsim[i] for i in order]
-
-    x0 = clipped(x0)
-    sim = [x0]
-    for k in range(N):
-        y = list(x0)
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim.append(y)
-    sim = [clipped([2 * b - x if x > b else x for x, b in zip(y, hi)]) for y in sim]
-    sim, fsim = by_value(*by_value(sim, [f(y) for y in sim]))
-
-    iterations = 1
-    while iterations < maxiter:
-        best, fbest = sim[0], fsim[0]
-        if (all(abs(x - b) <= xatol for y in sim[1:] for x, b in zip(y, best))
-                and all(abs(fbest - fy) <= fatol for fy in fsim[1:])):
+    while tol <= g < np.inf:
+        grad = []
+        for k, x in enumerate(p):
+            # at least one unit in the last place, so that x + h differs from x
+            h = max(_FD_STEP, math.ulp(x))
+            e = list(p)
+            e[k] = x + h if x + h <= hi[k] else x - h
+            grad.append((objective(e) - g) / (e[k] - x))
+        norm2 = sum(d * d for d in grad)
+        if not 0 < norm2 < np.inf:
             break
-        xbar = [0.0] * N
-        for y in sim[:-1]:
-            xbar = [s + x for s, x in zip(xbar, y)]
-        xbar = [s / N for s in xbar]
-        worst = sim[-1]
-        xr = clipped([2 * xb - x for xb, x in zip(xbar, worst)])
-        fxr = f(xr)
-        if fxr < fbest:
-            xe = clipped([3 * xb - 2 * x for xb, x in zip(xbar, worst)])
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:
-                # outside contraction
-                xc = clipped([1.5 * xb - 0.5 * x for xb, x in zip(xbar, worst)])
-                fxc = f(xc)
-                accept = fxc <= fxr
-            else:
-                # inside contraction
-                xc = clipped([0.5 * xb + 0.5 * x for xb, x in zip(xbar, worst)])
-                fxc = f(xc)
-                accept = fxc < fsim[-1]
-            if accept:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                for j in range(1, N + 1):
-                    sim[j] = clipped([b + 0.5 * (x - b) for x, b in zip(sim[j], best)])
-                    fsim[j] = f(sim[j])
-        iterations += 1
-        sim, fsim = by_value(sim, fsim)
-    return sim[0]
+        t = g / norm2
+        off = [min(max(x - t * d, a), b) - c
+               for x, d, a, b, c in zip(p, grad, lo, hi, center)]
+        dist = math.hypot(*off)
+        scale = radius / dist if dist > radius else 1.0
+        trial = [c + d * scale for c, d in zip(center, off)]
+        g_trial = objective(trial)
+        halved = g_trial <= 0.5 * g
+        if g_trial < g:
+            p, g = trial, g_trial
+        if not halved:
+            break
+    return p, g
 
 
 def regularity_probe(model, q, radius, cluster_tol=_CLUSTER_TOL):
@@ -297,9 +258,11 @@ def regularity_probe(model, q, radius, cluster_tol=_CLUSTER_TOL):
     Random ball samples catch N increasing (a cluster splitting away from
     the center). A collision, where split eigenvalues merge somewhere in the
     ball, usually happens on a measure-zero set, so on top of the sampling
-    the smallest cluster-boundary gap is minimized over the ball; when the
-    minimized gap collapses below cluster_tol the merge point is reported as
-    the witness.
+    a Newton search for a root of the smallest cluster-boundary gap runs
+    from five starts in the ball (the sample with the smallest gap, the
+    center and the first three kept samples, see _gap_root); the first
+    point whose gap falls below cluster_tol ends it and is reported as the
+    witness.
     """
     q = np.asarray(q, dtype=float)
     td = transition_operator(model, q, cluster_tol)
@@ -349,23 +312,20 @@ def regularity_probe(model, q, radius, cluster_tol=_CLUSTER_TOL):
         hi = np.minimum(q + radius, model.domain_max).tolist()
         starts = [qs] + kept[:3]
         if best_start is not None:
-            # the first sample with the smallest split gap (its objective value)
-            starts.append(best_start)
-        best_p, best_g = q, objective(qs)
+            # the first sample with the smallest split gap goes first: the
+            # likeliest to find a witness, which ends the search
+            starts.insert(0, best_start)
+        best_p, best_g = qs, np.inf
         for start in starts:
-            cand = np.array(_nelder_mead(objective, start, lo, hi,
-                                         xatol=1e-9, fatol=1e-12, maxiter=400))
-            # keep the iterate inside the probed ball
-            off = cand - q
-            dist = np.linalg.norm(off)
-            if dist > radius:
-                cand = q + off * (radius / dist)
-            g = objective(cand.tolist())
+            p, g = _gap_root(objective, start, objective(start), qs, radius,
+                             lo, hi, cluster_tol)
             if g < best_g:
-                best_p, best_g = cand, g
+                best_p, best_g = p, g
+            if best_g < cluster_tol:
+                break
         gap_min = float(best_g) if np.isfinite(best_g) else None
         if best_g < cluster_tol:
-            witness = best_p
+            witness = np.array(best_p)
             try:
                 N_witness = transition_operator(model, best_p, cluster_tol).N
             except np.linalg.LinAlgError:

@@ -10,9 +10,9 @@ adapted frames come from a 4th-order central finite-difference stencil
 over AdaptedFrame.at, and the gauge of AdaptedFrame.at was a per-cluster
 singular-value check and a gram1 Gram-Schmidt loop; the regularity probe solves every pencil with
 scipy.linalg.eigh, evaluates its extra Nelder-Mead start by solving
-each kept sample again, and still minimizes with scipy's
-minimize(method="Nelder-Mead", bounds=...), which pair's own bounded
-Nelder-Mead replaced; the fiber polynomials were dicts from exponent
+each kept sample again, and still minimizes the split gap with scipy's
+minimize(method="Nelder-Mead", bounds=...), where pair searches for a root
+of it by Newton steps; the fiber polynomials were dicts from exponent
 tuples to coefficients, with their own products, and were copied into
 coefficient vectors only to be divided. Tests compare the
 generated Hamiltonian programs, the pruned curve distance, the exact frame

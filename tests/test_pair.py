@@ -6,7 +6,6 @@ import struct
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from scipy.optimize import minimize
 
 from geoequiv import expr as ex
 from geoequiv import pair as pair_module
@@ -15,7 +14,7 @@ from geoequiv.hamiltonian import hamiltonian_rhs
 from geoequiv.pair import (transition_operator, regularity_probe, AdaptedFrame,
                            AdaptedFrameError, fiber_P, intrinsic_P, fiber_value,
                            fiber_hP, fiber_R, fiber_Q, first_divisibility,
-                           second_divisibility, relations_cor, _basis, _nelder_mead,
+                           second_divisibility, relations_cor, _basis,
                            _CLUSTER_TOL, _cluster_indices, _eigenvalue_kernel, _gap_objective,
                            _gauge, _pencil, _times_u)
 from geoequiv.constructors import (build_beltrami, build_dini,
@@ -25,7 +24,7 @@ from geoequiv.constructors import (build_beltrami, build_dini,
 from conftest import (FIELD_PARAMS, PAIR_KINDS, case2_origin_chart, heisenberg,
                       pair_fixture, plane_pair)
 from reference import (adapted_impulses, dict_divide, dict_fiber_hP, dict_fiber_P,
-                       dict_fiber_Q, dict_fiber_R, eigh_regularity_probe,
+                       dict_fiber_Q, dict_fiber_R, eigh_regularity_probe, eigh_split_gap,
                        fd_structure_functions, initial_covector, loop_gauge)
 
 
@@ -322,15 +321,67 @@ def test_regularity_regular_fixture():
     assert rep.gap_min > 1e-3
 
 
+@pytest.mark.parametrize("kind", ["levi-civita", "quasi-contact"])
+def test_gap_root_search_stops_where_the_gaps_stay_open(monkeypatch, kind):
+    # the split gaps stay above 0.2 in these balls. Each of the five starts
+    # asks for its own gap, n differences and one Newton trial, which does
+    # not halve the gap; a search creeping along the box edge would ask for
+    # hundreds of points
+    m = pair_fixture(kind)
+    asked = []
+    kernel = pair_module._eigenvalue_kernel
+
+    def recording_kernel(model):
+        eigenvalues = kernel(model)
+        return lambda q: asked.append(list(q)) or eigenvalues(q)
+
+    monkeypatch.setattr(pair_module, "_eigenvalue_kernel", recording_kernel)
+    rep = regularity_probe(m, tuple(m.center()), radius=0.05)
+    assert rep.regular and rep.samples_used == 40 and rep.gap_min > 0.2
+    assert len(asked) - 40 <= 5 * (m.n + 2)
+
+
+def test_gap_root_search_finds_the_merge_point():
+    # non-regular balls whose center is split: the eigenvalues merge at the
+    # origin alone (the origin chart of the case-2 pair, the Beltrami umbilic)
+    cart = case2_origin_chart()
+    for m, center, radius in [(cart, (0.05, 0.04), 0.1), (cart, (0.12, 0.0), 0.13),
+                              (pair_fixture("beltrami"), (0.03, 0.01), 0.05)]:
+        rep = regularity_probe(m, center, radius=radius)
+        assert not rep.regular, center
+        assert np.linalg.norm(rep.witness) < 1e-3, center
+        assert rep.gap_min < _CLUSTER_TOL, center
+        boundaries = [grp[0] for grp in transition_operator(m, center).clusters[1:]]
+        gap = _gap_objective(m, _eigenvalue_kernel(m), boundaries)
+        assert gap(rep.witness.tolist()) == rep.gap_min, center
+
+
+def test_gap_root_search_far_from_the_origin():
+    # gram2 = diag(1 + (x - c)^2, 1) merges on the line x = c. At |c| = 1e9
+    # a difference step of 1e-8 rounds away (c + 1e-8 == c), so the search
+    # steps by at least one unit in the last place
+    for c in (1e9, -1e9):
+        m = plane_pair(g2xx="1 + (x - %r)^2" % c, extent=([c - 1, -0.5], [c + 1, 0.5]))
+        rep = regularity_probe(m, (c + 0.03, 0.01), radius=0.05)
+        assert not rep.regular and rep.gap_min < _CLUSTER_TOL, c
+        assert abs(rep.witness[0] - c) < 1e-3, c
+
+
 def probe_matching_reference(m, q, radius=0.05):
-    """regularity_probe at q, after checking it against the eigh reference."""
+    """regularity_probe at q, after checking it against the eigh reference:
+    the same N values, samples and N at the witness, a witness on both sides
+    or on neither; a witness's gap below cluster_tol, and without one the
+    smallest gap either search found above it."""
     rep = regularity_probe(m, q, radius=radius)
     N_values, used, gap_min, witness, N_witness = eigh_regularity_probe(m, q, radius)
-    assert ((rep.N_values, rep.samples_used, rep.gap_min, rep.N_witness)
-            == (N_values, used, gap_min, N_witness)), q
+    assert (rep.N_values, rep.samples_used, rep.N_witness) == (N_values, used, N_witness), q
     assert (rep.witness is None) == (witness is None), q
-    if witness is not None:
-        assert np.array_equal(rep.witness, witness), q
+    assert (rep.gap_min is None) == (gap_min is None), q
+    if rep.witness is not None:
+        boundaries = [grp[0] for grp in transition_operator(m, q).clusters[1:]]
+        assert eigh_split_gap(m, rep.witness, boundaries) < _CLUSTER_TOL, q
+    elif gap_min is not None:
+        assert rep.gap_min > _CLUSTER_TOL and gap_min > _CLUSTER_TOL, q
     return rep
 
 
@@ -360,85 +411,6 @@ def test_regularity_probe_counts_non_positive_samples(tag):
     grams = (dip, eye) if tag == 1 else (eye, dip)
     m = GeometryModel(coords, 2, eye, *grams, [-1, -1], [1, 1])
     assert probe_matching_reference(m, (0.02, 0.1)).N_values == (-1, 2)
-
-
-def nelder_mead_matching_scipy(f, x0, lo, hi, maxiter=400):
-    """scipy's bounded Nelder-Mead result and the points _nelder_mead
-    evaluated, after checking that both runs agree bit for bit on x and on
-    the sequence of evaluated points. f takes a list of floats."""
-    ours, theirs = [], []
-    x = _nelder_mead(lambda p: ours.append(list(p)) or f(p), list(x0), list(lo), list(hi),
-                     xatol=1e-9, fatol=1e-12, maxiter=maxiter)
-    res = minimize(lambda p: theirs.append(p.tolist()) or f(p.tolist()),
-                   np.array(x0, dtype=float), method="Nelder-Mead", bounds=list(zip(lo, hi)),
-                   options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": maxiter})
-    assert np.array_equal(x, res.x)
-    assert np.array_equal(ours, theirs)
-    return res, ours
-
-
-def probe_objective(m, q):
-    """The split-gap objective that regularity_probe minimizes around q."""
-    boundaries = [grp[0] for grp in transition_operator(m, q).clusters[1:]]
-    assert boundaries
-    return _gap_objective(m, _eigenvalue_kernel(m), boundaries)
-
-
-# the conformal pair has one cluster everywhere, so no probe objective
-@pytest.mark.parametrize("kind", [k for k in PAIR_KINDS if k != "conformal"] + ["split-alpha"])
-def test_nelder_mead_matches_scipy_on_probe_objectives(kind):
-    m = pair_fixture(kind)
-    rng = np.random.default_rng(11)
-    # the Beltrami center is the umbilic, with one cluster; near it the
-    # minimized gap collapses
-    center = np.array([0.03, 0.01]) if kind == "beltrami" else m.center()
-    for q in [center] + [m.sample_point(rng) for _ in range(2)]:
-        f = probe_objective(m, q)
-        for radius in (0.05, 0.3):
-            lo = np.maximum(q - radius, m.domain_min)
-            hi = np.minimum(q + radius, m.domain_max)
-            for start in [q] + [lo + rng.random(m.n) * (hi - lo) for _ in range(2)]:
-                nelder_mead_matching_scipy(f, start, lo, hi)
-
-
-def test_nelder_mead_start_on_the_upper_bound():
-    # 1.05 x_k leaves the box: those vertices are reflected into it
-    m = pair_fixture("dini")
-    q = m.center()
-    lo, hi = q - 0.3, q + 0.3
-    _, points = nelder_mead_matching_scipy(probe_objective(m, q), hi, lo, hi)
-    assert all(points[1 + k][k] < hi[k] for k in range(m.n))
-
-
-def test_nelder_mead_inf_outside_the_domain():
-    # the box reaches past the domain, where the objective is inf
-    m = pair_fixture("dini")
-    q = m.domain_min + 0.05
-    f = probe_objective(m, q)
-    res, points = nelder_mead_matching_scipy(f, q, q - 0.3, q + 0.3)
-    assert any(f(p) == np.inf for p in points)
-    assert f(res.x.tolist()) < np.inf
-
-
-def test_nelder_mead_flat_directions():
-    # the quasi-contact gap depends on t alone: vertices along the other
-    # axes tie, and np.argsort's tie order decides the steps
-    m = pair_fixture("quasi-contact")
-    q = m.center()
-    f = probe_objective(m, q)
-    _, points = nelder_mead_matching_scipy(f, q, q - 0.05, q + 0.05)
-    values = [f(p) for p in points[:m.n + 1]]
-    assert len(set(values)) < len(values)
-
-
-def test_nelder_mead_stops_at_maxiter():
-    m = pair_fixture("gendini1")
-    q = m.center()
-    f = probe_objective(m, q)
-    res, points = nelder_mead_matching_scipy(f, q, q - 0.3, q + 0.3, maxiter=5)
-    assert res.status == 2      # scipy: maximum number of iterations reached
-    full = nelder_mead_matching_scipy(f, q, q - 0.3, q + 0.3)[1]
-    assert len(points) < len(full)
 
 
 # ------------------------------------------------------------ adapted frame
