@@ -91,34 +91,23 @@ class GeometryModel:
             [self.frame[i][j] for i in range(n) for j in range(n)], n))
         return np.array(fn(q), dtype=float).reshape(n, n, n).transpose(0, 2, 1).copy()
 
-    def _gram_exprs(self, tag):
-        return self.gram1 if tag == 1 else self.gram2
-
-    def _grams_program(self):
-        """The evaluator q -> gram1's entries, then gram2's, each row by row:
-        both Gram matrices from one program, cached on the model as
-        _compiled caches. A cached program costs one dict lookup, without
-        _compiled's closure."""
-        fn = self._cache.get("grams")
-        if fn is None:
-            m = self.m
-            fn = self._cache["grams"] = ex.compile_exprs(
-                [g[i][j] for g in (self.gram1, self.gram2) for i in range(m) for j in range(m)],
-                name="_grams", slot=(self._cache, "grams"))
-        return fn
+    def _gram_entries(self, *tags):
+        """The entries of the Gram matrices of the tags (1 or 2), one matrix
+        after the other, each row by row. The joint Gram program is
+        _compiled("grams", lambda: _gram_entries(1, 2)): both Gram matrices,
+        gram1's entries first, from one program."""
+        m = self.m
+        return [g[i][j] for g in (self.gram1 if tag == 1 else self.gram2 for tag in tags)
+                for i in range(m) for j in range(m)]
 
     def gram_at(self, q, tag):
         m = self.m
-        g = self._gram_exprs(tag)
-        fn = self._compiled("gram%d" % tag, lambda: [g[i][j] for i in range(m)
-                                                    for j in range(m)])
+        fn = self._compiled("gram%d" % tag, lambda: self._gram_entries(tag))
         return np.asarray(fn(q), dtype=float).reshape(m, m)
 
     def dgram_at(self, q, tag):
         m, n = self.m, self.n
-        g = self._gram_exprs(tag)
-        fn = self._compiled("dgram%d" % tag, lambda: ex.partials(
-            [g[i][j] for i in range(m) for j in range(m)], n))
+        fn = self._compiled("dgram%d" % tag, lambda: ex.partials(self._gram_entries(tag), n))
         return np.asarray(fn(q), dtype=float).reshape(n, m, m)
 
     # -- domain helpers -----------------------------------------------------
@@ -327,7 +316,8 @@ def validate_model(model):
             scale.append(math.inf)
     degenerate = np.abs(dets) < _DET_TOL * np.array(scale)
 
-    grams, failed = _grid_rows(model._grams_program(), points, 2 * m * m)
+    grams, failed = _grid_rows(model._compiled("grams", lambda: model._gram_entries(1, 2)),
+                                points, 2 * m * m)
     W = grams.reshape(-1, 2, m, m)
     gram_errors = {}
     for i in failed:

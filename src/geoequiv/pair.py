@@ -17,7 +17,6 @@ fiber polynomials live in u_1..u_n.
 import functools
 import itertools
 import math
-import struct
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
@@ -50,10 +49,8 @@ def _cluster_indices(lams, tol):
 
 
 class TransitionData:
-    def __init__(self, q, eigenvalues, vectors, clusters, gram1, gram2):
-        self.q = np.asarray(q, dtype=float)
+    def __init__(self, eigenvalues, vectors, clusters, gram1, gram2):
         self.eigenvalues = eigenvalues      # ascending alpha_i^2
-        self.alphas = np.sqrt(eigenvalues)
         self.vectors = vectors              # columns, W1-orthonormal
         self.clusters = clusters
         self.N = len(clusters)
@@ -66,89 +63,38 @@ def _floats(q):
     return [float(v) for v in q]
 
 
-def _gram_values(model, grams, qt):
-    """The values of the model's joint Gram program grams at the point qt.
+def _pencil(model, qt, vectors):
+    """(W1, W2, lams, V) of the pencil (W2, W1) at the point qt, a sequence
+    of floats; V is None unless vectors.
 
-    When it raises, gram_at(qt, 1) and then gram_at(qt, 2) are evaluated, so
-    the error is the one they give.
+    Both Gram matrices come from one array, the values of the model's joint
+    Gram program (gram1's entries first). Where it raises, gram_at(qt, 1)
+    and then gram_at(qt, 2) are evaluated, so the error is the one they
+    give. LAPACK dsygvd with the defaults of scipy.linalg.eigh(W2, W1)
+    (itype 1, lower triangle, default workspace), without its per-call
+    argument checks, so lams and V are eigh's bit for bit; without vectors
+    lams are eigh(W2, W1, eigvals_only=True)'s, which for m >= 3 can differ
+    from them in the last bits. Raises np.linalg.LinAlgError, naming the
+    point, when gram1 is not positive definite or the solver fails.
     """
+    m = model.m
     try:
-        return grams(qt)
+        values = model._compiled("grams", lambda: model._gram_entries(1, 2))(qt)
     except ex.EvalDomainError:
         model.gram_at(qt, 1)
         model.gram_at(qt, 2)
         raise
-
-
-def _pencil_error(qt, info, m):
-    """The LinAlgError, naming the point qt, for dsygvd's nonzero info."""
+    W1, W2 = np.array(values).reshape(2, m, m)
+    lams, V, info = dsygvd(W2, W1, jobz="V" if vectors else "N")
     if info > m:
-        return np.linalg.LinAlgError(
+        raise np.linalg.LinAlgError(
             "gram1 not positive definite at %s (leading minor of order %d)"
             % (_floats(qt), info - m))
-    return np.linalg.LinAlgError(
-        "generalized eigenproblem of gram2 and gram1 failed at %s (LAPACK info %d)"
-        % (_floats(qt), info))
-
-
-def _pencil(model, qt):
-    """(W1, W2, lams, V) of the pencil (W2, W1) at the point tuple qt.
-
-    Both Gram matrices come from one array, the values of the model's joint
-    Gram program (gram1's entries first), which raises what gram_at raises
-    (see _gram_values). LAPACK dsygvd with the defaults of
-    scipy.linalg.eigh(W2, W1) (itype 1, lower triangle, default workspace),
-    so lams and V are eigh's bit for bit, without its per-call argument
-    checks. Raises np.linalg.LinAlgError, naming the point, when gram1 is not
-    positive definite or the solver fails.
-    """
-    m = model.m
-    W = np.array(_gram_values(model, model._grams_program(), qt)).reshape(2, m, m)
-    W1 = W[0]
-    W2 = W[1]
-    lams, V, info = dsygvd(W2, W1, jobz="V")
     if info:
-        raise _pencil_error(qt, info, m)
-    return W1, W2, lams, V
-
-
-def _eigenvalue_kernel(model):
-    """The function q -> eigenvalues of the pencil (W2, W1) at q, ascending,
-    as a list of floats; q is a sequence of floats.
-
-    They are scipy.linalg.eigh(W2, W1, eigvals_only=True)'s bit for bit:
-    the joint Gram program's values are packed into one preallocated
-    (2, m, m) buffer and LAPACK dsygvd runs on its halves without vectors.
-    A point's result, or its error, is kept under the exact bits of q (so
-    -0.0 and 0.0 are distinct points) and the program runs once per point.
-    Raises what gram_at raises where the model's expressions do (see
-    _gram_values), and np.linalg.LinAlgError as _pencil does where dsygvd
-    fails.
-    """
-    m = model.m
-    grams = model._grams_program()
-    W = np.empty((2, m, m))
-    W1, W2 = W
-    pack_into = struct.Struct("%dd" % (2 * m * m)).pack_into
-    key = struct.Struct("%dd" % model.n).pack
-    memo = {}
-
-    def eigenvalues(q):
-        k = key(*q)
-        lams = memo.get(k)
-        if lams is None:
-            try:
-                pack_into(W, 0, *_gram_values(model, grams, q))
-                w, _, info = dsygvd(W2, W1, jobz="N")
-                lams = _pencil_error(q, info, m) if info else w.tolist()
-            except ex.EvalDomainError as exc:
-                lams = exc
-            memo[k] = lams
-        if type(lams) is not list:
-            raise lams
-        return lams
-
-    return eigenvalues
+        raise np.linalg.LinAlgError(
+            "generalized eigenproblem of gram2 and gram1 failed at %s (LAPACK info %d)"
+            % (_floats(qt), info))
+    return W1, W2, lams, V if vectors else None
 
 
 def transition_operator(model, q, cluster_tol=_CLUSTER_TOL):
@@ -158,13 +104,13 @@ def transition_operator(model, q, cluster_tol=_CLUSTER_TOL):
     qt = tuple(np.asarray(q, dtype=float).tolist())
     if not all(map(math.isfinite, qt)):
         raise ValueError("point must be finite, got %s" % (_floats(qt),))
-    W1, W2, lams, V = _pencil(model, qt)
+    W1, W2, lams, V = _pencil(model, qt, True)
     if lams[0] <= 0:
         # with gram1 positive definite, exactly when gram2 is not
         raise np.linalg.LinAlgError(
             "gram2 not positive definite at %s (transition operator not positive)"
             % (_floats(qt),))
-    return TransitionData(q, lams, V, _cluster_indices(lams, cluster_tol), W1, W2)
+    return TransitionData(lams, V, _cluster_indices(lams, cluster_tol), W1, W2)
 
 
 class RegularityReport:
@@ -197,16 +143,16 @@ def _gap(lams, boundaries):
     return gap
 
 
-def _gap_objective(model, eigenvalues, boundaries):
+def _gap_objective(model, boundaries):
     """The function p -> smallest relative gap across the boundaries at the
-    point p, a list of floats, from the kernel eigenvalues (see
-    _eigenvalue_kernel); inf outside the domain, where the model's
-    expressions raise and where the pencil cannot be solved."""
+    point p, a list of floats, from the pencil's eigenvalues without vectors
+    (see _pencil); inf outside the domain, where the model's expressions
+    raise and where the pencil cannot be solved."""
     def objective(p):
         if not model.in_domain(p):
             return np.inf
         try:
-            lams = eigenvalues(p)
+            lams = _pencil(model, p, False)[2].tolist()
         except (ex.EvalDomainError, np.linalg.LinAlgError):
             return np.inf
         return _gap(lams, boundaries)
@@ -268,7 +214,6 @@ def regularity_probe(model, q, radius, cluster_tol=_CLUSTER_TOL):
     td = transition_operator(model, q, cluster_tol)
     Nc = td.N
     boundaries = [grp[0] for grp in td.clusters[1:]]
-    eigenvalues = _eigenvalue_kernel(model)
     rng = np.random.default_rng(_PROBE_SEED)
     n = model.n
     qs = q.tolist()
@@ -289,7 +234,7 @@ def regularity_probe(model, q, radius, cluster_tol=_CLUSTER_TOL):
         if not model.in_domain(point):
             continue
         try:
-            lams = eigenvalues(point)
+            lams = _pencil(model, point, False)[2].tolist()
         except np.linalg.LinAlgError:
             lams = None
         if lams is None or lams[0] <= 0:
@@ -307,7 +252,7 @@ def regularity_probe(model, q, radius, cluster_tol=_CLUSTER_TOL):
     witness = None
     N_witness = None
     if boundaries:
-        objective = _gap_objective(model, eigenvalues, boundaries)
+        objective = _gap_objective(model, boundaries)
         lo = np.maximum(q - radius, model.domain_min).tolist()
         hi = np.minimum(q + radius, model.domain_max).tolist()
         starts = [qs] + kept[:3]
@@ -495,7 +440,7 @@ class AdaptedFrame:
         qt = tuple(np.asarray(q, dtype=float).tolist())
         model = self.model
         n, m = model.n, model.m
-        W1, W2, lams, V = _pencil(model, qt)
+        W1, W2, lams, V = _pencil(model, qt, True)
         if lams[0] <= 0:
             raise AdaptedFrameError("transition operator not positive at %s"
                                     % (_floats(qt),))

@@ -116,7 +116,7 @@ def site_programs(model):
 
     q = tuple(model.center().tolist())
     sites = [lambda: model.frame_at(q), lambda: model.dframe_at(q),
-             lambda: model._grams_program()(q)]
+             lambda: model._compiled("grams", lambda: model._gram_entries(1, 2))(q)]
     sites += [lambda tag=tag: model.gram_at(q, tag) for tag in (1, 2)]
     sites += [lambda tag=tag: model.dgram_at(q, tag) for tag in (1, 2)]
     sites += [lambda tag=tag, kind=kind: _program(model, tag, kind)(q + (1.0,) * model.n)

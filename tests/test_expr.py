@@ -359,7 +359,7 @@ def test_emitted_lines_compile_as_parenthesized_lines(kind, monkeypatch):
     for _ in range(2):
         m.frame_at(q)
         m.dframe_at(q)
-        m._grams_program()(q)
+        m._compiled("grams", lambda: m._gram_entries(1, 2))(q)
         for tag in (1, 2):
             m.gram_at(q, tag)
             m.dgram_at(q, tag)

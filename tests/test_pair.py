@@ -1,7 +1,6 @@
 import itertools
 import math
 import re
-import struct
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from geoequiv.pair import (transition_operator, regularity_probe, AdaptedFrame,
                            AdaptedFrameError, fiber_P, intrinsic_P, fiber_value,
                            fiber_hP, fiber_R, fiber_Q, first_divisibility,
                            second_divisibility, relations_cor, _basis,
-                           _CLUSTER_TOL, _cluster_indices, _eigenvalue_kernel, _gap_objective,
+                           _CLUSTER_TOL, _cluster_indices, _gap_objective,
                            _gauge, _pencil, _times_u)
 from geoequiv.constructors import (build_beltrami, build_dini,
                                    build_levi_civita, build_gendini_case1,
@@ -80,7 +79,6 @@ def test_non_finite_point_raises_before_arithmetic(monkeypatch, call, bad):
         raise AssertionError("pencil formed at a non-finite point")
 
     monkeypatch.setattr(pair_module, "_pencil", no_pencil)
-    monkeypatch.setattr(pair_module, "_eigenvalue_kernel", no_pencil)
     q = np.array([0.0, bad, 0.0, 0.0])
     with pytest.raises(ValueError, match=re.escape(
             "point must be finite, got [0.0, %r, 0.0, 0.0]" % bad)):
@@ -89,31 +87,35 @@ def test_non_finite_point_raises_before_arithmetic(monkeypatch, call, bad):
 
 # ----------------------------------------------------------- pencil kernel
 
-@pytest.mark.parametrize("kind", PAIR_KINDS)
-def test_pencil_kernel_matches_eigh(kind):
+def _pencil_matches_eigh(kind, vectors):
+    # with vectors, eigh(W2, W1)'s eigenpairs; without, the eigenvalues of
+    # eigh(W2, W1, eigvals_only=True), which differ from them in the last
+    # bits for m >= 3
     m = pair_fixture(kind)
     rng = np.random.default_rng(31)
     for _ in range(8):
-        qt = tuple(m.sample_point(rng))
-        W1, W2, lams, V = _pencil(m, qt)
-        assert np.array_equal(W1, m.gram_at(qt, 1))
-        assert np.array_equal(W2, m.gram_at(qt, 2))
-        ref_lams, ref_V = sla.eigh(W2, W1)
-        assert np.array_equal(lams, ref_lams), (kind, qt)
-        assert np.array_equal(V, ref_V), (kind, qt)
+        q = m.sample_point(rng).tolist()
+        W1, W2, lams, V = _pencil(m, q, vectors)
+        assert np.array_equal(W1, m.gram_at(q, 1))
+        assert np.array_equal(W2, m.gram_at(q, 2))
+        if vectors:
+            ref_lams, ref_V = sla.eigh(W2, W1)
+            assert np.array_equal(V, ref_V), (kind, q)
+        else:
+            ref_lams = sla.eigh(W2, W1, eigvals_only=True)
+            assert V is None
+        assert np.array_equal(lams, ref_lams), (kind, q, vectors)
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_pencil_kernel_matches_eigh(kind):
+    _pencil_matches_eigh(kind, vectors=True)
 
 
 @pytest.mark.parametrize("kind", PAIR_KINDS)
 def test_eigenvalue_kernel_matches_eigh(kind):
-    m = pair_fixture(kind)
-    eigenvalues = _eigenvalue_kernel(m)
-    rng = np.random.default_rng(31)
-    for _ in range(8):
-        q = m.sample_point(rng).tolist()
-        only = eigenvalues(q)
-        assert type(only) is list
-        ref = sla.eigh(m.gram_at(q, 2), m.gram_at(q, 1), eigvals_only=True)
-        assert np.array_equal(only, ref), (kind, q)
+    # the probe's eigenvalues-only mode of the same kernel
+    _pencil_matches_eigh(kind, vectors=False)
 
 
 def test_pencil_kernel_rejects_indefinite_gram1():
@@ -125,12 +127,13 @@ def test_pencil_kernel_rejects_indefinite_gram1():
     q = (-0.5, 0.25)
     with pytest.raises(np.linalg.LinAlgError):
         sla.eigh(m.gram_at(q, 2), m.gram_at(q, 1))
-    for solve in (lambda q: _pencil(m, q), _eigenvalue_kernel(m)):
+    for vectors in (True, False):
         with pytest.raises(np.linalg.LinAlgError,
                            match=r"gram1 not positive definite at \[-0.5, 0.25\]"):
-            solve(q)
+            _pencil(m, q, vectors)
     with pytest.raises(np.linalg.LinAlgError, match="gram1"):
         transition_operator(m, np.array(q))
+    assert _gap_objective(m, [1])(list(q)) == np.inf
 
 
 def test_pencil_kernel_raises_what_gram_at_raises():
@@ -149,63 +152,11 @@ def test_pencil_kernel_raises_what_gram_at_raises():
         q = (0.25, 0.0) if bad == 1 else (-0.5, 0.0)
         with pytest.raises(ex.EvalDomainError) as ref:
             m.gram_at(q, bad)
-        for solve in (lambda q: _pencil(m, q), _eigenvalue_kernel(m)):
+        for vectors in (True, False):
             with pytest.raises(type(ref.value)) as got:
-                solve(q)
+                _pencil(m, q, vectors)
             assert str(got.value) == str(ref.value)
-        assert _gap_objective(m, _eigenvalue_kernel(m), [1])(list(q)) == np.inf
-
-
-def _counting_grams(m):
-    """Replace the model's joint Gram program by one that records its points."""
-    calls = []
-    grams = m._grams_program()
-    m._cache["grams"] = lambda q: calls.append(list(q)) or grams(q)
-    return calls
-
-
-def test_eigenvalue_kernel_runs_the_program_once_per_point():
-    m = pair_fixture("quasi-contact")
-    calls = _counting_grams(m)
-    eigenvalues = _eigenvalue_kernel(m)
-    q = m.center().tolist()
-    p = (m.center() + 0.01).tolist()
-    first = eigenvalues(q)
-    assert eigenvalues(list(q)) == first and eigenvalues(tuple(q)) == first
-    eigenvalues(p)
-    eigenvalues(np.array(p))
-    assert calls == [q, p]
-
-
-def test_eigenvalue_kernel_keeps_signed_zeros_apart():
-    m = plane_pair()
-    calls = _counting_grams(m)
-    eigenvalues = _eigenvalue_kernel(m)
-    for q in ([0.0, 0.25], [-0.0, 0.25], [0.0, 0.25], [-0.0, 0.25]):
-        assert eigenvalues(q) == [1.0, 1.0]
-    assert [math.copysign(1.0, q[0]) for q in calls] == [1.0, -1.0]
-
-
-def test_regularity_probe_runs_the_program_once_per_distinct_point(monkeypatch):
-    # beltrami near its umbilic: the probe samples, refines and finds a witness
-    m = pair_fixture("beltrami")
-    calls = _counting_grams(m)
-    pencils = []
-    pencil = pair_module._pencil
-    monkeypatch.setattr(pair_module, "_pencil",
-                        lambda model, qt: pencils.append(qt) or pencil(model, qt))
-    asked = []
-    kernel = pair_module._eigenvalue_kernel
-
-    def recording_kernel(model):
-        eigenvalues = kernel(model)
-        return lambda q: asked.append(struct.pack("2d", *q)) or eigenvalues(q)
-
-    monkeypatch.setattr(pair_module, "_eigenvalue_kernel", recording_kernel)
-    rep = regularity_probe(m, (0.03, 0.01), radius=0.05)
-    assert rep.witness is not None
-    assert len(asked) > len(set(asked))
-    assert len(calls) == len(set(asked)) + len(pencils)
+        assert _gap_objective(m, [1])(list(q)) == np.inf
 
 
 def test_probe_kernel_raises_in_sampling_and_objective_is_inf():
@@ -219,15 +170,14 @@ def test_probe_kernel_raises_in_sampling_and_objective_is_inf():
           (P("0"), P("1")))
     g2 = ((P("2 + (x - 0.01)^0.5"), P("0")), (P("0"), P("1")))
     m = GeometryModel(coords, 2, eye, g1, g2, [-1, -1], [1, 1])
-    eigenvalues = _eigenvalue_kernel(m)
     with pytest.raises(ex.EvalDomainError, match="out of real domain"):
-        m._grams_program()((0.0, 0.0))
-    for _ in range(2):
+        m._compiled("grams", lambda: m._gram_entries(1, 2))((0.0, 0.0))
+    for vectors in (True, False):
         with pytest.raises(ex.EvalDomainError, match="^compiled expression not finite$"):
-            eigenvalues([0.0, 0.0])
+            _pencil(m, [0.0, 0.0], vectors)
     with pytest.raises(ex.EvalDomainError, match="^compiled expression not finite$"):
         regularity_probe(m, (0.03, 0.0), radius=0.05)
-    objective = _gap_objective(m, eigenvalues, [1])
+    objective = _gap_objective(m, [1])
     assert objective([0.0, 0.0]) == np.inf
     assert 0 < objective([0.02, 0.0]) < np.inf
 
@@ -329,13 +279,14 @@ def test_gap_root_search_stops_where_the_gaps_stay_open(monkeypatch, kind):
     # hundreds of points
     m = pair_fixture(kind)
     asked = []
-    kernel = pair_module._eigenvalue_kernel
+    pencil = pair_module._pencil
 
-    def recording_kernel(model):
-        eigenvalues = kernel(model)
-        return lambda q: asked.append(list(q)) or eigenvalues(q)
+    def recording_pencil(model, qt, vectors):
+        if not vectors:
+            asked.append(list(qt))
+        return pencil(model, qt, vectors)
 
-    monkeypatch.setattr(pair_module, "_eigenvalue_kernel", recording_kernel)
+    monkeypatch.setattr(pair_module, "_pencil", recording_pencil)
     rep = regularity_probe(m, tuple(m.center()), radius=0.05)
     assert rep.regular and rep.samples_used == 40 and rep.gap_min > 0.2
     assert len(asked) - 40 <= 5 * (m.n + 2)
@@ -352,7 +303,7 @@ def test_gap_root_search_finds_the_merge_point():
         assert np.linalg.norm(rep.witness) < 1e-3, center
         assert rep.gap_min < _CLUSTER_TOL, center
         boundaries = [grp[0] for grp in transition_operator(m, center).clusters[1:]]
-        gap = _gap_objective(m, _eigenvalue_kernel(m), boundaries)
+        gap = _gap_objective(m, boundaries)
         assert gap(rep.witness.tolist()) == rep.gap_min, center
 
 

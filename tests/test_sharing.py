@@ -95,7 +95,7 @@ def _generated_sources(model, monkeypatch):
     # a program compiles on its second call: each evaluator is called twice
     for _ in range(2):
         model.frame_at(q)
-        model._grams_program()(q)
+        model._compiled("grams", lambda: model._gram_entries(1, 2))(q)
         for tag in (1, 2):
             model.gram_at(q, tag)
             model.dgram_at(q, tag)
