@@ -204,7 +204,7 @@ def _point_report(model, frame, q, radius, cluster_tol):
         "eigenvalues": [float(v) for v in td.eigenvalues],
         "N": td.N,
         "regular": bool(reg.regular),
-        "N_in_ball": sorted(set(int(v) for v in reg.N_values) | {reg.N_center}),
+        "N_in_ball": list(reg.N_values),
     }
     try:
         fd = first_divisibility(model, frame, q)
@@ -215,12 +215,12 @@ def _point_report(model, frame, q, radius, cluster_tol):
         if model.n - model.m == 1:
             sd = second_divisibility(model, frame, q)
             rec["second_divisibility"] = {
-                "holds": None if sd.holds is None else bool(sd.holds),
-                "residual": None if sd.residual is None else float(sd.residual),
-                "quotient_spread": None if sd.spread is None else float(sd.spread),
+                "holds": bool(sd.holds),
+                "residual": float(sd.residual),
+                "quotient_spread": float(sd.spread),
                 "transverse_quotient": {
                     str(j): [float(pair[0]), float(pair[1])]
-                    for j, pair in (sd.transverse_r or {}).items()
+                    for j, pair in sd.transverse_r.items()
                 },
             }
         else:
@@ -233,6 +233,11 @@ def _point_report(model, frame, q, radius, cluster_tol):
     except AdaptedFrameError as exc:
         rec["frame_error"] = str(exc)
     return rec
+
+
+def _worst_relation(rec):
+    """The largest relation residual of a record; 0 when none applies."""
+    return max((v for v in rec["relations"].values() if v is not None), default=0.0)
 
 
 def _cmd_analyze(args):
@@ -272,15 +277,11 @@ def _cmd_analyze(args):
         sd = rec["second_divisibility"]
         if sd is None:
             lines.append("  second divisibility: not applicable (corank != 1)")
-        elif sd["holds"] is None:
-            lines.append("  second divisibility: vacuous (no transverse rows)")
         else:
             lines.append("  second divisibility: %s (residual %.3e, spread %.3e)"
                          % ("holds" if sd["holds"] else "FAILS",
                             sd["residual"], sd["quotient_spread"]))
-        worst = max((v for v in rec["relations"].values() if v is not None),
-                    default=0.0)
-        lines.append("  relations: worst residual %.3e" % worst)
+        lines.append("  relations: worst residual %.3e" % _worst_relation(rec))
         for name, val in rec["relations"].items():
             if val is not None:
                 lines.append("    %-22s %.3e" % (name, val))
@@ -419,8 +420,6 @@ def _cmd_check_relations(args):
     else:
         points = _parse_points(model, args.at)
     records = []
-    worst = 0.0
-    failed = unchecked = False
     for q in points:
         rec = {"q": [float(v) for v in q]}
         try:
@@ -428,18 +427,20 @@ def _cmd_check_relations(args):
             rep = relations_cor(model, frame, q, bracket_tol=args.bracket_tol)
             rec["relations"] = {name: (None if v is None else float(v))
                                 for name, v in rep.checks.items()}
-            vals = [v for v in rec["relations"].values() if v is not None]
-            here = max(vals, default=0.0)
-            worst = max(worst, here)
-            if here > args.tol:
-                failed = True
         except AdaptedFrameError as exc:
             rec["frame_error"] = str(exc)
-            unchecked = True
         except (EvalDomainError, np.linalg.LinAlgError) as exc:
             raise type(exc)("at q = %s: %s" % (rec["q"], exc)) from exc
         records.append(rec)
-    verdict = "fail" if failed else "inconclusive" if unchecked else "pass"
+    # the worst residual and the verdict come from the records
+    residuals = [_worst_relation(rec) for rec in records if "relations" in rec]
+    worst = max(residuals, default=0.0)
+    if any(r > args.tol for r in residuals):
+        verdict = "fail"
+    elif len(residuals) < len(records):
+        verdict = "inconclusive"
+    else:
+        verdict = "pass"
     payload = {
         "schema": SCHEMA,
         "command": "check-relations",
@@ -456,9 +457,7 @@ def _cmd_check_relations(args):
             lines.append("q = %s: adapted frame unavailable (%s)"
                          % (rec["q"], rec["frame_error"]))
         else:
-            vals = [v for v in rec["relations"].values() if v is not None]
-            lines.append("q = %s: worst residual %.3e"
-                         % (rec["q"], max(vals, default=0.0)))
+            lines.append("q = %s: worst residual %.3e" % (rec["q"], _worst_relation(rec)))
     lines.append("verdict: %s (worst %.3e, tol %g)" % (verdict, worst, args.tol))
     _emit(payload, args, lines)
     return {"fail": EXIT_FAIL, "inconclusive": EXIT_INCONCLUSIVE, "pass": EXIT_OK}[verdict]

@@ -64,36 +64,6 @@ class Expr:
 
     __slots__ = ()
 
-    def __add__(self, other):
-        return add(self, _as_expr(other))
-
-    def __radd__(self, other):
-        return add(_as_expr(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_expr(other))
-
-    def __rsub__(self, other):
-        return sub(_as_expr(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_expr(other))
-
-    def __rmul__(self, other):
-        return mul(_as_expr(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_expr(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_expr(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, exponent):
-        return pow_(self, exponent)
-
     def __repr__(self):
         return to_string(self, None)
 

@@ -656,14 +656,13 @@ def fiber_Q(model, frame, q, j, k):
 
 
 class SecondDivisibilityResult:
-    def __init__(self, per_j, holds, residual, quotients, spread, transverse_r, diagnostics=""):
+    def __init__(self, per_j, holds, residual, spread, transverse_r):
         self.per_j = per_j              # list of (j, residual, holds, quotient)
         self.holds = holds
         self.residual = residual        # max over applicable j
-        self.quotients = quotients      # j -> r vector (quotient / alpha_j)
-        self.spread = spread            # max pairwise difference of r vectors
+        # max pairwise difference of the r vectors (quotient / alpha_j)
+        self.spread = spread
         self.transverse_r = transverse_r  # j -> (r_{m+1}, alpha_j^2)
-        self.diagnostics = diagnostics
 
 
 def second_divisibility(model, frame, q):
@@ -705,34 +704,31 @@ def second_divisibility(model, frame, q):
     if n - m != 1:
         raise ValueError("second divisibility applies to corank-one models")
     data = frame.point_data(q)
-    per_j, quotients, transverse_r = [], {}, {}
+    per_j, rs, transverse_r = [], [], {}
     scale = float(np.max(np.abs(data.cbar))) + 1e-30
-    applicable = 0
     worst = 0.0
     for j in range(1, m + 1):
         Qj = fiber_Q(model, frame, q, j, m + 1)
         if np.linalg.norm(Qj) <= 1e-10 * scale:
             per_j.append((j, None, None, None))
             continue
-        applicable += 1
         residual, sol = _divide(fiber_R(model, frame, q, j), Qj, _times_u(n, 1))
         ok = residual <= _DIV_TOL
         per_j.append((j, residual, ok, sol))
         worst = max(worst, residual)
         r = sol / data.alphas[j - 1]
-        quotients[j] = r
+        rs.append(r)
         transverse_r[j] = (float(r[m]), float(data.alpha_sq[j - 1]))
-    if applicable == 0:
-        return SecondDivisibilityResult(per_j, True, 0.0, {}, 0.0, {},
-                                        "no usable Q_{j,m+1} at this point")
+    if not rs:
+        # no usable Q_{j,m+1} at this point
+        return SecondDivisibilityResult(per_j, True, 0.0, 0.0, {})
     spread = 0.0
-    rs = list(quotients.values())
     base = max(1.0, max(np.linalg.norm(r) for r in rs))
     for a in range(len(rs)):
         for b in range(a + 1, len(rs)):
             spread = max(spread, float(np.linalg.norm(rs[a] - rs[b]) / base))
     holds = spread <= _DIV_TOL and all(ok for (_, _, ok, _) in per_j if ok is not None)
-    return SecondDivisibilityResult(per_j, holds, worst, quotients, spread, transverse_r)
+    return SecondDivisibilityResult(per_j, holds, worst, spread, transverse_r)
 
 
 # ---------------------------------------------------------------------------

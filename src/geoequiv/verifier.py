@@ -341,74 +341,58 @@ def verify_equivalence(model, sampling=None, exclusions=None):
     def a_rate(q, p):
         return math.sqrt(max(intrinsic_P(model, (q, p)), 0.0))
 
-    samples = []
-    max_dev = None
-    max_drift = None
-    excluded_total = 0
-    counts = {"requested": count, "verified": 0, "truncated": 0, "clipped": 0,
-              "frame_errors": 0, "degenerate": 0}
-
-    for idx in range(count):
-        q0, p0, excl = sample_covector()
-        excluded_total += excl
-        status_note = ""
-
+    def run_sample(idx, q0, p0):
+        """The outcome of transporting the gram1 extremal of (q0, p0)."""
         g1 = integrate(model, 1, (q0, p0), T, tol=itol, samples=S, aux_rate=a_rate)
-        T_used = T
-        truncated = False
+        status, T_used = "verified", T
         if g1.clipped:
-            t_avail = g1.t_exit if g1.t_exit is not None else (
-                g1.t[-1] if len(g1.t) else 0.0)
-            T_used = 0.8 * t_avail if T > 0 else -0.8 * abs(t_avail)
+            # t_exit has T's sign, so T_used does too
+            T_used = 0.8 * g1.t_exit
             if abs(T_used) < 0.25 * abs(T) or abs(T_used) < 1e-9:
-                samples.append(SampleOutcome(idx, "clipped", q0,
-                                             note="usable window %.3g below a quarter "
-                                                  "of the horizon" % t_avail))
-                counts["clipped"] += 1
-                continue
-            truncated = True
+                return SampleOutcome(idx, "clipped", q0,
+                                     note="usable window %.3g below a quarter of the "
+                                          "horizon" % g1.t_exit)
+            status = "truncated"
             g1 = cut(model, 1, g1, T_used, S)
-
         try:
             frame = AdaptedFrame(model, center=q0)
             lam2 = orbital_map(model, frame, (q0, p0)).lam2
         except (AdaptedFrameError, OrbitalMapError) as exc:
-            samples.append(SampleOutcome(idx, "frame-error", q0, note=str(exc)))
-            counts["frame_errors"] += 1
-            continue
-
+            return SampleOutcome(idx, "frame-error", q0, note=str(exc))
         T2 = g1.aux  # signed: backward horizons accumulate a negative total
-        if T2 is None or abs(T2) < 1e-12:
-            samples.append(SampleOutcome(idx, "degenerate", q0,
-                                         note="matched flow time vanished"))
-            counts["degenerate"] += 1
-            continue
+        if abs(T2) < 1e-12:
+            return SampleOutcome(idx, "degenerate", q0, note="matched flow time vanished")
         g2 = integrate(model, 2, lam2, T2, tol=itol, samples=S)
         if len(g2.t) < 2:
-            samples.append(SampleOutcome(idx, "degenerate", q0,
-                                         note="gram2 extremal left the domain at once"))
-            counts["degenerate"] += 1
-            continue
+            return SampleOutcome(idx, "degenerate", q0,
+                                 note="gram2 extremal left the domain at once")
+        return SampleOutcome(
+            idx, status, q0, deviation=float(np.max(_polyline_distances(g2.q, g1.q))),
+            endpoint_gap=float(np.linalg.norm(g2.q[-1] - g1.q[-1])), T_used=T_used, T2=T2,
+            drift1=float(np.max(np.abs(g1.h - g1.h[0]))),
+            drift2=float(np.max(np.abs(g2.h - g2.h[0]))),
+            note="gram2 leg clipped at %.3g" % g2.t_exit if g2.clipped else "")
 
-        dev = float(np.max(_polyline_distances(g2.q, g1.q)))
-        endpoint_gap = float(np.linalg.norm(g2.q[-1] - g1.q[-1]))
-        drift1 = float(np.max(np.abs(g1.h - g1.h[0])))
-        drift2 = float(np.max(np.abs(g2.h - g2.h[0])))
-        status = "truncated" if truncated else "verified"
-        if g2.clipped:
-            status_note = "gram2 leg clipped at %.3g" % (g2.t_exit or g2.t[-1])
-        samples.append(SampleOutcome(idx, status, q0, dev, endpoint_gap, T_used,
-                                     T2, drift1, drift2, status_note))
-        counts["verified"] += 1
-        if truncated:
-            counts["truncated"] += 1
-        max_dev = dev if max_dev is None else max(max_dev, dev)
-        drift = max(drift1, drift2)
-        max_drift = drift if max_drift is None else max(max_drift, drift)
+    samples = []
+    excluded_total = 0
+    for idx in range(count):
+        q0, p0, excl = sample_covector()
+        excluded_total += excl
+        samples.append(run_sample(idx, q0, p0))
 
+    # every count, maximum and the verdict come from the outcomes
+    statuses = [s.status for s in samples]
+    measured = [s for s in samples if s.deviation is not None]
+    counts = {"requested": count, "verified": len(measured),
+              "truncated": statuses.count("truncated"),
+              "clipped": statuses.count("clipped"),
+              "frame_errors": statuses.count("frame-error"),
+              "degenerate": statuses.count("degenerate")}
+    max_dev = max((s.deviation for s in measured), default=None)
+    max_drift = max((max(s.drift1, s.drift2) for s in measured), default=None)
     if max_dev is not None and max_dev > tol_curve:
         verdict = "fail"
-    elif counts["verified"] < 0.5 * count:
+    elif len(measured) < 0.5 * count:
         verdict = "inconclusive"
     else:
         verdict = "pass"

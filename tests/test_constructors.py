@@ -59,6 +59,44 @@ def test_levi_civita_eigenvalue_formula():
         assert tuple(len(c) for c in td.clusters) == (2, 1)
 
 
+BLOCK_GRAMS = {"blocks": [{"size": 2, "beta": 1.5,
+                           "gram": [["2 + x1/10", "x1*x2/20"], ["x1*x2/20", "1 + x2^2"]]},
+                          {"size": 1, "beta": "2 + x3/10", "gram": [["1 + x3^2/4"]]}]}
+
+
+def test_levi_civita_block_gram():
+    # a block gram g_s enters both metrics, G1 = gamma_s g_s and
+    # G2 = lambda_s gamma_s g_s, so the spectrum stays lambda_s per block
+    m = build_levi_civita(BLOCK_GRAMS)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        q = tuple(m.sample_point(rng))
+        x1, x2, x3 = q
+        b1, b2 = 1.5, 2.0 + x3 / 10.0
+        total = b1 * b2
+        g1 = np.zeros((3, 3))
+        g1[:2, :2] = abs(1 / b2 - 1 / b1) * np.array([[2 + x1 / 10, x1 * x2 / 20],
+                                                       [x1 * x2 / 20, 1 + x2 ** 2]])
+        g1[2, 2] = abs(1 / b1 - 1 / b2) * (1 + x3 ** 2 / 4)
+        assert np.allclose(m.gram_at(q, 1), g1, rtol=1e-12, atol=0)
+        td = transition_operator(m, q)
+        assert np.allclose(td.eigenvalues, np.sort([b1 * total, b1 * total, b2 * total]),
+                           rtol=1e-8)
+        assert tuple(len(c) for c in td.clusters) == (2, 1)
+
+
+def test_levi_civita_block_gram_validation():
+    wrong_shape = {"blocks": [dict(BLOCK_GRAMS["blocks"][0], gram=[["1", "0"]]),
+                              BLOCK_GRAMS["blocks"][1]]}
+    with pytest.raises(ConstructionError, match=r"blocks\[0\]\.gram must be 2 x 2"):
+        build_levi_civita(wrong_shape)
+    other_block = {"blocks": [BLOCK_GRAMS["blocks"][0],
+                              dict(BLOCK_GRAMS["blocks"][1], gram=[["1 + x1^2"]])]}
+    with pytest.raises(ConstructionError,
+                       match=r"blocks\[1\]\.gram\[0\]\[0\] may only use block coordinates"):
+        build_levi_civita(other_block)
+
+
 def test_levi_civita_block_validation():
     with pytest.raises(ConstructionError, match="blocks"):
         build_levi_civita({})

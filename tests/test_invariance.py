@@ -7,8 +7,9 @@ as they are. At mapped points, `analyze` must report the same N, regularity,
 N in the ball and divisibility verdicts; the eigenvalues must agree (inverted
 under the swap, scaled under the multiple), every screen residual that
 passes its gate must stay 100 times below it, and one that fails must still
-fail. A verdict that moved would show a dependence on the chart or the
-frame that the paper's conditions do not have.
+fail. A 20-sample `verify` must give the same verdict. A verdict that
+moved would show a dependence on the chart or the frame that the paper's
+conditions do not have.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from geoequiv import cli
 from geoequiv import expr as ex
 from geoequiv.geometry import GeometryModel
 from geoequiv.pair import _CLUSTER_TOL, _DIV_TOL, AdaptedFrame
+from geoequiv.verifier import verify_equivalence
 
 from conftest import PAIR_KINDS, pair_fixture
 
@@ -26,6 +28,7 @@ RELATIONS_TOL = 1e-6    # check-relations' default tolerance
 CUBIC = 0.3             # the chart change x_k = y_k + CUBIC y_k^3
 SCALE = 3.0             # the multiple of gram2
 POINTS = 8
+VERIFY_SAMPLES = 20
 
 
 def _model(model, frame, gram1, gram2, lo=None, hi=None):
@@ -154,12 +157,25 @@ def originals():
     return out
 
 
+@pytest.fixture(scope="module")
+def transformed(originals):
+    """(kind, transform) -> the transformed model and its point map, built
+    once, so that the verify test reuses the programs that analyze made."""
+    built = {}
+
+    def get(kind, transform):
+        if (kind, transform) not in built:
+            built[kind, transform] = TRANSFORMS[transform][0](originals[kind][0])
+        return built[kind, transform]
+    return get
+
+
 @pytest.mark.parametrize("transform", sorted(TRANSFORMS))
 @pytest.mark.parametrize("kind", PAIR_KINDS)
-def test_analyze_is_invariant(originals, kind, transform):
-    m, records = originals[kind]
-    build, expected_eigenvalues = TRANSFORMS[transform]
-    mt, mapped = build(m)
+def test_analyze_is_invariant(originals, transformed, kind, transform):
+    records = originals[kind][1]
+    expected_eigenvalues = TRANSFORMS[transform][1]
+    mt, mapped = transformed(kind, transform)
     for q, rec in records:
         got = analyze_record(mt, mapped(q))
         assert verdicts(got) == verdicts(rec), q
@@ -172,3 +188,34 @@ def test_analyze_is_invariant(originals, kind, transform):
                 assert res < gate / 100 and after[name][0] < gate / 100, (q, name)
             else:
                 assert after[name][0] > gate, (q, name)
+
+
+def verify_verdict(model, kind):
+    """The verdict of a VERIFY_SAMPLES-sample verify at a seed fixed per
+    fixture; quasi-contact excludes its abnormal cone, as `verify
+    --exclude-abnormal-cone 0.1` does."""
+    exclusions = {"abnormal_cone": 0.1} if kind == "quasi-contact" else None
+    sampling = {"count": VERIFY_SAMPLES, "seed": 4500 + PAIR_KINDS.index(kind)}
+    return verify_equivalence(model, sampling, exclusions).verdict
+
+
+# (kind, transform) whose verify verdict moves: gendini1's 20-sample verify
+# fails (max deviation 1.32e-6 against tol_curve 1e-6) because the polyline
+# distance carries a chord error of that size (ROADMAP direction 1, Known
+# reds). The constant gauge draws other covectors, whose chord errors stay
+# below the tolerance (7.7e-7), so it passes
+KNOWN_VERDICT_CHANGES = {("gendini1", "constant-gauge")}
+
+
+@pytest.fixture(scope="module")
+def verify_originals(originals):
+    return {kind: verify_verdict(m, kind) for kind, (m, _) in originals.items()}
+
+
+@pytest.mark.parametrize("transform", sorted(TRANSFORMS))
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_verify_is_invariant(request, verify_originals, transformed, kind, transform):
+    if (kind, transform) in KNOWN_VERDICT_CHANGES:
+        request.applymarker(pytest.mark.xfail(
+            strict=True, reason="polyline chord error decides the verdict"))
+    assert verify_verdict(transformed(kind, transform)[0], kind) == verify_originals[kind]

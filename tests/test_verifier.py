@@ -4,6 +4,7 @@ import scipy.spatial
 
 from geoequiv import expr as ex
 from geoequiv import verifier
+from geoequiv.geometry import GeometryModel
 from geoequiv.hamiltonian import hamiltonian
 from geoequiv.pair import AdaptedFrame
 from geoequiv.verifier import (OrbitalMapError, orbital_map,
@@ -12,7 +13,7 @@ from geoequiv.verifier import (OrbitalMapError, orbital_map,
 from geoequiv.constructors import (build_dini, build_gendini_case1,
                                    build_quasi_contact)
 
-from conftest import heisenberg
+from conftest import heisenberg, pair_fixture
 from reference import loop_polyline_distances
 
 
@@ -179,6 +180,98 @@ def test_verify_truncates_on_tight_domain():
     rep = verify_equivalence(m, sampling={"count": 6, "T": 50.0})
     assert rep.verdict == "inconclusive"
     assert rep.counts["verified"] < 3
+
+
+DEFAULT_CONFIG = {"T": 0.3, "count": 50, "curve_samples": 601, "integrator_tol": 1e-10,
+                  "margin": 0.15, "seed": 7, "tol_curve": 1e-06, "transverse_sigma": 1.0}
+NO_SAMPLES = {"requested": 0, "verified": 0, "truncated": 0, "clipped": 0,
+              "frame_errors": 0, "degenerate": 0}
+
+
+def _no_deviation_report(verdict, config, counts, samples):
+    """The as_dict() of a report in which no sample verified."""
+    return {"verdict": verdict, "config": dict(DEFAULT_CONFIG, **config),
+            "counts": dict(NO_SAMPLES, **counts), "max_deviation": None,
+            "max_energy_drift": None, "excluded_resamples": 0, "samples": samples}
+
+
+def test_verify_frame_error_on_an_integrable_distribution():
+    # D = span(d/dx, d/dy) is integrable: no bracket completes the adapted
+    # frame, so every sample is a frame error and nothing verifies
+    coords = ("x", "y", "z")
+    P = lambda s: ex.parse(s, coords)
+    eye = [[P("1" if i == j else "0") for j in range(3)] for i in range(3)]
+    m = GeometryModel(coords, 2, eye, [[P("1"), P("0")], [P("0"), P("1")]],
+                      [[P("2"), P("0")], [P("0"), P("3")]], [-1] * 3, [1] * 3)
+    rep = verify_equivalence(m, sampling={"count": 3})
+    points = [[0.17513365324653374, 0.5560993213574057, 0.3859599663432709],
+              [-0.6926285736081953, 0.4497197857358728, 0.4158972002528647],
+              [-0.3431825772842255, -0.07689317176429478, 0.006367562541134575]]
+    assert rep.verdict == "inconclusive"
+    assert list(rep.counts) == list(NO_SAMPLES)
+    assert rep.counts == dict(NO_SAMPLES, requested=3, frame_errors=3)
+    assert rep.as_dict() == _no_deviation_report(
+        "inconclusive", {"count": 3}, {"requested": 3, "frame_errors": 3},
+        [{"index": i, "status": "frame-error", "q0": q,
+          "note": "no distribution bracket leaves D near %s; completion undefined" % (q,)}
+         for i, q in enumerate(points)])
+
+
+def test_verify_degenerate_when_the_matched_flow_time_vanishes():
+    # over a horizon of 1e-13 the matched gram2 time stays below 1e-12
+    for T in (1e-13, -1e-13):
+        rep = verify_equivalence(build_dini(1.0, 2.0), sampling={"count": 2, "T": T})
+        assert rep.verdict == "inconclusive"
+        assert rep.counts == dict(NO_SAMPLES, requested=2, degenerate=2)
+        assert rep.as_dict() == _no_deviation_report(
+            "inconclusive", {"count": 2, "T": T}, {"requested": 2, "degenerate": 2},
+            [{"index": i, "status": "degenerate", "q0": q,
+              "note": "matched flow time vanished"}
+             for i, q in enumerate([[0.08756682662326687, 0.27804966067870285],
+                                    [-0.1398836005621422, 0.2614874117773833]])])
+
+
+def _dict_matches_outcomes(doc):
+    """max_deviation and max_energy_drift are the largest deviation and
+    drift of the samples that carry one."""
+    measured = [s for s in doc["samples"] if "deviation" in s]
+    assert doc["max_deviation"] == max(s["deviation"] for s in measured)
+    assert doc["max_energy_drift"] == max(max(s["drift1"], s["drift2"]) for s in measured)
+
+
+def test_verify_notes_a_clipped_gram2_leg():
+    # rotating-cluster is not an equivalent pair: sample 5's gram2 extremal
+    # leaves the box at t = 0.632 of its matched time 0.771
+    rep = verify_equivalence(pair_fixture("rotating-cluster"),
+                             sampling={"count": 6, "T": 0.6})
+    assert rep.verdict == "fail"
+    assert rep.counts == dict(NO_SAMPLES, requested=6, verified=5, truncated=2, clipped=1)
+    doc = rep.as_dict()
+    sample = doc["samples"][5]
+    assert set(sample) == {"index", "status", "q0", "deviation", "endpoint_gap",
+                           "T_used", "T2", "drift1", "drift2", "note"}
+    assert sample["status"] == "verified"
+    assert sample["note"] == "gram2 leg clipped at 0.632"
+    assert sample["T_used"] == 0.6
+    assert sample["T2"] > 0.632
+    assert doc["max_deviation"] == sample["deviation"] > 1e-6
+    _dict_matches_outcomes(doc)
+
+
+def test_verify_degenerate_when_the_gram2_leg_reaches_one_sample_time():
+    # with two curve samples, t = 0 and T2, the clipped gram2 leg of sample
+    # 5 reaches only t = 0
+    rep = verify_equivalence(pair_fixture("rotating-cluster"),
+                             sampling={"count": 6, "T": 0.6, "curve_samples": 2})
+    assert rep.verdict == "fail"
+    assert rep.counts == dict(NO_SAMPLES, requested=6, verified=4, truncated=2, clipped=1,
+                              degenerate=1)
+    doc = rep.as_dict()
+    assert doc["samples"][5] == {
+        "index": 5, "status": "degenerate",
+        "q0": [-0.0021885952245470075, -0.1767395545808684, -0.3417441821202459],
+        "note": "gram2 extremal left the domain at once"}
+    _dict_matches_outcomes(doc)
 
 
 def test_verify_rejects_unknown_config():
