@@ -327,7 +327,7 @@ def _cmd_geodesic(args):
         return EXIT_USAGE
     if traj.clipped:
         sys.stderr.write("note: trajectory clipped at domain boundary"
-                         " (t_exit = %.6g)\n" % (traj.t_exit or traj.t[-1]))
+                         " (t_exit = %.6g)\n" % traj.t_exit)
     if args.format == "json":
         payload = {
             "schema": SCHEMA,

@@ -10,10 +10,11 @@ raises EvalDomainError instead of returning nan/inf.
 parse() hash-conses through a table that the caller may share between texts
 (a manifest shares one across its cells): structurally equal subexpressions
 become one node, and a text or parenthesized group that recurs is parsed
-once. differentiate() takes a memo per coordinate, so a build that
-differentiates many expressions works once per distinct node. Neither
-changes a value or a printed or emitted source: sharing is invisible except
-to identity.
+once. differentiate() takes a memo per coordinate, and a model keeps one
+per coordinate for all its derivative builds (partials takes the list), so
+each distinct node is differentiated once per coordinate per model.
+Neither changes a value or a printed or emitted source: sharing is
+invisible except to identity.
 
 Coordinates are referenced by index into the coords tuple supplied at parse
 time; printing uses the stored names. parse() reports syntax and unknown-name
@@ -124,69 +125,80 @@ def _as_expr(x):
     raise TypeError("cannot coerce %r to Expr" % (x,))
 
 
-def _is_const(e, value=None):
-    if not isinstance(e, Const):
-        return False
-    return value is None or e.value == value
-
-
 # ---------------------------------------------------------------------------
 # smart constructors (light, value-preserving folding; they may enlarge the
-# domain, e.g. 0 * log(x) -> 0, which is fine for this package's use)
+# domain, e.g. 0 * log(x) -> 0, which is fine for this package's use). The
+# binary ones coerce only an operand that is not an Expr, and test once per
+# operand whether it is a Const, then branch: two constants fold, else a
+# constant operand may be an identity (0.0 and -0.0 alike, as == compares
+# them)
 
 def add(a, b):
-    a, b = _as_expr(a), _as_expr(b)
-    if _is_const(a) and _is_const(b):
-        return Const(a.value + b.value)
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
+    a = a if isinstance(a, Expr) else _as_expr(a)
+    b = b if isinstance(b, Expr) else _as_expr(b)
+    if type(a) is Const:
+        if type(b) is Const:
+            return Const(a.value + b.value)
+        if a.value == 0.0:
+            return b
+    elif type(b) is Const and b.value == 0.0:
         return a
     return Binary("+", a, b)
 
 
 def sub(a, b):
-    a, b = _as_expr(a), _as_expr(b)
-    if _is_const(a) and _is_const(b):
-        return Const(a.value - b.value)
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a, 0.0):
+    a = a if isinstance(a, Expr) else _as_expr(a)
+    b = b if isinstance(b, Expr) else _as_expr(b)
+    if type(b) is Const:
+        if type(a) is Const:
+            return Const(a.value - b.value)
+        if b.value == 0.0:
+            return a
+    elif type(a) is Const and a.value == 0.0:
         return neg(b)
     return Binary("-", a, b)
 
 
 def mul(a, b):
-    a, b = _as_expr(a), _as_expr(b)
-    if _is_const(a) and _is_const(b):
-        return Const(a.value * b.value)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return ZERO
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(a, -1.0):
-        return neg(b)
-    if _is_const(b, -1.0):
-        return neg(a)
+    a = a if isinstance(a, Expr) else _as_expr(a)
+    b = b if isinstance(b, Expr) else _as_expr(b)
+    if type(a) is Const:
+        v = a.value
+        if type(b) is Const:
+            return Const(v * b.value)
+        if v == 0.0:
+            return ZERO
+        if v == 1.0:
+            return b
+        if v == -1.0:
+            return neg(b)
+    elif type(b) is Const:
+        v = b.value
+        if v == 0.0:
+            return ZERO
+        if v == 1.0:
+            return a
+        if v == -1.0:
+            return neg(a)
     return Binary("*", a, b)
 
 
 def div(a, b):
-    a, b = _as_expr(a), _as_expr(b)
-    if _is_const(b) and b.value != 0.0 and _is_const(a):
-        return Const(a.value / b.value)
-    if _is_const(b, 1.0):
+    a = a if isinstance(a, Expr) else _as_expr(a)
+    b = b if isinstance(b, Expr) else _as_expr(b)
+    if type(a) is Const:
+        if type(b) is Const and b.value != 0.0:
+            return Const(a.value / b.value)
+        if a.value == 0.0:
+            return ZERO
+    elif type(b) is Const and b.value == 1.0:
         return a
-    if _is_const(a, 0.0):
-        return ZERO
     return Binary("/", a, b)
 
 
 def neg(a):
     a = _as_expr(a)
-    if _is_const(a):
+    if type(a) is Const:
         return Const(-a.value)
     if isinstance(a, Unary) and a.op == "neg":
         return a.arg
@@ -200,7 +212,7 @@ def pow_(base, exponent):
         return base
     if exponent == 0.0:
         return ONE
-    if _is_const(base):
+    if type(base) is Const:
         try:
             return Const(_pow(base.value, exponent))
         except EvalDomainError:
@@ -212,7 +224,7 @@ def func(name, arg):
     if name not in _FUNCTIONS:
         raise ValueError("unknown function %r" % name)
     arg = _as_expr(arg)
-    if _is_const(arg):
+    if type(arg) is Const:
         try:
             return Const(_apply_func(name, arg.value))
         except EvalDomainError:
@@ -250,7 +262,9 @@ def abs_(a):
 def _tokenize(text):
     """(tokens, closing): the (kind, value, offset) tokens of text ending with
     ("end", None, len(text)), and the token index of each "(" -> that of its
-    matching ")"."""
+    matching ")". A number is a run of decimal digits (str.isdecimal), which
+    float() reads: another digit, such as a superscript, cannot start or
+    continue one."""
     tokens, closing, opened = [], {}, []
     i, n = 0, len(text)
     while i < n:
@@ -258,21 +272,21 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        if ch.isdecimal() or (ch == "." and i + 1 < n and text[i + 1].isdecimal()):
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j < n and text[j] == ".":
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
+                if k < n and text[k].isdecimal():
                     j = k
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j].isdecimal():
                         j += 1
             value = float(text[i:j])
             if not math.isfinite(value):
@@ -640,20 +654,21 @@ def differentiate(e, coord, memo=None):
 
     memo maps the nodes already differentiated in `coord` to their
     derivatives, so each distinct node of a DAG is differentiated once; a
-    build that differentiates many expressions passes one memo per
-    coordinate (see partials). The memo holds the nodes it keys, so their
-    ids are not reused while it lives. The derivative does not depend on it.
+    model passes the memo of the coordinate that it keeps for all its
+    derivative builds (see partials). The memo holds the nodes it keys, so
+    their ids are not reused while it lives. The derivative does not depend
+    on it.
     """
     return _derive(e, coord, {} if memo is None else memo)
 
 
-def partials(exprs, n):
-    """d/dq_k of every expression of exprs for k < n, k-major: entry
-    k * len(exprs) + i is d exprs[i] / dq_k. One memo per coordinate."""
+def partials(exprs, memos):
+    """d/dq_k of every expression of exprs for k < len(memos), k-major: entry
+    k * len(exprs) + i is d exprs[i] / dq_k. memos[k] is the differentiate
+    memo of coordinate k."""
     exprs = list(exprs)
     out = []
-    for k in range(n):
-        memo = {}
+    for k, memo in enumerate(memos):
         out.extend(differentiate(e, k, memo) for e in exprs)
     return out
 
@@ -725,7 +740,7 @@ def rename_coords(e, index_map):
 
 
 def is_zero(e):
-    return _is_const(e, 0.0)
+    return type(e) is Const and e.value == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ A model is a coordinate box with a global frame X_1..X_n of the tangent bundle
 whose first m fields span the distribution D, plus two symmetric positive
 Gram matrices gram1/gram2 giving the metrics on D in that frame. Everything
 symbolic is an expr.Expr DAG over the model coordinates: from_manifest
-hash-conses all cells of one manifest through one table, and each derivative
-build memoizes per coordinate. Neither table nor memo outlives its load or
-build. Pointwise numerics go through compiled evaluators cached on the model.
+hash-conses all cells of one manifest through one table, dropped with the
+load, and every derivative build of a model (frame, Gram and bracket
+partials, the brackets, the Hamiltonian flows) shares the model's memo per
+coordinate, so a node that two builds share is differentiated once; the
+memos die with the model. Pointwise numerics go through compiled evaluators
+cached on the model.
 
 Frame matrices are stored column-wise: frame_at(q)[:, i] are the coordinate
 components of X_{i+1}. Structure function arrays use the natural indexing
@@ -51,6 +54,9 @@ class GeometryModel:
         self._hi = self.domain_max.tolist()
         self.meta = dict(meta) if meta else {}
         self._cache = {}
+        # the differentiate memo of each coordinate, which every derivative
+        # build of the model shares (see ex.partials)
+        self.memos = [{} for _ in self.coords]
 
     @property
     def n(self):
@@ -88,7 +94,7 @@ class GeometryModel:
         """dE[k] = coordinate partial d/dq_k of frame_at, shape (n, n, n)."""
         n = self.n
         fn = self._compiled("dframe", lambda: ex.partials(
-            [self.frame[i][j] for i in range(n) for j in range(n)], n))
+            [self.frame[i][j] for i in range(n) for j in range(n)], self.memos))
         return np.array(fn(q), dtype=float).reshape(n, n, n).transpose(0, 2, 1).copy()
 
     def _gram_entries(self, *tags):
@@ -107,7 +113,8 @@ class GeometryModel:
 
     def dgram_at(self, q, tag):
         m, n = self.m, self.n
-        fn = self._compiled("dgram%d" % tag, lambda: ex.partials(self._gram_entries(tag), n))
+        fn = self._compiled("dgram%d" % tag,
+                            lambda: ex.partials(self._gram_entries(tag), self.memos))
         return np.asarray(fn(q), dtype=float).reshape(n, m, m)
 
     # -- domain helpers -----------------------------------------------------
@@ -381,8 +388,8 @@ def _cholesky_ok(W):
 
 def lie_bracket(X, Y, n, memos=None):
     """[X, Y] componentwise for coordinate component tuples of length n.
-    memos[j] is the differentiate memo of coordinate j, which the brackets
-    of one build share; fresh ones by default."""
+    memos[j] is the differentiate memo of coordinate j, a model's own (see
+    GeometryModel.memos) or, by default, fresh ones."""
     if memos is None:
         memos = [{} for _ in range(n)]
     out = []
@@ -401,9 +408,8 @@ def bracket_exprs(model):
     brackets = model._cache.get("bracket_exprs")
     if brackets is None:
         n, m = model.n, model.m
-        memos = [{} for _ in range(n)]
         brackets = model._cache["bracket_exprs"] = {
-            (a, b): lie_bracket(model.frame[a], model.frame[b], n, memos)
+            (a, b): lie_bracket(model.frame[a], model.frame[b], n, model.memos)
             for a in range(m) for b in range(a + 1, m)}
     return brackets
 

@@ -115,8 +115,7 @@ def _generate(model, tag, kind):
         return results
 
     results = [_dot([(frame[i][j], v[i]) for i in range(m)]) or ex.ZERO for j in range(n)]
-    for k in range(n):
-        memo = {}   # the differentiate memo of coordinate k, for this build
+    for k, memo in enumerate(model.memos):
         dW = [[ex.differentiate(gram[a][b], k, memo) if a >= b else None for b in range(m)]
               for a in range(m)]
         quad = _quadratic(dW, v)

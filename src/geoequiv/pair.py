@@ -198,39 +198,51 @@ def _gap_root(objective, p, g, center, radius, lo, hi, tol):
     return p, g
 
 
+@functools.cache
+def _probe_directions(n):
+    """The regularity probe's seeded ball samples in dimension n, drawn once
+    per process: up to _PROBE_SAMPLES * 4 pairs (u, s) of a unit direction u,
+    a tuple of floats, and a radial fraction s. A normal draw whose norm is
+    below 1e-12 is left out and draws no s."""
+    rng = np.random.default_rng(_PROBE_SEED)
+    table = []
+    for _ in range(_PROBE_SAMPLES * 4):
+        direction = rng.normal(size=n)
+        norm = float(np.linalg.norm(direction))
+        if norm < 1e-12:
+            continue
+        table.append((tuple(d / norm for d in direction.tolist()), rng.random() ** (1.0 / n)))
+    return tuple(table)
+
+
 def regularity_probe(model, q, radius, cluster_tol=_CLUSTER_TOL):
     """Is the number of distinct eigenvalues locally constant near q?
 
     Random ball samples catch N increasing (a cluster splitting away from
-    the center). A collision, where split eigenvalues merge somewhere in the
-    ball, usually happens on a measure-zero set, so on top of the sampling
-    a Newton search for a root of the smallest cluster-boundary gap runs
-    from five starts in the ball (the sample with the smallest gap, the
-    center and the first three kept samples, see _gap_root); the first
-    point whose gap falls below cluster_tol ends it and is reported as the
-    witness.
+    the center); the probe uses the first _PROBE_SAMPLES of them that lie
+    in the domain (see _probe_directions). A collision, where split
+    eigenvalues merge somewhere in the ball, usually happens on a
+    measure-zero set, so on top of the sampling a Newton search for a root
+    of the smallest cluster-boundary gap runs from five starts in the ball
+    (the sample with the smallest gap, the center and the first three kept
+    samples, see _gap_root); the first point whose gap falls below
+    cluster_tol ends it and is reported as the witness.
     """
     q = np.asarray(q, dtype=float)
     td = transition_operator(model, q, cluster_tol)
     Nc = td.N
     boundaries = [grp[0] for grp in td.clusters[1:]]
-    rng = np.random.default_rng(_PROBE_SEED)
-    n = model.n
     qs = q.tolist()
     values = {Nc}
     used = 0
-    kept = []
-    best_start = best_gap = None
-    for _ in range(_PROBE_SAMPLES * 4):
+    kept = []       # (point, its gap or None without boundaries)
+    best = None     # the first kept sample with the smallest gap
+    for u, s in _probe_directions(model.n):
         if used >= _PROBE_SAMPLES:
             break
-        direction = rng.normal(size=n)
-        norm = float(np.linalg.norm(direction))
-        if norm < 1e-12:
-            continue
-        # q + direction / norm * radius * s in numpy's order, on floats
-        s = rng.random() ** (1.0 / n)
-        point = [c + d / norm * radius * s for c, d in zip(qs, direction.tolist())]
+        # q + direction / norm * radius * s in numpy's order, on floats, with
+        # u = direction / norm
+        point = [c + d * radius * s for c, d in zip(qs, u)]
         if not model.in_domain(point):
             continue
         try:
@@ -241,11 +253,11 @@ def regularity_probe(model, q, radius, cluster_tol=_CLUSTER_TOL):
             values.add(-1)
         else:
             values.add(len(_cluster_indices(lams, cluster_tol)))
-            kept.append(point)
-            if boundaries:
-                gap = _gap(lams, boundaries)
-                if best_gap is None or gap < best_gap:
-                    best_start, best_gap = point, gap
+            # the gap objective's value at the point, from the same pencil
+            gap = _gap(lams, boundaries) if boundaries else None
+            kept.append((point, gap))
+            if gap is not None and (best is None or gap < best[1]):
+                best = (point, gap)
         used += 1
 
     gap_min = None
@@ -255,15 +267,16 @@ def regularity_probe(model, q, radius, cluster_tol=_CLUSTER_TOL):
         objective = _gap_objective(model, boundaries)
         lo = np.maximum(q - radius, model.domain_min).tolist()
         hi = np.minimum(q + radius, model.domain_max).tolist()
-        starts = [qs] + kept[:3]
-        if best_start is not None:
+        # the center's gap is computed when its turn comes
+        starts = [(qs, None)] + kept[:3]
+        if best is not None:
             # the first sample with the smallest split gap goes first: the
             # likeliest to find a witness, which ends the search
-            starts.insert(0, best_start)
+            starts.insert(0, best)
         best_p, best_g = qs, np.inf
-        for start in starts:
-            p, g = _gap_root(objective, start, objective(start), qs, radius,
-                             lo, hi, cluster_tol)
+        for start, g in starts:
+            p, g = _gap_root(objective, start, objective(start) if g is None else g,
+                             qs, radius, lo, hi, cluster_tol)
             if g < best_g:
                 best_p, best_g = p, g
             if best_g < cluster_tol:
@@ -303,7 +316,7 @@ def _completion(model, pair):
     tag = "completion%d_%d" % pair
     return (model._compiled(tag, lambda: bracket_exprs(model)[pair]),
             model._compiled("d" + tag, lambda: ex.partials(bracket_exprs(model)[pair],
-                                                            model.n)))
+                                                            model.memos)))
 
 
 def _gauge(V, same, W1, reference, q, center):

@@ -12,8 +12,12 @@ singular-value check and a gram1 Gram-Schmidt loop; the regularity probe solves 
 scipy.linalg.eigh, evaluates its extra Nelder-Mead start by solving
 each kept sample again, and still minimizes the split gap with scipy's
 minimize(method="Nelder-Mead", bounds=...), where pair searches for a root
-of it by Newton steps; the fiber polynomials were dicts from exponent
-tuples to coefficients, with their own products, and were copied into
+of it by Newton steps. loop_regularity_probe is pair's probe as it drew
+its ball samples, with a fresh generator per probe, where pair reads them
+from a table per dimension. The smart constructors of expr called
+_is_const for every check (checked_add, checked_sub, checked_mul,
+checked_div). The fiber polynomials were dicts from exponent tuples to
+coefficients, with their own products, and were copied into
 coefficient vectors only to be divided. Tests compare the
 generated Hamiltonian programs, the pruned curve distance, the exact frame
 derivatives of AdaptedFrame.point_data, the gauge of AdaptedFrame.at,
@@ -46,8 +50,9 @@ from scipy.optimize import minimize
 from geoequiv import expr as ex
 from geoequiv.geometry import _DET_TOL, ModelValidationError
 from geoequiv.hamiltonian import _BOUNDARY_EPS, IntegrationError, hamiltonian, hamiltonian_rhs
-from geoequiv.pair import (_CLUSTER_TOL, _GAUGE_MIN_SV, AdaptedFrameError,
-                           _cluster_indices)
+from geoequiv.pair import (_CLUSTER_TOL, _GAUGE_MIN_SV, _PROBE_SAMPLES, _PROBE_SEED,
+                           AdaptedFrameError, RegularityReport, _cluster_indices, _gap,
+                           _gap_objective, _gap_root, _pencil, transition_operator)
 
 
 def unshare(e):
@@ -452,6 +457,136 @@ def eigh_regularity_probe(model, q, radius, samples=40, seed=0, cluster_tol=_CLU
                 N_witness = -1
             values.add(N_witness)
     return tuple(sorted(values)), used, gap_min, witness, N_witness
+
+
+def loop_regularity_probe(model, q, radius, cluster_tol=_CLUSTER_TOL):
+    """pair.regularity_probe as it drew its ball samples: a generator of
+    seed _PROBE_SEED per probe, one normal draw, norm and uniform draw per
+    sample, and every Newton start's gap asked of the objective."""
+    q = np.asarray(q, dtype=float)
+    td = transition_operator(model, q, cluster_tol)
+    Nc = td.N
+    boundaries = [grp[0] for grp in td.clusters[1:]]
+    rng = np.random.default_rng(_PROBE_SEED)
+    n = model.n
+    qs = q.tolist()
+    values = {Nc}
+    used = 0
+    kept = []
+    best_start = best_gap = None
+    for _ in range(_PROBE_SAMPLES * 4):
+        if used >= _PROBE_SAMPLES:
+            break
+        direction = rng.normal(size=n)
+        norm = float(np.linalg.norm(direction))
+        if norm < 1e-12:
+            continue
+        s = rng.random() ** (1.0 / n)
+        point = [c + d / norm * radius * s for c, d in zip(qs, direction.tolist())]
+        if not model.in_domain(point):
+            continue
+        try:
+            lams = _pencil(model, point, False)[2].tolist()
+        except np.linalg.LinAlgError:
+            lams = None
+        if lams is None or lams[0] <= 0:
+            values.add(-1)
+        else:
+            values.add(len(_cluster_indices(lams, cluster_tol)))
+            kept.append(point)
+            if boundaries:
+                gap = _gap(lams, boundaries)
+                if best_gap is None or gap < best_gap:
+                    best_start, best_gap = point, gap
+        used += 1
+
+    gap_min = None
+    witness = None
+    N_witness = None
+    if boundaries:
+        objective = _gap_objective(model, boundaries)
+        lo = np.maximum(q - radius, model.domain_min).tolist()
+        hi = np.minimum(q + radius, model.domain_max).tolist()
+        starts = [qs] + kept[:3]
+        if best_start is not None:
+            starts.insert(0, best_start)
+        best_p, best_g = qs, np.inf
+        for start in starts:
+            p, g = _gap_root(objective, start, objective(start), qs, radius,
+                             lo, hi, cluster_tol)
+            if g < best_g:
+                best_p, best_g = p, g
+            if best_g < cluster_tol:
+                break
+        gap_min = float(best_g) if np.isfinite(best_g) else None
+        if best_g < cluster_tol:
+            witness = np.array(best_p)
+            try:
+                N_witness = transition_operator(model, best_p, cluster_tol).N
+            except np.linalg.LinAlgError:
+                N_witness = -1
+            values.add(N_witness)
+    return RegularityReport(q, radius, Nc, tuple(sorted(values)),
+                            len(values) == 1, used, gap_min, witness, N_witness)
+
+
+# ---------------------------------------------------------------------------
+# the smart constructors of expr as they were, one _is_const call per check
+
+def _is_const(e, value=None):
+    if not isinstance(e, ex.Const):
+        return False
+    return value is None or e.value == value
+
+
+def checked_add(a, b):
+    a, b = ex._as_expr(a), ex._as_expr(b)
+    if _is_const(a) and _is_const(b):
+        return ex.Const(a.value + b.value)
+    if _is_const(a, 0.0):
+        return b
+    if _is_const(b, 0.0):
+        return a
+    return ex.Binary("+", a, b)
+
+
+def checked_sub(a, b):
+    a, b = ex._as_expr(a), ex._as_expr(b)
+    if _is_const(a) and _is_const(b):
+        return ex.Const(a.value - b.value)
+    if _is_const(b, 0.0):
+        return a
+    if _is_const(a, 0.0):
+        return ex.neg(b)
+    return ex.Binary("-", a, b)
+
+
+def checked_mul(a, b):
+    a, b = ex._as_expr(a), ex._as_expr(b)
+    if _is_const(a) and _is_const(b):
+        return ex.Const(a.value * b.value)
+    if _is_const(a, 0.0) or _is_const(b, 0.0):
+        return ex.ZERO
+    if _is_const(a, 1.0):
+        return b
+    if _is_const(b, 1.0):
+        return a
+    if _is_const(a, -1.0):
+        return ex.neg(b)
+    if _is_const(b, -1.0):
+        return ex.neg(a)
+    return ex.Binary("*", a, b)
+
+
+def checked_div(a, b):
+    a, b = ex._as_expr(a), ex._as_expr(b)
+    if _is_const(b) and b.value != 0.0 and _is_const(a):
+        return ex.Const(a.value / b.value)
+    if _is_const(b, 1.0):
+        return a
+    if _is_const(a, 0.0):
+        return ex.ZERO
+    return ex.Binary("/", a, b)
 
 
 # ---------------------------------------------------------------------------

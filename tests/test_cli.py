@@ -13,7 +13,8 @@ import pytest
 import geoequiv
 from geoequiv.cli import _canonical_json, main
 from geoequiv.constructors import GENERATORS
-from geoequiv.geometry import save_model, to_manifest
+from geoequiv.geometry import load_model, save_model, to_manifest
+from geoequiv.hamiltonian import integrate
 
 from conftest import FIELD_PARAMS, heisenberg, plane_pair
 
@@ -437,6 +438,19 @@ def test_non_finite_constant_in_a_manifest_exits_4(tmp_path, cell, message):
         assert proc.stderr.splitlines() == ["error: invalid model: gram1[2][2]: " + message]
 
 
+def test_a_superscript_digit_in_a_manifest_exits_4(tmp_path):
+    # the tokenizer took "2²" for a number, and float() raised a ValueError
+    # that the CLI reported as a traceback
+    doc = to_manifest(GENERATORS["quasi-contact"](FIELD_PARAMS["quasi-contact"]))
+    doc["gram1"][2][2] = "2²"
+    path = tmp_path / "qc.json"
+    path.write_text(json.dumps(doc))
+    proc = _run_cli("analyze", "--model", str(path))
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: invalid model: gram1[2][2]: unexpected character '²' (at offset 1)"]
+
+
 @pytest.mark.parametrize("flag,value,what", [
     # before these were checked, a NaN cone excluded nothing and wrote NaN
     # into the JSON report (exit 0), a NaN margin or sigma exited 4 blaming
@@ -570,6 +584,16 @@ def test_geodesic_json_and_clipping(dini_model, capsys):
     payload = json.loads(captured.out)
     assert payload["clipped"] is True
     assert len(payload["t"]) == len(payload["q"]) == len(payload["h"])
+
+
+def test_geodesic_clip_note_names_the_exit_time(dini_model, capsys):
+    assert main(["geodesic", "--model", dini_model, "--metric", "2",
+                 "--q", "0", "0", "--p", "1", "0", "--T", "5"]) == 0
+    traj = integrate(load_model(dini_model), 2, (np.zeros(2), np.array([1.0, 0.0])), 5.0)
+    assert traj.clipped
+    note = "note: trajectory clipped at domain boundary (t_exit = %.6g)" % traj.t_exit
+    assert capsys.readouterr().err.splitlines() == [note]
+    assert note.endswith("(t_exit = 0.499848)")
 
 
 def test_geodesic_arity_checked(dini_model, capsys):

@@ -1,6 +1,7 @@
 """Expression language: parsing, evaluation, differentiation, printing, codegen."""
 
 import inspect
+import itertools
 import math
 import re
 
@@ -17,6 +18,7 @@ from geoequiv.verifier import _abnormal_program
 
 from conftest import (PAIR_KINDS, assert_walk_is_compiled, call_outcome, compiled_program,
                       pair_fixture, phase_points, site_programs)
+from reference import checked_add, checked_div, checked_mul, checked_sub
 
 
 COORDS3 = ("x", "y", "z")
@@ -89,6 +91,25 @@ def test_syntax_errors_carry_offsets():
         ex.parse("x", ("sin",))
 
 
+@pytest.mark.parametrize("text,offset", [("2²", 1), ("x*2²", 3), ("1.²", 2), ("²", 0)])
+def test_a_digit_that_is_not_decimal_is_a_syntax_error(text, offset):
+    # the number scan took str.isdigit's digits, which float() rejects: a
+    # bare ValueError without an offset
+    with pytest.raises(ex.ExprSyntaxError) as exc:
+        ex.parse(text, ("x",))
+    assert str(exc.value) == "unexpected character '²' (at offset %d)" % offset
+    assert exc.value.offset == offset
+
+
+def test_decimal_digits_of_other_scripts_still_parse():
+    assert ev("١+x", ("x",), (2.0,)) == 3.0
+    assert ev("٣.٥*x", ("x",), (2.0,)) == 7.0
+    # a superscript inside a name is part of the name, as before
+    with pytest.raises(ex.UnknownIdentifierError) as exc:
+        ex.parse("x²", ("x",))
+    assert str(exc.value) == "unknown identifier 'x²' (at offset 0)"
+
+
 def test_differentiate_oracle():
     # d/dr [1 - 1/(1+r^2)] = 2r/(1+r^2)^2, at r=1 equals 0.5
     e = ex.parse("1 - 1/(1 + r*r)", ("r",))
@@ -134,6 +155,37 @@ def test_abs_derivative_undefined_at_zero():
         ex.evaluate(d, (0.0,))
     assert ex.evaluate(d, (2.0,)) == 1.0
     assert ex.evaluate(d, (-2.0,)) == -1.0
+
+
+def _fold_shape(e, operands):
+    """e as a nested tuple: the index of the operand that a node is, the
+    module's ZERO and ONE by name, constants by their bits."""
+    for i, operand in enumerate(operands):
+        if e is operand:
+            return i
+    if e is ex.ZERO or e is ex.ONE:
+        return "ZERO" if e is ex.ZERO else "ONE"
+    if isinstance(e, ex.Const):
+        return e.value.hex()
+    if isinstance(e, ex.Unary):
+        return e.op, _fold_shape(e.arg, operands)
+    if isinstance(e, ex.Binary):
+        return e.op, _fold_shape(e.left, operands), _fold_shape(e.right, operands)
+    return type(e).__name__, ex.to_string(e)
+
+
+@pytest.mark.parametrize("new,old", [(ex.add, checked_add), (ex.sub, checked_sub),
+                                     (ex.mul, checked_mul), (ex.div, checked_div)],
+                         ids=["add", "sub", "mul", "div"])
+def test_constructors_fold_as_the_per_check_constructors(new, old):
+    x, y = ex.Coord(0, "x"), ex.Coord(1, "y")
+    operands = [ex.Const(0.0), ex.Const(-0.0), ex.Const(1.0), ex.Const(-1.0), ex.Const(2.5),
+                x, ex.Binary("+", x, y), ex.neg(x), 0, -1.0]
+    for a, b in itertools.product(operands, repeat=2):
+        assert _fold_shape(new(a, b), operands) == _fold_shape(old(a, b), operands), (a, b)
+    # plain numbers (0 and -1.0 above) become constants; nothing else does
+    with pytest.raises(TypeError, match="cannot coerce"):
+        new(x, "1")
 
 
 def test_substitute():

@@ -24,7 +24,8 @@ from conftest import (FIELD_PARAMS, PAIR_KINDS, case2_origin_chart, heisenberg,
                       pair_fixture, plane_pair)
 from reference import (adapted_impulses, dict_divide, dict_fiber_hP, dict_fiber_P,
                        dict_fiber_Q, dict_fiber_R, eigh_regularity_probe, eigh_split_gap,
-                       fd_structure_functions, initial_covector, loop_gauge)
+                       fd_structure_functions, initial_covector, loop_gauge,
+                       loop_regularity_probe)
 
 
 # ------------------------------------------------------------- transition
@@ -350,6 +351,49 @@ def test_regularity_probe_matches_eigh_reference(kind):
     if kind == "conformal":
         # one merged cluster at the center: no boundary, so no refine step
         assert center.N_center == 1 and center.gap_min is None
+
+
+def _probe_outcome(probe, m, q, radius):
+    """Every field of probe's report at q, floats as their bits, or the type
+    and message of its error."""
+    try:
+        rep = probe(m, q, radius)
+    except Exception as exc:
+        return type(exc), str(exc)
+    witness = None if rep.witness is None else [v.hex() for v in rep.witness.tolist()]
+    gap_min = None if rep.gap_min is None else rep.gap_min.hex()
+    return (rep.N_center, rep.N_values, rep.regular, rep.samples_used, gap_min,
+            witness, rep.N_witness)
+
+
+@pytest.mark.parametrize("radius", [0.05, 0.3])
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_regularity_probe_equals_the_drawing_loop_bit_for_bit(kind, radius):
+    # the probe reads its ball samples from a table per dimension and keeps
+    # the gaps of its samples; the loop drew them afresh per probe
+    m = pair_fixture(kind)
+    rng = np.random.default_rng(4100)
+    points = [tuple(m.center().tolist())]
+    points += [tuple(m.sample_point(rng).tolist()) for _ in range(8)]
+    for q in points:
+        assert (_probe_outcome(regularity_probe, m, q, radius)
+                == _probe_outcome(loop_regularity_probe, m, q, radius)), q
+
+
+@pytest.mark.parametrize("m,q,radius,regular", [
+    (case2_origin_chart(), (0.0, 0.0), 0.08, False),
+    (case2_origin_chart(), (0.05, 0.04), 0.1, False),
+    (case2_origin_chart(), (0.44, -0.44), 0.3, True),
+    (pair_fixture("beltrami"), (0.0, 0.0), 0.05, False),
+    (pair_fixture("beltrami"), (0.03, 0.01), 0.05, False),
+], ids=["case2-origin", "case2-witness", "case2-corner", "beltrami-umbilic",
+        "beltrami-witness"])
+def test_regularity_probe_equals_the_drawing_loop_at_merge_points(m, q, radius, regular):
+    # the case-2 eigenvalues merge at the origin, the Beltrami ones at the
+    # umbilic; most samples of the corner ball leave the domain
+    outcome = _probe_outcome(regularity_probe, m, q, radius)
+    assert outcome == _probe_outcome(loop_regularity_probe, m, q, radius)
+    assert outcome[2] is regular
 
 
 @pytest.mark.parametrize("tag", [1, 2])

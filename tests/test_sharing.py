@@ -1,11 +1,11 @@
 """Hash-consed expressions against an unshared oracle.
 
 geometry.from_manifest parses every cell of a manifest through one table, so
-equal subexpressions become one node, and every derivative build memoizes
-per coordinate. Sharing must change no generated source, no value and no
-node that two loads of a manifest could both hold. The oracle rebuilds the
-expressions as trees (reference.unshare), which is what the parser built
-before. The five benchmark fixtures (lc3, quasi-contact, gendini1,
+equal subexpressions become one node, and every derivative build of a
+model shares the model's memo per coordinate. Sharing must change no
+generated source, no value and no node that two loads of a manifest could
+both hold. The oracle rebuilds the expressions as trees (reference.unshare),
+which is what the parser built before. The five benchmark fixtures (lc3, quasi-contact, gendini1,
 beltrami, conformal) have the manifests of these kinds with the same
 parameters.
 """
@@ -230,7 +230,7 @@ def test_memoized_derivatives_equal_per_entry_derivatives(kind, manifests):
     n = model.n
     points = _seeded_points(model)
     entries = _cells(model)
-    memoized = ex.partials(entries, n)
+    memoized = ex.partials(entries, [{} for _ in range(n)])
     oracle = [ex.differentiate(unshare(e), k) for k in range(n) for e in entries]
     assert [ex.to_string(d) for d in memoized] == [ex.to_string(d) for d in oracle]
     _same_values(memoized, oracle, points)
@@ -243,6 +243,41 @@ def test_memoized_derivatives_equal_per_entry_derivatives(kind, manifests):
                             tuple(map(unshare, model.frame[b])), n)
         assert [ex.to_string(c) for c in br] == [ex.to_string(c) for c in alone]
         _same_values(br, alone, points)
-        d_br = ex.partials(br, n)
+        d_br = ex.partials(br, [{} for _ in range(n)])
         d_alone = [ex.differentiate(unshare(c), k) for k in range(n) for c in alone]
         _same_values(d_br, d_alone, points)
+
+
+def _derivative_calls(model, monkeypatch):
+    """The (node id, coordinate) of every node that the model's six
+    derivative builds differentiate: the frame and Gram partials, the
+    brackets, the completions' partials and the flow programs."""
+    calls = []
+    derivative = ex._derivative
+
+    def record(e, coord, memo):
+        calls.append((id(e), coord))
+        return derivative(e, coord, memo)
+
+    monkeypatch.setattr(ex, "_derivative", record)
+    q = tuple(model.center().tolist())
+    model.dframe_at(q)
+    for tag in (1, 2):
+        model.dgram_at(q, tag)
+    for key in sorted(bracket_exprs(model)):
+        pair._completion(model, key)
+    for tag in (1, 2):
+        hamiltonian._program(model, tag, "flow")
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_each_node_is_differentiated_once_per_coordinate_per_model(kind, manifests,
+                                                                   monkeypatch):
+    model = load_model(manifests[kind])
+    calls = _derivative_calls(model, monkeypatch)
+    assert calls and len(set(calls)) == len(calls)
+    # the memos die with the model: a second load differentiates afresh
+    again = load_model(manifests[kind])
+    assert len(_derivative_calls(again, monkeypatch)) == len(calls)
