@@ -7,7 +7,9 @@ scaled initial rate to be squared in floats, a tolerance, radius or
 abnormal cone that is not finite and positive, a verify margin outside
 [0, 0.5), a transverse sigma that is not finite and at least 0, fewer than
 1 verify sample or check-relations point or 2 curve samples, a negative
-geodesic sample count, or a zero horizon), 2 verification fail,
+geodesic sample count, a zero horizon, an --at point outside the model
+domain, or a geodesic start outside it or within 1e-12 of its boundary),
+2 verification fail,
 3 inconclusive (also when verify can draw no covector outside the excluded
 abnormal cone, or when check-relations has a point without an adapted frame
 and no failing point), 4 invalid model: a manifest error (also a number or
@@ -144,7 +146,10 @@ def _parse_points(model, ats):
         if len(raw) != model.n:
             _usage_error("--at expects %d coordinates, got %d"
                          % (model.n, len(raw)))
-        pts.append(tuple(float(v) for v in raw))
+        pt = tuple(float(v) for v in raw)
+        if not model.in_domain(pt):
+            _usage_error("--at point %s is outside the model domain" % (list(pt),))
+        pts.append(pt)
     return pts
 
 

@@ -209,7 +209,7 @@ def build_dini(beta1, beta2, domain=None):
     coords = ("x1", "x2")
     b1 = _parse_scalar(beta1, ("x1",), "beta1")
     b2raw = _parse_scalar(beta2, ("x2",), "beta2")
-    b2 = ex.rename_coords(b2raw, {0: 1})
+    b2 = ex.substitute(b2raw, {0: ex.Coord(1)})
     if _uses_coords(b1) - {0}:
         raise ConstructionError("beta1 must depend on x1 only")
     if _uses_coords(b2) - {1}:

@@ -28,7 +28,10 @@ the expressions on its first: most derivative programs of a cold `analyze`
 are called once, and the walk costs a fraction of compile(). Both paths
 read one table of operations (_RULES), so they compute the same values and
 raise the same errors. evaluate() is a third path, with a check and a
-message per operation, that the smart constructors' folding relies on; a
+message per operation: the normal-form builders of geoequiv.constructors
+check their hypotheses with it, and the tests use it as an oracle. The
+smart constructors fold powers and functions of constants through _pow
+and _apply_func, which evaluate() also calls, not through evaluate(). A
 program checks only its results.
 """
 
@@ -734,11 +737,6 @@ def substitute(e, subs):
     return ctors[e.op](substitute(e.left, subs), substitute(e.right, subs))
 
 
-def rename_coords(e, index_map):
-    """Reindex coordinates: Coord(i) -> Coord(index_map[i]) keeping names out."""
-    return substitute(e, {i: Coord(j) for i, j in index_map.items()})
-
-
 def is_zero(e):
     return type(e) is Const and e.value == 0.0
 
@@ -868,37 +866,26 @@ def _guarded(raw):
 _walked = _guarded(_walk)
 
 
-class Program:
-    """Straight-line Python source of a function q -> values of expressions.
+def _compile_program(exprs, name):
+    """The function q -> tuple of the values of exprs: their lines emitted
+    through _emit and compiled, guarded like evaluate().
 
-    value(e) emits e through _emit and returns the local that holds it (a
-    literal for a constant); compile() returns the function.
+    Domain violations and non-finite results raise EvalDomainError. The
+    function's `lanes` attribute runs the same source over numpy lanes
+    (see _lanes).
     """
-
-    def __init__(self):
-        self.lines = []
-        self._cache = {}
-
-    def value(self, e):
-        return _emit(e, self.lines, self._cache)
-
-    def compile(self, results, name="_compiled"):
-        """The function q -> tuple of results, guarded like evaluate().
-
-        Domain violations and non-finite results raise EvalDomainError. The
-        function's `lanes` attribute runs the same source over numpy lanes
-        (see _lanes).
-        """
-        src = ["def %s(q):" % name]
-        src.extend(self.lines)
-        src.append("    return (%s%s)" % (", ".join(results), "," if len(results) == 1 else ""))
-        code = compile("\n".join(src), "<geoequiv-expr>", "exec")
-        namespace = {"_m": math, "_pow": _pow}
-        exec(code, namespace)
-        call = _guarded(namespace[name])
-        call.__name__ = name
-        call.lanes = _lanes(code, name, call, len(results))
-        return call
+    lines, cache = [], {}
+    results = [_emit(e, lines, cache) for e in exprs]
+    src = ["def %s(q):" % name]
+    src.extend(lines)
+    src.append("    return (%s%s)" % (", ".join(results), "," if len(results) == 1 else ""))
+    code = compile("\n".join(src), "<geoequiv-expr>", "exec")
+    namespace = {"_m": math, "_pow": _pow}
+    exec(code, namespace)
+    call = _guarded(namespace[name])
+    call.__name__ = name
+    call.lanes = _lanes(code, name, call, len(results))
+    return call
 
 
 def _lane_func(fn):
@@ -996,9 +983,7 @@ class _LazyProgram:
         return (self.compiled or self._compile()).lanes
 
     def _compile(self):
-        prog = Program()
-        fn = self.compiled = prog.compile([prog.value(e) for e in self.exprs],
-                                          name=self.name)
+        fn = self.compiled = _compile_program(self.exprs, self.name)
         self.exprs = None
         if self.slot is not None:
             cache, key = self.slot

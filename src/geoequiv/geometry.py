@@ -469,14 +469,11 @@ def _sym_pfaffian(A):
 
 
 class Classification:
-    def __init__(self, tag, omega=None, omega_rank=None, abnormal_coeffs=None,
-                 abnormal=None, diagnostics=""):
+    def __init__(self, tag, omega_rank=None, abnormal_coeffs=None, abnormal=None):
         self.tag = tag
-        self.omega = omega
         self.omega_rank = omega_rank
         self.abnormal_coeffs = abnormal_coeffs
         self.abnormal = abnormal
-        self.diagnostics = diagnostics
 
     def __repr__(self):
         return "Classification(%r, rank=%r)" % (self.tag, self.omega_rank)
@@ -491,7 +488,7 @@ def classify_distribution(model):
     """
     n, m = model.n, model.m
     if m == n:
-        return Classification("full", diagnostics="distribution equals the tangent bundle")
+        return Classification("full")
     if m != n - 1:
         raise ValueError("classification implemented for corank 0 or 1 only")
 
@@ -518,12 +515,10 @@ def classify_distribution(model):
         ranks.add(int(np.sum(s > _RANK_TOL * max(top, 1e-30))) if top > 0 else 0)
 
     if len(ranks) != 1:
-        return Classification("other", omega=omega, omega_rank=None,
-                              diagnostics="restricted two-form rank varies over probes: %s"
-                                          % sorted(ranks))
+        return Classification("other")
     r = ranks.pop()
     if m % 2 == 0 and r == m:
-        return Classification("contact", omega=omega, omega_rank=r)
+        return Classification("contact", omega_rank=r)
     if m % 2 == 1 and r == m - 1:
         coeffs = tuple(_sym_pfaffian([[Omega[x][y] for y in range(m) if y != a]
                                       for x in range(m) if x != a])
@@ -537,7 +532,6 @@ def classify_distribution(model):
             for a in range(m):
                 acc = ex.add(acc, ex.mul(coeffs[a], model.frame[a][comp]))
             field.append(acc)
-        return Classification("quasi-contact", omega=omega, omega_rank=r,
+        return Classification("quasi-contact", omega_rank=r,
                               abnormal_coeffs=coeffs, abnormal=tuple(field))
-    return Classification("other", omega=omega, omega_rank=r,
-                          diagnostics="restricted two-form rank %d on rank-%d distribution" % (r, m))
+    return Classification("other", omega_rank=r)

@@ -419,7 +419,8 @@ def _dop853(fun, event, t0, y0, t1, tol, first_step=None):
 def integrate(model, metric_tag, lam0, T, tol=1e-10, samples=None, aux_rate=None):
     """Integrate the extremal from lam0 = (q0, p0) over time T (sign allowed).
 
-    Stops (clipped=True) when the base point reaches the domain boundary.
+    Stops (clipped=True) when the base point reaches the domain boundary;
+    q0 must lie farther than _BOUNDARY_EPS inside it (ValueError).
     aux_rate(q, p) -> float, when given, is integrated along the flow and the
     total is returned in Trajectory.aux. tol is the relative and absolute
     tolerance of the DOP853 steps, finite and positive (clipped to 100 eps
@@ -438,6 +439,11 @@ def integrate(model, metric_tag, lam0, T, tol=1e-10, samples=None, aux_rate=None
                          % float(tol))
     if not model.in_domain(q0):
         raise ValueError("initial point outside the model domain")
+    # the boundary is found where the event changes sign, so a start on it
+    # would leave the domain unclipped (or clip at once)
+    if not model.boundary_distance(q0) > _BOUNDARY_EPS:
+        raise ValueError("initial point %s lies within %g of the domain boundary"
+                         % (q0.tolist(), _BOUNDARY_EPS))
 
     # fun(y, out) writes the rate of the state y, a list, into out and
     # returns out

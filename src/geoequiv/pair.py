@@ -226,13 +226,16 @@ def regularity_probe(model, q, radius, cluster_tol=_CLUSTER_TOL):
     of the smallest cluster-boundary gap runs from five starts in the ball
     (the sample with the smallest gap, the center and the first three kept
     samples, see _gap_root); the first point whose gap falls below
-    cluster_tol ends it and is reported as the witness.
+    cluster_tol ends it and is reported as the witness. Raises ValueError
+    at a q outside the domain (transition_operator's at one not finite).
     """
     q = np.asarray(q, dtype=float)
+    qs = q.tolist()
+    if not model.in_domain(qs) and all(map(math.isfinite, qs)):
+        raise ValueError("point outside the model domain, got %s" % (qs,))
     td = transition_operator(model, q, cluster_tol)
     Nc = td.N
     boundaries = [grp[0] for grp in td.clusters[1:]]
-    qs = q.tolist()
     values = {Nc}
     used = 0
     kept = []       # (point, its gap or None without boundaries)

@@ -32,23 +32,17 @@ class SamplingError(Exception):
 
 
 class OrbitalResult:
-    def __init__(self, lam2, phi, u, a, jbar):
+    def __init__(self, lam2, a):
         self.lam2 = lam2
-        self.phi = phi
-        self.u = u
         self.a = a
-        self.jbar = jbar        # 1-based row used for the transverse component
 
 
-def _transverse_phi(model, frame, q, u, a, jbar=None):
+def _transverse_phi(model, frame, q, u, a):
     """Phi_{m+1} = R_j / (alpha_j Q_{j,m+1} a) using the strongest row j."""
     m = model.m
     data = frame.point_data(q)
-    qvals = []
-    for j in range(1, m + 1):
-        qvals.append(fiber_value(fiber_Q(model, frame, q, j, m + 1), u, 1))
-    if jbar is None:
-        jbar = int(np.argmax(np.abs(qvals))) + 1
+    qvals = [fiber_value(fiber_Q(model, frame, q, j, m + 1), u, 1) for j in range(1, m + 1)]
+    jbar = int(np.argmax(np.abs(qvals))) + 1
     qv = qvals[jbar - 1]
     scale = float(np.max(np.abs(data.cbar))) * float(np.linalg.norm(u[:m])) + _TINY
     if abs(qv) <= 1e-9 * scale:
@@ -56,96 +50,27 @@ def _transverse_phi(model, frame, q, u, a, jbar=None):
             "transverse component undefined: Q_{j,m+1} vanishes on this covector "
             "(abnormal cone); exclude such samples")
     rv = fiber_value(fiber_R(model, frame, q, jbar), u, 2)
-    return rv / (data.alphas[jbar - 1] * qv * a), jbar
+    return rv / (data.alphas[jbar - 1] * qv * a)
 
 
-def _adapted(frame, lam):
-    """(q, p, point data at q, quasi-impulses u = p A of the adapted frame,
-    a^2 = sum_{i <= m} alpha_i^2 u_i^2) of the covector lam = (q, p)."""
+def orbital_map(model, frame, lam):
+    """gram2 covector whose extremal has the same trace as the gram1 extremal,
+    and a = sqrt(sum_{i <= m} alpha_i^2 u_i^2) of the adapted u = p A."""
+    n, m = model.n, model.m
     q = np.asarray(lam[0], dtype=float)
     p = np.asarray(lam[1], dtype=float)
     data = frame.point_data(q)
     u = p @ data.A
-    return q, p, data, u, float(np.sum(data.alpha_sq * u[:frame.model.m] ** 2))
-
-
-def orbital_map(model, frame, lam):
-    """gram2 covector whose extremal has the same trace as the gram1 extremal."""
-    n, m = model.n, model.m
-    q, p, data, u, a_sq = _adapted(frame, lam)
+    a_sq = float(np.sum(data.alpha_sq * u[:m] ** 2))
     if a_sq <= _TINY * max(1.0, float(np.dot(p, p))):
         raise OrbitalMapError("covector annihilates the distribution at %s" % (_floats(q),))
     a = np.sqrt(a_sq)
     phi = np.empty(n)
     phi[:m] = data.alpha_sq * u[:m] / a
-    used_jbar = None
     if n > m:
-        phi[m], used_jbar = _transverse_phi(model, frame, q, u, a)
+        phi[m] = _transverse_phi(model, frame, q, u, a)
     p2 = np.linalg.solve(data.A.T, phi)
-    return OrbitalResult((q, p2), phi, u, a, used_jbar)
-
-
-class IdentityReport:
-    def __init__(self, res_first, res_second, jbar, a):
-        self.res_first = res_first      # per j = 1..m
-        self.res_second = res_second    # per s = m+1..n
-        self.jbar = jbar
-        self.a = a
-
-    @property
-    def max_residual(self):
-        vals = list(self.res_first) + list(self.res_second)
-        return max(vals) if vals else 0.0
-
-
-def check_orbital_identities(model, frame, lam, flow_step=1e-5, flow_tol=1e-12):
-    """Residuals of the two first-order identities behind the orbital map.
-
-    First family (j = 1..m):   alpha_j sum_{k>m} Q_jk Phi_k = R_j / a.
-    Second family (s = m+1..n): d/dt Phi_s - sum_{k>m} Q_sk Phi_k
-                                = (1/a) sum_{k<=m} Q_sk alpha_k u_k,
-    with d/dt along the gram1 extremal (central difference of the flow).
-    """
-    n, m = model.n, model.m
-    q, p, data, u, a_sq = _adapted(frame, lam)
-    a = np.sqrt(a_sq)
-    if a <= _TINY:
-        raise OrbitalMapError("covector annihilates the distribution")
-
-    jbar = None
-    phi_trans = []
-    if n > m:
-        val, jbar = _transverse_phi(model, frame, q, u, a)
-        phi_trans.append(val)
-
-    res_first = []
-    for j in range(1, m + 1):
-        lhs = 0.0
-        for k_off, pv in enumerate(phi_trans):
-            Qjk = fiber_Q(model, frame, q, j, m + 1 + k_off)
-            lhs += data.alphas[j - 1] * fiber_value(Qjk, u, 1) * pv
-        rhs = fiber_value(fiber_R(model, frame, q, j), u, 2) / a
-        res_first.append(abs(lhs - rhs))
-
-    res_second = []
-    if n > m:
-        plus = integrate(model, 1, (q, p), flow_step, tol=flow_tol).end
-        minus = integrate(model, 1, (q, p), -flow_step, tol=flow_tol).end
-
-        def phi_s_at(lam_pt):
-            qq, _, _, uu, aa_sq = _adapted(frame, lam_pt)
-            return _transverse_phi(model, frame, qq, uu, np.sqrt(aa_sq), jbar)[0]
-
-        dphi = (phi_s_at(plus) - phi_s_at(minus)) / (2.0 * flow_step)
-        s = m + 1
-        coupling = fiber_value(fiber_Q(model, frame, q, s, s), u, 1) * phi_trans[0]
-        source = 0.0
-        for k in range(1, m + 1):
-            source += (fiber_value(fiber_Q(model, frame, q, s, k), u, 1)
-                       * data.alphas[k - 1] * u[k - 1])
-        res_second.append(abs(dphi - coupling - source / a))
-
-    return IdentityReport(res_first, res_second, jbar, a)
+    return OrbitalResult((q, p2), a)
 
 
 # ---------------------------------------------------------------------------

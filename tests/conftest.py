@@ -158,8 +158,7 @@ def call_outcome(fn, q):
 
 def compiled_program(exprs):
     """exprs compiled at once, as a program compiles on its second call."""
-    prog = ex.Program()
-    return prog.compile([prog.value(e) for e in exprs])
+    return ex._compile_program(exprs, "_compiled")
 
 
 def assert_walk_is_compiled(exprs, points):

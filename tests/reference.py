@@ -35,7 +35,12 @@ dp/dt) that it once returned. geometry.validate_model checked its probe
 grid point by point (loop_validate_model), evaluating the frame and each
 Gram matrix through the scalar evaluators. The parser built trees, with a
 node of its own for every occurrence of a subexpression; unshare rebuilds
-such a tree from a hash-consed expression.
+such a tree from a hash-consed expression. check_orbital_identities gives
+the residuals of the paper's two first-order identities (from the
+Pontryagin Maximum Principle) that fix the transverse component of
+verifier.orbital_map, at the covector it returns. It lived in the
+library, but no command, library path or benchmark op ran it, so it is an
+oracle here.
 """
 
 import itertools
@@ -49,10 +54,13 @@ from scipy.optimize import minimize
 
 from geoequiv import expr as ex
 from geoequiv.geometry import _DET_TOL, ModelValidationError
-from geoequiv.hamiltonian import _BOUNDARY_EPS, IntegrationError, hamiltonian, hamiltonian_rhs
+from geoequiv.hamiltonian import (_BOUNDARY_EPS, IntegrationError, hamiltonian,
+                                  hamiltonian_rhs, integrate)
 from geoequiv.pair import (_CLUSTER_TOL, _GAUGE_MIN_SV, _PROBE_SAMPLES, _PROBE_SEED,
                            AdaptedFrameError, RegularityReport, _cluster_indices, _gap,
-                           _gap_objective, _gap_root, _pencil, transition_operator)
+                           _gap_objective, _gap_root, _pencil, fiber_Q, fiber_R, fiber_value,
+                           transition_operator)
+from geoequiv.verifier import orbital_map
 
 
 def unshare(e):
@@ -894,3 +902,75 @@ def initial_covector(model, metric_tag, q, v, transverse=None):
         raise ValueError("transverse part must have length %d" % (n - m))
     p = np.linalg.solve(E.T, np.concatenate([u, trans]))
     return np.array(q), p
+
+
+# ---------------------------------------------------------------------------
+# the orbital identities
+
+class IdentityReport:
+    def __init__(self, res_first, res_second):
+        self.res_first = res_first      # per j = 1..m
+        self.res_second = res_second    # per s = m+1..n
+
+    @property
+    def max_residual(self):
+        vals = list(self.res_first) + list(self.res_second)
+        return max(vals) if vals else 0.0
+
+
+def _row_phi(model, frame, lam, j):
+    """Phi_{m+1} = R_j / (alpha_j Q_{j,m+1} a) at lam = (q, p) from row j."""
+    q, p = lam
+    m = model.m
+    data = frame.point_data(q)
+    u = np.asarray(p, dtype=float) @ data.A
+    a = np.sqrt(np.sum(data.alpha_sq * u[:m] ** 2))
+    return (fiber_value(fiber_R(model, frame, q, j), u, 2)
+            / (data.alphas[j - 1] * fiber_value(fiber_Q(model, frame, q, j, m + 1), u, 1) * a))
+
+
+def check_orbital_identities(model, frame, lam, flow_step=1e-5, flow_tol=1e-12):
+    """Residuals of the two first-order identities behind the orbital map.
+
+    First family (j = 1..m):   alpha_j sum_{k>m} Q_jk Phi_k = R_j / a.
+    Second family (s = m+1..n): d/dt Phi_s - sum_{k>m} Q_sk Phi_k
+                                = (1/a) sum_{k<=m} Q_sk alpha_k u_k,
+    with Phi = p2 A read from verifier.orbital_map's covector p2 and d/dt
+    along the gram1 extremal (a central difference of the flow, of Phi_{m+1}
+    from the row j that orbital_map picks at lam).
+    """
+    n, m = model.n, model.m
+    q = np.asarray(lam[0], dtype=float)
+    p = np.asarray(lam[1], dtype=float)
+    data = frame.point_data(q)
+    u = p @ data.A
+    res = orbital_map(model, frame, (q, p))
+    a = res.a
+    phi_trans = (res.lam2[1] @ data.A)[m:]
+
+    res_first = []
+    for j in range(1, m + 1):
+        lhs = 0.0
+        for k_off, pv in enumerate(phi_trans):
+            Qjk = fiber_Q(model, frame, q, j, m + 1 + k_off)
+            lhs += data.alphas[j - 1] * fiber_value(Qjk, u, 1) * pv
+        rhs = fiber_value(fiber_R(model, frame, q, j), u, 2) / a
+        res_first.append(abs(lhs - rhs))
+
+    res_second = []
+    if n > m:
+        jbar = 1 + int(np.argmax([abs(fiber_value(fiber_Q(model, frame, q, j, m + 1), u, 1))
+                                  for j in range(1, m + 1)]))
+        plus = integrate(model, 1, (q, p), flow_step, tol=flow_tol).end
+        minus = integrate(model, 1, (q, p), -flow_step, tol=flow_tol).end
+        dphi = (_row_phi(model, frame, plus, jbar)
+                - _row_phi(model, frame, minus, jbar)) / (2.0 * flow_step)
+        s = m + 1
+        coupling = fiber_value(fiber_Q(model, frame, q, s, s), u, 1) * phi_trans[0]
+        source = 0.0
+        for k in range(1, m + 1):
+            source += (fiber_value(fiber_Q(model, frame, q, s, k), u, 1)
+                       * data.alphas[k - 1] * u[k - 1])
+        res_second.append(abs(dphi - coupling - source / a))
+
+    return IdentityReport(res_first, res_second)

@@ -596,6 +596,47 @@ def test_geodesic_clip_note_names_the_exit_time(dini_model, capsys):
     assert note.endswith("(t_exit = 0.499848)")
 
 
+@pytest.fixture()
+def levi_civita_model(tmp_path):
+    path = tmp_path / "lc.json"
+    save_model(GENERATORS["levi-civita"](FIELD_PARAMS["levi-civita"]), str(path))
+    return str(path)
+
+
+def test_geodesic_from_the_boundary_exits_1(levi_civita_model, capsys):
+    # the box is [-0.4, 0.4]^3: a start on its face or corner is refused
+    # with one error line, a start outside keeps its message
+    for q, p, error in ((["0.4", "0", "0"], ["1", "0", "0"],
+                         "error: initial point [0.4, 0.0, 0.0] lies within 1e-12 of the "
+                         "domain boundary"),
+                        (["0.4", "0.4", "0.4"], ["-1", "-1", "-1"],
+                         "error: initial point [0.4, 0.4, 0.4] lies within 1e-12 of the "
+                         "domain boundary"),
+                        (["0.5", "0", "0"], ["1", "0", "0"],
+                         "error: initial point outside the model domain")):
+        assert main(["geodesic", "--model", levi_civita_model, "--metric", "1",
+                     "--q", *q, "--p", *p, "--T", "0.1", "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [error]
+
+
+@pytest.mark.parametrize("command", ["analyze", "check-relations"])
+def test_at_outside_the_domain_exits_1(levi_civita_model, command, capsys):
+    # analyze once answered `regular: true` at (10, 10, 10), from no ball
+    # sample, and check-relations `pass`
+    for at in (["10", "10", "10"], ["0.1", "0", "0", "--at", "0", "-0.45", "0"]):
+        assert main([command, "--model", levi_civita_model, "--at", *at,
+                     "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        point = [float(v) for v in at[-3:]]
+        assert captured.err.splitlines() == [
+            "error: --at point %s is outside the model domain" % (point,)]
+    # the boundary is inside the domain
+    assert main([command, "--model", levi_civita_model, "--at", "0.4", "0.4", "-0.4"]) == 0
+
+
 def test_geodesic_arity_checked(dini_model, capsys):
     assert main(["geodesic", "--model", dini_model, "--metric", "1",
                  "--q", "0", "--p", "1", "0", "--T", "0.1"]) == 1

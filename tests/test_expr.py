@@ -198,8 +198,9 @@ def test_substitute():
 
 
 def test_rename_coords():
+    # substitute with coordinates as values moves an expression to others
     e = ex.parse("a*b", ("a", "b"))
-    moved = ex.rename_coords(e, {0: 2, 1: 0})
+    moved = ex.substitute(e, {0: ex.Coord(2), 1: ex.Coord(0)})
     assert abs(ex.evaluate(moved, (5.0, 99.0, 7.0)) - 35.0) < 1e-14
 
 
@@ -312,10 +313,10 @@ def test_squares_are_products():
     assert fn((1e200,)) == (0.0,)
     assert np.array_equal(fn.lanes(np.array([[2.0], [1e200]])), [[0.25, 0.0]])
     # other exponents keep math.pow
-    prog = ex.Program()
-    prog.value(ex.parse("x^3 + x^2", ("x",)))
-    assert prog.lines == ["    t0 = q[0]", "    t1 = _pow(t0, 3.0)", "    t2 = t0 * t0",
-                          "    t3 = t1 + t2"]
+    lines = []
+    ex._emit(ex.parse("x^3 + x^2", ("x",)), lines, {})
+    assert lines == ["    t0 = q[0]", "    t1 = _pow(t0, 3.0)", "    t2 = t0 * t0",
+                     "    t3 = t1 + t2"]
 
 
 def test_compiled_finiteness_guard():
@@ -367,22 +368,23 @@ def test_compiled_domain_error():
 def test_program_keeps_emitted_exprs_alive():
     # _emit's cache holds every node it emitted, so a node freed during code
     # generation cannot hand its id, and a stale local, to a new node
-    prog = ex.Program()
+    lines, cache = [], {}
     x = ex.Coord(0, "x")
-    names = [prog.value(ex.add(x, ex.Const(float(k)))) for k in range(50)]
-    assert prog.compile(names)((0.5,)) == tuple(0.5 + k for k in range(50))
+    names = [ex._emit(ex.add(x, ex.Const(float(k))), lines, cache) for k in range(1, 51)]
+    assert names == ["t%d" % k for k in range(1, 51)]
+    assert lines == ["    t0 = q[0]"] + ["    t%d = t0 + %r" % (k, float(k)) for k in range(1, 51)]
 
 
 def test_program_emits_each_distinct_value_once():
     # equal subtrees built apart are distinct nodes with the same source
-    prog = ex.Program()
+    lines, cache = [], {}
     x, y = ex.Coord(0, "x"), ex.Coord(1, "y")
-    first = prog.value(ex.sin(ex.mul(x, y)))
-    again = prog.value(ex.sin(ex.mul(ex.Coord(0, "x"), ex.Coord(1, "y"))))
-    other = prog.value(ex.sin(ex.mul(y, x)))
+    exprs = [ex.sin(ex.mul(x, y)), ex.sin(ex.mul(ex.Coord(0, "x"), ex.Coord(1, "y"))),
+             ex.sin(ex.mul(y, x))]
+    first, again, other = [ex._emit(e, lines, cache) for e in exprs]
     assert first == again != other
-    assert len(prog.lines) == 6
-    assert prog.compile([first, again, other])((0.5, 2.0)) == (math.sin(1.0),) * 3
+    assert len(lines) == 6
+    assert ex._compile_program(exprs, "_f")((0.5, 2.0)) == (math.sin(1.0),) * 3
 
 
 # an emitted line whose right-hand side is one operation on locals and
@@ -573,11 +575,11 @@ def test_non_finite_constants_compile_to_their_values():
              ex.div(ex.ONE, ex.mul(x, ex.Const(math.inf))),
              ex.add(x, ex.Const(math.nan)), ex.pow_(x, math.inf)]
     # no emitted line holds a bare inf or nan, which no program defines
-    prog = ex.Program()
+    lines, cache = [], {}
     for e in exprs:
-        prog.value(e)
-    assert not [line for line in prog.lines
-                if re.search(r"(?<!_m\.)\b(inf|nan)\b", line)], prog.lines
+        ex._emit(e, lines, cache)
+    assert not [line for line in lines
+                if re.search(r"(?<!_m\.)\b(inf|nan)\b", line)], lines
     points = [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.5, 0.0, 0.0)]
     for e in exprs:
         assert_walk_is_compiled([e], points)

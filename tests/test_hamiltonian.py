@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -267,6 +268,22 @@ def test_integrate_rejects_bad_start():
     for T in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and nonzero"):
             integrate(m, 1, (np.zeros(2), np.array([1.0, 0.0])), T)
+    # the boundary is found where its event changes sign, and at a start on
+    # it the event is already at or below 0: from (0.4, 0, 0) the extremal
+    # once ran to x = 0.9996 unclipped, and from the corner it clipped at once
+    m = pair_fixture("levi-civita")     # the box [-0.4, 0.4]^3
+    p = np.array([1.0, 0.0, 0.0])
+    for q0, p0 in (((0.4, 0.0, 0.0), p), ((0.39999999999999, 0.0, 0.0), p),
+                   ((0.4, 0.4, 0.4), -np.ones(3)), ((-0.4, 0.0, 0.0), -p)):
+        with pytest.raises(ValueError, match=re.escape(
+                "initial point %s lies within 1e-12 of the domain boundary" % (list(q0),))):
+            integrate(m, 1, (np.array(q0), p0), 0.1)
+    with pytest.raises(ValueError, match="^initial point outside the model domain$"):
+        integrate(m, 1, (np.array([0.45, 0.0, 0.0]), p), 0.1)
+    # farther inside than the event's 1e-12, the extremal clips at the boundary
+    traj = integrate(m, 1, (np.array([0.4 - 1e-11, 0.0, 0.0]), p), 0.1)
+    assert traj.clipped and 0.0 < traj.t_exit < 1e-9
+    assert traj.q[:, 0].max() <= 0.4
 
 
 def _close(new, ref, rel=1e-12):
@@ -391,13 +408,12 @@ def test_generated_flow_emits_each_value_once(monkeypatch):
     # the derivatives of beltrami's gram2 repeat their subtrees many times
     # over; the flow has 233 distinct values
     lines = {}
-    compile_ = ex.Program.compile
 
-    def record(self, results, name="_compiled"):
-        lines[name] = len(self.lines)
-        return compile_(self, results, name)
+    def record(source, filename, mode):
+        lines[source.split("(", 1)[0][4:]] = len(re.findall(r"^    t\d+ = ", source, re.M))
+        return compile(source, filename, mode)
 
-    monkeypatch.setattr(ex.Program, "compile", record)
+    monkeypatch.setattr(ex, "compile", record, raising=False)
     m = build_beltrami()
     y = m.center().tolist() + [1.0] * m.n
     # a program compiles on its second call

@@ -86,6 +86,18 @@ def test_non_finite_point_raises_before_arithmetic(monkeypatch, call, bad):
         call(m, q)
 
 
+def test_regularity_probe_refuses_a_point_outside_the_domain():
+    # at (0.45, 0, 0), outside the box [-0.4, 0.4]^3, the probe once said
+    # `regular` from no ball sample at all
+    m = pair_fixture("levi-civita")
+    for q in ((0.45, 0.0, 0.0), (10.0, 10.0, 10.0), (0.0, -0.4 - 1e-15, 0.0)):
+        with pytest.raises(ValueError, match=re.escape(
+                "point outside the model domain, got %s" % (list(q),))):
+            regularity_probe(m, q, radius=0.05)
+    rep = regularity_probe(m, (0.4, 0.0, 0.0), radius=0.05)
+    assert rep.samples_used == 40
+
+
 # ----------------------------------------------------------- pencil kernel
 
 def _pencil_matches_eigh(kind, vectors):

@@ -80,7 +80,7 @@ def _unshared_model(model):
 
 
 def _generated_sources(model, monkeypatch):
-    """The source text of every program that Program.compile compiles for
+    """The source text of every program that expr compiles for
     the model: frame, both Gram matrices, gram1/2, their partials and those
     of the frame, the restricted two-form, the completions and their
     partials, and the flow and energy programs of both metrics."""

@@ -7,14 +7,13 @@ from geoequiv import verifier
 from geoequiv.geometry import GeometryModel
 from geoequiv.hamiltonian import hamiltonian
 from geoequiv.pair import AdaptedFrame
-from geoequiv.verifier import (OrbitalMapError, orbital_map,
-                               check_orbital_identities, verify_equivalence,
+from geoequiv.verifier import (OrbitalMapError, orbital_map, verify_equivalence,
                                _polyline_distances)
 from geoequiv.constructors import (build_dini, build_gendini_case1,
                                    build_quasi_contact)
 
 from conftest import heisenberg, pair_fixture
-from reference import loop_polyline_distances
+from reference import check_orbital_identities, loop_polyline_distances
 
 
 # ------------------------------------------------------------- orbital map
