@@ -369,8 +369,12 @@ def build_quasi_contact(spec):
 
     Chart (x, y, z, w), D = ker(dz - x dy) intersected leafwise: frame
     X1 = d/dx, X2 = d/dy + x d/dz, X3 = d/dw, completion X4 = d/dz.
-    G1 = diag(beta(w) * gbar, 1), and with f = C1/(1 + C2 beta(w)):
-    G2 = diag(f * beta(w) * gbar, f^2). beta(0) = 1, C1 > 0, C2 > -1, C2 != 0.
+    G1 = diag(beta(w) * gbar, 1) and
+    G2 = C1 * diag(beta(w) * gbar / (1 + C2 beta(w)), 1 / (1 + C2 beta(w))^2),
+    built with f = C1/(1 + C2 beta(w)) as diag(f * beta(w) * gbar, f^2 / C1).
+    For C1 = 1 this is the normal form of the paper's quasi-contact theorem;
+    C1 multiplies the whole of G2, and a constant multiple of a metric has
+    the same geodesics. beta(0) = 1, C1 > 0, C2 > -1, C2 != 0.
     """
     spec = dict(spec or {})
     beta_in = spec.get("beta", "exp(t)")
@@ -419,7 +423,7 @@ def build_quasi_contact(spec):
             g1[i][j] = ex.mul(beta, cell)
             g2[i][j] = ex.mul(f, ex.mul(beta, cell))
     g1[2][2] = ex.ONE
-    g2[2][2] = ex.mul(f, f)
+    g2[2][2] = ex.div(ex.mul(f, f), ex.Const(C1))
 
     lo, hi = _domain_box(spec.get("domain"), 4, default_half=0.4)
     model = GeometryModel(coords, 3, frame,

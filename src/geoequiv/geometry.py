@@ -28,7 +28,7 @@ from . import expr as ex
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 _DET_TOL = 1e-10
-_CLASSIFY_SAMPLES = 7       # classify_distribution's random probes, past the center
+_CLASSIFY_SAMPLES = 7       # abnormal_direction's random probes, past the center
 _CLASSIFY_SEED = 0
 _RANK_TOL = 1e-8            # relative singular-value cut of the two-form's rank
 
@@ -468,27 +468,22 @@ def _sym_pfaffian(A):
     return acc
 
 
-class Classification:
-    def __init__(self, tag, omega_rank=None, abnormal_coeffs=None, abnormal=None):
-        self.tag = tag
-        self.omega_rank = omega_rank
-        self.abnormal_coeffs = abnormal_coeffs
-        self.abnormal = abnormal
+def abnormal_direction(model):
+    """The abnormal direction of a quasi-contact distribution D, as its
+    coefficients on X_1..X_m (expressions), or None when D is the whole
+    tangent space, contact or of no one type.
 
-    def __repr__(self):
-        return "Classification(%r, rank=%r)" % (self.tag, self.omega_rank)
-
-
-def classify_distribution(model):
-    """Pointwise type of D: full tangent bundle, contact, quasi-contact, other.
-
-    Uses the two-form d(omega) restricted to D, computed exactly through
-    Omega_ab = -omega([X_a, X_b]) (the omega(X) terms are constant multiples
-    of delta_{.,n}, so their derivatives along D drop out).
+    The type is read from the rank of the two-form d(omega) restricted to D,
+    computed exactly through Omega_ab = -omega([X_a, X_b]) (the omega(X)
+    terms are constant multiples of delta_{.,n}, so their derivatives along
+    D drop out), at the center and _CLASSIFY_SAMPLES random points. D is
+    quasi-contact when m is odd and the rank is m - 1 at all of them; the
+    signed Pfaffians of Omega's principal minors of order m - 1 span its
+    kernel, the abnormal direction.
     """
     n, m = model.n, model.m
     if m == n:
-        return Classification("full")
+        return None
     if m != n - 1:
         raise ValueError("classification implemented for corank 0 or 1 only")
 
@@ -514,24 +509,11 @@ def classify_distribution(model):
         top = s[0] if s.size else 0.0
         ranks.add(int(np.sum(s > _RANK_TOL * max(top, 1e-30))) if top > 0 else 0)
 
-    if len(ranks) != 1:
-        return Classification("other")
-    r = ranks.pop()
-    if m % 2 == 0 and r == m:
-        return Classification("contact", omega_rank=r)
-    if m % 2 == 1 and r == m - 1:
-        coeffs = tuple(_sym_pfaffian([[Omega[x][y] for y in range(m) if y != a]
-                                      for x in range(m) if x != a])
-                       if a % 2 == 0 else
-                       ex.neg(_sym_pfaffian([[Omega[x][y] for y in range(m) if y != a]
-                                             for x in range(m) if x != a]))
-                       for a in range(m))
-        field = []
-        for comp in range(n):
-            acc = ex.ZERO
-            for a in range(m):
-                acc = ex.add(acc, ex.mul(coeffs[a], model.frame[a][comp]))
-            field.append(acc)
-        return Classification("quasi-contact", omega_rank=r,
-                              abnormal_coeffs=coeffs, abnormal=tuple(field))
-    return Classification("other", omega_rank=r)
+    if m % 2 == 0 or ranks != {m - 1}:
+        return None
+    return tuple(_sym_pfaffian([[Omega[x][y] for y in range(m) if y != a]
+                                for x in range(m) if x != a])
+                 if a % 2 == 0 else
+                 ex.neg(_sym_pfaffian([[Omega[x][y] for y in range(m) if y != a]
+                                       for x in range(m) if x != a]))
+                 for a in range(m))

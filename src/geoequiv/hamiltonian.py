@@ -13,6 +13,7 @@ per-step objects.
 import csv
 import functools
 import math
+import os
 import struct
 
 import numpy as np
@@ -184,34 +185,29 @@ def hamiltonian_rhs(model, metric_tag, y, out):
 
 
 class Trajectory:
-    def __init__(self, t, q, p, h, clipped, t_exit=None, aux=None, steps=None,
-                 flow=None):
-        self.t = t          # (N,)
-        self.q = q          # (N, n)
-        self.p = p          # (N, n)
-        self.h = h          # (N,)
+    """An extremal of metric `metric_tag` at the times t (N,), from the
+    states y (N, 2n[+1]) of its run, whose accepted steps it keeps."""
+
+    def __init__(self, model, metric_tag, t, y, clipped, t_exit, with_aux, steps):
+        n = model.n
+        self.model, self.metric_tag = model, metric_tag
+        self.t = t
+        self.q = y[:, :n].copy()                                # (N, n)
+        self.p = y[:, n:2 * n].copy()                           # (N, n)
+        # the aux_rate integral at each time, if requested: aux[-1] is the total
+        self.aux = y[:, 2 * n].copy() if with_aux else None     # (N,)
         self.clipped = clipped
         self.t_exit = t_exit
-        self.aux = aux      # accumulated aux_rate integral, if requested
-        self.steps = steps  # _Steps of the state (q, p[, aux]), for cut
-        self.flow = flow    # (fun, event, tol) that _dop853 stepped
+        self.steps = steps  # _Steps of the state (q, p[, aux]), for resample
+
+    @functools.cached_property
+    def h(self):
+        """The (N,) energies, from one lane call when first read."""
+        return hamiltonian(self.model, self.metric_tag, (self.q, self.p))
 
     @property
     def end(self):
         return self.q[-1], self.p[-1]
-
-
-def _trajectory(model, metric_tag, t, y, clipped, t_exit, with_aux, steps=None,
-                flow=None):
-    """Trajectory from the states y[i] at the times t; h from one lane call."""
-    n = model.n
-    q = y[:, :n].copy()
-    p = y[:, n:2 * n].copy()
-    h = hamiltonian(model, metric_tag, (q, p))
-    aux = None
-    if with_aux:
-        aux = float(y[-1, 2 * n]) if len(y) else 0.0
-    return Trajectory(t, q, p, h, clipped, t_exit, aux, steps, flow)
 
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6) with the
@@ -226,9 +222,16 @@ _STAGES_EXTENDED = 16                   # and three more for the dense output
 @functools.cache
 def _tableau():
     """(A, B, E3, E5, D): scipy's DOP853 tableau, with A[s] the first s
-    coefficients of row s. Read from scipy's module on the first integration,
-    so that importing geoequiv does not load scipy.integrate."""
-    from scipy.integrate._ivp import dop853_coefficients as dop
+    coefficients of row s. Read on the first integration from scipy's
+    coefficient module, which needs only numpy, run from its file: importing
+    it through scipy.integrate would load scipy.optimize and scipy.spatial."""
+    import importlib.util
+    import scipy
+    spec = importlib.util.spec_from_file_location(
+        "_dop853_coefficients", os.path.join(os.path.dirname(scipy.__file__), "integrate",
+                                             "_ivp", "dop853_coefficients.py"))
+    dop = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(dop)
     A = [dop.A[s, :s] for s in range(_STAGES_EXTENDED)]
     return A, dop.B, dop.E3, dop.E5, dop.D
 
@@ -240,7 +243,7 @@ _EPS = float(np.finfo(float).eps)
 
 class _Steps:
     """Accepted steps of one run in the time direction (+1.0 or -1.0):
-    ts = [t0, step ends..., t_end] (t_end is the event root when the boundary
+    ts = [0, step ends..., t_end] (t_end is the event root when the boundary
     stopped the run), and per step its length h, initial state y_old (N,) and
     dense-output coefficients F (7, N), given as its first three rows and
     its last four."""
@@ -288,8 +291,8 @@ def _stage(Ks, a, h, y, buf):
     return [x + d * h for x, d in zip(y, Ks.dot(a, buf).tolist())]
 
 
-def _dop853(fun, event, t0, y0, t1, tol, first_step=None):
-    """DOP853 from the state array y0 at t0 towards t1, stopped where event(y)
+def _dop853(fun, event, y0, t1, tol):
+    """DOP853 from the state array y0 at t = 0 towards t1, stopped where event(y)
     changes sign.
 
     fun(y, out) takes a state as a list of floats, writes its rate into the
@@ -305,7 +308,7 @@ def _dop853(fun, event, t0, y0, t1, tol, first_step=None):
     """
     A, B, E3, E5, D = _tableau()
     rtol, atol = max(tol, 100 * _EPS), tol
-    direction = 1.0 if t1 > t0 else -1.0
+    direction = 1.0 if t1 > 0 else -1.0
     N = len(y0)
     K = np.empty((_STAGES_EXTENDED, N))
     Kt = [K[:s].T for s in range(_STAGES_EXTENDED)]
@@ -316,32 +319,29 @@ def _dop853(fun, event, t0, y0, t1, tol, first_step=None):
     buf = np.empty(N)
     y = y0.tolist()
     f = fun(y, np.empty(N))
-    if first_step is None:
-        # select_initial_step of Hairer, Norsett & Wanner, II.4
-        span = abs(t1 - t0)
-        scale = atol + np.abs(y0) * rtol
-        d0 = _rms(y0 / scale)
-        with np.errstate(over="ignore"):
-            d1 = _rms(f / scale)
-        if d1 == math.inf and np.isfinite(f).all():
-            raise CovectorTooLargeError(
-                "the initial rate over the error scale (tolerance %r) cannot be "
-                "squared in floats" % tol)
-        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        h0 = min(h0, span)
-        f1 = fun((y0 + h0 * direction * f).tolist(), np.empty(N))
-        d2 = _rms((f1 - f) / scale) / h0
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-        h_abs = min(100 * h0, h1, span, _MAX_STEP)
+    # select_initial_step of Hairer, Norsett & Wanner, II.4
+    span = abs(t1)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    with np.errstate(over="ignore"):
+        d1 = _rms(f / scale)
+    if d1 == math.inf and np.isfinite(f).all():
+        raise CovectorTooLargeError(
+            "the initial rate over the error scale (tolerance %r) cannot be "
+            "squared in floats" % tol)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    f1 = fun((y0 + h0 * direction * f).tolist(), np.empty(N))
+    d2 = _rms((f1 - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
     else:
-        h_abs = first_step
-    t = t0
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    h_abs = min(100 * h0, h1, span, _MAX_STEP)
+    t = 0.0
     f_old = f.tolist()
     g = event(y)
-    ts, hs, y_olds, F_low, F_high = [t0], [], [], [], []
+    ts, hs, y_olds, F_low, F_high = [t], [], [], [], []
     status = None
     while status is None:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -421,12 +421,14 @@ def integrate(model, metric_tag, lam0, T, tol=1e-10, samples=None, aux_rate=None
 
     Stops (clipped=True) when the base point reaches the domain boundary;
     q0 must lie farther than _BOUNDARY_EPS inside it (ValueError).
-    aux_rate(q, p) -> float, when given, is integrated along the flow and the
-    total is returned in Trajectory.aux. tol is the relative and absolute
-    tolerance of the DOP853 steps, finite and positive (clipped to 100 eps
-    from below). The steps are kept, so that cut() can shorten the horizon
-    without integrating again. Raises CovectorTooLargeError, a ValueError,
-    when the initial rate is finite but its scaled norm is not.
+    aux_rate(q, p) -> float, when given, is integrated along the flow and
+    its integral at each time is returned in Trajectory.aux. tol is the
+    relative and absolute tolerance of the DOP853 steps, finite and positive
+    (clipped to 100 eps from below). The states are those at `samples` even
+    times of [0, T], or at the accepted step ends without samples; the steps
+    are kept, so that resample() can read the run at other times without
+    integrating again. Raises CovectorTooLargeError, a ValueError, when the
+    initial rate is finite but its scaled norm is not.
     """
     q0, p0 = lam0
     q0 = np.asarray(q0, dtype=float)
@@ -438,7 +440,7 @@ def integrate(model, metric_tag, lam0, T, tol=1e-10, samples=None, aux_rate=None
         raise ValueError("integrator tolerance must be finite and positive, got %r"
                          % float(tol))
     if not model.in_domain(q0):
-        raise ValueError("initial point outside the model domain")
+        raise ValueError("initial point %s outside the model domain" % (q0.tolist(),))
     # the boundary is found where the event changes sign, so a start on it
     # would leave the domain unclipped (or clip at once)
     if not model.boundary_distance(q0) > _BOUNDARY_EPS:
@@ -459,46 +461,25 @@ def integrate(model, metric_tag, lam0, T, tol=1e-10, samples=None, aux_rate=None
     def event(y):
         return model.boundary_distance(y[:n]) - _BOUNDARY_EPS
 
-    flow = (fun, event, tol)
     y0 = np.concatenate([q0, p0, [0.0]] if aux_rate is not None else [q0, p0])
-    status, steps, y_end = _dop853(fun, event, 0.0, y0, float(T), tol)
+    status, steps, y_end = _dop853(fun, event, y0, float(T), tol)
     if status == -1:
         raise IntegrationError("integration failed from q = %s at t = %r of T = %r: "
                                "Required step size is less than spacing between numbers."
                                % (q0.tolist(), float(steps.ts[-1]), float(T)))
-    if samples:
-        t, y = _sample(steps, np.linspace(0.0, T, samples))
-    else:
-        t = steps.ts
-        y = np.concatenate([steps.y_old, [y_end]])
     t_exit = float(steps.ts[-1]) if status == 1 else None
-    return _trajectory(model, metric_tag, t, y, status == 1, t_exit,
-                       aux_rate is not None, steps, flow)
+    traj = Trajectory(model, metric_tag, steps.ts, np.concatenate([steps.y_old, [y_end]]),
+                      status == 1, t_exit, aux_rate is not None, steps)
+    return resample(traj, np.linspace(0.0, T, samples)) if samples else traj
 
 
-def cut(model, metric_tag, traj, T, samples):
-    """traj on [0, T] at `samples` even times, as integrating to T would give it.
-
-    T must lie within the integrated span. Integrating to T repeats the steps
-    of traj up to the last step boundary t_k before T, then takes one partial
-    step to T. So the samples up to t_k are read off the steps' interpolants,
-    and only that partial step is taken again, from the exact state at t_k.
-    The aux total is the aux component at T.
-    """
-    steps = traj.steps
-    ts, sign = steps.ts, steps.direction
-    t = np.linspace(0.0, T, samples)
-    k = int(np.searchsorted(sign * ts, sign * T, side="left")) - 1
-    head = sign * t <= sign * ts[k]
-    # the state at t_k as step k's interpolant gives it, at x = +-0
-    y_k = _dense(steps.F[k], steps.y_old[k], (ts[k] - ts[k]) / steps.h[k])
-    fun, event, tol = traj.flow
-    _status, tail, _y = _dop853(fun, event, float(ts[k]), y_k, float(T), tol,
-                                first_step=abs(T - ts[k]))
-    t_head, y_head = _sample(steps, t[head])
-    t_tail, y_tail = _sample(tail, t[~head])
-    return _trajectory(model, metric_tag, np.concatenate([t_head, t_tail]),
-                       np.concatenate([y_head, y_tail]), False, None, traj.aux is not None)
+def resample(traj, t):
+    """traj at those of the times t that its run reached, each state read
+    off the interpolant of the kept step that contains it (see _sample), as
+    scipy's dense output gives it; the run's clipping carries over."""
+    t, y = _sample(traj.steps, np.asarray(t, dtype=float))
+    return Trajectory(traj.model, traj.metric_tag, t, y, traj.clipped, traj.t_exit,
+                      traj.aux is not None, traj.steps)
 
 
 def write_trajectory_csv(traj, fh):

@@ -5,8 +5,10 @@ extremal traces the same base curve: on the distribution part it rescales the
 adapted quasi-impulses by the eigenvalues over a = sqrt(sum alpha_i^2 u_i^2),
 and in corank one the transverse component is pinned by the quotient of the
 obstruction polynomial R_j by Q_{j,m+1}. The matched gram2 flow time is the
-integral of a along the gram1 extremal. verify_equivalence samples covectors,
-transports them, integrates both flows and compares the base curves.
+integral s(t) of a along the gram1 extremal, so on an equivalent pair
+q2(s(t)) = q1(t). verify_equivalence samples covectors, transports them,
+integrates both flows and compares each gram1 point q1(t_i) with the gram2
+point q2(s(t_i)) at its matched time.
 """
 
 import math
@@ -14,8 +16,8 @@ import math
 import numpy as np
 
 from . import expr as ex
-from .geometry import classify_distribution
-from .hamiltonian import cut, integrate
+from .geometry import abnormal_direction
+from .hamiltonian import integrate, resample
 from .pair import (AdaptedFrame, AdaptedFrameError, _floats, fiber_Q, fiber_R,
                    fiber_value, intrinsic_P)
 
@@ -75,49 +77,6 @@ def orbital_map(model, frame, lam):
 
 # ---------------------------------------------------------------------------
 # end-to-end verification
-
-def _polyline_distances(points, poly):
-    """Distance from each point to the polyline through the vertices `poly`
-    (at least two).
-
-    Equal, bit for bit, to taking for each point the minimum over all
-    segments, but only candidate segments are evaluated. The nearest vertex
-    bounds a point's distance by d, and the nearest point of the closest
-    segment lies within half a segment length of one of its endpoints, so
-    every segment that can attain the minimum has an endpoint within
-    d + (longest segment)/2; the slack covers rounding. One k-nearest query
-    finds those vertices: k doubles until every point's k-th neighbour lies
-    beyond its radius, and any superset of them gives the same minimum.
-    """
-    # loaded at the first curve distance, so that importing geoequiv does
-    # not load scipy.spatial
-    from scipy.spatial import cKDTree
-    seg_a = poly[:-1]
-    seg_v = poly[1:] - seg_a
-    seg_sq = (seg_v * seg_v).sum(axis=1)
-    denom = np.maximum(seg_sq, 1e-300)
-    tree = cKDTree(poly)
-    slack = 1e-9 * (1.0 + np.abs(poly).max() + np.abs(points).max())
-    k = min(4, len(poly))
-    while True:
-        d, near = tree.query(points, k)
-        radius = d[:, :1] + (0.5 * np.sqrt(seg_sq.max()) + slack)
-        if k == len(poly) or not (d[:, -1:] <= radius).any():
-            break
-        k = min(2 * k, len(poly))
-    inside = d <= radius
-    counts = inside.sum(axis=1)
-    verts = near[inside]
-    # the two segments at each vertex, folded onto the ends of the polyline
-    seg = np.clip(np.stack([verts - 1, verts], axis=1).ravel(), 0, len(seg_a) - 1)
-    pt = np.repeat(points, 2 * counts, axis=0)
-    ap = pt - seg_a[seg]
-    t = np.clip((ap * seg_v[seg]).sum(axis=1) / denom[seg], 0.0, 1.0)
-    proj = seg_a[seg] + t[:, None] * seg_v[seg]
-    d2 = ((pt - proj) ** 2).sum(axis=1)
-    starts = np.concatenate([[0], np.cumsum(2 * counts)[:-1]])
-    return np.sqrt(np.minimum.reduceat(d2, starts))
-
 
 class SampleOutcome:
     def __init__(self, index, status, q0=None, deviation=None, endpoint_gap=None,
@@ -190,10 +149,9 @@ def _abnormal_program(model):
     if "abnormal" not in model._cache:
         fn = None
         if model.n - model.m == 1:
-            cls = classify_distribution(model)
-            if cls.abnormal_coeffs is not None:
-                fn = ex.compile_exprs(cls.abnormal_coeffs, name="_abn",
-                                      slot=(model._cache, "abnormal"))
+            coeffs = abnormal_direction(model)
+            if coeffs is not None:
+                fn = ex.compile_exprs(coeffs, name="_abn", slot=(model._cache, "abnormal"))
         model._cache["abnormal"] = fn
     return model._cache["abnormal"]
 
@@ -201,10 +159,13 @@ def _abnormal_program(model):
 def verify_equivalence(model, sampling=None, exclusions=None):
     """Sample gram1 extremals, transport them, and compare the base curves.
 
-    Verdict: fail if any verified sample deviates beyond tol_curve, pass when
-    at least half of the requested samples verify below it, inconclusive
-    otherwise. A clipped gram1 run is cut to 80% of its pre-exit window when
-    that keeps a quarter of the horizon, else the sample is skipped.
+    A sample's deviation is max_i |q2(s_i) - q1(t_i)| over curve_samples even
+    times t_i of the gram1 run, with s_i = s(t_i) its matched gram2 time; both
+    legs are read off their runs' interpolants. Verdict: fail if any verified
+    sample deviates beyond tol_curve, pass when at least half of the
+    requested samples verify below it, inconclusive otherwise. A clipped
+    gram1 run is cut to 80% of its pre-exit window when that keeps a quarter
+    of the horizon, else the sample is skipped.
     """
     cfg = dict(_DEFAULT_SAMPLING)
     if sampling:
@@ -268,7 +229,7 @@ def verify_equivalence(model, sampling=None, exclusions=None):
 
     def run_sample(idx, q0, p0):
         """The outcome of transporting the gram1 extremal of (q0, p0)."""
-        g1 = integrate(model, 1, (q0, p0), T, tol=itol, samples=S, aux_rate=a_rate)
+        g1 = integrate(model, 1, (q0, p0), T, tol=itol, aux_rate=a_rate)
         status, T_used = "verified", T
         if g1.clipped:
             # t_exit has T's sign, so T_used does too
@@ -278,21 +239,24 @@ def verify_equivalence(model, sampling=None, exclusions=None):
                                      note="usable window %.3g below a quarter of the "
                                           "horizon" % g1.t_exit)
             status = "truncated"
-            g1 = cut(model, 1, g1, T_used, S)
+        g1 = resample(g1, np.linspace(0.0, T_used, S))
         try:
             frame = AdaptedFrame(model, center=q0)
             lam2 = orbital_map(model, frame, (q0, p0)).lam2
         except (AdaptedFrameError, OrbitalMapError) as exc:
             return SampleOutcome(idx, "frame-error", q0, note=str(exc))
-        T2 = g1.aux  # signed: backward horizons accumulate a negative total
+        # s(T_used), signed: backward horizons accumulate a negative total
+        T2 = float(g1.aux[-1])
         if abs(T2) < 1e-12:
             return SampleOutcome(idx, "degenerate", q0, note="matched flow time vanished")
-        g2 = integrate(model, 2, lam2, T2, tol=itol, samples=S)
-        if len(g2.t) < 2:
+        # the gram2 leg at the matched times s_i; a clipped leg reaches a prefix
+        g2 = resample(integrate(model, 2, lam2, T2, tol=itol), g1.aux)
+        k = len(g2.t)
+        if k < 2:
             return SampleOutcome(idx, "degenerate", q0,
                                  note="gram2 extremal left the domain at once")
         return SampleOutcome(
-            idx, status, q0, deviation=float(np.max(_polyline_distances(g2.q, g1.q))),
+            idx, status, q0, deviation=float(np.max(np.linalg.norm(g2.q - g1.q[:k], axis=1))),
             endpoint_gap=float(np.linalg.norm(g2.q[-1] - g1.q[-1])), T_used=T_used, T2=T2,
             drift1=float(np.max(np.abs(g1.h - g1.h[0]))),
             drift2=float(np.max(np.abs(g2.h - g2.h[0]))),

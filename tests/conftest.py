@@ -100,7 +100,7 @@ def site_programs(model):
     them all. The model's cache is emptied first, so that every site makes
     its program. Each site runs once at the center; an error there ends
     that site only, after its program was made."""
-    from geoequiv.geometry import bracket_exprs, classify_distribution
+    from geoequiv.geometry import abnormal_direction, bracket_exprs
     from geoequiv.hamiltonian import _program
     from geoequiv.pair import AdaptedFrame, AdaptedFrameError, _completion
     from geoequiv.verifier import _abnormal_program
@@ -125,7 +125,7 @@ def site_programs(model):
         sites.append(lambda: AdaptedFrame(model, model.center()))
         sites += [lambda pair=pair: [fn(q) for fn in _completion(model, pair)]
                   for pair in bracket_exprs(model)]
-        sites += [lambda: classify_distribution(model), lambda: _abnormal_program(model)]
+        sites += [lambda: abnormal_direction(model), lambda: _abnormal_program(model)]
     ex.compile_exprs = record
     try:
         for site in sites:

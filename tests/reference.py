@@ -4,9 +4,8 @@ The numpy Hamiltonian formulas evaluate the frame, the Gram matrices and
 their derivatives through the model's compiled evaluators and solve with
 numpy; full_field is the one generated program (q, p) -> (h, dq/dt,
 dp/dt[, P]) that the flow and energy programs of geoequiv.hamiltonian
-replaced, and every energy was once read from it; the curve distance loops
-over every segment for every point; the structure functions of the
-adapted frames come from a 4th-order central finite-difference stencil
+replaced, and every energy was once read from it; the structure functions
+of the adapted frames come from a 4th-order central finite-difference stencil
 over AdaptedFrame.at, and the gauge of AdaptedFrame.at was a per-cluster
 singular-value check and a gram1 Gram-Schmidt loop; the regularity probe solves every pencil with
 scipy.linalg.eigh, evaluates its extra Nelder-Mead start by solving
@@ -19,12 +18,12 @@ _is_const for every check (checked_add, checked_sub, checked_mul,
 checked_div). The fiber polynomials were dicts from exponent tuples to
 coefficients, with their own products, and were copied into
 coefficient vectors only to be divided. Tests compare the
-generated Hamiltonian programs, the pruned curve distance, the exact frame
+generated Hamiltonian programs, the exact frame
 derivatives of AdaptedFrame.point_data, the gauge of AdaptedFrame.at,
 pair.regularity_probe and the fiber polynomial screens with them. The
 extremals were integrated by scipy's solve_ivp (DOP853 with a terminal
-boundary event and dense output), and cut re-took its partial step through
-solve_ivp; the library's own DOP853 loop must reproduce them bit for bit.
+boundary event and dense output); the library's own DOP853 loop must
+reproduce them, and its resampling of a run the run's OdeSolution, bit for bit.
 The symbolic gram1 Gram-Schmidt (orthonormalize), the trapezoid arc
 length and the quasi-impulses u = p A of the model frame (quasi_impulses)
 and of an adapted frame (adapted_impulses) had no caller in the library;
@@ -282,20 +281,6 @@ def full_field(model, tag, kind=None):
     if tag == 1 and kind != "flow":
         results.append(prog.assign("intrinsic", _quadratic(prog, model.gram2, v) or "0.0"))
     return prog.compile(results, name="_field%d" % tag)
-
-
-def loop_polyline_distances(points, poly):
-    """Distance from each point to the polyline, minimum over all segments."""
-    seg_a = poly[:-1]
-    seg_v = poly[1:] - seg_a
-    denom = np.maximum((seg_v * seg_v).sum(axis=1), 1e-300)
-    out = np.empty(len(points))
-    for i, pt in enumerate(points):
-        ap = pt - seg_a
-        t = np.clip((ap * seg_v).sum(axis=1) / denom, 0.0, 1.0)
-        proj = seg_a + t[:, None] * seg_v
-        out[i] = np.sqrt(((pt - proj) ** 2).sum(axis=1).min())
-    return out
 
 
 def fd_structure_functions(frame, q, fd_step):
@@ -728,22 +713,20 @@ def dict_divide(numerator, divisor):
     return float(np.linalg.norm(M @ sol - b) / scale), sol
 
 
-def _solve_ivp_trajectory(model, metric_tag, t, y, clipped, t_exit, with_aux, dense=None,
-                          resume=None):
+def _solve_ivp_trajectory(model, metric_tag, t, y, clipped, t_exit, with_aux, dense):
     n = model.n
     q = y[:n].T.copy()
     p = y[n:2 * n].T.copy()
     h = hamiltonian(model, metric_tag, (q, p))
-    aux = None
-    if with_aux:
-        aux = float(y[2 * n, -1]) if y.shape[1] else 0.0
+    aux = y[2 * n].copy() if with_aux else None
     return SimpleNamespace(t=t, q=q, p=p, h=h, clipped=clipped, t_exit=t_exit, aux=aux,
-                           dense=dense, resume=resume)
+                           dense=dense)
 
 
 def solve_ivp_integrate(model, metric_tag, lam0, T, tol=1e-10, max_step=1e-2,
                         samples=None, aux_rate=None):
-    """hamiltonian.integrate as it was on scipy's solve_ivp."""
+    """hamiltonian.integrate as it was on scipy's solve_ivp; `dense` is the
+    run's OdeSolution."""
     q0, p0 = lam0
     q0 = np.asarray(q0, dtype=float)
     p0 = np.asarray(p0, dtype=float)
@@ -768,16 +751,11 @@ def solve_ivp_integrate(model, metric_tag, lam0, T, tol=1e-10, max_step=1e-2,
 
     hit_boundary.terminal = True
 
-    def solve(t0, y0, t1, t_eval, first_step=None):
-        return solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=tol, atol=tol,
-                         max_step=max_step, events=[hit_boundary], t_eval=t_eval,
-                         dense_output=True, first_step=first_step)
-
-    def resume(t0, y0, t1, t_eval):
-        return solve(t0, y0, t1, t_eval, first_step=abs(t1 - t0))
-
     y0 = np.concatenate([q0, p0, [0.0]] if with_aux else [q0, p0])
-    sol = solve(0.0, y0, T, np.linspace(0.0, T, samples) if samples else None)
+    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=tol, atol=tol,
+                    max_step=max_step, events=[hit_boundary],
+                    t_eval=np.linspace(0.0, T, samples) if samples else None,
+                    dense_output=True)
     if sol.status == -1:
         raise IntegrationError("integration failed from q = %s at t = %r of T = %r: %s"
                                % (q0.tolist(), float(sol.sol.ts[-1]), float(T),
@@ -789,23 +767,7 @@ def solve_ivp_integrate(model, metric_tag, lam0, T, tol=1e-10, max_step=1e-2,
     if t.size == 0:
         t, y = np.array([0.0]), y0[:, None]
     return _solve_ivp_trajectory(model, metric_tag, t, y, clipped, t_exit, with_aux,
-                                 sol.sol, resume)
-
-
-def solve_ivp_cut(model, metric_tag, traj, T, samples):
-    """hamiltonian.cut as it was on scipy's solve_ivp: the samples up to the
-    last step boundary before T from the dense solution, the rest from one
-    re-taken partial step."""
-    dense = traj.dense
-    ts = dense.ts
-    t = np.linspace(0.0, T, samples)
-    sign = 1.0 if T > 0 else -1.0
-    k = int(np.searchsorted(sign * ts, sign * T, side="left")) - 1
-    head = sign * t <= sign * ts[k]
-    tail = traj.resume(ts[k], dense.interpolants[k](ts[k]), T, t[~head])
-    y = np.concatenate([dense(t[head]), tail.y], axis=1)
-    return _solve_ivp_trajectory(model, metric_tag, t, y, False, None,
-                                 traj.aux is not None)
+                                 sol.sol)
 
 
 # ---------------------------------------------------------------------------

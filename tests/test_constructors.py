@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from geoequiv import expr as ex
-from geoequiv.geometry import from_manifest, to_manifest
+from geoequiv.cli import main
+from geoequiv.geometry import from_manifest, save_model, to_manifest
 from geoequiv.pair import transition_operator
 from geoequiv.constructors import (ConstructionError, GENERATORS, build_dini,
                                    build_levi_civita, build_gendini_case1,
@@ -229,6 +230,24 @@ def test_quasi_contact_normal_form():
     W2w = m.gram_at((0.1, -0.1, 0.05, w), 2)
     assert np.allclose(W1w, np.diag([b, b, 1.0]), atol=1e-12)
     assert np.allclose(W2w, np.diag([f * b, f * b, f * f]), atol=1e-12)
+
+
+@pytest.mark.parametrize("C1,C2", [(2.0, 1.0), (0.7, 1.3)])
+def test_quasi_contact_is_C1_times_the_C1_one_pair(C1, C2, tmp_path, capsys):
+    # gram2 on X3 was f^2 = C1^2/(1 + C2 beta)^2, so for C1 != 1 the pair was
+    # not equivalent: check-relations and verify exited 2
+    m = build_quasi_contact({"beta": "exp(t)", "C1": C1, "C2": C2})
+    unit = build_quasi_contact({"beta": "exp(t)", "C1": 1.0, "C2": C2})
+    rng = np.random.default_rng(61)
+    for q in [m.center()] + [m.sample_point(rng) for _ in range(4)]:
+        q = tuple(q.tolist())
+        assert np.array_equal(m.gram_at(q, 1), unit.gram_at(q, 1))
+        assert np.allclose(m.gram_at(q, 2), C1 * unit.gram_at(q, 2), rtol=1e-15, atol=0)
+    path = str(tmp_path / "qc.json")
+    save_model(m, path)
+    assert main(["check-relations", "--model", path]) == 0
+    assert main(["verify", "--model", path, "--samples", "8", "--T", "0.1",
+                 "--exclude-abnormal-cone", "0.1"]) == 0
 
 
 def test_quasi_contact_hypothesis_errors():

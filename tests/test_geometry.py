@@ -8,7 +8,7 @@ from geoequiv import expr as ex
 from geoequiv.geometry import (GeometryModel, ManifestError, ModelValidationError,
                                from_manifest, to_manifest, load_model, save_model,
                                validate_model, lie_bracket, bracket_exprs,
-                               annihilator, classify_distribution)
+                               annihilator, abnormal_direction)
 from geoequiv.constructors import build_quasi_contact
 from geoequiv.pair import _structure
 
@@ -163,22 +163,36 @@ def test_structure_functions_match_brackets():
         assert np.allclose(E @ c[b, a], -br, atol=1e-12)
 
 
+def _omega_rank(model, q):
+    """Rank of the two-form Omega_ab = -omega([X_a, X_b]) on D at q."""
+    omega = np.array([ex.evaluate(e, q) for e in annihilator(model)])
+    Omega = np.zeros((model.m, model.m))
+    for (a, b), br in bracket_exprs(model).items():
+        Omega[a, b] = -omega @ [ex.evaluate(e, q) for e in br]
+        Omega[b, a] = -Omega[a, b]
+    return np.linalg.matrix_rank(Omega, tol=1e-8)
+
+
+def _abnormal_field(model, q):
+    """The abnormal direction at q as a vector field, scaled to a largest
+    component of 1."""
+    coeffs = np.array([ex.evaluate(e, q) for e in abnormal_direction(model)])
+    field = model.frame_at(q)[:, :model.m] @ coeffs
+    return field / np.max(np.abs(field))
+
+
 def test_classification_heisenberg_contact():
-    cls = classify_distribution(heisenberg())
-    assert cls.tag == "contact"
-    assert cls.omega_rank == 2
-    assert cls.abnormal is None
+    m = heisenberg()
+    assert _omega_rank(m, (0.1, 0.2, 0.0)) == 2
+    assert abnormal_direction(m) is None
 
 
 def test_classification_quasi_contact_abnormal_field():
     m = build_quasi_contact({"beta": "exp(t)", "C1": 1.0, "C2": 1.0})
-    cls = classify_distribution(m)
-    assert cls.tag == "quasi-contact"
-    assert cls.omega_rank == 2
+    q = (0.1, 0.2, 0.0, 0.1)
+    assert _omega_rank(m, q) == 2
     # abnormal line: the d/dw direction, up to scale
-    vals = np.array([ex.evaluate(e, (0.1, 0.2, 0.0, 0.1)) for e in cls.abnormal])
-    vals = vals / np.max(np.abs(vals))
-    assert np.allclose(vals, [0, 0, 0, 1], atol=1e-12)
+    assert np.allclose(_abnormal_field(m, q), [0, 0, 0, 1], atol=1e-12)
 
 
 def test_classification_full_rank():
@@ -186,7 +200,7 @@ def test_classification_full_rank():
     P = lambda s: ex.parse(s, coords)
     eye = ((P("1"), P("0")), (P("0"), P("1")))
     m = GeometryModel(coords, 2, eye, eye, eye, [-1, -1], [1, 1])
-    assert classify_distribution(m).tag == "full"
+    assert abnormal_direction(m) is None
 
 
 def test_classification_integrable_is_other():
@@ -198,7 +212,8 @@ def test_classification_integrable_is_other():
              (P("0"), P("0"), P("1")))
     eye2 = ((P("1"), P("0")), (P("0"), P("1")))
     m = GeometryModel(coords, 2, frame, eye2, eye2, [-1] * 3, [1] * 3)
-    assert classify_distribution(m).tag == "other"
+    assert _omega_rank(m, (0.1, 0.2, 0.3)) == 0
+    assert abnormal_direction(m) is None
 
 
 def test_annihilator_kills_distribution():
@@ -213,14 +228,18 @@ def test_annihilator_kills_distribution():
 
 
 def test_classification_invariant_under_frame_rescaling():
-    base = heisenberg()
-    coords = base.coords
-    P = lambda s: ex.parse(s, coords)
-    scale = P("1 + x^2/4")
-    frame = tuple(tuple(ex.mul(scale, c) for c in row) for row in base.frame)
-    m = GeometryModel(coords, 2, frame, base.gram1, base.gram2,
-                      base.domain_min, base.domain_max)
-    assert classify_distribution(m).tag == "contact"
+    for base, q in ((heisenberg(), (0.1, 0.2, 0.0)),
+                    (build_quasi_contact({"beta": "exp(t)", "C1": 1.0, "C2": 1.0}),
+                     (0.1, 0.2, 0.0, 0.1))):
+        scale = ex.parse("1 + x^2/4", base.coords)
+        frame = tuple(tuple(ex.mul(scale, c) for c in row) for row in base.frame)
+        m = GeometryModel(base.coords, base.m, frame, base.gram1, base.gram2,
+                          base.domain_min, base.domain_max)
+        assert _omega_rank(m, q) == 2
+        if base.m == 2:
+            assert abnormal_direction(m) is None
+        else:
+            assert np.allclose(_abnormal_field(m, q), [0, 0, 0, 1], atol=1e-12)
 
 
 def test_domain_helpers():

@@ -10,7 +10,7 @@ from geoequiv import expr as ex
 from geoequiv.expr import EvalDomainError
 from geoequiv.geometry import GeometryModel
 from geoequiv.hamiltonian import (CovectorTooLargeError, IntegrationError, hamiltonian,
-                                  hamiltonian_rhs, integrate, cut, write_trajectory_csv,
+                                  hamiltonian_rhs, integrate, resample, write_trajectory_csv,
                                   _generate, _program)
 from geoequiv.constructors import (GENERATORS, build_beltrami, build_dini,
                                    build_quasi_contact)
@@ -20,7 +20,7 @@ from conftest import (FIELD_PARAMS, PAIR_KINDS, call_outcome, compiled_program, 
                       pair_fixture, plane_pair)
 from reference import (arc_length, full_field, initial_covector, numpy_hamiltonian,
                        numpy_hamiltonian_rhs, numpy_intrinsic_P, orthonormalize,
-                       quasi_impulses, rhs_arrays, solve_ivp_cut, solve_ivp_integrate)
+                       quasi_impulses, rhs_arrays, solve_ivp_integrate)
 
 
 def euclidean_plane():
@@ -191,17 +191,39 @@ def test_integrate_names_where_the_step_size_collapsed():
 def _assert_same_trajectory(new, ref):
     for name in ("t", "q", "p", "h"):
         assert np.array_equal(getattr(new, name), getattr(ref, name)), name
-    for name in ("aux", "clipped", "t_exit"):
+    assert (new.aux is None) == (ref.aux is None)
+    if new.aux is not None:
+        assert np.array_equal(new.aux, ref.aux)
+    for name in ("clipped", "t_exit"):
         assert getattr(new, name) == getattr(ref, name), name
+
+
+def _assert_resample_is_dense_output(new, ref, t):
+    """resample(new, t) holds, at those times of t that the run reached,
+    the states of scipy's OdeSolution ref.dense bit for bit, aux column
+    included, and keeps the run's clipping."""
+    got = resample(new, t)
+    sign = new.steps.direction
+    assert np.array_equal(got.t, t[sign * t <= sign * new.steps.ts[-1]])
+    y = ref.dense(got.t)
+    n = new.q.shape[1]
+    assert np.array_equal(got.q, y[:n].T) and np.array_equal(got.p, y[n:2 * n].T)
+    if new.aux is not None:
+        assert np.array_equal(got.aux, y[2 * n])
+    assert (got.clipped, got.t_exit) == (new.clipped, new.t_exit)
+    return got
 
 
 @pytest.mark.parametrize("kind", PAIR_KINDS)
 def test_stepper_matches_solve_ivp(kind):
     # the own DOP853 loop takes scipy's steps bit for bit: forward and
     # backward, with and without samples and an aux rate, to the horizon or
-    # out through the boundary, and cut at 80% of the exit time
+    # out through the boundary. Resampled at random times, at even times of
+    # 80% of the run (as verify cuts a clipped run) and, for the gram2 leg,
+    # at the matched times s_i that the aux column gives, each run reads as
+    # scipy's dense output does
     m = pair_fixture(kind)
-    rng = np.random.default_rng(43)
+    rng, times = np.random.default_rng(43), np.random.default_rng(44)
     aux_rate = lambda q, p: math.sqrt(max(intrinsic_P(m, (q, p)), 0.0))
     clipped = 0
     for T in (0.3, -0.3, 5.0, -5.0):
@@ -211,12 +233,17 @@ def test_stepper_matches_solve_ivp(kind):
                 new = integrate(m, tag, lam0, T, samples=samples, aux_rate=rate)
                 ref = solve_ivp_integrate(m, tag, lam0, T, samples=samples, aux_rate=rate)
                 _assert_same_trajectory(new, ref)
-                if new.clipped and samples:
-                    clipped += 1
-                    T_used = 0.8 * new.t_exit
-                    _assert_same_trajectory(cut(m, tag, new, T_used, samples),
-                                            solve_ivp_cut(m, tag, ref, T_used, samples))
-    assert clipped >= 4
+                clipped += new.clipped
+                end = new.t_exit if new.clipped else T
+                _assert_resample_is_dense_output(new, ref, 1.1 * end * times.random(50))
+                cut = _assert_resample_is_dense_output(new, ref,
+                                                       np.linspace(0.0, 0.8 * end, 601))
+                if rate is not None and tag == 1:
+                    s = cut.aux
+                    g2 = integrate(m, 2, lam0, s[-1])
+                    ref2 = solve_ivp_integrate(m, 2, lam0, s[-1])
+                    _assert_resample_is_dense_output(g2, ref2, s)
+    assert clipped >= 8
 
 
 def test_stepper_collapses_where_solve_ivp_does():
@@ -278,7 +305,8 @@ def test_integrate_rejects_bad_start():
         with pytest.raises(ValueError, match=re.escape(
                 "initial point %s lies within 1e-12 of the domain boundary" % (list(q0),))):
             integrate(m, 1, (np.array(q0), p0), 0.1)
-    with pytest.raises(ValueError, match="^initial point outside the model domain$"):
+    with pytest.raises(ValueError, match=re.escape(
+            "initial point [0.45, 0.0, 0.0] outside the model domain")):
         integrate(m, 1, (np.array([0.45, 0.0, 0.0]), p), 0.1)
     # farther inside than the event's 1e-12, the extremal clips at the boundary
     traj = integrate(m, 1, (np.array([0.4 - 1e-11, 0.0, 0.0]), p), 0.1)
@@ -317,26 +345,6 @@ def test_generated_field_matches_numpy_reference(kind):
             assert _close(np.concatenate([qdot, pdot]), ref), (kind, tag, q)
             assert _close(hamiltonian(m, tag, lam), numpy_hamiltonian(m, tag, (q, p)))
         assert _close(intrinsic_P(m, lam), numpy_intrinsic_P(m, (q, p)))
-
-
-def test_cut_matches_fresh_integration():
-    # curved pair, horizons long enough to leave the box either way
-    m = build_dini("1+x1/10", "2+x2/10")
-    aux_rate = lambda q, p: np.sqrt(max(intrinsic_P(m, (q, p)), 0.0))
-    rng = np.random.default_rng(5)
-    for T in (2.0, -2.0, 2.0, -2.0):
-        lam0 = (m.sample_point(rng), rng.normal(size=2))
-        full = integrate(m, 1, lam0, T, samples=601, aux_rate=aux_rate)
-        assert full.clipped
-        T_used = 0.8 * full.t_exit
-        short = cut(m, 1, full, T_used, 601)
-        fresh = integrate(m, 1, lam0, T_used, samples=601, aux_rate=aux_rate)
-        assert not fresh.clipped
-        assert np.array_equal(short.t, fresh.t)
-        assert np.max(np.abs(short.q - fresh.q)) <= 1e-11
-        assert np.max(np.abs(short.p - fresh.p)) <= 1e-11
-        assert abs(short.aux - fresh.aux) <= 1e-11
-        assert np.max(np.abs(short.h - fresh.h)) <= 1e-11
 
 
 @pytest.mark.parametrize("kind", FIELD_KINDS)

@@ -199,14 +199,6 @@ def verify_verdict(model, kind):
     return verify_equivalence(model, sampling, exclusions).verdict
 
 
-# (kind, transform) whose verify verdict moves: gendini1's 20-sample verify
-# fails (max deviation 1.32e-6 against tol_curve 1e-6) because the polyline
-# distance carries a chord error of that size (ROADMAP direction 1, Known
-# reds). The constant gauge draws other covectors, whose chord errors stay
-# below the tolerance (7.7e-7), so it passes
-KNOWN_VERDICT_CHANGES = {("gendini1", "constant-gauge")}
-
-
 @pytest.fixture(scope="module")
 def verify_originals(originals):
     return {kind: verify_verdict(m, kind) for kind, (m, _) in originals.items()}
@@ -214,8 +206,5 @@ def verify_originals(originals):
 
 @pytest.mark.parametrize("transform", sorted(TRANSFORMS))
 @pytest.mark.parametrize("kind", PAIR_KINDS)
-def test_verify_is_invariant(request, verify_originals, transformed, kind, transform):
-    if (kind, transform) in KNOWN_VERDICT_CHANGES:
-        request.applymarker(pytest.mark.xfail(
-            strict=True, reason="polyline chord error decides the verdict"))
+def test_verify_is_invariant(verify_originals, transformed, kind, transform):
     assert verify_verdict(transformed(kind, transform)[0], kind) == verify_originals[kind]

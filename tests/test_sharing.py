@@ -20,7 +20,7 @@ import pytest
 
 from geoequiv import expr as ex
 from geoequiv import hamiltonian, pair
-from geoequiv.geometry import (GeometryModel, bracket_exprs, classify_distribution,
+from geoequiv.geometry import (GeometryModel, abnormal_direction, bracket_exprs,
                                from_manifest, lie_bracket, load_model, save_model,
                                to_manifest)
 
@@ -101,7 +101,7 @@ def _generated_sources(model, monkeypatch):
             model.dgram_at(q, tag)
         model.dframe_at(q)
     if model.m == model.n - 1:
-        classify_distribution(model)
+        abnormal_direction(model)
     for _ in range(2):
         for key in sorted(bracket_exprs(model)):
             for fn in pair._completion(model, key):

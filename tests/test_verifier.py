@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
-import scipy.spatial
 
 from geoequiv import expr as ex
 from geoequiv import verifier
 from geoequiv.geometry import GeometryModel
 from geoequiv.hamiltonian import hamiltonian
 from geoequiv.pair import AdaptedFrame
-from geoequiv.verifier import (OrbitalMapError, orbital_map, verify_equivalence,
-                               _polyline_distances)
+from geoequiv.verifier import OrbitalMapError, orbital_map, verify_equivalence
 from geoequiv.constructors import (build_dini, build_gendini_case1,
                                    build_quasi_contact)
 
-from conftest import heisenberg, pair_fixture
-from reference import check_orbital_identities, loop_polyline_distances
+from conftest import PAIR_KINDS, heisenberg, pair_fixture
+from reference import check_orbital_identities, solve_ivp_integrate
 
 
 # ------------------------------------------------------------- orbital map
@@ -115,6 +113,53 @@ def test_verify_passes_dini():
     assert rep.counts["verified"] >= 4
 
 
+def test_verify_passes_gendini1_at_fifty_samples():
+    # the nearest-polyline distance read 1.15e-6 here, its chord error on
+    # the bends of the curve; the time-matched deviation reads 1.5e-10
+    rep = verify_equivalence(build_gendini_case1("1 - u", "1 + v"),
+                             {"count": 50, "tol_curve": 1e-6})
+    assert rep.verdict == "pass"
+    assert rep.counts["verified"] == 35
+    assert rep.max_deviation < 1e-9
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_deviation_matches_a_solve_ivp_oracle(kind, monkeypatch):
+    # each verified sample's deviation is max_i |q2(s_i) - q1(t_i)|: the
+    # oracle integrates both legs with scipy's solve_ivp and reads its dense
+    # outputs, gram1 at the even times of [0, T_used] and gram2 at the
+    # matched times s_i that gram1's aux column gives there
+    m = pair_fixture(kind)
+    runs = []
+
+    def recorded(model, tag, lam0, T, **kwargs):
+        if tag == 1:
+            runs.append([])
+        runs[-1].append((tag, lam0, T, kwargs))
+        return integrate(model, tag, lam0, T, **kwargs)
+
+    integrate = verifier.integrate
+    monkeypatch.setattr(verifier, "integrate", recorded)
+    exclusions = {"abnormal_cone": 0.1} if kind == "quasi-contact" else None
+    rep = verify_equivalence(m, {"count": 10}, exclusions)
+    assert len(runs) == 10
+    checked = 0
+    for sample, legs in zip(rep.samples, runs):
+        if sample.deviation is None:
+            continue
+        (_tag, lam0, T, kwargs), (_tag2, lam2, _T2, _kw2) = legs
+        g1 = solve_ivp_integrate(m, 1, lam0, T, aux_rate=kwargs["aux_rate"]).dense
+        y1 = g1(np.linspace(0.0, sample.T_used, 601))
+        s = y1[2 * m.n]
+        g2 = solve_ivp_integrate(m, 2, lam2, s[-1])
+        k = np.searchsorted(np.sign(s[-1]) * s, np.sign(s[-1]) * g2.t[-1], side="right")
+        q2 = g2.dense(s[:k])[:m.n]
+        oracle = np.max(np.linalg.norm(q2 - y1[:m.n, :k], axis=0))
+        assert abs(sample.deviation - oracle) <= 1e-13, (sample.index, sample.deviation, oracle)
+        checked += 1
+    assert checked >= 5
+
+
 def test_verify_fails_conformal_contact():
     rep = verify_equivalence(heisenberg("1 + x^2 + y^2"), sampling={"count": 8})
     assert rep.verdict == "fail"
@@ -143,8 +188,8 @@ def test_verify_compiles_the_abnormal_direction_once_per_model(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(ex, "compile_exprs", counted(ex.compile_exprs))
-    monkeypatch.setattr(verifier, "classify_distribution",
-                        counted(verifier.classify_distribution))
+    monkeypatch.setattr(verifier, "abnormal_direction",
+                        counted(verifier.abnormal_direction))
     second = verify_equivalence(m, sampling={"count": 2}, exclusions=exclusions)
     assert calls == []
     assert second.as_dict() == first.as_dict()
@@ -157,7 +202,7 @@ def test_verify_compiles_the_abnormal_direction_once_per_model(monkeypatch):
         rep = verify_equivalence(h, sampling={"count": 1}, exclusions=exclusions)
         assert "abnormal_cone" not in rep.config
         assert h._cache["abnormal"] is None
-    assert calls.count("classify_distribution") == 1
+    assert calls.count("abnormal_direction") == 1
 
 
 def test_verify_is_deterministic():
@@ -293,87 +338,3 @@ def test_report_dict_shape():
     for s in doc["samples"]:
         assert s["status"] in {"verified", "truncated", "clipped",
                                "frame-error", "degenerate"}
-
-
-# ------------------------------------------------------- curve distance
-
-def _same_as_loop(points, poly):
-    got = _polyline_distances(points, poly)
-    assert np.array_equal(got, loop_polyline_distances(points, poly))
-    return got
-
-
-def test_polyline_distance_random_curves():
-    rng = np.random.default_rng(31)
-    for dim in (2, 3, 4):
-        for scale in (1e-3, 1e-2, 0.3):
-            poly = np.cumsum(rng.normal(scale=scale, size=(300, dim)), axis=0)
-            # a nearby curve with another parametrization, and scattered points
-            near = poly[::2] + rng.normal(scale=1e-4, size=(150, dim))
-            far = rng.uniform(poly.min() - 1, poly.max() + 1, size=(200, dim))
-            _same_as_loop(near, poly)
-            _same_as_loop(far, poly)
-
-
-def test_polyline_distance_figure_eight():
-    # the curve passes close to itself at the crossing
-    s = np.linspace(0.0, 2 * np.pi, 601)
-    poly = np.stack([np.sin(s), np.sin(s) * np.cos(s)], axis=1)
-    u = np.linspace(0.0, 2 * np.pi, 997)
-    points = 1.01 * np.stack([np.sin(u), np.sin(u) * np.cos(u)], axis=1)
-    got = _same_as_loop(points, poly)
-    assert got.max() < 0.02
-    _same_as_loop(np.array([[0.0, 0.0], [1e-9, -1e-9], [0.0, 0.3]]), poly)
-
-
-def test_polyline_distance_zero_length_segments():
-    rng = np.random.default_rng(32)
-    base = np.cumsum(rng.normal(scale=0.05, size=(40, 3)), axis=0)
-    poly = np.repeat(base, 3, axis=0)          # two zero-length segments per vertex
-    points = base + rng.normal(scale=0.02, size=base.shape)
-    _same_as_loop(points, poly)
-    _same_as_loop(points, np.repeat(base[:1], 5, axis=0))   # a single point
-
-
-def test_polyline_distance_two_vertices_and_points_on_vertices():
-    poly = np.array([[0.0, 0.0], [1.0, 0.5]])
-    points = np.array([[0.5, 0.25], [-1.0, 0.0], [2.0, 2.0], [0.3, -0.4]])
-    _same_as_loop(points, poly)
-    rng = np.random.default_rng(33)
-    curve = np.cumsum(rng.normal(scale=0.01, size=(601, 2)), axis=0)
-    assert np.array_equal(_same_as_loop(curve, curve), np.zeros(601))
-    _same_as_loop(curve[::7], curve)
-
-
-def test_polyline_distance_k_doubles_while_the_radius_holds_more(monkeypatch):
-    # one long segment widens every radius by half its length, so points see
-    # more than 4 and more than 8 vertices within it: k goes 4, 8, 16, ...
-    ks = []
-
-    class Recording(scipy.spatial.cKDTree):
-        def query(self, x, k=1, **kwargs):
-            ks.append(k)
-            return super().query(x, k, **kwargs)
-
-    monkeypatch.setattr(scipy.spatial, "cKDTree", Recording)
-    s = np.linspace(0.0, 1.0, 40)
-    dense = np.stack([s, 0.1 * np.sin(6 * s)], axis=1)
-    poly = np.concatenate([dense, [[1.0, 0.6]], [[1.0, 0.61]]])
-    rng = np.random.default_rng(34)
-    points = dense[::3] + rng.normal(scale=1e-3, size=dense[::3].shape)
-    _same_as_loop(points, poly)
-    assert ks[:3] == [4, 8, 16] and len(ks) >= 3
-    # k is capped by the vertex count: 2 and 3 vertices
-    for poly in (np.array([[0.0, 0.0], [1.0, 0.5]]),
-                 np.array([[0.0, 0.0], [1.0, 0.5], [1.0, -2.0]])):
-        ks.clear()
-        _same_as_loop(rng.normal(size=(25, 2)), poly)
-        assert ks == [len(poly)]
-
-
-def test_polyline_distance_long_segment_far_from_nearest_vertex():
-    # the closest segment of (0, 0.1) has both endpoints 1.005 away, while
-    # the nearest vertex is (0, 0.3), on a segment 0.2 away
-    poly = np.array([[-1.0, 0.0], [1.0, 0.0], [1.0, 0.3], [0.0, 0.3]])
-    got = _same_as_loop(np.array([[0.0, 0.1], [0.5, 0.12]]), poly)
-    assert np.allclose(got, [0.1, 0.12], rtol=0, atol=1e-15)
