@@ -347,6 +347,28 @@ def test_generated_field_matches_numpy_reference(kind):
         assert _close(intrinsic_P(m, lam), numpy_intrinsic_P(m, (q, p)))
 
 
+def test_cut_matches_fresh_integration():
+    # verify cuts a clipped gram1 run to [0, 0.8 t_exit] by resampling its
+    # steps; that agrees with integrating to the cut horizon afresh (curved
+    # pair, horizons long enough to leave the box either way)
+    m = build_dini("1+x1/10", "2+x2/10")
+    aux_rate = lambda q, p: np.sqrt(max(intrinsic_P(m, (q, p)), 0.0))
+    rng = np.random.default_rng(5)
+    for T in (2.0, -2.0, 2.0, -2.0):
+        lam0 = (m.sample_point(rng), rng.normal(size=2))
+        full = integrate(m, 1, lam0, T, aux_rate=aux_rate)
+        assert full.clipped
+        T_used = 0.8 * full.t_exit
+        short = resample(full, np.linspace(0.0, T_used, 601))
+        fresh = integrate(m, 1, lam0, T_used, samples=601, aux_rate=aux_rate)
+        assert not fresh.clipped
+        assert np.array_equal(short.t, fresh.t)
+        assert np.max(np.abs(short.q - fresh.q)) <= 1e-11
+        assert np.max(np.abs(short.p - fresh.p)) <= 1e-11
+        assert np.max(np.abs(short.aux - fresh.aux)) <= 1e-11
+        assert np.max(np.abs(short.h - fresh.h)) <= 1e-11
+
+
 @pytest.mark.parametrize("kind", FIELD_KINDS)
 def test_split_programs_equal_the_full_field(kind):
     # along a 601-sample extremal and at random phase points, p = 0 rows
