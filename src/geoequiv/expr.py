@@ -35,6 +35,7 @@ and _apply_func, which evaluate() also calls, not through evaluate(). A
 program checks only its results.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -840,13 +841,14 @@ def _walk(exprs, q):
 
 
 def _guarded(raw):
-    """raw with the guard of compiled programs: domain violations and
-    non-finite results raise EvalDomainError, as evaluate() does."""
+    """raw, a function of one point, with the guard of compiled programs:
+    domain violations and non-finite results raise EvalDomainError, as
+    evaluate() does."""
     isfinite = math.isfinite
 
-    def call(*args):
+    def call(q):
         try:
-            values = raw(*args)
+            values = raw(q)
         except EvalDomainError:
             raise
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -861,9 +863,6 @@ def _guarded(raw):
         return values
 
     return call
-
-
-_walked = _guarded(_walk)
 
 
 def _compile_program(exprs, name):
@@ -974,7 +973,7 @@ class _LazyProgram:
         if fn is None:
             if not self.walked:
                 self.walked = True
-                return _walked(self.exprs, q)
+                return _guarded(functools.partial(_walk, self.exprs))(q)
             fn = self._compile()
         return fn(q)
 

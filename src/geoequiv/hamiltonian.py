@@ -145,8 +145,8 @@ def _program(model, tag, kind):
     return fn
 
 
-# pack_into of `count` doubles, into the buffer of a writable C-contiguous array
-_packer = functools.cache(lambda count: struct.Struct("%dd" % count).pack_into)
+# count -> pack_into of `count` doubles, into a writable C-contiguous array
+_packers = {}
 
 
 def hamiltonian(model, metric_tag, lam):
@@ -175,12 +175,18 @@ def hamiltonian_rhs(model, metric_tag, y, out):
     where numpy scalars would give inf."""
     if type(y) is not list:
         y = np.asarray(y, dtype=float).tolist()
-    vals = _program(model, metric_tag, "flow")(y)
+    vals = (model._cache.get(("flow", metric_tag)) or _program(model, metric_tag, "flow"))(y)
     # the buffer protocol rejects read-only and non-contiguous arrays, but
-    # would take raw doubles into any other dtype
-    if not isinstance(out, np.ndarray) or out.dtype != _FLOAT64 or out.ndim != 1:
+    # would take raw doubles into any other dtype; a plain float64 row
+    # passes on identities, anything else takes the full check
+    if not (type(out) is np.ndarray and out.dtype is _FLOAT64 and out.ndim == 1) and (
+            not isinstance(out, np.ndarray) or out.dtype != _FLOAT64 or out.ndim != 1):
         raise TypeError("out must be a 1-d float64 array")
-    _packer(len(vals))(out, 0, *vals)
+    try:
+        pack = _packers[len(vals)]
+    except KeyError:
+        pack = _packers[len(vals)] = struct.Struct("%dd" % len(vals)).pack_into
+    pack(out, 0, *vals)
     return out
 
 
@@ -204,10 +210,6 @@ class Trajectory:
     def h(self):
         """The (N,) energies, from one lane call when first read."""
         return hamiltonian(self.model, self.metric_tag, (self.q, self.p))
-
-    @property
-    def end(self):
-        return self.q[-1], self.p[-1]
 
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6) with the
@@ -453,9 +455,11 @@ def integrate(model, metric_tag, lam0, T, tol=1e-10, samples=None, aux_rate=None
         def fun(y, out):
             return hamiltonian_rhs(model, metric_tag, y, out)
     else:
+        n2 = 2 * n
+
         def fun(y, out):
             hamiltonian_rhs(model, metric_tag, y, out)
-            out[2 * n] = aux_rate(y[:n], y[n:2 * n])
+            out[n2] = aux_rate(y[:n], y[n:n2])
             return out
 
     def event(y):

@@ -198,21 +198,26 @@ def _gap_root(objective, p, g, center, radius, lo, hi, tol):
     return p, g
 
 
-@functools.cache
-def _probe_directions(n):
-    """The regularity probe's seeded ball samples in dimension n, drawn once
-    per process: up to _PROBE_SAMPLES * 4 pairs (u, s) of a unit direction u,
-    a tuple of floats, and a radial fraction s. A normal draw whose norm is
+def _probe_draws(n):
+    """The regularity probe's seeded ball samples in dimension n, in draw
+    order: up to _PROBE_SAMPLES * 4 pairs (u, s) of a unit direction u, a
+    tuple of floats, and a radial fraction s. A normal draw whose norm is
     below 1e-12 is left out and draws no s."""
     rng = np.random.default_rng(_PROBE_SEED)
-    table = []
     for _ in range(_PROBE_SAMPLES * 4):
         direction = rng.normal(size=n)
         norm = float(np.linalg.norm(direction))
         if norm < 1e-12:
             continue
-        table.append((tuple(d / norm for d in direction.tolist()), rng.random() ** (1.0 / n)))
-    return tuple(table)
+        yield tuple(d / norm for d in direction.tolist()), rng.random() ** (1.0 / n)
+
+
+@functools.cache
+def _probe_directions(n):
+    """The entries of _probe_draws(n), one table per dimension and process:
+    an iterator that is never advanced, whose copies read the entries from
+    the first, each drawn when a copy first reads it and kept for the next."""
+    return itertools.tee(_probe_draws(n), 1)[0]
 
 
 def regularity_probe(model, q, radius, cluster_tol=_CLUSTER_TOL):
@@ -240,9 +245,7 @@ def regularity_probe(model, q, radius, cluster_tol=_CLUSTER_TOL):
     used = 0
     kept = []       # (point, its gap or None without boundaries)
     best = None     # the first kept sample with the smallest gap
-    for u, s in _probe_directions(model.n):
-        if used >= _PROBE_SAMPLES:
-            break
+    for u, s in _probe_directions(model.n).__copy__():
         # q + direction / norm * radius * s in numpy's order, on floats, with
         # u = direction / norm
         point = [c + d * radius * s for c, d in zip(qs, u)]
@@ -262,6 +265,9 @@ def regularity_probe(model, q, radius, cluster_tol=_CLUSTER_TOL):
             if gap is not None and (best is None or gap < best[1]):
                 best = (point, gap)
         used += 1
+        # stopping here, not at the next entry, draws no entry unread
+        if used == _PROBE_SAMPLES:
+            break
 
     gap_min = None
     witness = None
@@ -591,7 +597,7 @@ def intrinsic_P(model, lam):
     q, p = lam
     if type(q) is not list or type(p) is not list:  # as Python floats, see hamiltonian_rhs
         q, p = np.asarray(q, dtype=float).tolist(), np.asarray(p, dtype=float).tolist()
-    return float(_program(model, 1, "energy")(q + p)[1])
+    return float((model._cache.get(("energy", 1)) or _program(model, 1, "energy"))(q + p)[1])
 
 
 class DivisibilityResult:

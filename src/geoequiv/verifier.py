@@ -61,17 +61,22 @@ def orbital_map(model, frame, lam):
     n, m = model.n, model.m
     q = np.asarray(lam[0], dtype=float)
     p = np.asarray(lam[1], dtype=float)
-    data = frame.point_data(q)
-    u = p @ data.A
-    a_sq = float(np.sum(data.alpha_sq * u[:m] ** 2))
+    # only the transverse component needs point_data's structure functions
+    if n > m:
+        data = frame.point_data(q)
+        A, alpha_sq = data.A, data.alpha_sq
+    else:
+        A, _Vg, alpha_sq = frame.at(q)[:3]
+    u = p @ A
+    a_sq = float(np.sum(alpha_sq * u[:m] ** 2))
     if a_sq <= _TINY * max(1.0, float(np.dot(p, p))):
         raise OrbitalMapError("covector annihilates the distribution at %s" % (_floats(q),))
     a = np.sqrt(a_sq)
     phi = np.empty(n)
-    phi[:m] = data.alpha_sq * u[:m] / a
+    phi[:m] = alpha_sq * u[:m] / a
     if n > m:
         phi[m] = _transverse_phi(model, frame, q, u, a)
-    p2 = np.linalg.solve(data.A.T, phi)
+    p2 = np.linalg.solve(A.T, phi)
     return OrbitalResult((q, p2), a)
 
 

@@ -13,7 +13,9 @@ each kept sample again, and still minimizes the split gap with scipy's
 minimize(method="Nelder-Mead", bounds=...), where pair searches for a root
 of it by Newton steps. loop_regularity_probe is pair's probe as it drew
 its ball samples, with a fresh generator per probe, where pair reads them
-from a table per dimension. The smart constructors of expr called
+from a table per dimension; eager_probe_directions is that table as it was
+drawn, whole on the first probe, where pair draws each entry when a probe
+first reads it. The smart constructors of expr called
 _is_const for every check (checked_add, checked_sub, checked_mul,
 checked_div). The fiber polynomials were dicts from exponent tuples to
 coefficients, with their own products, and were copied into
@@ -174,7 +176,7 @@ class _FieldProgram:
         return name
 
     def compile(self, results, name):
-        src = ["def %s(q, p):" % name] + self.lines
+        src = ["def %s(lam):" % name, "    q, p = lam"] + self.lines
         src.append("    return (%s,)" % ", ".join(results))
         namespace = {"_m": math, "_pow": ex._pow}
         exec(compile("\n".join(src), "<reference-field>", "exec"), namespace)
@@ -205,7 +207,7 @@ def _quadratic(prog, rows, names):
 
 
 def full_field(model, tag, kind=None):
-    """One compiled function (q, p) -> (h, dq/dt, dp/dt) for metric `tag`.
+    """One compiled function lam = (q, p) -> (h, dq/dt, dp/dt) for metric `tag`.
 
     With u_i = p(X_i), W the Gram matrix of the metric (symmetric; its lower
     triangle is read) and v = W^{-1} u:
@@ -450,6 +452,22 @@ def eigh_regularity_probe(model, q, radius, samples=40, seed=0, cluster_tol=_CLU
                 N_witness = -1
             values.add(N_witness)
     return tuple(sorted(values)), used, gap_min, witness, N_witness
+
+
+def eager_probe_directions(n):
+    """pair's table of ball samples in dimension n as it was drawn, all at
+    once on the first probe: up to _PROBE_SAMPLES * 4 pairs (u, s) of a unit
+    direction u, a tuple of floats, and a radial fraction s. A normal draw
+    whose norm is below 1e-12 is left out and draws no s."""
+    rng = np.random.default_rng(_PROBE_SEED)
+    table = []
+    for _ in range(_PROBE_SAMPLES * 4):
+        direction = rng.normal(size=n)
+        norm = float(np.linalg.norm(direction))
+        if norm < 1e-12:
+            continue
+        table.append((tuple(d / norm for d in direction.tolist()), rng.random() ** (1.0 / n)))
+    return tuple(table)
 
 
 def loop_regularity_probe(model, q, radius, cluster_tol=_CLUSTER_TOL):
@@ -923,8 +941,9 @@ def check_orbital_identities(model, frame, lam, flow_step=1e-5, flow_tol=1e-12):
     if n > m:
         jbar = 1 + int(np.argmax([abs(fiber_value(fiber_Q(model, frame, q, j, m + 1), u, 1))
                                   for j in range(1, m + 1)]))
-        plus = integrate(model, 1, (q, p), flow_step, tol=flow_tol).end
-        minus = integrate(model, 1, (q, p), -flow_step, tol=flow_tol).end
+        fwd = integrate(model, 1, (q, p), flow_step, tol=flow_tol)
+        bwd = integrate(model, 1, (q, p), -flow_step, tol=flow_tol)
+        plus, minus = (fwd.q[-1], fwd.p[-1]), (bwd.q[-1], bwd.p[-1])
         dphi = (_row_phi(model, frame, plus, jbar)
                 - _row_phi(model, frame, minus, jbar)) / (2.0 * flow_step)
         s = m + 1

@@ -133,7 +133,7 @@ def test_time_reversal():
     m = build_dini("1+x1/10", "2+x2/10")
     lam0 = initial_covector(m, 1, (0.0, 0.1), (0.5, -0.2))
     fwd = integrate(m, 1, lam0, 0.3, samples=7)
-    back = integrate(m, 1, fwd.end, -0.3, samples=7)
+    back = integrate(m, 1, (fwd.q[-1], fwd.p[-1]), -0.3, samples=7)
     assert np.allclose(back.q[-1], lam0[0], atol=1e-8)
     assert np.allclose(back.p[-1], lam0[1], atol=1e-8)
 
@@ -384,7 +384,7 @@ def test_split_programs_equal_the_full_field(kind):
         Q = np.concatenate([tr.q, [m.sample_point(rng) for _ in range(60)]])
         P = np.concatenate([tr.p, rng.normal(size=(40, m.n)), np.zeros((20, m.n))])
         rows = list(zip(Q.tolist(), P.tolist()))
-        ref = [call_outcome(lambda lam: field(*lam), lam) for lam in rows]
+        ref = [call_outcome(field, lam) for lam in rows]
         h = [vals[0] for vals in ref]
         assert call_outcome(lambda lam: hamiltonian(m, tag, lam), (Q, P)) == h
         assert [call_outcome(lambda lam: [hamiltonian(m, tag, lam)], lam)[0]
@@ -427,7 +427,7 @@ def test_flow_and_energy_walk_and_compile_to_the_full_field(kind):
             exprs = _generate(m, tag, program)
             compiled = compiled_program(exprs)
             for y in points:
-                expected = call_outcome(lambda y: field(y[:m.n], y[m.n:]), y)
+                expected = call_outcome(lambda y: field((y[:m.n], y[m.n:])), y)
                 assert call_outcome(ex.compile_exprs(exprs), y) == expected, (tag, program, y)
                 assert call_outcome(compiled, y) == expected, (tag, program, y)
                 raised += isinstance(expected, tuple)

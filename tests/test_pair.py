@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import re
@@ -24,8 +25,8 @@ from conftest import (FIELD_PARAMS, PAIR_KINDS, case2_origin_chart, heisenberg,
                       pair_fixture, plane_pair)
 from reference import (adapted_impulses, dict_divide, dict_fiber_hP, dict_fiber_P,
                        dict_fiber_Q, dict_fiber_R, eigh_regularity_probe, eigh_split_gap,
-                       fd_structure_functions, initial_covector, loop_gauge,
-                       loop_regularity_probe)
+                       eager_probe_directions, fd_structure_functions, initial_covector,
+                       loop_gauge, loop_regularity_probe)
 
 
 # ------------------------------------------------------------- transition
@@ -390,6 +391,59 @@ def test_regularity_probe_equals_the_drawing_loop_bit_for_bit(kind, radius):
     for q in points:
         assert (_probe_outcome(regularity_probe, m, q, radius)
                 == _probe_outcome(loop_regularity_probe, m, q, radius)), q
+
+
+def _hex_table(entries):
+    return [([v.hex() for v in u], s.hex()) for u, s in entries]
+
+
+def _fresh_probe_table(monkeypatch):
+    """A fresh probe table per dimension; returns the list of the entries
+    that it draws."""
+    drawn = []
+    draws = pair_module._probe_draws
+
+    def counted(n):
+        for entry in draws(n):
+            drawn.append(entry)
+            yield entry
+
+    monkeypatch.setattr(pair_module, "_probe_draws", counted)
+    monkeypatch.setattr(pair_module, "_probe_directions",
+                        functools.cache(pair_module._probe_directions.__wrapped__))
+    return drawn
+
+
+def test_probe_table_draws_the_eager_table_lazily(monkeypatch):
+    # a read draws only the entries that it reaches, in the order, and to
+    # the bits, of the table drawn whole
+    drawn = _fresh_probe_table(monkeypatch)
+    for n in (2, 3, 4):
+        eager = eager_probe_directions(n)
+        drawn.clear()
+        head = list(itertools.islice(pair_module._probe_directions(n).__copy__(), 7))
+        assert len(drawn) == 7
+        assert _hex_table(head) == _hex_table(eager[:7])
+        assert _hex_table(pair_module._probe_directions(n).__copy__()) == _hex_table(eager)
+        assert len(drawn) == len(eager)
+
+
+@pytest.mark.parametrize("kind", ["levi-civita", "gendini1", "beltrami", "quasi-contact",
+                                  "conformal"])
+def test_probe_at_a_benchmark_center_draws_only_what_it_reads(kind, monkeypatch):
+    # the analyze benchmark's fixtures, at their centers with analyze's
+    # radius: the probe reads entries until _PROBE_SAMPLES of them lie in
+    # the domain, and draws exactly those
+    drawn = _fresh_probe_table(monkeypatch)
+    m = pair_fixture(kind)
+    q = m.center().tolist()
+    rep = regularity_probe(m, q, radius=0.05)
+    inside = [m.in_domain([c + d * 0.05 * s for c, d in zip(q, u)])
+              for u, s in eager_probe_directions(m.n)]
+    read = next(k + 1 for k in range(len(inside))
+                if sum(inside[:k + 1]) == pair_module._PROBE_SAMPLES)
+    assert rep.samples_used == pair_module._PROBE_SAMPLES
+    assert len(drawn) == read
 
 
 @pytest.mark.parametrize("m,q,radius,regular", [

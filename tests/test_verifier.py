@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from geoequiv import cli, constructors, geometry
 from geoequiv import expr as ex
+from geoequiv import hamiltonian as hamiltonian_module
+from geoequiv import pair as pair_module
 from geoequiv import verifier
 from geoequiv.geometry import GeometryModel
 from geoequiv.hamiltonian import hamiltonian
@@ -66,6 +69,83 @@ def test_orbital_map_abnormal_cone_raises():
     p = np.linalg.solve(data.A.T, u)
     with pytest.raises(OrbitalMapError, match="abnormal"):
         orbital_map(m, fr, (q, p))
+
+
+# lam2's covector, then a, of the corank-zero orbital map at two seeded
+# covectors per fixture (seed 61), as float.hex; measured when the map still
+# read them from AdaptedFrame.point_data
+CORANK_ZERO_ORBITAL_HEX = {
+    "beltrami": [["-0x1.ead019f003021p-2", "-0x1.16e37949d0b34p-1", "0x1.b1c102914d110p-1"],
+                 ["-0x1.2020afa53b4bcp-1", "0x1.8d196eb296e76p-6", "0x1.046968b228caep+0"]],
+    "dini": [["-0x1.6ba1c37c79ab9p-2", "-0x1.59350a3143511p+0", "0x1.953fc278a5364p+1"],
+             ["-0x1.ccdd3cdfca154p-1", "0x1.5ac7641a3e393p-1", "0x1.fe1d757581e3fp+1"]],
+    "gendini1": [["-0x1.aca06ad144e2ep-4", "-0x1.c63e8029fb21cp-4", "0x1.6648217512548p+3"],
+                 ["-0x1.432d7ae00866ep-2", "0x1.9c7ece8667c39p-4", "0x1.d3ae284799785p+2"]],
+    "gendini2": [["-0x1.00055479a18bep-3", "-0x1.c68cd086f2415p-3", "0x1.3fe76d4b18d89p+2"],
+                 ["-0x1.217df6d16b2a3p-1", "0x1.93b7cab13ec3fp-3", "0x1.c0fbb657dd518p+1"]],
+    "levi-civita": [["-0x1.dbc1b7c2a2f9dp-2", "0x1.de3c60af77c93p-2", "-0x1.54a48f58054f2p-1",
+                     "0x1.490b357a3d5f4p+3"],
+                    ["-0x1.e92b7b510320dp-3", "-0x1.235ecdf3cc42ep-3", "0x1.d970f1106a72bp-1",
+                     "0x1.1ba2d57dde847p+4"]],
+    "rotating-cluster": [["-0x1.111aca1eb6067p+0", "0x1.002178ffb6e7fp-1",
+                          "-0x1.5589f2b318409p-1", "0x1.3137d0d1feb1dp+1"],
+                         ["-0x1.1f7fc3f34486fp-1", "-0x1.14afb1054b3fcp-2",
+                          "0x1.b6c68299521fep-1", "0x1.932f043c2d471p+1"]],
+}
+
+
+def test_corank_zero_orbital_map_reads_the_frame_alone_bit_for_bit():
+    # without a transverse component the map needs A and the eigenvalues of
+    # AdaptedFrame.at, not the structure functions of point_data
+    seen = {}
+    for kind in PAIR_KINDS:
+        m = pair_fixture(kind)
+        if m.n != m.m:
+            continue
+        rng = np.random.default_rng(61)
+        seen[kind] = []
+        for _ in range(2):
+            q = m.sample_point(rng)
+            p = rng.normal(size=m.n)
+            fr = AdaptedFrame(m, center=q)
+            res = orbital_map(m, fr, (q, p))
+            seen[kind].append([v.hex() for v in res.lam2[1].tolist()] + [res.a.hex()])
+            assert fr._point_cache == {}
+    assert seen == CORANK_ZERO_ORBITAL_HEX
+
+
+# one-sample verify at the default seed: the verdict and the calls of each
+# entry point, measured when every evaluation looked its program up through
+# hamiltonian._program
+ROUTED_CALLS = {
+    "levi-civita": (None, "pass", 1264, 452),
+    "quasi-contact": ({"abnormal_cone": 0.1}, "pass", 784, 452),
+    "conformal": (None, "fail", 949, 452),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ROUTED_CALLS))
+def test_certify_evaluations_pass_through_the_module_bindings(kind, monkeypatch):
+    # the benchmark's tracer counts the flow and aux-rate evaluations by
+    # replacing every binding of these two functions in the geoequiv
+    # modules; each evaluation of a certify op must call through one
+    exclusions, verdict, rhs_calls, p_calls = ROUTED_CALLS[kind]
+    counts = {}
+    for fn in (hamiltonian_module.hamiltonian_rhs, pair_module.intrinsic_P):
+        counts[fn.__name__] = 0
+
+        def counted(*args, fn=fn):
+            counts[fn.__name__] += 1
+            return fn(*args)
+
+        for mod in (ex, geometry, hamiltonian_module, pair_module, constructors, verifier,
+                    cli):
+            for name, obj in list(vars(mod).items()):
+                if obj is fn:
+                    monkeypatch.setattr(mod, name, counted)
+    rep = verify_equivalence(pair_fixture(kind), {"count": 1}, exclusions)
+    assert rep.verdict == verdict
+    assert counts == {"hamiltonian_rhs": rhs_calls, "intrinsic_P": p_calls}
 
 
 # -------------------------------------------------------- orbital identities
