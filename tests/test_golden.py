@@ -1,10 +1,14 @@
 """Golden reports: the canonical JSON of analyze, check-relations and an
-8-sample verify on every PAIR_KINDS fixture, compared byte for byte.
+8-sample verify on every PAIR_KINDS fixture, of analyze and check-relations
+at two seeded off-center points, and the saved manifest itself, compared
+byte for byte.
 
 Each report is made in process from a manifest saved under the fixed
 relative name <kind>.json in a scratch working directory, so the model
-path that a report names does not depend on where the test runs.
-quasi-contact verifies with --exclude-abnormal-cone 0.1. The files pin
+path that a report names does not depend on where the test runs; that
+manifest's bytes are <kind>.manifest.json. quasi-contact verifies with
+--exclude-abnormal-cone 0.1. The two --at points of a fixture are
+model.sample_point draws of a generator seeded with AT_SEED. The files pin
 numpy's and scipy's arithmetic, as the stepper and pencil oracles do.
 
 After an intended report change, rewrite the files from the repository
@@ -22,6 +26,7 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from geoequiv.cli import main
@@ -32,25 +37,43 @@ from conftest import PAIR_KINDS, pair_fixture
 GOLDEN = Path(__file__).with_name("golden")
 EXIT_CODES = GOLDEN / "exit_codes.json"
 COMMANDS = {"analyze": [], "check-relations": [], "verify": ["--samples", "8"]}
+# the seed of every fixture's two --at points
+AT_SEED = 2004
 
 
-def _argv(kind, command):
-    argv = [command, "--model", kind + ".json", "--format", "json"] + COMMANDS[command]
-    if command == "verify" and kind == "quasi-contact":
-        argv += ["--exclude-abnormal-cone", "0.1"]
+def _at_points(model):
+    """["--at", q, ...] of two points drawn inside model's domain, away from
+    its center, with every coordinate written as repr writes it."""
+    rng = np.random.default_rng(AT_SEED)
+    argv = []
+    for _ in range(2):
+        argv += ["--at"] + [repr(v) for v in model.sample_point(rng).tolist()]
     return argv
 
 
+def _argvs(kind, model):
+    """{report name: argv} of every report on fixture kind."""
+    argvs = {}
+    for command, extra in COMMANDS.items():
+        argvs[command] = [command, "--model", kind + ".json", "--format", "json"] + extra
+    if kind == "quasi-contact":
+        argvs["verify"] += ["--exclude-abnormal-cone", "0.1"]
+    for command in ("analyze", "check-relations"):
+        argvs[command + "-at"] = argvs[command] + _at_points(model)
+    return argvs
+
+
 def reports(kind):
-    """{command: (exit code, report text)} of every command on fixture kind,
-    run in the current directory."""
-    save_model(pair_fixture(kind), kind + ".json")
+    """{report name: (exit code, report text)} of every report on fixture
+    kind, run in the current directory, and the saved manifest text."""
+    model = pair_fixture(kind)
+    save_model(model, kind + ".json")
     out = {}
-    for command in COMMANDS:
+    for name, argv in _argvs(kind, model).items():
         with contextlib.redirect_stdout(io.StringIO()) as text:
-            code = main(_argv(kind, command))
-        out[command] = code, text.getvalue()
-    return out
+            code = main(argv)
+        out[name] = code, text.getvalue()
+    return out, Path(kind + ".json").read_text()
 
 
 def _golden_path(kind, command):
@@ -61,9 +84,12 @@ def _golden_path(kind, command):
 def test_reports_equal_the_golden_files(kind, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     codes = json.loads(EXIT_CODES.read_text())
-    for command, (code, text) in reports(kind).items():
-        assert text == _golden_path(kind, command).read_text(), (kind, command)
-        assert code == codes[kind][command], (kind, command)
+    out, manifest = reports(kind)
+    assert manifest == _golden_path(kind, "manifest").read_text(), kind
+    assert sorted(out) == sorted(codes[kind]), kind
+    for name, (code, text) in out.items():
+        assert text == _golden_path(kind, name).read_text(), (kind, name)
+        assert code == codes[kind][name], (kind, name)
 
 
 def rewrite():
@@ -76,9 +102,11 @@ def rewrite():
         try:
             for kind in PAIR_KINDS:
                 codes[kind] = {}
-                for command, (code, text) in reports(kind).items():
-                    _golden_path(kind, command).write_text(text)
-                    codes[kind][command] = code
+                out, manifest = reports(kind)
+                _golden_path(kind, "manifest").write_text(manifest)
+                for name, (code, text) in out.items():
+                    _golden_path(kind, name).write_text(text)
+                    codes[kind][name] = code
         finally:
             os.chdir(cwd)
     EXIT_CODES.write_text(json.dumps(codes, sort_keys=True, indent=2) + "\n")
