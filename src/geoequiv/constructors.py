@@ -6,6 +6,8 @@ generator name and parameters. Riemannian families use the coordinate frame;
 the quasi-contact family uses the standard corank-one contactization frame.
 """
 
+import math
+
 import numpy as np
 
 from . import expr as ex
@@ -27,6 +29,16 @@ def _parse_scalar(value, coords, what):
     if isinstance(value, ex.Expr):
         return value
     raise ConstructionError("%s: expected a number or expression string" % what)
+
+
+def _values_at(program, q, what):
+    """program's values at the point q, a list of floats; where one of them
+    is undefined, a ConstructionError names `what`, q and the operation's
+    error."""
+    try:
+        return program(q)
+    except ex.EvalDomainError as exc:
+        raise ConstructionError("%s undefined at %s: %s" % (what, q, exc)) from exc
 
 
 def _coord_indices(e, acc):
@@ -156,22 +168,26 @@ def build_levi_civita(spec):
     model = GeometryModel(coords, n, _identity_frame(n), assemble(False), assemble(True),
                           lo, hi, meta={"generator": "levi-civita", "params": spec})
 
-    q0 = spec.get("q0", [0.5 * (a + b) for a, b in zip(lo, hi)])
-    if len(q0) != n:
-        raise ConstructionError("q0 must have length %d" % n)
-    beta_vals = []
-    for s, beta in enumerate(betas):
-        val = ex.evaluate(beta, tuple(q0))
+    q0 = spec.get("q0")
+    if q0 is None:
+        q0 = [0.5 * (a + b) for a, b in zip(lo, hi)]
+    elif (not isinstance(q0, (list, tuple)) or len(q0) != n
+          or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                     and math.isfinite(v) for v in q0)):
+        raise ConstructionError("q0 must be a list of %d finite numbers" % n)
+    what = ", ".join("blocks[%d].beta" % s for s in range(N))
+    program = ex.compile_exprs(betas)
+    beta_vals = _values_at(program, [float(v) for v in q0], what)
+    for s, val in enumerate(beta_vals):
         if val <= 0:
             raise ConstructionError("blocks[%d].beta is not positive at q0" % s)
-        beta_vals.append(val)
     for s in range(N):
         for l in range(s + 1, N):
             if abs(beta_vals[s] - beta_vals[l]) < 1e-9 * max(1.0, abs(beta_vals[s])):
                 raise ConstructionError(
                     "beta values of blocks %d and %d coincide at q0" % (s, l))
     for q in model.probe_grid(per_axis=3, margin=0.02):
-        vals = [ex.evaluate(beta, tuple(q)) for beta in betas]
+        vals = _values_at(program, q.tolist(), what)
         if min(vals) <= 0:
             raise ConstructionError("some beta is not positive on the domain")
         for s in range(N):
@@ -223,13 +239,13 @@ def build_dini(beta1, beta2, domain=None):
     model = GeometryModel(coords, 2, _identity_frame(2), g1, g2, lo, hi,
                           meta={"generator": "dini",
                                 "params": {"beta1": str(beta1), "beta2": str(beta2)}})
+    program = ex.compile_exprs([b1, b2])
     for q in model.probe_grid(per_axis=4, margin=0.02):
-        qt = tuple(q.tolist())
-        v1 = ex.evaluate(b1, qt)
-        v2 = ex.evaluate(b2, qt)
+        q = q.tolist()
+        v1, v2 = _values_at(program, q, "beta1, beta2")
         if not 0 < v1 < v2:
             raise ConstructionError(
-                "need 0 < beta1 < beta2 on the domain; violated at %s" % (list(qt),))
+                "need 0 < beta1 < beta2 on the domain; violated at %s" % (q,))
     validate_model(model)
     return model
 
@@ -252,13 +268,9 @@ def build_gendini_case1(U, V, domain=None):
             raise ConstructionError("%s must be a one-variable function" % name)
 
     # hypotheses at 0: U(0) = V(0), U'(0) = -V'(0), V'(0) > 0
-    try:
-        u0 = ex.evaluate(Uexpr, (0.0,))
-        v0 = ex.evaluate(Vexpr, (0.0,))
-        du0 = ex.evaluate(ex.differentiate(Uexpr, 0), (0.0,))
-        dv0 = ex.evaluate(ex.differentiate(Vexpr, 0), (0.0,))
-    except ex.EvalDomainError as exc:
-        raise ConstructionError("U, V must be evaluable at 0: %s" % exc) from exc
+    u0, v0, du0, dv0 = _values_at(
+        ex.compile_exprs([Uexpr, Vexpr, ex.differentiate(Uexpr, 0), ex.differentiate(Vexpr, 0)]),
+        [0.0], "U, V")
     if abs(u0 - v0) > 1e-12 * max(1.0, abs(u0)):
         raise ConstructionError("U(0) = V(0) required (got %g, %g)" % (u0, v0))
     if dv0 <= 0:
@@ -295,9 +307,9 @@ def build_gendini_case1(U, V, domain=None):
                                 "params": {"U": str(U), "V": str(V)}})
     if lo[0] <= 0:
         raise ConstructionError("domain must keep r > 0 (the origin is the singular point)")
-    for arg in np.linspace(0.0, hi[0], 9)[1:]:
-        uu = ex.evaluate(Uexpr, (float(arg),))
-        vv = ex.evaluate(Vexpr, (float(arg),))
+    program = ex.compile_exprs([Uexpr, Vexpr])
+    for arg in np.linspace(0.0, hi[0], 9)[1:].tolist():
+        uu, vv = _values_at(program, [arg], "U, V")
         if not 0 < uu < v0:
             raise ConstructionError("need 0 < U(u) < V(0) for u in (0, r_max]; fails at %g" % arg)
         if not vv > u0:
@@ -321,12 +333,9 @@ def build_gendini_case2(R, a=1.0, C=1.0, domain=None):
     C = float(C)
     if a <= 0 or C <= 0:
         raise ConstructionError("a and C must be positive")
-    try:
-        r0 = ex.evaluate(Rexpr, (0.0,))
-        dr0 = ex.evaluate(ex.differentiate(Rexpr, 0), (0.0,))
-        ddr0 = ex.evaluate(ex.differentiate(ex.differentiate(Rexpr, 0), 0), (0.0,))
-    except ex.EvalDomainError as exc:
-        raise ConstructionError("R must be evaluable at 0: %s" % exc) from exc
+    dR = ex.differentiate(Rexpr, 0)
+    r0, dr0, ddr0 = _values_at(ex.compile_exprs([Rexpr, dR, ex.differentiate(dR, 0)]),
+                               [0.0], "R")
     if abs(r0 - C) > 1e-12 * max(1.0, C):
         raise ConstructionError("R(0) = C required (got R(0) = %g, C = %g)" % (r0, C))
     if abs(dr0) > 1e-12:
@@ -351,8 +360,9 @@ def build_gendini_case2(R, a=1.0, C=1.0, domain=None):
         lo, hi = [0.1, -6.4], [0.4, 6.4]
     if lo[0] <= 0:
         raise ConstructionError("domain must keep r > 0 (the origin is the singular point)")
-    for rr in np.linspace(lo[0], hi[0], 9):
-        if abs(ex.evaluate(Rexpr, (float(rr),)) - C) < 1e-12:
+    program = ex.compile_exprs([Rexpr])
+    for rr in np.linspace(lo[0], hi[0], 9).tolist():
+        if abs(_values_at(program, [rr], "R")[0] - C) < 1e-12:
             raise ConstructionError("R(r) = R(0) inside the domain (at r = %g)" % rr)
     model = GeometryModel(coords, 2, _identity_frame(2), g1, g2, lo, hi,
                           meta={"generator": "gendini2",
@@ -387,7 +397,8 @@ def build_quasi_contact(spec):
         raise ConstructionError("C1 must be positive")
     if C2 == 0 or C2 <= -1:
         raise ConstructionError("C2 must be nonzero and greater than -1")
-    b0 = ex.evaluate(beta_t, (0.0,))
+    program = ex.compile_exprs([beta_t])
+    b0, = _values_at(program, [0.0], "beta")
     if abs(b0 - 1.0) > 1e-12:
         raise ConstructionError("beta(0) = 1 required (got %g)" % b0)
 
@@ -432,8 +443,8 @@ def build_quasi_contact(spec):
                           meta={"generator": "quasi-contact",
                                 "params": {"beta": str(beta_in), "C1": C1, "C2": C2,
                                            "gbar": gbar_in}})
-    for w in np.linspace(lo[3], hi[3], 9):
-        bv = ex.evaluate(beta_t, (float(w),))
+    for w in np.linspace(lo[3], hi[3], 9).tolist():
+        bv, = _values_at(program, [w], "beta")
         if bv <= 0 or 1.0 + C2 * bv <= 0:
             raise ConstructionError("1 + C2*beta(w) must stay positive on the w range")
     validate_model(model)

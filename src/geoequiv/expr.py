@@ -27,12 +27,9 @@ compiled to Python on its second call (or its first lane call) and walks
 the expressions on its first: most derivative programs of a cold `analyze`
 are called once, and the walk costs a fraction of compile(). Both paths
 read one table of operations (_RULES), so they compute the same values and
-raise the same errors. evaluate() is a third path, with a check and a
-message per operation: the normal-form builders of geoequiv.constructors
-check their hypotheses with it, and the tests use it as an oracle. The
-smart constructors fold powers and functions of constants through _pow
-and _apply_func, which evaluate() also calls, not through evaluate(). A
-program checks only its results.
+raise the same errors. The smart constructors fold a function of a
+constant with that table's function too, and a power of one with _pow,
+which the table's "pow" rule is. A program checks only its results.
 """
 
 import functools
@@ -229,10 +226,15 @@ def func(name, arg):
         raise ValueError("unknown function %r" % name)
     arg = _as_expr(arg)
     if type(arg) is Const:
+        # kept unfolded where the function is undefined or not finite, as
+        # a program would raise there
         try:
-            return Const(_apply_func(name, arg.value))
-        except EvalDomainError:
+            v = _RULES[name][1](arg.value)
+        except (ValueError, OverflowError):
             pass
+        else:
+            if math.isfinite(v):
+                return Const(v)
     return Unary(name, arg)
 
 
@@ -534,11 +536,6 @@ def _prec(e):
     return _PREC_ADD if e.op in "+-" else _PREC_MUL
 
 
-def _fmt_float(v):
-    # repr() round-trips doubles exactly
-    return repr(v)
-
-
 def _wrap(s, need):
     return "(" + s + ")" if need else s
 
@@ -555,14 +552,15 @@ def to_string(e, coords=None):
 
     def rec(e):
         if isinstance(e, Const):
-            return _fmt_float(e.value)
+            # repr() round-trips doubles exactly
+            return repr(e.value)
         if isinstance(e, Coord):
             return name(e.index, e.name)
         if isinstance(e, Pow):
             base = rec(e.base)
             if _prec(e.base) <= _PREC_POW:
                 base = "(" + base + ")"
-            ex = _fmt_float(e.exponent)
+            ex = repr(e.exponent)
             if e.exponent < 0:
                 ex = "(" + ex + ")"
             return base + "^" + ex
@@ -585,68 +583,17 @@ def to_string(e, coords=None):
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# powers
 
 def _pow(base, exponent):
     # a square is the product x * x, as the compiled programs emit it
     try:
         v = base * base if exponent == 2.0 else math.pow(base, exponent)
     except (ValueError, OverflowError) as exc:
-        raise EvalDomainError("power %s^%s out of real domain"
-                              % (_fmt_float(float(base)), _fmt_float(float(exponent)))) from exc
+        raise EvalDomainError("power %r^%r out of real domain"
+                              % (float(base), float(exponent))) from exc
     if math.isinf(v) or math.isnan(v):
-        raise EvalDomainError("power %s^%s not finite"
-                              % (_fmt_float(float(base)), _fmt_float(float(exponent))))
-    return v
-
-
-def _apply_func(name, x):
-    try:
-        if name == "sin":
-            return math.sin(x)
-        if name == "cos":
-            return math.cos(x)
-        if name == "exp":
-            v = math.exp(x)
-        elif name == "log":
-            v = math.log(x)
-        elif name == "sqrt":
-            v = math.sqrt(x)
-        else:
-            v = abs(x)
-    except (ValueError, OverflowError) as exc:
-        raise EvalDomainError("%s(%s) out of real domain" % (name, _fmt_float(float(x)))) from exc
-    if math.isinf(v) or math.isnan(v):
-        raise EvalDomainError("%s(%s) not finite" % (name, _fmt_float(float(x))))
-    return v
-
-
-def evaluate(e, q):
-    """Evaluate e at the coordinate tuple q. Raises EvalDomainError off-domain."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Coord):
-        return float(q[e.index])
-    if isinstance(e, Pow):
-        return _pow(evaluate(e.base, q), e.exponent)
-    if isinstance(e, Unary):
-        if e.op == "neg":
-            return -evaluate(e.arg, q)
-        return _apply_func(e.op, evaluate(e.arg, q))
-    a = evaluate(e.left, q)
-    b = evaluate(e.right, q)
-    if e.op == "+":
-        v = a + b
-    elif e.op == "-":
-        v = a - b
-    elif e.op == "*":
-        v = a * b
-    else:
-        if b == 0.0:
-            raise EvalDomainError("division by zero")
-        v = a / b
-    if math.isinf(v) or math.isnan(v):
-        raise EvalDomainError("operation %r not finite" % e.op)
+        raise EvalDomainError("power %r^%r not finite" % (float(base), float(exponent)))
     return v
 
 
@@ -842,8 +789,7 @@ def _walk(exprs, q):
 
 def _guarded(raw):
     """raw, a function of one point, with the guard of compiled programs:
-    domain violations and non-finite results raise EvalDomainError, as
-    evaluate() does."""
+    domain violations and non-finite results raise EvalDomainError."""
     isfinite = math.isfinite
 
     def call(q):
@@ -867,7 +813,7 @@ def _guarded(raw):
 
 def _compile_program(exprs, name):
     """The function q -> tuple of the values of exprs: their lines emitted
-    through _emit and compiled, guarded like evaluate().
+    through _emit and compiled, guarded by _guarded.
 
     Domain violations and non-finite results raise EvalDomainError. The
     function's `lanes` attribute runs the same source over numpy lanes
@@ -994,7 +940,7 @@ class _LazyProgram:
 def compile_exprs(exprs, name="_compiled", slot=None):
     """A function q -> tuple of the values of the flat sequence exprs.
 
-    Domain violations raise EvalDomainError, matching evaluate(). A
+    Domain violations and non-finite results raise EvalDomainError. A
     program called once is walked, not compiled (see _LazyProgram). slot,
     when given, is the (dict, key) that the caller stores the function
     under: once it compiles, the compiled function takes its place there,

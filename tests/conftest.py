@@ -156,6 +156,12 @@ def call_outcome(fn, q):
         return type(exc), str(exc)
 
 
+def value(e, q):
+    """The value of e at the point q (a sequence of numbers), from a new
+    compile_exprs program called with Python floats."""
+    return ex.compile_exprs([e])(np.asarray(q, dtype=float).tolist())[0]
+
+
 def compiled_program(exprs):
     """exprs compiled at once, as a program compiles on its second call."""
     return ex._compile_program(exprs, "_compiled")

@@ -17,7 +17,11 @@ from a table per dimension; eager_probe_directions is that table as it was
 drawn, whole on the first probe, where pair draws each entry when a probe
 first reads it. The smart constructors of expr called
 _is_const for every check (checked_add, checked_sub, checked_mul,
-checked_div). The fiber polynomials were dicts from exponent tuples to
+checked_div). evaluate is expr's recursive interpreter, with a check and
+a message per operation (and _apply_func its functions of a float): the
+normal-form builders checked their hypotheses with it before they read
+compile_exprs programs, and the cross-path tests of expr compare the
+walk, the compiled programs and their lanes with it. The fiber polynomials were dicts from exponent tuples to
 coefficients, with their own products, and were copied into
 coefficient vectors only to be divided. Tests compare the
 generated Hamiltonian programs, the exact frame
@@ -598,6 +602,64 @@ def checked_div(a, b):
     if _is_const(a, 0.0):
         return ex.ZERO
     return ex.Binary("/", a, b)
+
+
+# ---------------------------------------------------------------------------
+# the recursive interpreter of expr, with a check and a message per operation
+
+def _fmt_float(v):
+    # repr() round-trips doubles exactly
+    return repr(v)
+
+
+def _apply_func(name, x):
+    try:
+        if name == "sin":
+            return math.sin(x)
+        if name == "cos":
+            return math.cos(x)
+        if name == "exp":
+            v = math.exp(x)
+        elif name == "log":
+            v = math.log(x)
+        elif name == "sqrt":
+            v = math.sqrt(x)
+        else:
+            v = abs(x)
+    except (ValueError, OverflowError) as exc:
+        raise ex.EvalDomainError("%s(%s) out of real domain" % (name, _fmt_float(float(x)))) from exc
+    if math.isinf(v) or math.isnan(v):
+        raise ex.EvalDomainError("%s(%s) not finite" % (name, _fmt_float(float(x))))
+    return v
+
+
+def evaluate(e, q):
+    """Evaluate e at the coordinate tuple q. Raises EvalDomainError off-domain."""
+    if isinstance(e, ex.Const):
+        return e.value
+    if isinstance(e, ex.Coord):
+        return float(q[e.index])
+    if isinstance(e, ex.Pow):
+        return ex._pow(evaluate(e.base, q), e.exponent)
+    if isinstance(e, ex.Unary):
+        if e.op == "neg":
+            return -evaluate(e.arg, q)
+        return _apply_func(e.op, evaluate(e.arg, q))
+    a = evaluate(e.left, q)
+    b = evaluate(e.right, q)
+    if e.op == "+":
+        v = a + b
+    elif e.op == "-":
+        v = a - b
+    elif e.op == "*":
+        v = a * b
+    else:
+        if b == 0.0:
+            raise ex.EvalDomainError("division by zero")
+        v = a / b
+    if math.isinf(v) or math.isnan(v):
+        raise ex.EvalDomainError("operation %r not finite" % e.op)
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from geoequiv.constructors import (build_dini, build_levi_civita,
 from geoequiv.verifier import verify_equivalence
 from geoequiv.cli import main as cli_main
 
-from conftest import heisenberg, plane_pair, case2_origin_chart
+from conftest import heisenberg, plane_pair, case2_origin_chart, value
 
 _MODELS = {}
 _REPORTS = {}
@@ -173,9 +173,9 @@ def test_criterion_4_first_divisibility():
 def _frame_derivatives(model, f, q):
     """(X_1 f, ..., X_m f) at q, straight from the frame and the expression."""
     fx = ex.parse(f, model.coords)
-    grad = np.array([ex.evaluate(ex.differentiate(fx, k), q)
+    grad = np.array([value(ex.differentiate(fx, k), q)
                      for k in range(model.n)])
-    return np.array([sum(ex.evaluate(c, q) * g for c, g in zip(row, grad))
+    return np.array([sum(value(c, q) * g for c, g in zip(row, grad))
                      for row in model.frame[:model.m]])
 
 
@@ -228,7 +228,7 @@ def test_criterion_5_contact_rigidity(tmp_path):
 
 def _bracket_at(frame_rows, i, j, n, q):
     br = lie_bracket(frame_rows[i], frame_rows[j], n)
-    return np.array([ex.evaluate(c, q) for c in br])
+    return np.array([value(c, q) for c in br])
 
 
 def test_criterion_6_quasi_contact():
@@ -250,14 +250,14 @@ def test_criterion_6_quasi_contact():
         for a in range(3):
             for b in range(a + 1, 3):
                 br = lie_bracket(span[a], span[b], 4)
-                res1 = max(res1, abs(ex.evaluate(br[3], q)))
+                res1 = max(res1, abs(value(br[3], q)))
 
     # condition 2: the flow of X3 maps leaves to leaves
     res2 = 0.0
     for q in grid:
         for Y in span:
             br = lie_bracket(rows[2], Y, 4)
-            res2 = max(res2, abs(ex.evaluate(br[3], q)))
+            res2 = max(res2, abs(value(br[3], q)))
 
     # condition 3: leafwise gram scaling in the flow parameter w
     res3 = 0.0
@@ -362,9 +362,9 @@ def _derivative_errors(rng):
                 q = rng.uniform(-1.2, 1.2, size=2)
                 step = np.zeros(2)
                 step[k] = h
-                fd = (ex.evaluate(e, tuple(q + step))
-                      - ex.evaluate(e, tuple(q - step))) / (2 * h)
-                sym = ex.evaluate(de, tuple(q))
+                fd = (value(e, tuple(q + step))
+                      - value(e, tuple(q - step))) / (2 * h)
+                sym = value(de, tuple(q))
                 worst = max(worst, abs(sym - fd) / max(1.0, abs(sym)))
     return worst
 

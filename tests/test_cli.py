@@ -89,6 +89,49 @@ def test_generate_hypothesis_violation(tmp_path, capsys):
     assert "U(0) = V(0)" in capsys.readouterr().err
 
 
+# a parameter undefined at a point where its generator checks a hypothesis:
+# the first point it fails at, and the operation's own message
+UNDEFINED_PARAMS = [
+    ("quasi-contact", {"beta": "1 + sqrt(t)"}, "beta undefined at [-0.4]: math domain error"),
+    ("gendini1", {"U": "log(u)", "V": "1 + v"}, "U, V undefined at [0.0]: math domain error"),
+    ("gendini1", {"U": "1 - u + log(1 - 4*u) - log(1 - 4*u)", "V": "1 + v"},
+     "U, V undefined at [0.25]: math domain error"),
+    ("gendini2", {"R": "1 + r^2 + sqrt(r)"}, "R undefined at [0.0]: float division by zero"),
+    ("gendini2", {"R": "1 + r^2 + sqrt(0.2 - r) - sqrt(0.2 - r)"},
+     "R undefined at [0.21250000000000002]: math domain error"),
+    ("dini", {"beta1": "2 + log(x1)", "beta2": "3"},
+     "beta1, beta2 undefined at [-0.48, -0.48]: math domain error"),
+    ("levi-civita", {"blocks": [{"size": 1, "beta": "2 + sqrt(x1)"}, {"size": 1, "beta": 1.0}]},
+     "blocks[0].beta, blocks[1].beta undefined at [-0.384, -0.384]: math domain error"),
+]
+
+
+@pytest.mark.parametrize("kind,params,message", UNDEFINED_PARAMS,
+                         ids=["%s-%d" % (case[0], i) for i, case in enumerate(UNDEFINED_PARAMS)])
+def test_generate_names_a_parameter_undefined_at_a_checked_point(kind, params, message,
+                                                                 tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(params))
+    out = tmp_path / "x.json"
+    assert main(["generate", kind, "--params", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("q0", [5, [0.0, 0.0], ["0", 0, 0], [0, 0, math.nan], [0, True, 0]])
+def test_levi_civita_q0_must_be_finite_numbers(q0, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(dict(FIELD_PARAMS["levi-civita"], q0=q0)))
+    out = tmp_path / "x.json"
+    assert main(["generate", "levi-civita", "--params", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: q0 must be a list of 3 finite numbers\n"
+    assert not out.exists()
+    # numbers inside the domain pass, and the manifest records them as given
+    path.write_text(json.dumps(dict(FIELD_PARAMS["levi-civita"], q0=[0, 0.1, -0.2])))
+    assert main(["generate", "levi-civita", "--params", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["meta"]["params"]["q0"] == [0, 0.1, -0.2]
+
+
 def test_missing_model_exits_1(capsys):
     assert main(["analyze", "--model", "/nonexistent/model.json"]) == 1
     assert "cannot read" in capsys.readouterr().err

@@ -17,15 +17,15 @@ from geoequiv.pair import AdaptedFrame, _completion
 from geoequiv.verifier import _abnormal_program
 
 from conftest import (PAIR_KINDS, assert_walk_is_compiled, call_outcome, compiled_program,
-                      pair_fixture, phase_points, site_programs)
-from reference import checked_add, checked_div, checked_mul, checked_sub
+                      pair_fixture, phase_points, site_programs, value)
+from reference import _apply_func, checked_add, checked_div, checked_mul, checked_sub, evaluate
 
 
 COORDS3 = ("x", "y", "z")
 
 
 def ev(text, coords, q):
-    return ex.evaluate(ex.parse(text, coords), q)
+    return value(ex.parse(text, coords), q)
 
 
 def test_parse_eval_basic():
@@ -114,11 +114,11 @@ def test_differentiate_oracle():
     # d/dr [1 - 1/(1+r^2)] = 2r/(1+r^2)^2, at r=1 equals 0.5
     e = ex.parse("1 - 1/(1 + r*r)", ("r",))
     d = ex.differentiate(e, 0)
-    assert abs(ex.evaluate(d, (1.0,)) - 0.5) < 1e-14
+    assert abs(value(d, (1.0,)) - 0.5) < 1e-14
     # finite-difference cross-check, the module's standing derivative oracle
     h = 1e-6
-    fd = (ex.evaluate(e, (1.0 + h,)) - ex.evaluate(e, (1.0 - h,))) / (2 * h)
-    assert abs(ex.evaluate(d, (1.0,)) - fd) < 1e-6
+    fd = (value(e, (1.0 + h,)) - value(e, (1.0 - h,))) / (2 * h)
+    assert abs(value(d, (1.0,)) - fd) < 1e-6
 
 
 def _fd(e, q, k, h=1e-6):
@@ -126,7 +126,7 @@ def _fd(e, q, k, h=1e-6):
     qm = list(q)
     qp[k] += h
     qm[k] -= h
-    return (ex.evaluate(e, qp) - ex.evaluate(e, qm)) / (2 * h)
+    return (value(e, qp) - value(e, qm)) / (2 * h)
 
 
 DERIV_CASES = [
@@ -145,16 +145,16 @@ DERIV_CASES = [
 def test_differentiate_vs_fd(text, q):
     e = ex.parse(text, COORDS3)
     for k in range(3):
-        sym = ex.evaluate(ex.differentiate(e, k), q)
+        sym = value(ex.differentiate(e, k), q)
         assert abs(sym - _fd(e, q, k)) <= 1e-6 * max(1.0, abs(sym))
 
 
 def test_abs_derivative_undefined_at_zero():
     d = ex.differentiate(ex.parse("abs(x)", ("x",)), 0)
     with pytest.raises(ex.EvalDomainError):
-        ex.evaluate(d, (0.0,))
-    assert ex.evaluate(d, (2.0,)) == 1.0
-    assert ex.evaluate(d, (-2.0,)) == -1.0
+        value(d, (0.0,))
+    assert value(d, (2.0,)) == 1.0
+    assert value(d, (-2.0,)) == -1.0
 
 
 def _fold_shape(e, operands):
@@ -188,20 +188,36 @@ def test_constructors_fold_as_the_per_check_constructors(new, old):
         new(x, "1")
 
 
+def test_functions_of_constants_fold_as_the_interpreter():
+    # func() folds a constant argument to the bits of the reference
+    # interpreter's value where that is defined, and keeps the node where
+    # the interpreter raises
+    for name in ("sin", "cos", "exp", "log", "sqrt", "abs"):
+        for v in (0.0, -0.0, 1.0, -1.0, 0.5, -4.0, 700.0, 710.0, -750.0, 5e-324, 1e308,
+                  -1e308, math.inf, -math.inf):
+            e = ex.func(name, ex.Const(v))
+            try:
+                expected = _apply_func(name, v)
+            except ex.EvalDomainError:
+                assert type(e) is ex.Unary and e.op == name and e.arg.value == v, (name, v)
+            else:
+                assert type(e) is ex.Const and e.value.hex() == expected.hex(), (name, v)
+
+
 def test_substitute():
     e = ex.parse("u^2 + sin(u)", ("u",))
     inner = ex.parse("x + 2*y", ("x", "y"))
     composed = ex.substitute(e, {0: inner})
     q = (0.3, 0.7)
     v = 0.3 + 1.4
-    assert abs(ex.evaluate(composed, q) - (v**2 + math.sin(v))) < 1e-14
+    assert abs(value(composed, q) - (v**2 + math.sin(v))) < 1e-14
 
 
 def test_rename_coords():
     # substitute with coordinates as values moves an expression to others
     e = ex.parse("a*b", ("a", "b"))
     moved = ex.substitute(e, {0: ex.Coord(2), 1: ex.Coord(0)})
-    assert abs(ex.evaluate(moved, (5.0, 99.0, 7.0)) - 35.0) < 1e-14
+    assert abs(value(moved, (5.0, 99.0, 7.0)) - 35.0) < 1e-14
 
 
 # --- property tests ---------------------------------------------------------
@@ -246,17 +262,22 @@ def test_print_parse_round_trip(e):
     text = ex.to_string(e, COORDS3)
     back = ex.parse(text, COORDS3)
     for q in PROBES:
-        a = ex.evaluate(e, q)
-        b = ex.evaluate(back, q)
+        a = value(e, q)
+        b = value(back, q)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_total_exprs())
 def test_compiled_matches_interpreter(e):
+    # the walk (a program's first call), the compiled program (its second)
+    # and the lanes give the recursive interpreter's value bit for bit
     fn = ex.compile_exprs([e])
-    for q in PROBES:
-        assert abs(fn(q)[0] - ex.evaluate(e, q)) <= 1e-12 * max(1.0, abs(ex.evaluate(e, q)))
+    walked = [fn(q)[0] for q in PROBES]
+    compiled = [fn(q)[0] for q in PROBES]
+    lanes = fn.lanes(np.array(PROBES))[0].tolist()
+    expected = [evaluate(e, q) for q in PROBES]
+    assert walked == compiled == lanes == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -306,7 +327,7 @@ def test_squares_are_products():
     assert np.array_equal(lanes[0], xs * xs)
     for x in xs[:2000].tolist():
         square, product = fn((x,))
-        assert square == product == ex.evaluate(ex.parse("x^2", ("x",)), (x,)) == x * x
+        assert square == product == evaluate(ex.parse("x^2", ("x",)), (x,)) == x * x
     # x^2 overflows to inf, and 1 / inf = 0 is finite, as for 1/(x*x) in
     # test_lanes_fall_back_to_the_scalar_path
     fn = ex.compile_exprs([ex.parse("1/(x^2)", ("x",))])
@@ -336,23 +357,23 @@ def test_compiled_finiteness_guard():
 def test_derivative_linearity_and_fd(e, k):
     d = ex.differentiate(e, k)
     q = (0.35, -0.6, 0.85)
-    sym = ex.evaluate(d, q)
+    sym = value(d, q)
     fd = _fd(e, q, k)
     # fd error scales with the size of third derivatives; bound values first
-    if all(abs(ex.evaluate(e, p)) < 50.0 for p in PROBES):
+    if all(abs(value(e, p)) < 50.0 for p in PROBES):
         assert abs(sym - fd) <= 2e-5 * max(1.0, abs(sym))
     # linearity: d(2e) = 2 de
     d2 = ex.differentiate(ex.mul(ex.Const(2.0), e), k)
-    assert abs(ex.evaluate(d2, q) - 2 * sym) <= 1e-11 * max(1.0, abs(sym))
+    assert abs(value(d2, q) - 2 * sym) <= 1e-11 * max(1.0, abs(sym))
 
 
 @settings(max_examples=80, deadline=None)
 @given(_total_exprs(), _total_exprs(), st.integers(0, 2))
 def test_product_rule(a, b, k):
     q = (0.2, 0.4, -0.3)
-    lhs = ex.evaluate(ex.differentiate(ex.mul(a, b), k), q)
-    rhs = (ex.evaluate(ex.differentiate(a, k), q) * ex.evaluate(b, q)
-           + ex.evaluate(a, q) * ex.evaluate(ex.differentiate(b, k), q))
+    lhs = value(ex.differentiate(ex.mul(a, b), k), q)
+    rhs = (value(ex.differentiate(a, k), q) * value(b, q)
+           + value(a, q) * value(ex.differentiate(b, k), q))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
@@ -538,11 +559,11 @@ def test_one_point_analyze_compiles_only_the_frame_and_gram_programs(
         tag = "completion%d_%d" % frame.completion_pair
         evaluators[tag] = lambda q: _completion(m, frame.completion_pair)[0](q)
         evaluators["d" + tag] = lambda q: _completion(m, frame.completion_pair)[1](q)
-    for key, evaluate in evaluators.items():
+    for key, evaluator in evaluators.items():
         del compiled[:]
-        first = evaluate(q)
+        first = evaluator(q)
         assert compiled == [] and not inspect.isfunction(m._cache[key]), key
-        assert np.array_equal(evaluate(q), first) and compiled == ["_" + key], key
+        assert np.array_equal(evaluator(q), first) and compiled == ["_" + key], key
         assert inspect.isfunction(m._cache[key]), key
     assert all(inspect.isfunction(m._cache[key]) for key in ("frame", "grams"))
 

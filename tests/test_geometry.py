@@ -12,7 +12,7 @@ from geoequiv.geometry import (GeometryModel, ManifestError, ModelValidationErro
 from geoequiv.constructors import build_quasi_contact
 from geoequiv.pair import _structure
 
-from conftest import heisenberg, plane_pair
+from conftest import heisenberg, plane_pair, value
 
 
 def test_frame_at_is_columnwise():
@@ -134,7 +134,7 @@ def test_lie_bracket_heisenberg():
     X1 = [m.frame[0][j] for j in range(3)]
     X2 = [m.frame[1][j] for j in range(3)]
     br = lie_bracket(X1, X2, 3)
-    vals = [ex.evaluate(c, (0.7, -0.2, 0.1)) for c in br]
+    vals = [value(c, (0.7, -0.2, 0.1)) for c in br]
     assert np.allclose(vals, [0, 0, 1])           # [X1, X2] = dz
 
 
@@ -158,17 +158,17 @@ def test_structure_functions_match_brackets():
     brackets = bracket_exprs(m)
     assert sorted(brackets) == [(0, 1), (0, 2), (1, 2)]
     for (a, b), br_exprs in brackets.items():
-        br = np.array([ex.evaluate(e, q) for e in br_exprs])
+        br = np.array([value(e, q) for e in br_exprs])
         assert np.allclose(E @ c[a, b], br, atol=1e-12)
         assert np.allclose(E @ c[b, a], -br, atol=1e-12)
 
 
 def _omega_rank(model, q):
     """Rank of the two-form Omega_ab = -omega([X_a, X_b]) on D at q."""
-    omega = np.array([ex.evaluate(e, q) for e in annihilator(model)])
+    omega = np.array([value(e, q) for e in annihilator(model)])
     Omega = np.zeros((model.m, model.m))
     for (a, b), br in bracket_exprs(model).items():
-        Omega[a, b] = -omega @ [ex.evaluate(e, q) for e in br]
+        Omega[a, b] = -omega @ [value(e, q) for e in br]
         Omega[b, a] = -Omega[a, b]
     return np.linalg.matrix_rank(Omega, tol=1e-8)
 
@@ -176,7 +176,7 @@ def _omega_rank(model, q):
 def _abnormal_field(model, q):
     """The abnormal direction at q as a vector field, scaled to a largest
     component of 1."""
-    coeffs = np.array([ex.evaluate(e, q) for e in abnormal_direction(model)])
+    coeffs = np.array([value(e, q) for e in abnormal_direction(model)])
     field = model.frame_at(q)[:, :model.m] @ coeffs
     return field / np.max(np.abs(field))
 
@@ -221,7 +221,7 @@ def test_annihilator_kills_distribution():
     omega = annihilator(m)
     q = (0.2, -0.1, 0.05, 0.3)
     E = m.frame_at(q)
-    w = np.array([ex.evaluate(e, q) for e in omega])
+    w = np.array([value(e, q) for e in omega])
     pair = w @ E
     assert np.max(np.abs(pair[: m.m])) < 1e-12
     assert abs(pair[-1]) > 1e-6                    # nonzero on the completion

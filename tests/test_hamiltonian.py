@@ -17,7 +17,7 @@ from geoequiv.constructors import (GENERATORS, build_beltrami, build_dini,
 from geoequiv.pair import intrinsic_P
 
 from conftest import (FIELD_PARAMS, PAIR_KINDS, call_outcome, compiled_program, heisenberg,
-                      pair_fixture, plane_pair)
+                      pair_fixture, plane_pair, value)
 from reference import (arc_length, full_field, initial_covector, numpy_hamiltonian,
                        numpy_hamiltonian_rhs, numpy_intrinsic_P, orthonormalize,
                        quasi_impulses, rhs_arrays, solve_ivp_integrate)
@@ -60,7 +60,7 @@ def test_hamiltonian_orthonormal_frame_cross_check():
         q = tuple(m.sample_point(rng))
         p = rng.normal(size=m.n)
         E = m.frame_at(q)[:, : m.m]
-        C = np.array([[ex.evaluate(c, q) for c in row] for row in onf.coeffs])
+        C = np.array([[value(c, q) for c in row] for row in onf.coeffs])
         u_on = p @ (E @ C.T)
         assert hamiltonian(m, 1, (q, p)) == pytest.approx(0.5 * float(u_on @ u_on))
 

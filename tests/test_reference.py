@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from geoequiv import expr as ex
 from geoequiv.constructors import build_dini, build_quasi_contact
 from geoequiv.hamiltonian import hamiltonian, integrate
 
+from conftest import value
 from reference import arc_length, initial_covector, orthonormalize
 
 
@@ -13,7 +13,7 @@ def test_orthonormalize_gram_is_identity():
     onf = orthonormalize(m)
     q = (0.1, 0.1, 0.0, 0.2)
     E = m.frame_at(q)[:, : m.m]
-    C = np.array([[ex.evaluate(c, q) for c in row] for row in onf.coeffs])
+    C = np.array([[value(c, q) for c in row] for row in onf.coeffs])
     W1 = m.gram_at(q, 1)
     G = C @ W1 @ C.T
     assert np.allclose(G, np.eye(m.m), atol=1e-10)
