@@ -217,6 +217,10 @@ def test_gendini2_parameter_space(data):
 
 # ----------------------------------------------------------- quasi-contact
 
+def _beta_at(text, t):
+    return ex.compile_exprs([ex.parse(text, ("t",))])([t])[0]
+
+
 @DRAWS
 @given(st.data())
 def test_quasi_contact_parameter_space(data):
@@ -253,10 +257,6 @@ def test_quasi_contact_parameter_space(data):
     _assert_refused("quasi-contact", dict(params, beta="1 + 2.51*t"),
                     r"1 \+ C2\*beta\(w\) must stay positive")
     _assert_refused("quasi-contact", dict(params, beta="%s + w" % beta), "unknown identifier 'w'")
-
-
-def _beta_at(text, t):
-    return ex.compile_exprs([ex.parse(text, ("t",))])([t])[0]
 
 
 # ---------------------------------------------------------------- beltrami
