@@ -7,7 +7,7 @@ Gram matrix; no finite differencing enters the right-hand side. Flow and
 energy are expressions over one state y = (q, p), compiled by compile_exprs.
 Extremals are integrated by a DOP853 loop that takes the steps of scipy's
 DOP853, as scipy's initial value solve runs it, bit for bit, without its
-per-step objects.
+per-step objects; _brentq finds the boundary root as scipy's brentq does.
 """
 
 import csv
@@ -293,6 +293,55 @@ def _stage(Ks, a, h, y, buf):
     return [x + d * h for x, d in zip(y, Ks.dot(a, buf).tolist())]
 
 
+def _brentq(f, xa, xb, xtol, rtol):
+    """The root of f between xa and xb by Brent's method (Brent, Algorithms
+    for Minimization without Derivatives, 1973, ch. 4), as scipy's brentq
+    finds it with maxiter 100: its C loop operation for operation on Python
+    floats, with its errors and their messages. rtol is at least 4 eps."""
+    def call(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise ValueError("The function value at x=%s is NaN; solver cannot continue." % x)
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if math.copysign(1, fpre) == math.copysign(1, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and math.copysign(1, fpre) != math.copysign(1, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisects, as C's division by a zero den does
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                num, den = -fcur * (xcur - xpre), fcur - fpre
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
+            if den:
+                stry = num / den
+        bound = 3 * abs(sbis) - delta
+        if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError("Failed to converge after 100 iterations.")
+
+
 def _dop853(fun, event, y0, t1, tol):
     """DOP853 from the state array y0 at t = 0 towards t1, stopped where event(y)
     changes sign.
@@ -305,7 +354,7 @@ def _dop853(fun, event, y0, t1, tol):
     operations do.
 
     Returns (status, steps, y_end): status 0 at t1, 1 at the event's root
-    (found by brentq on the step's interpolant), -1 when the step size fell
+    (found by _brentq on the step's interpolant), -1 when the step size fell
     below 10 ulp of t; y_end is the state at the end time steps.ts[-1].
     """
     A, B, E3, E5, D = _tableau()
@@ -405,12 +454,10 @@ def _dop853(fun, event, y0, t1, tol):
             status = 0
         g_new = event(y)
         if g <= 0 <= g_new or g >= 0 >= g_new:
-            # loaded only when a run meets the boundary
-            from scipy.optimize import brentq
             F = np.concatenate([low, high])
             y_old = np.array(y_old)
-            root = brentq(lambda r: event(_dense(F, y_old, (r - t_old) / h)),
-                          t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
+            root = _brentq(lambda r: event(_dense(F, y_old, (r - t_old) / h)),
+                           t_old, t, 4 * _EPS, 4 * _EPS)
             t, y = root, _dense(F, y_old, (root - t_old) / h)
             status = 1
         g = g_new

@@ -184,6 +184,8 @@ def verify_equivalence(model, sampling=None, exclusions=None):
         raise ValueError("unknown exclusion keys: %s" % sorted(exclusions))
 
     n, m = model.n, model.m
+    if n - m not in (0, 1):
+        raise AdaptedFrameError("verify supports corank 0 or 1 only, not corank %d" % (n - m))
     count = int(cfg["count"])
     T = float(cfg["T"])
     tol_curve = float(cfg["tol_curve"])

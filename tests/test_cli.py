@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,14 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import geoequiv
+from geoequiv import verifier
 from geoequiv.cli import _canonical_json, main
 from geoequiv.constructors import GENERATORS
 from geoequiv.geometry import load_model, save_model, to_manifest
 from geoequiv.hamiltonian import integrate
 
-from conftest import FIELD_PARAMS, heisenberg, plane_pair
+from conftest import FIELD_PARAMS, heisenberg, pair_fixture, plane_pair
 
 
 @pytest.fixture()
@@ -680,6 +684,91 @@ def test_at_outside_the_domain_exits_1(levi_civita_model, command, capsys):
     assert main([command, "--model", levi_civita_model, "--at", "0.4", "0.4", "-0.4"]) == 0
 
 
+# the Engel distribution (x, y, z, w): X1 = d/dx, X2 = d/dy + x d/dz + x^2/2 d/dw,
+# of rank 2 and so of corank 2 in dimension 4
+ENGEL = {"coords": ["x", "y", "z", "w"], "rank": 2,
+         "frame": [["1", "0", "0", "0"], ["0", "1", "x", "x*x/2"],
+                   ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+         "gram1": [["1", "0"], ["0", "1"]], "gram2": [["2", "0"], ["0", "3"]],
+         "domain": {"min": [-0.5] * 4, "max": [0.5] * 4}}
+
+
+def test_verify_refuses_corank_above_one_before_integrating(tmp_path, capsys, monkeypatch):
+    # verify integrated every gram1 leg and then reported each sample as a
+    # frame error; it now stops before it draws a sample
+    path = tmp_path / "engel.json"
+    path.write_text(json.dumps(ENGEL))
+    calls = []
+    monkeypatch.setattr(verifier, "integrate", lambda *args, **kwargs: calls.append(args))
+    assert main(["verify", "--model", str(path), "--samples", "4"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, calls) == ("", [])
+    assert captured.err == ("error: adapted frame unavailable: verify supports corank 0 or 1 "
+                            "only, not corank 2\n")
+    # analyze and check-relations integrate nothing and keep their answers
+    assert main(["analyze", "--model", str(path)]) == 0
+    assert "adapted frame unavailable" in capsys.readouterr().out
+    assert main(["check-relations", "--model", str(path)]) == 3
+
+
+FUZZ_KINDS = ("levi-civita", "quasi-contact", "beltrami", "conformal")
+
+
+@pytest.fixture(scope="module")
+def fuzz_models(tmp_path_factory):
+    """kind -> (manifest path, domain_min, domain_max) of each FUZZ_KINDS pair."""
+    models = {}
+    for kind in FUZZ_KINDS:
+        model = pair_fixture(kind)
+        path = tmp_path_factory.mktemp("fuzz") / (kind + ".json")
+        save_model(model, str(path))
+        models[kind] = (str(path), model.domain_min.tolist(), model.domain_max.tolist())
+    return models
+
+
+def _refuse_constant(name):
+    raise ValueError("non-finite JSON constant %s" % name)
+
+
+@st.composite
+def _geodesic_argv(draw, models):
+    kind = draw(st.sampled_from(FUZZ_KINDS))
+    path, lo, hi = models[kind]
+    q = [draw(st.floats(0.9 * a + 0.1 * b, 0.1 * a + 0.9 * b)) for a, b in zip(lo, hi)]
+    if draw(st.booleans()):
+        # 1e-13 to 1e-3 inside one face, on both sides of _BOUNDARY_EPS = 1e-12
+        j, face = draw(st.integers(0, len(q) - 1)), draw(st.sampled_from((0, 1)))
+        gap = 10.0 ** draw(st.floats(-13, -3))
+        q[j] = lo[j] + gap if face == 0 else hi[j] - gap
+    entry = st.one_of(st.sampled_from((0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0)),
+                      st.floats(-3, 3))
+    p = [draw(entry) for _ in q]
+    return ["geodesic", "--model", path, "--metric", draw(st.sampled_from(("1", "2"))),
+            "--q", *map(repr, q), "--p", *map(repr, p),
+            "--T", draw(st.sampled_from(("0.3", "-0.3", "2", "-5", "50"))),
+            "--samples", draw(st.sampled_from(("0", "2", "11"))),
+            "--tol", draw(st.sampled_from(("1e-6", "1e-12", "1e-16", "0.1"))),
+            "--format", draw(st.sampled_from(("csv", "json")))]
+
+
+def test_geodesic_argument_vectors_end_in_a_documented_exit(fuzz_models):
+    # near a face, with zero, tiny and huge covector entries, both metrics,
+    # every horizon and format: a documented exit code, never a traceback,
+    # and JSON without NaN or infinities
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(_geodesic_argv(fuzz_models))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 3, 4), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 0 and argv[-1] == "json":
+            json.loads(out.getvalue(), parse_constant=_refuse_constant)
+
+    check()
+
+
 def test_geodesic_arity_checked(dini_model, capsys):
     assert main(["geodesic", "--model", dini_model, "--metric", "1",
                  "--q", "0", "--p", "1", "0", "--T", "0.1"]) == 1
@@ -794,37 +883,59 @@ from geoequiv.cli import main
 HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.spatial")
 
 
-def run(*argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(list(argv))
-    return [argv[0], code, [name for name in HEAVY if name in sys.modules]]
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    # a JSON report is returned, for its clipping
+    report = json.loads(out.getvalue()) if "json" in argv else None
+    return [argv[0], code, [name for name in HEAVY if name in sys.modules], report]
 
 
-m = sys.argv[1]
-print(json.dumps([run("generate", "quasi-contact", "--out", m),
-                  run("analyze", "--model", m),
-                  run("check-relations", "--model", m),
-                  run("verify", "--model", m, "--samples", "1")]))
+print(json.dumps([run(argv) for argv in json.loads(sys.argv[1])]))
 """
+
+
+def _footprint(*argvs):
+    """[command, exit code, heavy scipy modules loaded so far, JSON report
+    or None] of each argv, run in turn by one fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(geoequiv.__file__))
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, json.dumps(argvs)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def test_algebraic_commands_leave_the_integrator_and_kd_tree_unloaded(tmp_path):
     # generate, analyze and check-relations use numpy and scipy.linalg alone;
-    # so does verify while its extremals stay inside the domain: the DOP853
-    # tableau is read without importing scipy.integrate, and the deviation
-    # needs no k-d tree
-    src = os.path.dirname(os.path.dirname(geoequiv.__file__))
-    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, str(tmp_path / "qc.json")],
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == 0, proc.stderr
-    runs = json.loads(proc.stdout)
-    assert runs[:3] == [["generate", 0, []], ["analyze", 0, []],
-                        ["check-relations", 0, []]]
-    # verify passes on quasi-contact (exit 0); its extremals are stepped and
-    # compared. The one sample stays inside the domain, so the boundary root
-    # finder (scipy.optimize, which loads scipy.spatial) is not needed
-    assert runs[3] == ["verify", 0, []]
+    # so does verify: the DOP853 tableau is read without importing
+    # scipy.integrate, and the deviation needs no k-d tree
+    m = str(tmp_path / "qc.json")
+    runs = _footprint(["generate", "quasi-contact", "--out", m], ["analyze", "--model", m],
+                      ["check-relations", "--model", m],
+                      ["verify", "--model", m, "--samples", "1"])
+    assert [run[:3] for run in runs] == [["generate", 0, []], ["analyze", 0, []],
+                                         ["check-relations", 0, []], ["verify", 0, []]]
+
+
+def test_clipped_extremals_leave_the_optimizer_and_kd_tree_unloaded(tmp_path):
+    # a run that meets the domain boundary finds its root with hamiltonian's
+    # own Brent solver: scipy.optimize, which loads scipy.spatial, stays out
+    # of verify and geodesic too
+    params, m = tmp_path / "params.json", str(tmp_path / "lc.json")
+    params.write_text(json.dumps(FIELD_PARAMS["levi-civita"]))
+    runs = _footprint(
+        ["generate", "levi-civita", "--params", str(params), "--out", m],
+        ["verify", "--model", m, "--samples", "1", "--format", "json"],
+        ["geodesic", "--model", m, "--metric", "1", "--q", "0", "0", "0",
+         "--p", "1", "0", "0", "--T", "5", "--samples", "2", "--format", "json"])
+    assert [run[:3] for run in runs] == [["generate", 0, []], ["verify", 0, []],
+                                         ["geodesic", 0, []]]
+    # both runs met the boundary, so the root finder ran
+    counts = runs[1][3]["counts"]
+    assert counts["truncated"] + counts["clipped"] > 0
+    assert runs[2][3]["clipped"] is True
 
 
 @pytest.mark.skipif(shutil.which("geoequiv") is None,

@@ -11,7 +11,7 @@ from geoequiv.expr import EvalDomainError
 from geoequiv.geometry import GeometryModel
 from geoequiv.hamiltonian import (CovectorTooLargeError, IntegrationError, hamiltonian,
                                   hamiltonian_rhs, integrate, resample, write_trajectory_csv,
-                                  _generate, _program)
+                                  _brentq, _generate, _program)
 from geoequiv.constructors import (GENERATORS, build_beltrami, build_dini,
                                    build_quasi_contact)
 from geoequiv.pair import intrinsic_P
@@ -260,6 +260,81 @@ def test_stepper_collapses_where_solve_ivp_does():
         with pytest.raises(IntegrationError) as ref, np.errstate(invalid="ignore"):
             solve_ivp_integrate(m, tag, lam0, 1.0, samples=11, aux_rate=rate)
         assert str(new.value) == str(ref.value)
+
+
+def _root_or_error(solver, f, xa, xb, xtol, rtol):
+    """The root as float.hex, or the error's type and message, and every
+    point at which solver evaluated f, in order."""
+    xs = []
+
+    def g(x):
+        xs.append(float(x).hex())
+        return f(x)
+    try:
+        return float(solver(g, xa, xb, xtol, rtol)).hex(), xs
+    except (ValueError, RuntimeError) as exc:
+        return (type(exc).__name__, str(exc)), xs
+
+
+def _scipy_brentq(f, xa, xb, xtol, rtol):
+    # tests may load scipy.optimize; the package does not
+    from scipy.optimize import brentq
+    return brentq(f, xa, xb, xtol=xtol, rtol=rtol)
+
+
+# root families f_c, each with a root at c: smooth, flat ((x - c)^5 and a
+# scaled cube, whose values underflow), steep and step-like, and a step
+_BRENT_FAMILIES = [
+    lambda c: lambda x: (x - c) ** 5,
+    lambda c: lambda x: math.atan(50 * (x - c)),
+    lambda c: lambda x: math.expm1(x - c) + (x - c) / 3,
+    lambda c: lambda x: 1e-200 * (x - c) ** 3,
+    lambda c: lambda x: math.tanh(1e4 * (x - c)) + 1e-3 * (x - c),
+    lambda c: lambda x: (x - c) * (x - c - 0.01) * (x + c + 2),
+    lambda c: lambda x: 1.0 if x > c else -1.0,
+]
+
+
+def test_brentq_matches_scipy_bit_for_bit():
+    # _dop853 finds the boundary root with _brentq, which repeats scipy's
+    # brentq operation for operation: the same root, or the same error, at
+    # the tolerance _dop853 gives it (4 eps) and looser ones, from both ends
+    eps = float(np.finfo(float).eps)
+    rng = np.random.default_rng(2901)
+    outcomes = set()
+    for family in _BRENT_FAMILIES:
+        for c, left, right in rng.uniform((-1.0, 0.0, 0.0), (1.0, 1.5, 1.5), size=(40, 3)):
+            f = family(c)
+            # one bracket in four lies on one side of c
+            xa, xb = (c - left, c + right) if rng.random() < 0.75 else (c + left, c + right)
+            for xtol, rtol in ((4 * eps, 4 * eps), (2e-12, 4 * eps), (1e-6, 1e-8)):
+                for bracket in ((xa, xb), (xb, xa)):
+                    ref = _root_or_error(_scipy_brentq, f, *bracket, xtol, rtol)
+                    assert _root_or_error(_brentq, f, *bracket, xtol, rtol) == ref
+                    outcomes.add(ref[0][0] if type(ref[0]) is tuple else "root")
+    assert outcomes == {"root", "ValueError", "RuntimeError"}
+
+
+def test_brentq_raises_scipy_errors():
+    eps = float(np.finfo(float).eps)
+    cases = [
+        # a step at 0 takes ~1000 bisections to reach xtol = 1e-300
+        (lambda x: math.copysign(1.0, x), -1.0, 3.0, 1e-300),
+        (lambda x: x * x + 1, -1.0, 1.0, 4 * eps),
+        (lambda x: math.nan, -1.0, 1.0, 4 * eps),
+        # NaN at the first iterate, inside the bracket
+        (lambda x: x - 0.7 if x <= 0 or x >= 1 else math.nan, 0.0, 1.0, 4 * eps),
+    ]
+    got = [_root_or_error(_brentq, f, xa, xb, xtol, 4 * eps) for f, xa, xb, xtol in cases]
+    assert got == [_root_or_error(_scipy_brentq, f, xa, xb, xtol, 4 * eps)
+                   for f, xa, xb, xtol in cases]
+    errors = [error for error, _ in got]
+    assert errors[:3] == [
+        ("RuntimeError", "Failed to converge after 100 iterations."),
+        ("ValueError", "f(a) and f(b) must have different signs"),
+        ("ValueError", "The function value at x=-1.0 is NaN; solver cannot continue.")]
+    assert errors[3][0] == "ValueError"
+    assert errors[3][1].endswith("is NaN; solver cannot continue.")
 
 
 def test_integrate_rejects_bad_tolerance_and_clips_tiny_ones():
