@@ -275,112 +275,81 @@ def save_model(model, path):
         fh.write("\n")
 
 
-def _grid_rows(fn, points, width):
-    """fn's values at the points, row by row, and {row: error} for the points
-    where fn raises; those rows hold zeros. One lane call when no point
-    raises (its rows are the scalar calls' bit for bit), else point by point."""
-    try:
-        return fn.lanes(points).T, {}
-    except ex.EvalDomainError:
-        pass
-    values = np.zeros((len(points), width))
-    errors = {}
-    for i, q in enumerate(points):
-        try:
-            values[i] = fn(tuple(q))
-        except ex.EvalDomainError as exc:
-            errors[i] = exc
-    return values, errors
-
-
 def validate_model(model):
     """Pointwise sanity on a probe grid: frame nondegenerate, Grams SPD.
 
-    The grid (probe_grid with a 5% margin) is checked in one pass: a lane
-    call of the frame program and one of the joint Gram program (see
-    _grid_rows), then stacked determinants, the symmetry gate and stacked
-    Cholesky factorizations. A failure raises ModelValidationError as a loop
-    over the grid would: at the first failing point, the first failing check
-    there, in the order frame undefined, frame scale out of range (max |E|^n
-    overflows a float), frame degenerate, then for gram1 and for gram2
-    undefined, not symmetric, not positive definite. The error of an
+    The grid (probe_grid with a 5% margin) is accepted in one pass: a lane
+    call of the frame program and one of the joint Gram program, the
+    degeneracy scale max(1, max |E|^n) on Python floats, stacked
+    determinants, the symmetry gate and stacked Cholesky factorizations.
+    A grid that fails any of these is walked point by point (_check_point)
+    with the same predicates, and the walk raises ModelValidationError as a
+    loop over the grid would: at the first failing point, the first failing
+    check there, in the order frame undefined, frame scale out of range
+    (max |E|^n overflows a float), frame degenerate, then for gram1 and for
+    gram2 undefined, not symmetric, not positive definite. The error of an
     undefined Gram matrix is gram_at's, so only a failing grid compiles
     gram_at's programs.
     """
     n, m = model.n, model.m
     points = [q.tolist() for q in model.probe_grid(margin=0.05)]
-    frames, frame_errors = _grid_rows(model._frame_program(), points, n * n)
-    E = frames.reshape(-1, n, n).transpose(0, 2, 1)
-    dets = np.linalg.det(E)
-    # the degeneracy scale as a Python float power, point by point; where it
-    # overflows, the frame is too large to judge
-    scale, overflows = [], {}
-    for i, v in enumerate(np.abs(frames).max(axis=1).tolist()):
-        try:
-            scale.append(max(1.0, v ** n))
-        except OverflowError as exc:
-            overflows[i] = (v, exc)
-            scale.append(math.inf)
-    degenerate = np.abs(dets) < _DET_TOL * np.array(scale)
-
-    grams, failed = _grid_rows(model._compiled("grams", lambda: model._gram_entries(1, 2)),
-                                points, 2 * m * m)
-    W = grams.reshape(-1, 2, m, m)
-    gram_errors = {}
-    for i in failed:
-        for tag in (1, 2):
-            try:
-                W[i, tag - 1] = model.gram_at(tuple(points[i]), tag)
-            except ex.EvalDomainError as exc:
-                gram_errors[i, tag] = exc
-                break
-    # np.allclose(W, W.T, rtol=1e-9, atol=1e-12 * max(1, max |W|)): its test
-    # |a - b| <= atol + rtol |b| for finite values, and compiled calls raise
-    # on values that are not finite. On plain floats a difference that
-    # overflows is inf, without a warning
-    WT = W.swapaxes(2, 3)
-    atol = 1e-12 * np.maximum(1.0, np.abs(W).max(axis=(2, 3)))
-    with np.errstate(over="ignore"):
-        close = np.abs(W - WT) <= atol[..., None, None] + 1e-9 * np.abs(WT)
-    asymmetric = ~close.all(axis=(2, 3))
     try:
-        np.linalg.cholesky(W)
-        indefinite = np.zeros(asymmetric.shape, dtype=bool)
-    except np.linalg.LinAlgError:
-        indefinite = np.array([[not _cholesky_ok(w) for w in pair] for pair in W])
+        frames = model._frame_program().lanes(points).T
+        scale = [max(1.0, v ** n) for v in np.abs(frames).max(axis=1).tolist()]
+        dets = np.linalg.det(frames.reshape(-1, n, n).transpose(0, 2, 1))
+        grams = model._compiled("grams", lambda: model._gram_entries(1, 2)).lanes(points)
+        W = grams.T.reshape(-1, m, m)
+        if not (np.abs(dets) < _DET_TOL * np.array(scale)).any() and _symmetric(W).all():
+            np.linalg.cholesky(W)
+            return
+    except (ex.EvalDomainError, OverflowError, np.linalg.LinAlgError):
+        pass
+    for q in points:
+        _check_point(model, q)
 
-    bad = np.flatnonzero(degenerate | asymmetric.any(axis=1) | indefinite.any(axis=1))
-    first = min([*frame_errors, *overflows, *(i for i, _ in gram_errors), *bad.tolist()],
-                default=None)
-    if first is None:
-        return
-    q = points[first]
-    if first in frame_errors:
-        exc = frame_errors[first]
+
+def _check_point(model, q):
+    """Raise ModelValidationError for the first check that fails at the
+    point q, in validate_model's order."""
+    n = model.n
+    try:
+        E = model.frame_at(q)
+    except ex.EvalDomainError as exc:
         raise ModelValidationError("frame undefined at %s: %s" % (q, exc)) from exc
-    if first in overflows:
-        v, exc = overflows[first]
+    v = float(np.abs(E).max())
+    try:
+        scale = max(1.0, v ** n)
+    except OverflowError as exc:
         raise ModelValidationError("frame scale out of range at %s (max |entry|^%d with "
                                    "max |entry| = %g)" % (q, n, v)) from exc
-    if degenerate[first]:
-        raise ModelValidationError("frame degenerate at %s (|det| = %g)"
-                                   % (q, abs(dets[first])))
+    det = np.linalg.det(E)
+    if abs(det) < _DET_TOL * scale:
+        raise ModelValidationError("frame degenerate at %s (|det| = %g)" % (q, abs(det)))
     for tag in (1, 2):
-        exc = gram_errors.get((first, tag))
-        if exc is not None:
+        try:
+            W = model.gram_at(q, tag)
+        except ex.EvalDomainError as exc:
             raise ModelValidationError("gram%d undefined at %s: %s" % (tag, q, exc)) from exc
-        if asymmetric[first, tag - 1]:
+        if not _symmetric(W):
             raise ModelValidationError("gram%d not symmetric at %s" % (tag, q))
-        if indefinite[first, tag - 1]:
-            raise ModelValidationError("gram%d not positive definite at %s" % (tag, q))
+        try:
+            np.linalg.cholesky(W)
+        except np.linalg.LinAlgError:
+            raise ModelValidationError("gram%d not positive definite at %s"
+                                       % (tag, q)) from None
 
 
-def _cholesky_ok(W):
-    try:
-        np.linalg.cholesky(W)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+def _symmetric(W):
+    """Whether each of the stacked matrices W (..., m, m) is symmetric:
+    np.allclose(W, W.T, rtol=1e-9, atol=1e-12 * max(1, max |W|)), its test
+    |a - b| <= atol + rtol |b| for finite values (compiled calls raise on
+    values that are not finite). A difference that overflows is inf,
+    without a warning, as on plain floats."""
+    WT = W.swapaxes(-1, -2)
+    atol = 1e-12 * np.maximum(1.0, np.abs(W).max(axis=(-2, -1)))
+    with np.errstate(over="ignore"):
+        close = np.abs(W - WT) <= atol[..., None, None] + 1e-9 * np.abs(WT)
+    return close.all(axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------

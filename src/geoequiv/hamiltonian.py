@@ -135,14 +135,8 @@ def _generate(model, tag, kind):
 
 def _program(model, tag, kind):
     """The `kind` program of metric `tag` over the state (q, p), cached on
-    the model, which holds the compiled function once it compiles."""
-    key = (kind, tag)
-    fn = model._cache.get(key)
-    if fn is None:
-        fn = model._cache[key] = ex.compile_exprs(_generate(model, tag, kind),
-                                                  name="_%s%d" % (kind, tag),
-                                                  slot=(model._cache, key))
-    return fn
+    the model under "flow1", "energy2", ... (see GeometryModel._compiled)."""
+    return model._compiled("%s%d" % (kind, tag), lambda: _generate(model, tag, kind))
 
 
 # count -> pack_into of `count` doubles, into a writable C-contiguous array
@@ -175,7 +169,8 @@ def hamiltonian_rhs(model, metric_tag, y, out):
     where numpy scalars would give inf."""
     if type(y) is not list:
         y = np.asarray(y, dtype=float).tolist()
-    vals = (model._cache.get(("flow", metric_tag)) or _program(model, metric_tag, "flow"))(y)
+    vals = (model._cache.get("flow1" if metric_tag == 1 else "flow2")
+            or _program(model, metric_tag, "flow"))(y)
     # the buffer protocol rejects read-only and non-contiguous arrays, but
     # would take raw doubles into any other dtype; a plain float64 row
     # passes on identities, anything else takes the full check

@@ -597,7 +597,7 @@ def intrinsic_P(model, lam):
     q, p = lam
     if type(q) is not list or type(p) is not list:  # as Python floats, see hamiltonian_rhs
         q, p = np.asarray(q, dtype=float).tolist(), np.asarray(p, dtype=float).tolist()
-    return float((model._cache.get(("energy", 1)) or _program(model, 1, "energy"))(q + p)[1])
+    return float((model._cache.get("energy1") or _program(model, 1, "energy"))(q + p)[1])
 
 
 class DivisibilityResult:
@@ -757,10 +757,9 @@ def second_divisibility(model, frame, q):
 # pointwise eigenvalue/structure relations
 
 class CorReport:
-    def __init__(self, checks, max_residual, details):
+    def __init__(self, checks, max_residual):
         self.checks = checks            # name -> max abs residual (None if vacuous)
         self.max_residual = max_residual
-        self.details = details          # name -> list of (indices, residual)
 
     def __repr__(self):
         return "CorReport(max=%r, %r)" % (self.max_residual, self.checks)
@@ -787,9 +786,9 @@ def relations_cor(model, frame, q, bracket_tol=1e-6):
         for i in idx:
             cluster_of[i] = sidx
 
-    details = {name: [] for name in ("eigenvalue-transport", "ratio-invariance",
-                                     "pair-invariance", "cyclic", "bracket-equality",
-                                     "transverse-constancy")}
+    residuals = {name: [] for name in ("eigenvalue-transport", "ratio-invariance",
+                                       "pair-invariance", "cyclic", "bracket-equality",
+                                       "transverse-constancy")}
 
     for i in range(m):
         for j in range(m):
@@ -798,10 +797,10 @@ def relations_cor(model, frame, q, bracket_tol=1e-6):
             # X_i(a_j^2 / a_i^2) - 2 c_{ji}^j (1 - a_j^2 / a_i^2)
             lhs = (X[i, j] * a2[i] - a2[j] * X[i, i]) / a2[i] ** 2
             rhs = 2.0 * data.c[i, j, j] * (1.0 - a2[j] / a2[i])
-            details["eigenvalue-transport"].append(((i + 1, j + 1), abs(lhs - rhs)))
+            residuals["eigenvalue-transport"].append(abs(lhs - rhs))
             if cluster_of[i] != cluster_of[j]:
                 val = (X[i, j] * alph[i] - a2[j] * X[i, i] / (2.0 * alph[i])) / a2[i]
-                details["ratio-invariance"].append(((i + 1, j + 1), abs(val)))
+                residuals["ratio-invariance"].append(abs(val))
 
     for i in range(m):
         for j in range(m):
@@ -811,13 +810,13 @@ def relations_cor(model, frame, q, bracket_tol=1e-6):
                 dj = X[i, j] / (2.0 * alph[j])
                 dk = X[i, k] / (2.0 * alph[k])
                 val = (dj * alph[k] - alph[j] * dk) / a2[k]
-                details["pair-invariance"].append(((i + 1, j + 1, k + 1), abs(val)))
+                residuals["pair-invariance"].append(abs(val))
 
     for i, j, k in itertools.combinations(range(m), 3):
         val = ((a2[j] - a2[i]) * data.c[i, j, k]
                + (a2[j] - a2[k]) * data.c[k, j, i]
                + (a2[i] - a2[k]) * data.c[k, i, j])
-        details["cyclic"].append(((i + 1, j + 1, k + 1), abs(val)))
+        residuals["cyclic"].append(abs(val))
 
     transverse_fields = set()
     cscale = float(np.max(np.abs(data.c))) + 1e-30
@@ -825,22 +824,22 @@ def relations_cor(model, frame, q, bracket_tol=1e-6):
         for j in range(i + 1, m):
             t = float(np.linalg.norm(data.c[i, j, m:n]))
             if t > bracket_tol * cscale:
-                details["bracket-equality"].append(((i + 1, j + 1), abs(alph[i] - alph[j])))
+                residuals["bracket-equality"].append(abs(alph[i] - alph[j]))
                 transverse_fields.update((i, j))
 
     if transverse_fields:
         sidx = cluster_of[next(iter(transverse_fields))]
         bar = sorted(data.clusters[sidx])
         for jf in bar:
-            details["transverse-constancy"].append(((jf + 1,), abs(X[jf, bar[0]])))
+            residuals["transverse-constancy"].append(abs(X[jf, bar[0]]))
 
     checks = {}
     overall = 0.0
-    for name, entries in details.items():
+    for name, entries in residuals.items():
         if entries:
-            worst = max(rv for _, rv in entries)
+            worst = max(entries)
             checks[name] = worst
             overall = max(overall, worst)
         else:
             checks[name] = None
-    return CorReport(checks, overall, details)
+    return CorReport(checks, overall)

@@ -769,6 +769,63 @@ def test_geodesic_argument_vectors_end_in_a_documented_exit(fuzz_models):
     check()
 
 
+@st.composite
+def _algebraic_argv(draw, models):
+    command = draw(st.sampled_from(("analyze", "check-relations")))
+    kind = draw(st.sampled_from(FUZZ_KINDS))
+    path, lo, hi = models[kind]
+    argv = [command, "--model", path]
+    for _ in range(draw(st.sampled_from((0, 1, 1, 1, 2)))):
+        arity = draw(st.sampled_from((len(lo),) * 4 + (len(lo) - 1, len(lo) + 1)))
+        bounds = (list(zip(lo, hi)) * 2)[:arity]
+        q = [repr(draw(st.floats(a, b))) for a, b in bounds]
+        j = draw(st.integers(0, arity - 1))
+        a, b = bounds[j]
+        where = draw(st.sampled_from(("inside",) * 2 + ("face", "literal")))
+        if where == "face":
+            # 1e-13 to 1e-3 inside or outside one face
+            gap = draw(st.sampled_from((1, -1))) * 10.0 ** draw(st.floats(-13, -3))
+            q[j] = repr(draw(st.sampled_from((a + gap, b - gap))))
+        elif where == "literal":
+            q[j] = draw(st.sampled_from(("-3.9e-05", "1e-300", "-1e-300", "0", "nan", "inf",
+                                         "-inf")))
+        argv += ["--at", *q]
+    # positive reals from 1e-300 to 1e300 mostly, else 0 or past the limits
+    positive = st.floats(-300, 300).map(lambda e: repr(10.0 ** e))
+    real = st.one_of(positive, positive, positive, st.sampled_from(("0", "-1e-6", "nan", "inf")))
+    if command == "analyze":
+        flags = {"--radius": real, "--cluster-tol": real}
+    else:
+        flags = {"--points": st.sampled_from(("1", "2", "3", "0", "-1", "1.5")),
+                 "--seed": st.sampled_from(("0", "5", "123", "-1", "x")),
+                 "--tol": real, "--bracket-tol": real}
+    for flag, values in flags.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv + ["--format", draw(st.sampled_from(("text", "json")))]
+
+
+def test_algebraic_argument_vectors_end_in_a_documented_exit(fuzz_models):
+    # --at inside the box, near a face or outside it, of the wrong arity or
+    # repeated, with awkward coordinates, and every numeric option over
+    # 1e-300 to 1e300, at 0 and past its limit: a documented exit code,
+    # never a traceback, and JSON without NaN or infinities
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(_algebraic_argv(fuzz_models))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        expected = (0, 1, 3, 4) if argv[0] == "analyze" else (0, 1, 2, 3, 4)
+        assert code in expected, (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        # a verdict always comes with its report
+        if argv[-1] == "json" and (code in (0, 2) or out.getvalue()):
+            json.loads(out.getvalue(), parse_constant=_refuse_constant)
+
+    check()
+
+
 def test_geodesic_arity_checked(dini_model, capsys):
     assert main(["geodesic", "--model", dini_model, "--metric", "1",
                  "--q", "0", "--p", "1", "0", "--T", "0.1"]) == 1

@@ -84,6 +84,10 @@ CASES = {
         plane((("1", "0"), ("0", "1 + 1/(x^2 + y^2)")), EYE,
               (("1 + log(x)", "0"), ("0", "1"))),
         r"gram2 undefined at \[-0\.9, -0\.9\]"),
+    # gram1 fails at point 0, the frame scale overflows at x = 0.9 (point 6)
+    "gram1-indefinite-before-frame-overflow": (
+        plane((("exp(500*x) + 1", "0"), ("0", "1")), (("x + 0.5", "0"), ("0", "1")), EYE),
+        r"gram1 not positive definite at \[-0\.9, -0\.9\]"),
 }
 
 
