@@ -200,19 +200,6 @@ def build_levi_civita(spec):
     return model
 
 
-def recover_beta(eigenvalues):
-    """Invert the block-eigenvalue relation lambda_s = beta_s * prod(beta_l).
-
-    Takes the N distinct transition-operator eigenvalues (one per block);
-    returns the matching betas: beta_s = lambda_s * (prod lambda_l)^(-1/(N+1)).
-    """
-    lams = np.asarray(eigenvalues, dtype=float)
-    if np.any(lams <= 0):
-        raise ValueError("eigenvalues must be positive")
-    N = len(lams)
-    return lams * float(np.prod(lams)) ** (-1.0 / (N + 1))
-
-
 # ---------------------------------------------------------------------------
 # surface normal forms
 

@@ -4,7 +4,8 @@ For a metric given by a Gram matrix W on the distribution frame X_1..X_m,
 h(p, q) = (1/2) u^T W(q)^{-1} u with quasi-impulses u_i = p(X_i(q)). Hamilton's
 equations are evaluated with exact symbolic q-derivatives of the frame and the
 Gram matrix; no finite differencing enters the right-hand side. Flow and
-energy are expressions over one state y = (q, p), compiled by compile_exprs.
+energy are expressions over one state y = [q..., p...], compiled by
+compile_exprs; the integration loop hands its list y to all it calls.
 Extremals are integrated by a DOP853 loop that takes the steps of scipy's
 DOP853, as scipy's initial value solve runs it, bit for bit, without its
 per-step objects; _brentq finds the boundary root as scipy's brentq does.
@@ -152,12 +153,12 @@ def hamiltonian(model, metric_tag, lam):
     row alone. Either way the values are taken as Python floats, which
     raise on division by zero where numpy scalars would give inf.
     """
-    q = np.asarray(lam[0], dtype=float)
-    p = np.asarray(lam[1], dtype=float)
+    y = np.concatenate([np.asarray(lam[0], dtype=float),
+                        np.asarray(lam[1], dtype=float)], axis=-1)
     energy = _program(model, metric_tag, "energy")
-    if q.ndim == 2:
-        return energy.lanes(np.concatenate([q, p], axis=1))[0]
-    return float(energy(q.tolist() + p.tolist())[0])
+    if y.ndim == 2:
+        return energy.lanes(y)[0]
+    return float(energy(y.tolist())[0])
 
 
 def hamiltonian_rhs(model, metric_tag, y, out):
@@ -186,20 +187,23 @@ def hamiltonian_rhs(model, metric_tag, y, out):
 
 
 class Trajectory:
-    """An extremal of metric `metric_tag` at the times t (N,), from the
-    states y (N, 2n[+1]) of its run, whose accepted steps it keeps."""
+    """An extremal of metric `metric_tag` at the times t (N,): the rows y
+    (N, 2n[+1]) of its run's states, read through the column views q and p
+    and, when the run integrated an aux rate, aux (its integral at each
+    time, aux[-1] the total). The run left the domain at t_exit, or stayed
+    in it (None); its accepted steps are kept for resample."""
 
-    def __init__(self, model, metric_tag, t, y, clipped, t_exit, with_aux, steps):
+    def __init__(self, model, metric_tag, t, y, t_exit, steps):
         n = model.n
         self.model, self.metric_tag = model, metric_tag
         self.t = t
-        self.q = y[:, :n].copy()                                # (N, n)
-        self.p = y[:, n:2 * n].copy()                           # (N, n)
-        # the aux_rate integral at each time, if requested: aux[-1] is the total
-        self.aux = y[:, 2 * n].copy() if with_aux else None     # (N,)
-        self.clipped = clipped
+        self.y = y
+        self.q = y[:, :n]                                       # (N, n)
+        self.p = y[:, n:2 * n]                                  # (N, n)
+        self.aux = y[:, 2 * n] if y.shape[1] > 2 * n else None  # (N,)
+        self.clipped = t_exit is not None
         self.t_exit = t_exit
-        self.steps = steps  # _Steps of the state (q, p[, aux]), for resample
+        self.steps = steps  # _Steps of the state y, for resample
 
     @functools.cached_property
     def h(self):
@@ -383,7 +387,9 @@ def _dop853(fun, event, y0, t1, tol):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    h_abs = min(100 * h0, h1, span, _MAX_STEP)
+    # a Python float, so that every stage state is one: numpy scalars
+    # would warn on overflow where floats raise
+    h_abs = float(min(100 * h0, h1, span, _MAX_STEP))
     t = 0.0
     f_old = f.tolist()
     g = event(y)
@@ -465,8 +471,9 @@ def integrate(model, metric_tag, lam0, T, tol=1e-10, samples=None, aux_rate=None
 
     Stops (clipped=True) when the base point reaches the domain boundary;
     q0 must lie farther than _BOUNDARY_EPS inside it (ValueError).
-    aux_rate(q, p) -> float, when given, is integrated along the flow and
-    its integral at each time is returned in Trajectory.aux. tol is the
+    aux_rate(y) -> float of the state y = [q..., p..., aux] (a list of
+    floats), when given, is integrated along the flow and its integral at
+    each time is returned in Trajectory.aux. tol is the
     relative and absolute tolerance of the DOP853 steps, finite and positive
     (clipped to 100 eps from below). The states are those at `samples` even
     times of [0, T], or at the accepted step ends without samples; the steps
@@ -492,7 +499,7 @@ def integrate(model, metric_tag, lam0, T, tol=1e-10, samples=None, aux_rate=None
                          % (q0.tolist(), _BOUNDARY_EPS))
 
     # fun(y, out) writes the rate of the state y, a list, into out and
-    # returns out
+    # returns out; the aux rate and the event read the same list
     if aux_rate is None:
         def fun(y, out):
             return hamiltonian_rhs(model, metric_tag, y, out)
@@ -501,11 +508,11 @@ def integrate(model, metric_tag, lam0, T, tol=1e-10, samples=None, aux_rate=None
 
         def fun(y, out):
             hamiltonian_rhs(model, metric_tag, y, out)
-            out[n2] = aux_rate(y[:n], y[n:n2])
+            out[n2] = aux_rate(y)
             return out
 
     def event(y):
-        return model.boundary_distance(y[:n]) - _BOUNDARY_EPS
+        return model.boundary_distance(y) - _BOUNDARY_EPS
 
     y0 = np.concatenate([q0, p0, [0.0]] if aux_rate is not None else [q0, p0])
     status, steps, y_end = _dop853(fun, event, y0, float(T), tol)
@@ -515,7 +522,7 @@ def integrate(model, metric_tag, lam0, T, tol=1e-10, samples=None, aux_rate=None
                                % (q0.tolist(), float(steps.ts[-1]), float(T)))
     t_exit = float(steps.ts[-1]) if status == 1 else None
     traj = Trajectory(model, metric_tag, steps.ts, np.concatenate([steps.y_old, [y_end]]),
-                      status == 1, t_exit, aux_rate is not None, steps)
+                      t_exit, steps)
     return resample(traj, np.linspace(0.0, T, samples)) if samples else traj
 
 
@@ -524,8 +531,7 @@ def resample(traj, t):
     off the interpolant of the kept step that contains it (see _sample), as
     scipy's dense output gives it; the run's clipping carries over."""
     t, y = _sample(traj.steps, np.asarray(t, dtype=float))
-    return Trajectory(traj.model, traj.metric_tag, t, y, traj.clipped, traj.t_exit,
-                      traj.aux is not None, traj.steps)
+    return Trajectory(traj.model, traj.metric_tag, t, y, traj.t_exit, traj.steps)
 
 
 def write_trajectory_csv(traj, fh):

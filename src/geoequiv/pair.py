@@ -424,7 +424,9 @@ class AdaptedFrame:
         self._same = np.zeros((model.m, model.m), dtype=bool)
         for idx in self.clusters:
             self._same[np.ix_(idx, idx)] = True
-        self._point_cache = {}
+        # (point, point_data) of the last point read: every caller reads a
+        # frame at its center
+        self._memo = None, None
 
         n, m = model.n, model.m
         if n - m not in (0, 1):
@@ -483,9 +485,8 @@ class AdaptedFrame:
 
     def point_data(self, q):
         qt = tuple(np.asarray(q, dtype=float).tolist())
-        cached = self._point_cache.get(qt)
-        if cached is not None:
-            return cached
+        if self._memo[0] == qt:
+            return self._memo[1]
         model = self.model
         n, m = model.n, model.m
         A, Vg, lams, clusters, W1, W2, V, E, gauge = self.at(qt)
@@ -514,9 +515,7 @@ class AdaptedFrame:
         data = AdaptedPoint(q=np.asarray(qt), A=A, Vg=Vg, alphas=alph, alpha_sq=lams,
                             dalpha_sq=A[:, :m].T @ dlams, clusters=clusters, W1=W1, W2=W2,
                             c=_structure(A, dA), cbar=_structure(Abar, dAbar))
-        if len(self._point_cache) > 256:
-            self._point_cache.clear()
-        self._point_cache[qt] = data
+        self._memo = qt, data
         return data
 
 
@@ -592,12 +591,13 @@ def fiber_hP(model, frame, q):
                        len(_basis(n, 3)[0]))
 
 
-def intrinsic_P(model, lam):
-    """Frame-independent value of fiber_P: (W1^{-1}u)^T W2 (W1^{-1}u)."""
-    q, p = lam
-    if type(q) is not list or type(p) is not list:  # as Python floats, see hamiltonian_rhs
-        q, p = np.asarray(q, dtype=float).tolist(), np.asarray(p, dtype=float).tolist()
-    return float((model._cache.get("energy1") or _program(model, 1, "energy"))(q + p)[1])
+def intrinsic_P(model, y):
+    """Frame-independent value of fiber_P: (W1^{-1}u)^T W2 (W1^{-1}u) at the
+    state y = [q..., p...] (entries past the 2n are not read), read as
+    Python floats as in hamiltonian_rhs."""
+    if type(y) is not list:
+        y = np.asarray(y, dtype=float).tolist()
+    return float((model._cache.get("energy1") or _program(model, 1, "energy"))(y)[1])
 
 
 class DivisibilityResult:

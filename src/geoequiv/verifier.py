@@ -231,8 +231,8 @@ def verify_equivalence(model, sampling=None, exclusions=None):
                             "fell within the abnormal cone of half-angle %s"
                             % (excluded, cone))
 
-    def a_rate(q, p):
-        return math.sqrt(max(intrinsic_P(model, (q, p)), 0.0))
+    def a_rate(y):
+        return math.sqrt(max(intrinsic_P(model, y), 0.0))
 
     def run_sample(idx, q0, p0):
         """The outcome of transporting the gram1 extremal of (q0, p0)."""

@@ -45,7 +45,9 @@ the residuals of the paper's two first-order identities (from the
 Pontryagin Maximum Principle) that fix the transverse component of
 verifier.orbital_map, at the covector it returns. It lived in the
 library, but no command, library path or benchmark op ran it, so it is an
-oracle here.
+oracle here, and so is recover_beta, the Levi-Civita block functions
+read back out of the transition spectrum, which lived in
+geoequiv.constructors with no caller there.
 """
 
 import itertools
@@ -128,6 +130,19 @@ def numpy_intrinsic_P(model, lam):
     u = np.asarray(p, dtype=float) @ ED
     w = np.linalg.solve(model.gram_at(qt, 1), u)
     return float(w @ model.gram_at(qt, 2) @ w)
+
+
+def recover_beta(eigenvalues):
+    """Invert the block-eigenvalue relation lambda_s = beta_s * prod(beta_l).
+
+    Takes the N distinct transition-operator eigenvalues (one per block);
+    returns the matching betas: beta_s = lambda_s * (prod lambda_l)^(-1/(N+1)).
+    """
+    lams = np.asarray(eigenvalues, dtype=float)
+    if np.any(lams <= 0):
+        raise ValueError("eigenvalues must be positive")
+    N = len(lams)
+    return lams * float(np.prod(lams)) ** (-1.0 / (N + 1))
 
 
 def loop_validate_model(model, per_axis=3):
@@ -820,10 +835,9 @@ def solve_ivp_integrate(model, metric_tag, lam0, T, tol=1e-10, max_step=1e-2,
 
     def rhs(_t, y):
         state = y.tolist()
-        q, p = state[:n], state[n:2 * n]
-        qdot, pdot = rhs_arrays(model, metric_tag, q, p)
+        qdot, pdot = rhs_arrays(model, metric_tag, state[:n], state[n:2 * n])
         if with_aux:
-            return np.concatenate([qdot, pdot, [aux_rate(q, p)]])
+            return np.concatenate([qdot, pdot, [aux_rate(state)]])
         return np.concatenate([qdot, pdot])
 
     def hit_boundary(_t, y):

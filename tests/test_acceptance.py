@@ -20,12 +20,12 @@ from geoequiv.pair import (AdaptedFrame, transition_operator, regularity_probe,
                            relations_cor)
 from geoequiv.constructors import (build_dini, build_levi_civita,
                                    build_gendini_case1, build_gendini_case2,
-                                   build_quasi_contact, build_beltrami,
-                                   recover_beta)
+                                   build_quasi_contact, build_beltrami)
 from geoequiv.verifier import verify_equivalence
 from geoequiv.cli import main as cli_main
 
 from conftest import heisenberg, plane_pair, case2_origin_chart, value
+from reference import recover_beta
 
 _MODELS = {}
 _REPORTS = {}

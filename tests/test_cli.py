@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -205,12 +206,12 @@ def test_unknown_option_exits_1(dini_model, capsys):
     assert main(["analyze", "--model", dini_model, "--at", "-e5", "0.1"]) == 1
 
 
-def _run_cli(*argv):
+def _run_cli(*argv, flags=()):
     src = os.path.dirname(os.path.dirname(geoequiv.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "geoequiv.cli"] + list(argv),
+    return subprocess.run([sys.executable, *flags, "-m", "geoequiv.cli"] + list(argv),
                           capture_output=True, text=True, env=env)
 
 
@@ -822,6 +823,79 @@ def test_algebraic_argument_vectors_end_in_a_documented_exit(fuzz_models):
         # a verdict always comes with its report
         if argv[-1] == "json" and (code in (0, 2) or out.getvalue()):
             json.loads(out.getvalue(), parse_constant=_refuse_constant)
+
+    check()
+
+
+# generated pairs that the grid checks accept although gram1 vanishes inside
+# the domain: the levi-civita betas meet at x1 = 0.38, and the gendini2 R
+# equals C at r = 0.26
+DEGENERATE_PARAMS = {
+    "levi-civita": {"blocks": [{"size": 1, "beta": "1 + x1"}, {"size": 1, "beta": 1.38}]},
+    "gendini2": {"R": "1 + r^2*(r - 0.26)^2"},
+}
+
+
+@pytest.fixture(scope="module")
+def degenerate_models(tmp_path_factory):
+    """kind -> manifest path of each DEGENERATE_PARAMS pair."""
+    models = {}
+    for kind, params in DEGENERATE_PARAMS.items():
+        path = tmp_path_factory.mktemp("degenerate") / (kind + ".json")
+        save_model(GENERATORS[kind](params), str(path))
+        models[kind] = str(path)
+    return models
+
+
+def test_verify_overflow_where_gram1_vanishes_exits_4_with_warnings_as_errors(
+        degenerate_models):
+    # the gendini2 flow overflows near r = 0.26; the stage states are Python
+    # floats, so the overflow raises and is an invalid model, not a numpy
+    # warning that -W error turns into a traceback
+    proc = _run_cli("verify", "--samples", "8", "--model", degenerate_models["gendini2"],
+                    flags=("-W", "error::RuntimeWarning"))
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: model expression out of its domain: compiled expression not finite"]
+
+
+@st.composite
+def _verify_argv(draw, paths):
+    argv = ["verify", "--model", draw(st.sampled_from(paths)),
+            "--samples", draw(st.sampled_from(("1", "2", "3")))]
+    flags = {"--seed": st.sampled_from(("0", "7", "123", "-1")),
+             "--T": st.sampled_from(("0.3", "-0.3", "2", "1e-9", "0", "nan", "inf")),
+             "--tol": st.sampled_from(("1e-6", "1e-300", "1e300", "0")),
+             "--integrator-tol": st.sampled_from(("1e-10", "1e-6", "1e-16", "0.1", "0", "nan")),
+             "--curve-samples": st.sampled_from(("2", "11", "601", "1")),
+             "--margin": st.sampled_from(("0", "0.15", "0.49", "0.5")),
+             "--transverse-sigma": st.sampled_from(("0", "1", "1e3", "-1")),
+             "--exclude-abnormal-cone": st.sampled_from(("0.1", "1.5", "3.2", "0"))}
+    for flag, values in flags.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv + ["--format", draw(st.sampled_from(("text", "json")))]
+
+
+def test_verify_argument_vectors_end_in_a_documented_exit(fuzz_models, degenerate_models):
+    # every fuzz pair and both degenerate ones, one to three samples, each
+    # option at its default, an awkward value or past its limit, with numpy
+    # warnings as errors: a documented exit code, never a traceback, and
+    # JSON without NaN or infinities
+    paths = [fuzz_models[kind][0] for kind in FUZZ_KINDS] + sorted(degenerate_models.values())
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(_verify_argv(paths))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        assert code in (0, 1, 2, 3, 4), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if argv[-1] == "json" and out.getvalue():
+            _strict_json(out.getvalue())
 
     check()
 

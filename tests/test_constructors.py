@@ -8,9 +8,10 @@ from geoequiv.pair import transition_operator
 from geoequiv.constructors import (ConstructionError, GENERATORS, build_dini,
                                    build_levi_civita, build_gendini_case1,
                                    build_gendini_case2, build_quasi_contact,
-                                   build_beltrami, recover_beta)
+                                   build_beltrami)
 
 from conftest import case2_origin_chart, plane_pair
+from reference import recover_beta
 
 
 def test_registry_keys():

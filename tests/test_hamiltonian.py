@@ -224,7 +224,7 @@ def test_stepper_matches_solve_ivp(kind):
     # scipy's dense output does
     m = pair_fixture(kind)
     rng, times = np.random.default_rng(43), np.random.default_rng(44)
-    aux_rate = lambda q, p: math.sqrt(max(intrinsic_P(m, (q, p)), 0.0))
+    aux_rate = lambda y: math.sqrt(max(intrinsic_P(m, y), 0.0))
     clipped = 0
     for T in (0.3, -0.3, 5.0, -5.0):
         lam0 = (m.sample_point(rng), rng.normal(size=m.n))
@@ -246,13 +246,35 @@ def test_stepper_matches_solve_ivp(kind):
     assert clipped >= 8
 
 
+def test_flow_states_are_python_floats_past_an_uncapped_first_step():
+    # a covector 20 times a unit-size one makes the first step 100 h0 =
+    # 3.9e-3, below the 0.01 cap and the horizon: the initial step selection
+    # gives it as a numpy scalar, which must not reach the stage states,
+    # where an overflow would warn instead of raising. The flow program and
+    # the aux rate read them all
+    m = pair_fixture("gendini2")
+    flow = _program(m, 1, "flow")
+    seen = []
+
+    def recorded(y):
+        seen.append(list(y))
+        return flow(y)
+
+    m._cache["flow1"] = recorded
+    lam0 = ((m.domain_min + m.domain_max) / 2, np.array([20.0, -10.0]))
+    traj = integrate(m, 1, lam0, 0.004, aux_rate=lambda y: seen.append(list(y)) or 1.0)
+    assert abs(traj.steps.h[0]) < 0.01 and len(traj.steps.h) > 1 and not traj.clipped
+    assert len(seen) > 50
+    assert {type(v) for y in seen for v in y} == {float}
+
+
 def test_stepper_collapses_where_solve_ivp_does():
     lam0 = (np.zeros(2), np.array([1.0, 0.0]))
     # mid-way, where gram2 nearly vanishes, and at the first step, where an
     # infinite aux rate rejects every step, or where a covector near 1e-156
     # makes the error norm 0 / 0 (its squares underflow)
     runs = [(plane_pair(g2xx="(x-0.3)^2 + 1e-24"), 2, None, lam0),
-            (plane_pair(), 1, lambda q, p: math.inf, lam0),
+            (plane_pair(), 1, lambda y: math.inf, lam0),
             (plane_pair(), 2, None, (np.array([0.1, 0.2]), np.array([1e-156, 3e-157])))]
     for m, tag, rate, lam0 in runs:
         with pytest.raises(IntegrationError) as new, np.errstate(invalid="ignore"):
@@ -419,7 +441,8 @@ def test_generated_field_matches_numpy_reference(kind):
             ref = np.concatenate(numpy_hamiltonian_rhs(m, tag, q, p))
             assert _close(np.concatenate([qdot, pdot]), ref), (kind, tag, q)
             assert _close(hamiltonian(m, tag, lam), numpy_hamiltonian(m, tag, (q, p)))
-        assert _close(intrinsic_P(m, lam), numpy_intrinsic_P(m, (q, p)))
+        assert _close(intrinsic_P(m, lam[0] + lam[1] if i % 2 else np.concatenate(lam)),
+                      numpy_intrinsic_P(m, (q, p)))
 
 
 def test_cut_matches_fresh_integration():
@@ -427,7 +450,7 @@ def test_cut_matches_fresh_integration():
     # steps; that agrees with integrating to the cut horizon afresh (curved
     # pair, horizons long enough to leave the box either way)
     m = build_dini("1+x1/10", "2+x2/10")
-    aux_rate = lambda q, p: np.sqrt(max(intrinsic_P(m, (q, p)), 0.0))
+    aux_rate = lambda y: np.sqrt(max(intrinsic_P(m, y), 0.0))
     rng = np.random.default_rng(5)
     for T in (2.0, -2.0, 2.0, -2.0):
         lam0 = (m.sample_point(rng), rng.normal(size=2))
@@ -472,7 +495,7 @@ def test_split_programs_equal_the_full_field(kind):
             rates = call_outcome(lambda lam: np.concatenate(rhs_arrays(m, tag, *lam)), rows[i])
             assert rates == ref[i][1:2 * m.n + 1]
         if tag == 1:
-            assert [call_outcome(lambda lam: [intrinsic_P(m, lam)], lam)[0]
+            assert [call_outcome(lambda lam: [intrinsic_P(m, lam[0] + lam[1])], lam)[0]
                     for lam in rows] == [vals[-1] for vals in ref]
 
 

@@ -254,7 +254,7 @@ def test_points_reach_compiled_evaluators_as_floats():
         initial_covector(m, 2, q, [1.0, 0.0])
     p = np.array([1.0, 0.0])
     with pytest.raises(ex.EvalDomainError, match="float division by zero"):
-        intrinsic_P(m, (q, p))
+        intrinsic_P(m, np.concatenate([q, p]))
     with pytest.raises(ex.EvalDomainError, match="float division by zero"):
         hamiltonian_rhs(m, 2, np.concatenate([q, p]), np.empty(4))
 
@@ -706,7 +706,8 @@ def test_fiber_P_matches_intrinsic():
     for _ in range(6):
         p = rng.normal(size=4)
         u = p @ A
-        assert fiber_value(poly, u, 2) == pytest.approx(intrinsic_P(m, (q, p)), rel=1e-10)
+        assert fiber_value(poly, u, 2) == pytest.approx(intrinsic_P(m, np.concatenate([q, p])),
+                                                        rel=1e-10)
 
 
 def test_plane_example_hand_values():

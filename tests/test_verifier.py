@@ -110,7 +110,7 @@ def test_corank_zero_orbital_map_reads_the_frame_alone_bit_for_bit():
             fr = AdaptedFrame(m, center=q)
             res = orbital_map(m, fr, (q, p))
             seen[kind].append([v.hex() for v in res.lam2[1].tolist()] + [res.a.hex()])
-            assert fr._point_cache == {}
+            assert fr._memo == (None, None)
     assert seen == CORANK_ZERO_ORBITAL_HEX
 
 
