@@ -22,7 +22,7 @@ import numpy as np
 from . import expr as ex
 
 _BOUNDARY_EPS = 1e-12
-_MAX_STEP = 1e-2            # the longest DOP853 step of integrate
+_STEP_TOL = 1e-4            # integrate's DOP853 steps run at tol * _STEP_TOL
 _FLOAT64 = np.dtype(float)
 
 
@@ -269,6 +269,20 @@ def _dense(F, y_old, x):
     return y
 
 
+def _dense_head(F, y_old, x):
+    """_dense(F, y_old, x)[:k] for the columns F (k rows of 7 coefficients)
+    and y_old (k floats) at a float x: a Horner loop on Python floats in
+    _dense's operation order, so equal to it bit for bit."""
+    x1 = 1 - x
+    out = []
+    for f, y0 in zip(F, y_old):
+        acc = 0.0
+        for j in range(6, -1, -1):
+            acc = (acc + f[j]) * (x if j % 2 == 0 else x1)
+        out.append(acc + y0)
+    return out
+
+
 def _sample(steps, t):
     """(times, states) at the times t that the run reached, each state from
     the interpolant of the step that contains it, the earlier step at a step
@@ -341,9 +355,10 @@ def _brentq(f, xa, xb, xtol, rtol):
     raise RuntimeError("Failed to converge after 100 iterations.")
 
 
-def _dop853(fun, event, y0, t1, tol):
+def _dop853(fun, event, nq, y0, t1, tol):
     """DOP853 from the state array y0 at t = 0 towards t1, stopped where event(y)
-    changes sign.
+    changes sign; event reads only the first nq entries of y. The steps run
+    at atol = tol * _STEP_TOL and rtol = max(atol, 100 eps).
 
     fun(y, out) takes a state as a list of floats, writes its rate into the
     float64 row out and returns out. Every dot product of scipy's step is
@@ -357,7 +372,8 @@ def _dop853(fun, event, y0, t1, tol):
     below 10 ulp of t; y_end is the state at the end time steps.ts[-1].
     """
     A, B, E3, E5, D = _tableau()
-    rtol, atol = max(tol, 100 * _EPS), tol
+    atol = tol * _STEP_TOL
+    rtol = max(atol, 100 * _EPS)
     direction = 1.0 if t1 > 0 else -1.0
     N = len(y0)
     K = np.empty((_STAGES_EXTENDED, N))
@@ -389,7 +405,7 @@ def _dop853(fun, event, y0, t1, tol):
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     # a Python float, so that every stage state is one: numpy scalars
     # would warn on overflow where floats raise
-    h_abs = float(min(100 * h0, h1, span, _MAX_STEP))
+    h_abs = float(min(100 * h0, h1, span))
     t = 0.0
     f_old = f.tolist()
     g = event(y)
@@ -397,9 +413,7 @@ def _dop853(fun, event, y0, t1, tol):
     status = None
     while status is None:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        if h_abs > _MAX_STEP:
-            h_abs = _MAX_STEP
-        elif h_abs < min_step:
+        if h_abs < min_step:
             h_abs = min_step
         rejected = False
         K[0] = f
@@ -456,10 +470,10 @@ def _dop853(fun, event, y0, t1, tol):
         g_new = event(y)
         if g <= 0 <= g_new or g >= 0 >= g_new:
             F = np.concatenate([low, high])
-            y_old = np.array(y_old)
-            root = _brentq(lambda r: event(_dense(F, y_old, (r - t_old) / h)),
+            F_head, y_head = F[:, :nq].T.tolist(), y_old[:nq]
+            root = _brentq(lambda r: event(_dense_head(F_head, y_head, (r - t_old) / h)),
                            t_old, t, 4 * _EPS, 4 * _EPS)
-            t, y = root, _dense(F, y_old, (root - t_old) / h)
+            t, y = root, _dense(F, np.array(y_old), (root - t_old) / h)
             status = 1
         g = g_new
         ts.append(t)
@@ -473,13 +487,14 @@ def integrate(model, metric_tag, lam0, T, tol=1e-10, samples=None, aux_rate=None
     q0 must lie farther than _BOUNDARY_EPS inside it (ValueError).
     aux_rate(y) -> float of the state y = [q..., p..., aux] (a list of
     floats), when given, is integrated along the flow and its integral at
-    each time is returned in Trajectory.aux. tol is the
-    relative and absolute tolerance of the DOP853 steps, finite and positive
-    (clipped to 100 eps from below). The states are those at `samples` even
-    times of [0, T], or at the accepted step ends without samples; the steps
-    are kept, so that resample() can read the run at other times without
-    integrating again. Raises CovectorTooLargeError, a ValueError, when the
-    initial rate is finite but its scaled norm is not.
+    each time is returned in Trajectory.aux. tol, finite and positive, is
+    the accuracy asked of the run; the DOP853 steps, of any length, run at
+    1e-4 of it (see _dop853), so that their interpolant keeps it. The states
+    are those at `samples` even times of [0, T], or at the accepted step
+    ends without samples; the steps are kept, so that resample() can read
+    the run at other times without integrating again. Raises
+    CovectorTooLargeError, a ValueError, when the initial rate is finite
+    but its scaled norm is not.
     """
     q0, p0 = lam0
     q0 = np.asarray(q0, dtype=float)
@@ -487,9 +502,9 @@ def integrate(model, metric_tag, lam0, T, tol=1e-10, samples=None, aux_rate=None
     n = model.n
     if not (math.isfinite(T) and T != 0):
         raise ValueError("integration time must be finite and nonzero, got %r" % float(T))
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("integrator tolerance must be finite and positive, got %r"
-                         % float(tol))
+    if not (math.isfinite(tol) and tol * _STEP_TOL > 0):
+        raise ValueError("integrator tolerance must be finite and positive, and %g of it "
+                         "a positive float, got %r" % (_STEP_TOL, float(tol)))
     if not model.in_domain(q0):
         raise ValueError("initial point %s outside the model domain" % (q0.tolist(),))
     # the boundary is found where the event changes sign, so a start on it
@@ -515,7 +530,7 @@ def integrate(model, metric_tag, lam0, T, tol=1e-10, samples=None, aux_rate=None
         return model.boundary_distance(y) - _BOUNDARY_EPS
 
     y0 = np.concatenate([q0, p0, [0.0]] if aux_rate is not None else [q0, p0])
-    status, steps, y_end = _dop853(fun, event, y0, float(T), tol)
+    status, steps, y_end = _dop853(fun, event, n, y0, float(T), tol)
     if status == -1:
         raise IntegrationError("integration failed from q = %s at t = %r of T = %r: "
                                "Required step size is less than spacing between numbers."

@@ -818,10 +818,10 @@ def _solve_ivp_trajectory(model, metric_tag, t, y, clipped, t_exit, with_aux, de
                            dense=dense)
 
 
-def solve_ivp_integrate(model, metric_tag, lam0, T, tol=1e-10, max_step=1e-2,
-                        samples=None, aux_rate=None):
-    """hamiltonian.integrate as it was on scipy's solve_ivp; `dense` is the
-    run's OdeSolution."""
+def solve_ivp_integrate(model, metric_tag, lam0, T, tol=1e-10, samples=None, aux_rate=None):
+    """hamiltonian.integrate as it was on scipy's solve_ivp, at its step
+    tolerance tol * 1e-4 (scipy raises rtol to 100 eps, with a warning) and
+    scipy's unbounded max_step; `dense` is the run's OdeSolution."""
     q0, p0 = lam0
     q0 = np.asarray(q0, dtype=float)
     p0 = np.asarray(p0, dtype=float)
@@ -846,8 +846,8 @@ def solve_ivp_integrate(model, metric_tag, lam0, T, tol=1e-10, max_step=1e-2,
     hit_boundary.terminal = True
 
     y0 = np.concatenate([q0, p0, [0.0]] if with_aux else [q0, p0])
-    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=tol, atol=tol,
-                    max_step=max_step, events=[hit_boundary],
+    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=tol * 1e-4, atol=tol * 1e-4,
+                    events=[hit_boundary],
                     t_eval=np.linspace(0.0, T, samples) if samples else None,
                     dense_output=True)
     if sol.status == -1:

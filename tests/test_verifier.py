@@ -115,12 +115,12 @@ def test_corank_zero_orbital_map_reads_the_frame_alone_bit_for_bit():
 
 
 # one-sample verify at the default seed: the verdict and the calls of each
-# entry point, measured when every evaluation looked its program up through
-# hamiltonian._program
+# entry point, measured as the calls of the compiled flow and energy programs
+# themselves (wrapped in the model's program cache)
 ROUTED_CALLS = {
-    "levi-civita": (None, "pass", 1264, 452),
-    "quasi-contact": ({"abnormal_cone": 0.1}, "pass", 784, 452),
-    "conformal": (None, "fail", 949, 452),
+    "levi-civita": (None, "pass", 124, 62),
+    "quasi-contact": ({"abnormal_cone": 0.1}, "pass", 184, 92),
+    "conformal": (None, "fail", 184, 77),
 }
 
 
