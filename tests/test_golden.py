@@ -1,15 +1,19 @@
-"""Golden reports: the canonical JSON of analyze, check-relations and an
-8-sample verify on every PAIR_KINDS fixture, of analyze and check-relations
-at two seeded off-center points, and the saved manifest itself, compared
-byte for byte.
+"""Golden reports: the canonical JSON of analyze, check-relations, an
+8-sample verify and a 21-sample geodesic on every PAIR_KINDS fixture, of
+analyze and check-relations at two seeded off-center points, and the saved
+manifest itself, compared byte for byte.
 
 Each report is made in process from a manifest saved under the fixed
 relative name <kind>.json in a scratch working directory, so the model
 path that a report names does not depend on where the test runs; that
 manifest's bytes are <kind>.manifest.json. quasi-contact verifies with
 --exclude-abnormal-cone 0.1. The two --at points of a fixture are
-model.sample_point draws of a generator seeded with AT_SEED. The files pin
-numpy's and scipy's arithmetic, as the stepper and pencil oracles do.
+model.sample_point draws of a generator seeded with AT_SEED. The geodesic
+starts at a model.sample_point draw of a generator seeded with
+GEODESIC_SEED, with the unit covector along that generator's next normal
+draw, and runs over GEODESIC_T on metric 1 or 2 by turns along PAIR_KINDS;
+four of the eight runs leave the domain. The files pin numpy's and scipy's
+arithmetic, as the stepper and pencil oracles do.
 
 After an intended report change, rewrite the files from the repository
 root with
@@ -39,6 +43,8 @@ EXIT_CODES = GOLDEN / "exit_codes.json"
 COMMANDS = {"analyze": [], "check-relations": [], "verify": ["--samples", "8"]}
 # the seed of every fixture's two --at points
 AT_SEED = 2004
+# the seed of every fixture's geodesic start, and its horizon
+GEODESIC_SEED, GEODESIC_T = 2005, 0.2
 
 
 def _at_points(model):
@@ -51,6 +57,18 @@ def _at_points(model):
     return argv
 
 
+def _geodesic_argv(kind, model):
+    """The argv of the geodesic report on fixture kind, every coordinate
+    written as repr writes it."""
+    rng = np.random.default_rng(GEODESIC_SEED)
+    q = model.sample_point(rng)
+    p = rng.normal(size=model.n)
+    p /= np.linalg.norm(p)
+    return (["geodesic", "--model", kind + ".json", "--format", "json", "--samples", "21",
+             "--metric", str(1 + PAIR_KINDS.index(kind) % 2), "--T", repr(GEODESIC_T)]
+            + ["--q"] + [repr(v) for v in q.tolist()] + ["--p"] + [repr(v) for v in p.tolist()])
+
+
 def _argvs(kind, model):
     """{report name: argv} of every report on fixture kind."""
     argvs = {}
@@ -60,6 +78,7 @@ def _argvs(kind, model):
         argvs["verify"] += ["--exclude-abnormal-cone", "0.1"]
     for command in ("analyze", "check-relations"):
         argvs[command + "-at"] = argvs[command] + _at_points(model)
+    argvs["geodesic"] = _geodesic_argv(kind, model)
     return argvs
 
 
