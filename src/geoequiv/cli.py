@@ -3,7 +3,8 @@
 Exit codes: 0 success (or verification pass), 1 usage or IO error (also a
 point or covector coordinate that is not finite, a geodesic covector too
 large for its energy to be finite where the model evaluates or for its
-scaled initial rate to be squared in floats, a tolerance, radius or
+scaled initial rate to be squared in floats, a geodesic tolerance too small
+for that at a covector of largest entry 1, a tolerance, radius or
 abnormal cone that is not finite and positive, a verify margin outside
 [0, 0.5), a transverse sigma that is not finite and at least 0, fewer than
 1 verify sample or check-relations point or 2 curve samples, a negative
@@ -326,6 +327,14 @@ def _cmd_geodesic(args):
         traj = integrate(model, args.metric, (q0, p0), args.T,
                          tol=args.tol, samples=args.samples)
     except CovectorTooLargeError as exc:
+        # as _check_energy judges the energy: the tolerance is at fault when
+        # p scaled to a largest entry of 1 is refused too, which integrate
+        # decides before its first step, whatever the horizon
+        try:
+            integrate(model, args.metric, (q0, p0 / np.abs(p0).max()),
+                      math.copysign(1e-9, args.T), tol=args.tol)
+        except CovectorTooLargeError:
+            _usage_error("argument --tol: %s; raise it" % exc)
         _usage_error("argument --p: %s; scale it down" % exc)
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)

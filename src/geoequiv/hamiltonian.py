@@ -153,12 +153,12 @@ def hamiltonian(model, metric_tag, lam):
     row alone. Either way the values are taken as Python floats, which
     raise on division by zero where numpy scalars would give inf.
     """
-    y = np.concatenate([np.asarray(lam[0], dtype=float),
-                        np.asarray(lam[1], dtype=float)], axis=-1)
+    q, p = np.asarray(lam[0], dtype=float), np.asarray(lam[1], dtype=float)
     energy = _program(model, metric_tag, "energy")
-    if y.ndim == 2:
-        return energy.lanes(y)[0]
-    return float(energy(y.tolist())[0])
+    if q.ndim == 2:
+        # the lanes transpose their (N, 2n) points back to these contiguous rows
+        return energy.lanes(np.concatenate([q.T, p.T]).T)[0]
+    return float(energy(np.concatenate([q, p]).tolist())[0])
 
 
 def hamiltonian_rhs(model, metric_tag, y, out):
@@ -188,10 +188,11 @@ def hamiltonian_rhs(model, metric_tag, y, out):
 
 class Trajectory:
     """An extremal of metric `metric_tag` at the times t (N,): the rows y
-    (N, 2n[+1]) of its run's states, read through the column views q and p
-    and, when the run integrated an aux rate, aux (its integral at each
-    time, aux[-1] the total). The run left the domain at t_exit, or stayed
-    in it (None); its accepted steps are kept for resample."""
+    (N, 2n[+1]) of its run's states, the transpose of a column block, read
+    through the column views q and p and, when the run integrated an aux
+    rate, aux (its integral at each time, aux[-1] the total). The run left
+    the domain at t_exit, or stayed in it (None); its accepted steps are
+    kept for resample."""
 
     def __init__(self, model, metric_tag, t, y, t_exit, steps):
         n = model.n
@@ -245,34 +246,36 @@ _EPS = float(np.finfo(float).eps)
 class _Steps:
     """Accepted steps of one run in the time direction (+1.0 or -1.0):
     ts = [0, step ends..., t_end] (t_end is the event root when the boundary
-    stopped the run), and per step its length h, initial state y_old (N,) and
-    dense-output coefficients F (7, N), given as its first three rows and
-    its last four."""
+    stopped the run), and per step its length h and one column of cols
+    (8, N, k): its dense-output coefficients F in rows 0-6, given as their
+    first three and their last four, and its initial state y_old in row 7."""
 
     def __init__(self, direction, ts, hs, y_olds, F_low, F_high, N):
         k = len(hs)
         self.direction = direction
         self.ts = np.array(ts)
         self.h = np.array(hs)
-        self.y_old = np.array(y_olds).reshape(k, N)
-        self.F = np.concatenate([np.array(F_low).reshape(k, 3, N),
-                                 np.array(F_high).reshape(k, 4, N)], axis=1)
+        rows = [np.array(F_low).reshape(k, 3, N), np.array(F_high).reshape(k, 4, N),
+                np.array(y_olds).reshape(k, 1, N)]
+        self.cols = np.concatenate(rows, axis=1).transpose(1, 2, 0).copy()
 
 
-def _dense(F, y_old, x):
-    """DOP853 dense output at x = (t - t_old) / h, evaluated as scipy does."""
-    y = np.zeros(y_old.shape)
+def _dense(cols, x):
+    """DOP853 dense output (N, S) of the step columns cols (8, N, S), laid
+    out as _Steps.cols, at x = (t - t_old) / h (S,), evaluated as scipy does."""
+    x1 = 1 - x
+    y = np.zeros(cols.shape[1:])
     for j in range(6, -1, -1):
-        y += F[..., j, :]
-        y *= x if j % 2 == 0 else 1 - x
-    y += y_old
+        y += cols[j]
+        y *= x if j % 2 == 0 else x1
+    y += cols[7]
     return y
 
 
 def _dense_head(F, y_old, x):
-    """_dense(F, y_old, x)[:k] for the columns F (k rows of 7 coefficients)
-    and y_old (k floats) at a float x: a Horner loop on Python floats in
-    _dense's operation order, so equal to it bit for bit."""
+    """_dense's first k rows for the columns F (k rows of 7 coefficients)
+    and y_old (k floats) of one step at a float x: a Horner loop on Python
+    floats in _dense's operation order, so equal to it bit for bit."""
     x1 = 1 - x
     out = []
     for f, y0 in zip(F, y_old):
@@ -281,18 +284,6 @@ def _dense_head(F, y_old, x):
             acc = (acc + f[j]) * (x if j % 2 == 0 else x1)
         out.append(acc + y0)
     return out
-
-
-def _sample(steps, t):
-    """(times, states) at the times t that the run reached, each state from
-    the interpolant of the step that contains it, the earlier step at a step
-    boundary, as scipy's t_eval and OdeSolution choose."""
-    ts, sign = steps.ts, steps.direction
-    t = t[sign * t <= sign * ts[-1]]
-    k = np.searchsorted(sign * ts, sign * t, side="left") - 1
-    k = np.clip(k, 0, len(steps.h) - 1)
-    x = (t - ts[k]) / steps.h[k]
-    return t, _dense(steps.F[k], steps.y_old[k], x[:, None])
 
 
 def _rms(x):
@@ -469,11 +460,11 @@ def _dop853(fun, event, nq, y0, t1, tol):
             status = 0
         g_new = event(y)
         if g <= 0 <= g_new or g >= 0 >= g_new:
-            F = np.concatenate([low, high])
-            F_head, y_head = F[:, :nq].T.tolist(), y_old[:nq]
+            cols = np.concatenate([low, high, [y_old]])[:, :, None]
+            F_head, y_head = cols[:7, :nq, 0].T.tolist(), y_old[:nq]
             root = _brentq(lambda r: event(_dense_head(F_head, y_head, (r - t_old) / h)),
                            t_old, t, 4 * _EPS, 4 * _EPS)
-            t, y = root, _dense(F, np.array(y_old), (root - t_old) / h)
+            t, y = root, _dense(cols, (root - t_old) / h)[:, 0]
             status = 1
         g = g_new
         ts.append(t)
@@ -536,17 +527,24 @@ def integrate(model, metric_tag, lam0, T, tol=1e-10, samples=None, aux_rate=None
                                "Required step size is less than spacing between numbers."
                                % (q0.tolist(), float(steps.ts[-1]), float(T)))
     t_exit = float(steps.ts[-1]) if status == 1 else None
-    traj = Trajectory(model, metric_tag, steps.ts, np.concatenate([steps.y_old, [y_end]]),
+    traj = Trajectory(model, metric_tag, steps.ts, np.column_stack([steps.cols[7], y_end]).T,
                       t_exit, steps)
     return resample(traj, np.linspace(0.0, T, samples)) if samples else traj
 
 
 def resample(traj, t):
     """traj at those of the times t that its run reached, each state read
-    off the interpolant of the kept step that contains it (see _sample), as
-    scipy's dense output gives it; the run's clipping carries over."""
-    t, y = _sample(traj.steps, np.asarray(t, dtype=float))
-    return Trajectory(traj.model, traj.metric_tag, t, y, traj.t_exit, traj.steps)
+    off the interpolant of the kept step that contains it, the earlier step
+    at a step boundary, as scipy's t_eval and OdeSolution choose and its
+    dense output gives it; the run's clipping carries over."""
+    steps = traj.steps
+    ts, sign = steps.ts, steps.direction
+    t = np.asarray(t, dtype=float)
+    t = t[sign * t <= sign * ts[-1]]
+    # t <= ts[-1] reads a step of the run, and t = 0 the first
+    k = np.maximum(np.searchsorted(sign * ts, sign * t, side="left") - 1, 0)
+    y = _dense(steps.cols.take(k, axis=2), (t - ts[k]) / steps.h[k])
+    return Trajectory(traj.model, traj.metric_tag, t, y.T, traj.t_exit, steps)
 
 
 def write_trajectory_csv(traj, fh):

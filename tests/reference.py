@@ -30,6 +30,10 @@ pair.regularity_probe and the fiber polynomial screens with them. The
 extremals were integrated by scipy's solve_ivp (DOP853 with a terminal
 boundary event and dense output); the library's own DOP853 loop must
 reproduce them, and its resampling of a run the run's OdeSolution, bit for bit.
+That resampling once gathered each sample's interpolant rows and initial
+state and ran the dense-output loop on rows as wide as the state
+(row_sample and row_dense), where the library reads them off one column
+block of the run's steps; tests compare the two by float.hex.
 The symbolic gram1 Gram-Schmidt (orthonormalize), the trapezoid arc
 length and the quasi-impulses u = p A of the model frame (quasi_impulses)
 and of an adapted frame (adapted_impulses) had no caller in the library;
@@ -862,6 +866,32 @@ def solve_ivp_integrate(model, metric_tag, lam0, T, tol=1e-10, samples=None, aux
         t, y = np.array([0.0]), y0[:, None]
     return _solve_ivp_trajectory(model, metric_tag, t, y, clipped, t_exit, with_aux,
                                  sol.sol)
+
+
+def row_dense(F, y_old, x):
+    """DOP853 dense output at x = (t - t_old) / h of the coefficient rows
+    F (..., 7, N) and the initial states y_old (..., N), evaluated as scipy
+    does."""
+    y = np.zeros(y_old.shape)
+    for j in range(6, -1, -1):
+        y += F[..., j, :]
+        y *= x if j % 2 == 0 else 1 - x
+    y += y_old
+    return y
+
+
+def row_sample(steps, t):
+    """(times, states) of hamiltonian.resample at the times t that the run
+    of steps reached, each state from the interpolant rows of the step that
+    contains it, the earlier step at a step boundary."""
+    F = steps.cols[:7].transpose(2, 0, 1)       # (k, 7, N)
+    y_old = steps.cols[7].T                     # (k, N)
+    ts, sign = steps.ts, steps.direction
+    t = t[sign * t <= sign * ts[-1]]
+    k = np.searchsorted(sign * ts, sign * t, side="left") - 1
+    k = np.clip(k, 0, len(steps.h) - 1)
+    x = (t - ts[k]) / steps.h[k]
+    return t, row_dense(F[k], y_old[k], x[:, None])
 
 
 # ---------------------------------------------------------------------------

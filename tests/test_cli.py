@@ -469,6 +469,22 @@ def test_geodesic_covector_too_large_for_the_first_step_exits_1(tmp_path, capsys
                  "--p", "1", "0", "0", "0", "--T", "0.1"]) == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_geodesic_tolerance_too_small_for_a_unit_covector_names_tol(capsys):
+    # at tol 1e-200 the error scale of a unit covector is too small for its
+    # initial rate: the tolerance is at fault, not --p, also for p = 1e150.
+    # p = 1e150 at the default tolerance still names --p (the test above)
+    dini = str(Path(__file__).with_name("golden") / "dini.manifest.json")
+    for p in ("1", "1e150"):
+        assert main(["geodesic", "--model", dini, "--metric", "1", "--q", "0", "0",
+                     "--p", p, "0", "--T", "0.01", "--tol", "1e-200"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: argument --tol: the initial rate over the error scale (tolerance 1e-200) "
+            "cannot be squared in floats; raise it"]
+
+
 @pytest.mark.parametrize("cell,message", [
     ("1.0 + 0.5*w*1e400", "number 1e400 is not finite (at offset 12)"),
     ("1.0 + 0.5*w*(1e200*1e200)", "constant expression is not finite (at offset 18)"),

@@ -20,7 +20,8 @@ from conftest import (FIELD_PARAMS, PAIR_KINDS, call_outcome, compiled_program, 
                       pair_fixture, plane_pair, value)
 from reference import (arc_length, full_field, initial_covector, numpy_hamiltonian,
                        numpy_hamiltonian_rhs, numpy_intrinsic_P, orthonormalize,
-                       quasi_impulses, rhs_arrays, solve_ivp_integrate)
+                       quasi_impulses, rhs_arrays, row_dense, row_sample,
+                       solve_ivp_integrate)
 
 
 def euclidean_plane():
@@ -246,6 +247,50 @@ def test_stepper_matches_solve_ivp(kind):
     assert clipped >= 8
 
 
+def _hexes(a):
+    return [v.hex() for v in np.asarray(a, dtype=float).ravel().tolist()]
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_resample_reads_the_step_columns_as_the_row_oracle_does(kind):
+    # resample gathers each sample's step column off one block and runs the
+    # Horner loop on rows as long as the sample count; the row oracle reads
+    # each sample's own (7, N) coefficients and initial state. They agree by
+    # float.hex, signed zeros included: forward and backward, with and
+    # without an aux column, to the horizon or out through the boundary, at
+    # unsorted random times (some past the run's end), at every step end
+    # (x = 0 at t = 0, x = 1 after) and at even times. The last run starts
+    # at the center with p = e_1 and -0.0 entries: its loop reads them as
+    # +0.0 (0.0 + -0.0), also at x = 0, where returning the initial state
+    # would keep -0.0 and still pass np.array_equal. At a boundary root the
+    # run's last state is the last step's interpolant there, as the row
+    # oracle gives it
+    m = pair_fixture(kind)
+    rng, times = np.random.default_rng(3301), np.random.default_rng(3302)
+    aux_rate = lambda y: math.sqrt(max(intrinsic_P(m, y), 0.0))
+    runs = [(T, (m.sample_point(rng), rng.normal(size=m.n))) for T in (0.3, -0.3, 5.0, -5.0)]
+    e1 = np.full(m.n, -0.0)
+    e1[0] = 1.0
+    clipped = 0
+    for T, lam0 in runs + [(0.3, (m.center(), e1))]:
+        for tag, rate in ((1, aux_rate), (1, None), (2, None)):
+            traj = integrate(m, tag, lam0, T, aux_rate=rate)
+            clipped += traj.clipped
+            steps = traj.steps
+            end = steps.ts[-1]
+            for t in (1.1 * end * times.random(50), steps.ts, np.linspace(0.0, end, 601)):
+                got = resample(traj, t)
+                ref_t, ref_y = row_sample(steps, t)
+                assert got.y.shape == ref_y.shape
+                assert _hexes(got.t) == _hexes(ref_t) and _hexes(got.y) == _hexes(ref_y)
+            if traj.clipped:
+                x = (steps.ts[-1] - steps.ts[-2]) / steps.h[-1]
+                root = row_dense(steps.cols[:7, :, -1], steps.cols[7, :, -1], x)
+                assert _hexes(traj.y[-1]) == _hexes(root)
+    # every fixture has clipped runs (gendini1 only those)
+    assert clipped > 0
+
+
 def test_flow_states_are_python_floats_past_an_uncapped_first_step():
     # a covector 20 times a unit-size one makes the first step h1 = 2.9e-3,
     # below 100 h0 and the horizon: the initial step selection gives it as a
@@ -362,7 +407,7 @@ def test_brentq_raises_scipy_errors():
 def test_boundary_root_reads_the_q_columns_as_dense_does():
     # the boundary root reads only q off each step's interpolant: the Horner
     # loop over those columns gives _dense's values bit for bit, on the
-    # steps of T = 5 runs with an aux column, at seeded x in [0, 1]
+    # step columns of T = 5 runs with an aux column, at seeded x in [0, 1]
     rng = np.random.default_rng(3201)
     for kind in PAIR_KINDS:
         m = pair_fixture(kind)
@@ -371,10 +416,11 @@ def test_boundary_root_reads_the_q_columns_as_dense_does():
                           aux_rate=aux_rate).steps
         n = m.n
         for k in rng.integers(len(steps.h), size=5):
-            F, y_old = steps.F[k], steps.y_old[k]
+            cols = steps.cols[:, :, k:k + 1]
+            F_head, y_head = cols[:7, :n, 0].T.tolist(), cols[7, :n, 0].tolist()
             for x in [0.0, 1.0] + rng.random(20).tolist():
-                got = _dense_head(F[:, :n].T.tolist(), y_old[:n].tolist(), x)
-                assert [v.hex() for v in got] == [v.hex() for v in _dense(F, y_old, x)[:n]]
+                got = _dense_head(F_head, y_head, x)
+                assert [v.hex() for v in got] == [v.hex() for v in _dense(cols, x)[:n, 0]]
 
 
 def test_geodesic_energy_stays_within_its_guard():
