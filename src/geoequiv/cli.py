@@ -41,9 +41,8 @@ from .expr import EvalDomainError
 from .geometry import load_model, save_model, ManifestError, ModelValidationError
 from .hamiltonian import (CovectorTooLargeError, IntegrationError, hamiltonian, integrate,
                           write_trajectory_csv)
-from .pair import (AdaptedFrameError, AdaptedFrame, transition_operator,
-                   regularity_probe, first_divisibility, second_divisibility,
-                   relations_cor)
+from .pair import (AdaptedFrameError, AdaptedFrame, regularity_probe, first_divisibility,
+                   second_divisibility, relations_cor)
 from .constructors import GENERATORS, ConstructionError
 from .verifier import SamplingError, verify_equivalence
 
@@ -203,7 +202,8 @@ def _cmd_generate(args):
 # ---------------------------------------------------------------- analyze
 
 def _point_report(model, frame, q, radius, cluster_tol):
-    td = transition_operator(model, q, cluster_tol=cluster_tol)
+    # the frame is centered at q: its pencil is transition_operator's there
+    td = frame.transition
     reg = regularity_probe(model, q, radius=radius, cluster_tol=cluster_tol)
     rec = {
         "q": [float(v) for v in q],

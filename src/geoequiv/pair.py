@@ -363,6 +363,15 @@ def _gauge(V, same, W1, reference, q, center):
     return V @ MU, (same, Y, Mc, Uinv, MU)
 
 
+@functools.cache
+def _lower_and_eye(m):
+    """The lower triangle with the diagonal, the mask that np.triu(T, 1)
+    zeroes, and the identity, both of order m and read-only."""
+    lower, eye = np.tri(m, m, 0, dtype=bool), np.eye(m)
+    lower.flags.writeable = eye.flags.writeable = False
+    return lower, eye
+
+
 def _gauge_derivative(V, lams, gauge, dW1, dW2):
     """Coordinate partials dVg[k] = d/dq_k of Vg = V Mc U^-1, from _gauge's factors.
 
@@ -386,7 +395,9 @@ def _gauge_derivative(V, lams, gauge, dW1, dW2):
     dMc = np.where(same, Om @ Y, 0.0) - Om @ Mc   # dM = V dMc
     dG = np.where(same, dMc.transpose(0, 2, 1) @ Mc + Mc.T @ dMc + Mc.T @ D1 @ Mc, 0.0)
     T = Uinv.T @ dG @ Uinv
-    X = np.triu(T, 1) + 0.5 * T * np.eye(len(lams))
+    # np.triu(T, 1) + 0.5 * T * I, with np.triu's own where()
+    lower, eye = _lower_and_eye(len(lams))
+    X = np.where(lower, 0.0, T) + 0.5 * T * eye
     dVg = V @ (dMc @ Uinv - MU @ X)
     return dVg, N
 
@@ -416,16 +427,19 @@ class AdaptedFrame:
         self.center = np.asarray(center, dtype=float)
         self.cluster_tol = cluster_tol
         td = transition_operator(model, self.center, cluster_tol)
+        # the center's pencil, clustered: a read at the center takes it from
+        # here, keyed on the center's bytes (-0.0 and 0.0 give different bits)
+        self.transition = td
+        self._center_key = self.center.tobytes()
         self.reference = td.vectors
         self.clusters = td.clusters
         # at() goes on only when the cluster sizes at q are the center's, and
         # _cluster_indices makes contiguous groups, so the clusters at q are
         # the center's: one mask of same-cluster entries serves every point
-        self._same = np.zeros((model.m, model.m), dtype=bool)
-        for idx in self.clusters:
-            self._same[np.ix_(idx, idx)] = True
-        # (point, point_data) of the last point read: every caller reads a
-        # frame at its center
+        labels = np.repeat(np.arange(len(td.clusters)), [len(c) for c in td.clusters])
+        self._same = labels[:, None] == labels
+        # (bytes of the point, point_data) of the last point read: every
+        # caller reads a frame at its center
         self._memo = None, None
 
         n, m = model.n, model.m
@@ -461,18 +475,24 @@ class AdaptedFrame:
         eigenvalues, V the eigenvectors as _pencil returns them, E the model
         frame and gauge the factors of Vg (see _gauge).
         """
-        qt = tuple(np.asarray(q, dtype=float).tolist())
+        q = np.asarray(q, dtype=float)
+        qt = tuple(q.tolist())
         model = self.model
         n, m = model.n, model.m
-        W1, W2, lams, V = _pencil(model, qt, True)
-        if lams[0] <= 0:
-            raise AdaptedFrameError("transition operator not positive at %s"
-                                    % (_floats(qt),))
-        clusters = _cluster_indices(lams, self.cluster_tol)
-        if tuple(len(c) for c in clusters) != tuple(len(c) for c in self.clusters):
-            raise AdaptedFrameError(
-                "eigenvalue multiplicity changes between %s and %s; shrink the region"
-                % (_floats(self.center), _floats(qt)))
+        # at the center (the same bytes) the pencil and clusters are the center's
+        if q.tobytes() == self._center_key:
+            td = self.transition
+            W1, W2, lams, V, clusters = td.gram1, td.gram2, td.eigenvalues, td.vectors, td.clusters
+        else:
+            W1, W2, lams, V = _pencil(model, qt, True)
+            if lams[0] <= 0:
+                raise AdaptedFrameError("transition operator not positive at %s"
+                                        % (_floats(qt),))
+            clusters = _cluster_indices(lams, self.cluster_tol)
+            if tuple(len(c) for c in clusters) != tuple(len(c) for c in self.clusters):
+                raise AdaptedFrameError(
+                    "eigenvalue multiplicity changes between %s and %s; shrink the region"
+                    % (_floats(self.center), _floats(qt)))
         Vg, gauge = _gauge(V, self._same, W1, self.reference, qt, self.center)
         E = model.frame_at(qt)
         A = np.empty((n, n))
@@ -484,12 +504,14 @@ class AdaptedFrame:
     # -- full point data (with exact structure functions) -------------------
 
     def point_data(self, q):
-        qt = tuple(np.asarray(q, dtype=float).tolist())
-        if self._memo[0] == qt:
+        q = np.asarray(q, dtype=float)
+        key = q.tobytes()
+        if self._memo[0] == key:
             return self._memo[1]
+        A, Vg, lams, clusters, W1, W2, V, E, gauge = self.at(q)
+        qt = tuple(q.tolist())
         model = self.model
         n, m = model.n, model.m
-        A, Vg, lams, clusters, W1, W2, V, E, gauge = self.at(qt)
 
         # exact frame derivatives: dA[k] = d/dq_k of A
         dVg, N = _gauge_derivative(V, lams, gauge, model.dgram_at(qt, 1),
@@ -499,10 +521,11 @@ class AdaptedFrame:
         if n > m:
             dA[:, :, m] = np.reshape(self._dcompletion_fn(qt), (n, n))
 
-        # eigenvalue gradients, averaged over each cluster
+        # eigenvalue gradients, averaged over each cluster of two or more
         dlams = np.diagonal(N, axis1=1, axis2=2).copy()
         for idx in clusters:
-            dlams[:, idx] = dlams[:, idx].mean(axis=1, keepdims=True)
+            if len(idx) > 1:
+                dlams[:, idx] = dlams[:, idx].mean(axis=1, keepdims=True)
 
         # the rescaled frame divides X_i by alpha_i for i <= m
         alph = np.sqrt(lams)
@@ -515,7 +538,7 @@ class AdaptedFrame:
         data = AdaptedPoint(q=np.asarray(qt), A=A, Vg=Vg, alphas=alph, alpha_sq=lams,
                             dalpha_sq=A[:, :m].T @ dlams, clusters=clusters, W1=W1, W2=W2,
                             c=_structure(A, dA), cbar=_structure(Abar, dAbar))
-        self._memo = qt, data
+        self._memo = key, data
         return data
 
 
@@ -607,6 +630,12 @@ class DivisibilityResult:
         self.quotient = quotient        # linear coefficient vector, or None
 
 
+def _norm(v):
+    """np.linalg.norm(v) of a contiguous 1-D float array, as a float: the
+    square root of v.dot(v), as numpy computes it."""
+    return math.sqrt(v.dot(v))
+
+
 def _divide(numerator, divisor, shift):
     """Least-squares division: min over linear L of ||num - L * div||.
 
@@ -616,12 +645,11 @@ def _divide(numerator, divisor, shift):
     count = len(shift)
     M = np.zeros((len(numerator), count))
     M[shift, np.arange(count)[:, None]] = divisor
-    scale = np.linalg.norm(numerator)
+    scale = _norm(numerator)
     if scale == 0.0:
         return 0.0, np.zeros(count)
     sol, *_ = np.linalg.lstsq(M, numerator, rcond=None)
-    residual = np.linalg.norm(M @ sol - numerator) / scale
-    return float(residual), sol
+    return _norm(M @ sol - numerator) / scale, sol
 
 
 def first_divisibility(model, frame, q):
@@ -629,6 +657,39 @@ def first_divisibility(model, frame, q):
     residual, sol = _divide(fiber_hP(model, frame, q), fiber_P(model, frame, q),
                             _times_u(model.n, 2))
     return DivisibilityResult(residual <= _DIV_TOL, residual, sol)
+
+
+@functools.cache
+def _quadratic_positions(n):
+    """pos[a][b]: the position of u_{a+1} u_{b+1} in the quadratic basis."""
+    where = _basis(n, 2)[1]
+    return tuple(tuple(where[(min(a, b), max(a, b))] for b in range(n)) for a in range(n))
+
+
+def _fiber_R(data, n, m, jj):
+    """fiber_R for the 0-based jj from the point data, summed on Python
+    floats: the same operations in the same order as on numpy scalars."""
+    a2, X, c = data.alpha_sq.tolist(), data.dalpha_sq.tolist(), data.c.tolist()
+    pos = _quadratic_positions(n)
+    out = [0.0] * len(_basis(n, 2)[0])
+    aj = a2[jj]
+    for i in range(m):
+        if i == jj:
+            continue
+        # (alpha_j^2 - alpha_i^2) c_{ji}^i - (1/2) X_j(alpha_i^2), times u_i^2
+        out[pos[i][i]] += (aj - a2[i]) * c[i][jj][i] - 0.5 * X[jj][i]
+        # (alpha_i^2 / 2 alpha_j^2) X_i(alpha_j^4 / alpha_i^2), times u_i u_j
+        deriv = (2.0 * aj * X[i][jj] * a2[i] - aj ** 2 * X[i][i]) / a2[i] ** 2
+        out[pos[i][jj]] += deriv / (2.0 * aj) * a2[i]
+    for i in range(m):
+        cij = c[i][jj]
+        for k in range(m):
+            if k == i:
+                continue
+            out[pos[i][k]] += (aj - a2[k]) * cij[k]
+        for k in range(m, n):
+            out[pos[i][k]] += aj * cij[k]
+    return np.array(out)
 
 
 def fiber_R(model, frame, q, j):
@@ -641,28 +702,7 @@ def fiber_R(model, frame, q, j):
     n, m = model.n, model.m
     if not 1 <= j <= m:
         raise ValueError("j must be in 1..%d" % m)
-    jj = j - 1
-    a2 = data.alpha_sq
-    X = data.dalpha_sq
-    index, where = _basis(n, 2)
-    pos = lambda a, b: where[(a, b) if a <= b else (b, a)]
-    out = np.zeros(len(index))
-    for i in range(m):
-        if i == jj:
-            continue
-        # (alpha_j^2 - alpha_i^2) c_{ji}^i - (1/2) X_j(alpha_i^2), times u_i^2
-        out[pos(i, i)] += (a2[jj] - a2[i]) * data.c[i, jj, i] - 0.5 * X[jj, i]
-        # (alpha_i^2 / 2 alpha_j^2) X_i(alpha_j^4 / alpha_i^2), times u_i u_j
-        deriv = (2.0 * a2[jj] * X[i, jj] * a2[i] - a2[jj] ** 2 * X[i, i]) / a2[i] ** 2
-        out[pos(i, jj)] += deriv / (2.0 * a2[jj]) * a2[i]
-    for i in range(m):
-        for k in range(m):
-            if k == i:
-                continue
-            out[pos(i, k)] += (a2[jj] - a2[k]) * data.c[i, jj, k]
-        for k in range(m, n):
-            out[pos(i, k)] += a2[jj] * data.c[i, jj, k]
-    return out
+    return _fiber_R(data, n, m, j - 1)
 
 
 def fiber_Q(model, frame, q, j, k):
@@ -674,6 +714,13 @@ def fiber_Q(model, frame, q, j, k):
     out = np.zeros(n)
     # added to zeros, so a vanishing coefficient is +0.0, never -0.0
     out[:m] += data.cbar[:m, j - 1, k - 1] * data.alphas
+    return out
+
+
+def _transverse_Q(data, n, m):
+    """Row j - 1: fiber_Q's Q_{j,m+1} for j = 1..m, as fiber_Q makes it."""
+    out = np.zeros((m, n))
+    out[:, :m] += data.cbar[:m, :m, m].T * data.alphas
     return out
 
 
@@ -726,15 +773,16 @@ def second_divisibility(model, frame, q):
     if n - m != 1:
         raise ValueError("second divisibility applies to corank-one models")
     data = frame.point_data(q)
+    Q = _transverse_Q(data, n, m)
     per_j, rs, transverse_r = [], [], {}
     scale = float(np.max(np.abs(data.cbar))) + 1e-30
     worst = 0.0
     for j in range(1, m + 1):
-        Qj = fiber_Q(model, frame, q, j, m + 1)
-        if np.linalg.norm(Qj) <= 1e-10 * scale:
+        Qj = Q[j - 1]
+        if _norm(Qj) <= 1e-10 * scale:
             per_j.append((j, None, None, None))
             continue
-        residual, sol = _divide(fiber_R(model, frame, q, j), Qj, _times_u(n, 1))
+        residual, sol = _divide(_fiber_R(data, n, m, j - 1), Qj, _times_u(n, 1))
         ok = residual <= _DIV_TOL
         per_j.append((j, residual, ok, sol))
         worst = max(worst, residual)
@@ -745,10 +793,10 @@ def second_divisibility(model, frame, q):
         # no usable Q_{j,m+1} at this point
         return SecondDivisibilityResult(per_j, True, 0.0, 0.0, {})
     spread = 0.0
-    base = max(1.0, max(np.linalg.norm(r) for r in rs))
+    base = max(1.0, max(_norm(r) for r in rs))
     for a in range(len(rs)):
         for b in range(a + 1, len(rs)):
-            spread = max(spread, float(np.linalg.norm(rs[a] - rs[b]) / base))
+            spread = max(spread, _norm(rs[a] - rs[b]) / base)
     holds = spread <= _DIV_TOL and all(ok for (_, _, ok, _) in per_j if ok is not None)
     return SecondDivisibilityResult(per_j, holds, worst, spread, transverse_r)
 
@@ -778,10 +826,13 @@ def relations_cor(model, frame, q, bracket_tol=1e-6):
     """
     data = frame.point_data(q)
     n, m = model.n, model.m
-    a2 = data.alpha_sq
-    alph = data.alphas
-    X = data.dalpha_sq
-    cluster_of = {}
+    # Python floats: the same arithmetic as on numpy scalars, without their
+    # per-operation cost
+    a2 = data.alpha_sq.tolist()
+    alph = data.alphas.tolist()
+    X = data.dalpha_sq.tolist()
+    c = data.c.tolist()
+    cluster_of = [0] * m
     for sidx, idx in enumerate(data.clusters):
         for i in idx:
             cluster_of[i] = sidx
@@ -795,34 +846,35 @@ def relations_cor(model, frame, q, bracket_tol=1e-6):
             if i == j:
                 continue
             # X_i(a_j^2 / a_i^2) - 2 c_{ji}^j (1 - a_j^2 / a_i^2)
-            lhs = (X[i, j] * a2[i] - a2[j] * X[i, i]) / a2[i] ** 2
-            rhs = 2.0 * data.c[i, j, j] * (1.0 - a2[j] / a2[i])
+            lhs = (X[i][j] * a2[i] - a2[j] * X[i][i]) / a2[i] ** 2
+            rhs = 2.0 * c[i][j][j] * (1.0 - a2[j] / a2[i])
             residuals["eigenvalue-transport"].append(abs(lhs - rhs))
             if cluster_of[i] != cluster_of[j]:
-                val = (X[i, j] * alph[i] - a2[j] * X[i, i] / (2.0 * alph[i])) / a2[i]
+                val = (X[i][j] * alph[i] - a2[j] * X[i][i] / (2.0 * alph[i])) / a2[i]
                 residuals["ratio-invariance"].append(abs(val))
 
     for i in range(m):
         for j in range(m):
             for k in range(m):
-                if cluster_of.get(j) == cluster_of.get(i) or cluster_of.get(k) == cluster_of.get(i):
+                if cluster_of[j] == cluster_of[i] or cluster_of[k] == cluster_of[i]:
                     continue
-                dj = X[i, j] / (2.0 * alph[j])
-                dk = X[i, k] / (2.0 * alph[k])
+                dj = X[i][j] / (2.0 * alph[j])
+                dk = X[i][k] / (2.0 * alph[k])
                 val = (dj * alph[k] - alph[j] * dk) / a2[k]
                 residuals["pair-invariance"].append(abs(val))
 
     for i, j, k in itertools.combinations(range(m), 3):
-        val = ((a2[j] - a2[i]) * data.c[i, j, k]
-               + (a2[j] - a2[k]) * data.c[k, j, i]
-               + (a2[i] - a2[k]) * data.c[k, i, j])
+        val = ((a2[j] - a2[i]) * c[i][j][k]
+               + (a2[j] - a2[k]) * c[k][j][i]
+               + (a2[i] - a2[k]) * c[k][i][j])
         residuals["cyclic"].append(abs(val))
 
     transverse_fields = set()
     cscale = float(np.max(np.abs(data.c))) + 1e-30
     for i in range(m):
         for j in range(i + 1, m):
-            t = float(np.linalg.norm(data.c[i, j, m:n]))
+            # np.linalg.norm of the transverse part, at most one entry
+            t = math.sqrt(sum(v * v for v in c[i][j][m:]))
             if t > bracket_tol * cscale:
                 residuals["bracket-equality"].append(abs(alph[i] - alph[j]))
                 transverse_fields.update((i, j))
@@ -831,7 +883,7 @@ def relations_cor(model, frame, q, bracket_tol=1e-6):
         sidx = cluster_of[next(iter(transverse_fields))]
         bar = sorted(data.clusters[sidx])
         for jf in bar:
-            residuals["transverse-constancy"].append(abs(X[jf, bar[0]]))
+            residuals["transverse-constancy"].append(abs(X[jf][bar[0]]))
 
     checks = {}
     overall = 0.0

@@ -18,7 +18,7 @@ import numpy as np
 from . import expr as ex
 from .geometry import abnormal_direction
 from .hamiltonian import integrate, resample
-from .pair import (AdaptedFrame, AdaptedFrameError, _floats, fiber_Q, fiber_R,
+from .pair import (AdaptedFrame, AdaptedFrameError, _fiber_R, _floats, _transverse_Q,
                    fiber_value, intrinsic_P)
 
 _TINY = 1e-12
@@ -39,11 +39,12 @@ class OrbitalResult:
         self.a = a
 
 
-def _transverse_phi(model, frame, q, u, a):
-    """Phi_{m+1} = R_j / (alpha_j Q_{j,m+1} a) using the strongest row j."""
-    m = model.m
-    data = frame.point_data(q)
-    qvals = [fiber_value(fiber_Q(model, frame, q, j, m + 1), u, 1) for j in range(1, m + 1)]
+def _transverse_phi(model, data, u, a):
+    """Phi_{m+1} = R_j / (alpha_j Q_{j,m+1} a) using the strongest row j, from
+    the point data."""
+    n, m = model.n, model.m
+    # a degree-1 fiber_value is coeffs @ u
+    qvals = [float(row @ u) for row in _transverse_Q(data, n, m)]
     jbar = int(np.argmax(np.abs(qvals))) + 1
     qv = qvals[jbar - 1]
     scale = float(np.max(np.abs(data.cbar))) * float(np.linalg.norm(u[:m])) + _TINY
@@ -51,7 +52,7 @@ def _transverse_phi(model, frame, q, u, a):
         raise OrbitalMapError(
             "transverse component undefined: Q_{j,m+1} vanishes on this covector "
             "(abnormal cone); exclude such samples")
-    rv = fiber_value(fiber_R(model, frame, q, jbar), u, 2)
+    rv = fiber_value(_fiber_R(data, n, m, jbar - 1), u, 2)
     return rv / (data.alphas[jbar - 1] * qv * a)
 
 
@@ -75,7 +76,7 @@ def orbital_map(model, frame, lam):
     phi = np.empty(n)
     phi[:m] = alpha_sq * u[:m] / a
     if n > m:
-        phi[m] = _transverse_phi(model, frame, q, u, a)
+        phi[m] = _transverse_phi(model, data, u, a)
     p2 = np.linalg.solve(A.T, phi)
     return OrbitalResult((q, p2), a)
 

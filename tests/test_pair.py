@@ -597,6 +597,41 @@ def test_gauge_degenerates_when_eigenvectors_rotate_away():
                        match=r"gauge reference degenerate at \[1.4, 0.0\]"):
         fr.point_data((1.4, 0.0))
 
+
+POINT_FIELDS = ("q", "A", "Vg", "alphas", "alpha_sq", "dalpha_sq", "W1", "W2", "c", "cbar")
+
+
+def _point_hex(data):
+    return {name: [v.hex() for v in np.asarray(getattr(data, name), dtype=float).ravel().tolist()]
+            for name in POINT_FIELDS}
+
+
+@pytest.mark.parametrize("kind", ["gendini1", "rotating-cluster"])
+def test_point_data_tells_negative_zero_from_zero(kind):
+    # the centers (0.25, 0.0) and (0, 0, 0) with the first zero coordinate
+    # as 0.0 and as -0.0: the Gram programs give other bits at the two
+    # (gram2 on gendini1, gram1 and gram2 on rotating-cluster), so a frame
+    # read at one after the other answers as a new frame there does
+    m = pair_fixture(kind)
+    zero = m.center().tolist()
+    negative = list(zero)
+    negative[zero.index(0.0)] = -0.0
+    # a list, not a dict: 0.0 and -0.0 are one key
+    fresh = [_point_hex(AdaptedFrame(m, center=np.array(q)).point_data(q))
+             for q in (zero, negative)]
+    assert [fresh[0]["W1"], fresh[0]["W2"]] != [fresh[1]["W1"], fresh[1]["W2"]]
+    for center, other in ((0, 1), (1, 0)):
+        points = (zero, negative)
+        fr = AdaptedFrame(m, center=np.array(points[center]))
+        for which in (center, other, center, other):
+            q = points[which]
+            data = _point_hex(fr.point_data(q))
+            assert data == fresh[which], (kind, center, which)
+            W1, W2 = fr.at(q)[4:6]
+            assert [data["W1"], data["W2"]] == [[v.hex() for v in W.ravel().tolist()]
+                                                for W in (W1, W2)]
+
+
 def test_new_frames_reuse_the_models_compiled_completion(monkeypatch):
     m = build_quasi_contact({"beta": "exp(t)", "C1": 1.0, "C2": 1.0})
     q0, q1 = (0.05, -0.02, 0.01, 0.03), (-0.04, 0.03, 0.02, -0.01)
