@@ -1,4 +1,4 @@
-"""The adapted frame"s point data and the pointwise screens, pinned bit for bit.
+"""The adapted frame's point data and the pointwise screens, pinned bit for bit.
 
 On every PAIR_KINDS fixture, two frames at each of two seeded centers are
 read in a fixed order: the first at its center, at two seeded points off it
