@@ -373,7 +373,7 @@ def _cmd_geodesic(args):
 
 def _cmd_verify(args):
     model = _load(args.model)
-    sampling = {
+    flags = {
         "count": args.samples,
         "seed": args.seed,
         "T": args.T,
@@ -383,6 +383,7 @@ def _cmd_verify(args):
         "margin": args.margin,
         "transverse_sigma": args.transverse_sigma,
     }
+    sampling = {key: value for key, value in flags.items() if value is not None}
     exclusions = None
     if args.exclude_abnormal_cone is not None:
         exclusions = {"abnormal_cone": args.exclude_abnormal_cone}
@@ -413,7 +414,7 @@ def _cmd_verify(args):
     ]
     if report.max_deviation is not None:
         lines.append("max curve deviation: %.3e (tol %g)"
-                     % (report.max_deviation, args.tol))
+                     % (report.max_deviation, report.config["tol_curve"]))
     if report.max_drift is not None:
         lines.append("max energy drift: %.3e" % report.max_drift)
     _emit(payload, args, lines)
@@ -523,15 +524,16 @@ def build_parser():
 
     v = sub.add_parser("verify", help="sample extremals and certify the pair")
     v.add_argument("--model", required=True)
-    v.add_argument("--samples", type=_SAMPLES, default=50)
-    v.add_argument("--seed", type=_SEED, default=7)
-    v.add_argument("--T", type=float, default=0.3)
-    v.add_argument("--tol", type=_POSITIVE, default=1e-6,
-                   help="max allowed point-to-curve deviation")
-    v.add_argument("--integrator-tol", type=float, default=1e-10)
-    v.add_argument("--curve-samples", type=_CURVE_SAMPLES, default=601)
-    v.add_argument("--margin", type=_MARGIN, default=0.15)
-    v.add_argument("--transverse-sigma", type=_NONNEGATIVE, default=1.0)
+    # the sampling flags default to None: verifier._DEFAULT_SAMPLING holds
+    # each default, and the report's config carries it
+    v.add_argument("--samples", type=_SAMPLES)
+    v.add_argument("--seed", type=_SEED)
+    v.add_argument("--T", type=float)
+    v.add_argument("--tol", type=_POSITIVE, help="max allowed point-to-curve deviation")
+    v.add_argument("--integrator-tol", type=float)
+    v.add_argument("--curve-samples", type=_CURVE_SAMPLES)
+    v.add_argument("--margin", type=_MARGIN)
+    v.add_argument("--transverse-sigma", type=_NONNEGATIVE)
     v.add_argument("--exclude-abnormal-cone", type=_POSITIVE, metavar="ANGLE",
                    help="resample covectors within this angle of the abnormal line")
     _add_common(v)

@@ -59,18 +59,32 @@ def _uses_coords(e):
     return acc
 
 
+def _finite(value, what):
+    """float(value), which must be finite; otherwise a ConstructionError
+    names `what`. json.load reads NaN and Infinity as floats."""
+    try:
+        v = float(value)
+    except OverflowError:       # an int beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise ConstructionError("%s must be finite, got %s" % (what, value))
+    return v
+
+
 def _domain_box(spec, n, default_half=0.5):
     if spec is None:
         return [-default_half] * n, [default_half] * n
     try:
-        lo = [float(v) for v in spec["min"]]
-        hi = [float(v) for v in spec["max"]]
+        lo = [_finite(v, "domain") for v in spec["min"]]
+        hi = [_finite(v, "domain") for v in spec["max"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConstructionError("domain must be {min: [..], max: [..]}") from exc
     if len(lo) != n or len(hi) != n:
         raise ConstructionError("domain arrays must have length %d" % n)
     if any(a >= b for a, b in zip(lo, hi)):
         raise ConstructionError("domain min must be strictly below max")
+    if not all(math.isfinite(b - a) for a, b in zip(lo, hi)):
+        raise ConstructionError("domain width max - min must be finite")
     return lo, hi
 
 
@@ -316,8 +330,8 @@ def build_gendini_case2(R, a=1.0, C=1.0, domain=None):
     Rexpr = _parse_scalar(R, ("r",), "R")
     if _uses_coords(Rexpr) - {0}:
         raise ConstructionError("R must be a one-variable function of r")
-    a = float(a)
-    C = float(C)
+    a = _finite(a, "a")
+    C = _finite(C, "C")
     if a <= 0 or C <= 0:
         raise ConstructionError("a and C must be positive")
     dR = ex.differentiate(Rexpr, 0)
@@ -375,8 +389,8 @@ def build_quasi_contact(spec):
     """
     spec = dict(spec or {})
     beta_in = spec.get("beta", "exp(t)")
-    C1 = float(spec.get("C1", 1.0))
-    C2 = float(spec.get("C2", 1.0))
+    C1 = _finite(spec.get("C1", 1.0), "C1")
+    C2 = _finite(spec.get("C2", 1.0), "C2")
     beta_t = _parse_scalar(beta_in, ("t",), "beta")
     if _uses_coords(beta_t) - {0}:
         raise ConstructionError("beta must be a one-variable function of t")
@@ -460,9 +474,11 @@ def build_beltrami(half_width=2.0, domain=None):
                 acc = ex.add(acc, ex.mul(ex.differentiate(comp, i),
                                          ex.differentiate(comp, j)))
             g2[i][j] = acc
-    hw = float(half_width)
+    hw = _finite(half_width, "half_width")
     if hw <= 0:
         raise ConstructionError("half_width must be positive")
+    if not math.isfinite(hw + hw):
+        raise ConstructionError("half_width %s gives a domain width that is not finite" % hw)
     lo, hi = _domain_box(domain, 2, default_half=hw)
     model = GeometryModel(coords, 2, _identity_frame(2), _identity_frame(2),
                           tuple(tuple(row) for row in g2), lo, hi,

@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import re
+import sys
 
 import numpy as np
 
@@ -229,10 +230,16 @@ def from_manifest(doc):
         for i, v in enumerate(arr):
             _require(isinstance(v, (int, float)) and not isinstance(v, bool),
                      "domain.%s[%d]" % (key, i), "expected a number")
+            # json.load reads NaN, Infinity and 1e400 as floats; int
+            # comparisons are exact, and NaN compares false
+            _require(-sys.float_info.max <= v <= sys.float_info.max,
+                     "domain.%s[%d]" % (key, i), "must be finite, got %s" % (v,))
     lo = [float(v) for v in dom["min"]]
     hi = [float(v) for v in dom["max"]]
     for i in range(n):
         _require(lo[i] < hi[i], "domain", "min[%d] must be < max[%d]" % (i, i))
+        _require(math.isfinite(hi[i] - lo[i]), "domain",
+                 "max[%d] - min[%d] must be finite" % (i, i))
 
     meta = doc.get("meta")
     if meta is not None:

@@ -39,6 +39,9 @@ class AdaptedFrameError(Exception):
 
 
 def _cluster_indices(lams, tol):
+    """Contiguous groups of the ascending lams, a list of Python floats,
+    whose neighbours lie within tol relative to max(1, |lam|). On Python
+    floats a product beyond the float range is inf, without numpy's warning."""
     groups = [[0]]
     for i in range(1, len(lams)):
         if lams[i] - lams[i - 1] <= tol * max(1.0, abs(lams[i])):
@@ -110,7 +113,7 @@ def transition_operator(model, q, cluster_tol=_CLUSTER_TOL):
         raise np.linalg.LinAlgError(
             "gram2 not positive definite at %s (transition operator not positive)"
             % (_floats(qt),))
-    return TransitionData(lams, V, _cluster_indices(lams, cluster_tol), W1, W2)
+    return TransitionData(lams, V, _cluster_indices(lams.tolist(), cluster_tol), W1, W2)
 
 
 class RegularityReport:
@@ -431,8 +434,6 @@ class AdaptedFrame:
         # here, keyed on the center's bytes (-0.0 and 0.0 give different bits)
         self.transition = td
         self._center_key = self.center.tobytes()
-        self.reference = td.vectors
-        self.clusters = td.clusters
         # at() goes on only when the cluster sizes at q are the center's, and
         # _cluster_indices makes contiguous groups, so the clusters at q are
         # the center's: one mask of same-cluster entries serves every point
@@ -479,21 +480,21 @@ class AdaptedFrame:
         qt = tuple(q.tolist())
         model = self.model
         n, m = model.n, model.m
+        td = self.transition
         # at the center (the same bytes) the pencil and clusters are the center's
         if q.tobytes() == self._center_key:
-            td = self.transition
             W1, W2, lams, V, clusters = td.gram1, td.gram2, td.eigenvalues, td.vectors, td.clusters
         else:
             W1, W2, lams, V = _pencil(model, qt, True)
             if lams[0] <= 0:
                 raise AdaptedFrameError("transition operator not positive at %s"
                                         % (_floats(qt),))
-            clusters = _cluster_indices(lams, self.cluster_tol)
-            if tuple(len(c) for c in clusters) != tuple(len(c) for c in self.clusters):
+            clusters = _cluster_indices(lams.tolist(), self.cluster_tol)
+            if tuple(len(c) for c in clusters) != tuple(len(c) for c in td.clusters):
                 raise AdaptedFrameError(
                     "eigenvalue multiplicity changes between %s and %s; shrink the region"
                     % (_floats(self.center), _floats(qt)))
-        Vg, gauge = _gauge(V, self._same, W1, self.reference, qt, self.center)
+        Vg, gauge = _gauge(V, self._same, W1, td.vectors, qt, self.center)
         E = model.frame_at(qt)
         A = np.empty((n, n))
         A[:, :m] = E[:, :m] @ Vg
@@ -589,24 +590,22 @@ def fiber_value(coeffs, u, degree):
     return float(coeffs @ np.prod(u[_basis(len(u), degree)[0]], axis=1))
 
 
-def fiber_P(model, frame, q):
-    """Squared transported norm: sum alpha_i^2 u_i^2 in the adapted frame."""
-    data = frame.point_data(q)
-    index, where = _basis(model.n, 2)
+def fiber_P(data):
+    """Squared transported norm: sum alpha_i^2 u_i^2 at the point data."""
+    index, where = _basis(len(data.A), 2)
     out = np.zeros(len(index))
-    out[[where[(i, i)] for i in range(model.m)]] = data.alpha_sq
+    out[[where[(i, i)] for i in range(len(data.alphas))]] = data.alpha_sq
     return out
 
 
-def fiber_hP(model, frame, q):
+def fiber_hP(data):
     """Derivative of fiber_P along the gram1 Hamiltonian flow (cubic in u).
 
     For each i, then j <= m, the terms are X_i(alpha_j^2) u_i u_j^2 and
     2 c_{ij}^k alpha_j^2 u_i u_j u_k for k = 1..n. np.bincount adds its
     weights in input order, so every coefficient is summed in this order.
     """
-    data = frame.point_data(q)
-    n, m = model.n, model.m
+    n, m = len(data.A), len(data.alphas)
     terms = np.empty((m, m, 1 + n))
     terms[:, :, 0] = data.dalpha_sq
     terms[:, :, 1:] = 2.0 * data.c[:m, :m] * data.alpha_sq[:, None]
@@ -654,8 +653,8 @@ def _divide(numerator, divisor, shift):
 
 def first_divisibility(model, frame, q):
     """Does fiber_P divide its Hamiltonian derivative (quotient linear in u)?"""
-    residual, sol = _divide(fiber_hP(model, frame, q), fiber_P(model, frame, q),
-                            _times_u(model.n, 2))
+    data = frame.point_data(q)
+    residual, sol = _divide(fiber_hP(data), fiber_P(data), _times_u(model.n, 2))
     return DivisibilityResult(residual <= _DIV_TOL, residual, sol)
 
 
@@ -666,9 +665,17 @@ def _quadratic_positions(n):
     return tuple(tuple(where[(min(a, b), max(a, b))] for b in range(n)) for a in range(n))
 
 
-def _fiber_R(data, n, m, jj):
-    """fiber_R for the 0-based jj from the point data, summed on Python
-    floats: the same operations in the same order as on numpy scalars."""
+def fiber_R(data, j):
+    """Quadratic obstruction polynomial R_j (1-based j <= m) at the point data.
+
+    Valid once first divisibility holds; assembled from the adapted-frame
+    structure functions and exact eigenvalue derivatives, summed on Python
+    floats: the same operations in the same order as on numpy scalars.
+    """
+    n, m = len(data.A), len(data.alphas)
+    if not 1 <= j <= m:
+        raise ValueError("j must be in 1..%d" % m)
+    jj = j - 1
     a2, X, c = data.alpha_sq.tolist(), data.dalpha_sq.tolist(), data.c.tolist()
     pos = _quadratic_positions(n)
     out = [0.0] * len(_basis(n, 2)[0])
@@ -692,35 +699,15 @@ def _fiber_R(data, n, m, jj):
     return np.array(out)
 
 
-def fiber_R(model, frame, q, j):
-    """Quadratic obstruction polynomial R_j (1-based j <= m).
-
-    Valid once first divisibility holds; assembled from the adapted-frame
-    structure functions and exact eigenvalue derivatives.
-    """
-    data = frame.point_data(q)
-    n, m = model.n, model.m
-    if not 1 <= j <= m:
-        raise ValueError("j must be in 1..%d" % m)
-    return _fiber_R(data, n, m, j - 1)
-
-
-def fiber_Q(model, frame, q, j, k):
-    """Linear polynomial Q_{jk} = sum_i cbar_{ji}^k alpha_i u_i (1-based j, k)."""
-    data = frame.point_data(q)
-    n, m = model.n, model.m
-    if not (1 <= j <= n and 1 <= k <= n):
-        raise ValueError("indices must be in 1..%d" % n)
-    out = np.zeros(n)
+def fiber_Q(data, k):
+    """Linear polynomials Q_{jk} = sum_i cbar_{ji}^k alpha_i u_i (1-based k)
+    at the point data: row j - 1 of the (n, n) array is Q_{jk}."""
+    n, m = len(data.A), len(data.alphas)
+    if not 1 <= k <= n:
+        raise ValueError("k must be in 1..%d" % n)
+    out = np.zeros((n, n))
     # added to zeros, so a vanishing coefficient is +0.0, never -0.0
-    out[:m] += data.cbar[:m, j - 1, k - 1] * data.alphas
-    return out
-
-
-def _transverse_Q(data, n, m):
-    """Row j - 1: fiber_Q's Q_{j,m+1} for j = 1..m, as fiber_Q makes it."""
-    out = np.zeros((m, n))
-    out[:, :m] += data.cbar[:m, :m, m].T * data.alphas
+    out[:, :m] += data.cbar[:m, :, k - 1].T * data.alphas
     return out
 
 
@@ -773,7 +760,7 @@ def second_divisibility(model, frame, q):
     if n - m != 1:
         raise ValueError("second divisibility applies to corank-one models")
     data = frame.point_data(q)
-    Q = _transverse_Q(data, n, m)
+    Q = fiber_Q(data, m + 1)
     per_j, rs, transverse_r = [], [], {}
     scale = float(np.max(np.abs(data.cbar))) + 1e-30
     worst = 0.0
@@ -782,7 +769,7 @@ def second_divisibility(model, frame, q):
         if _norm(Qj) <= 1e-10 * scale:
             per_j.append((j, None, None, None))
             continue
-        residual, sol = _divide(_fiber_R(data, n, m, j - 1), Qj, _times_u(n, 1))
+        residual, sol = _divide(fiber_R(data, j), Qj, _times_u(n, 1))
         ok = residual <= _DIV_TOL
         per_j.append((j, residual, ok, sol))
         worst = max(worst, residual)
@@ -808,9 +795,6 @@ class CorReport:
     def __init__(self, checks, max_residual):
         self.checks = checks            # name -> max abs residual (None if vacuous)
         self.max_residual = max_residual
-
-    def __repr__(self):
-        return "CorReport(max=%r, %r)" % (self.max_residual, self.checks)
 
 
 def relations_cor(model, frame, q, bracket_tol=1e-6):

@@ -18,8 +18,7 @@ import numpy as np
 from . import expr as ex
 from .geometry import abnormal_direction
 from .hamiltonian import integrate, resample
-from .pair import (AdaptedFrame, AdaptedFrameError, _fiber_R, _floats, _transverse_Q,
-                   fiber_value, intrinsic_P)
+from .pair import AdaptedFrame, AdaptedFrameError, fiber_Q, fiber_R, fiber_value, intrinsic_P
 
 _TINY = 1e-12
 
@@ -42,9 +41,9 @@ class OrbitalResult:
 def _transverse_phi(model, data, u, a):
     """Phi_{m+1} = R_j / (alpha_j Q_{j,m+1} a) using the strongest row j, from
     the point data."""
-    n, m = model.n, model.m
+    m = model.m
     # a degree-1 fiber_value is coeffs @ u
-    qvals = [float(row @ u) for row in _transverse_Q(data, n, m)]
+    qvals = [float(row @ u) for row in fiber_Q(data, m + 1)[:m]]
     jbar = int(np.argmax(np.abs(qvals))) + 1
     qv = qvals[jbar - 1]
     scale = float(np.max(np.abs(data.cbar))) * float(np.linalg.norm(u[:m])) + _TINY
@@ -52,7 +51,7 @@ def _transverse_phi(model, data, u, a):
         raise OrbitalMapError(
             "transverse component undefined: Q_{j,m+1} vanishes on this covector "
             "(abnormal cone); exclude such samples")
-    rv = fiber_value(_fiber_R(data, n, m, jbar - 1), u, 2)
+    rv = fiber_value(fiber_R(data, jbar), u, 2)
     return rv / (data.alphas[jbar - 1] * qv * a)
 
 
@@ -71,7 +70,7 @@ def orbital_map(model, frame, lam):
     u = p @ A
     a_sq = float(np.sum(alpha_sq * u[:m] ** 2))
     if a_sq <= _TINY * max(1.0, float(np.dot(p, p))):
-        raise OrbitalMapError("covector annihilates the distribution at %s" % (_floats(q),))
+        raise OrbitalMapError("covector annihilates the distribution at %s" % (q.tolist(),))
     a = np.sqrt(a_sq)
     phi = np.empty(n)
     phi[:m] = alpha_sq * u[:m] / a

@@ -375,7 +375,7 @@ def loop_gauge(frame, q):
     for idx in _cluster_indices(lams, frame.cluster_tol):
         idx = list(idx)
         B = V[:, idx]
-        C = B.T @ W1 @ frame.reference[:, idx]
+        C = B.T @ W1 @ frame.transition.vectors[:, idx]
         if np.linalg.svd(C, compute_uv=False)[-1] < _GAUGE_MIN_SV:
             raise AdaptedFrameError("gauge reference degenerate at %s" % (list(qt),))
         block = B @ C
@@ -1011,8 +1011,8 @@ def _row_phi(model, frame, lam, j):
     data = frame.point_data(q)
     u = np.asarray(p, dtype=float) @ data.A
     a = np.sqrt(np.sum(data.alpha_sq * u[:m] ** 2))
-    return (fiber_value(fiber_R(model, frame, q, j), u, 2)
-            / (data.alphas[j - 1] * fiber_value(fiber_Q(model, frame, q, j, m + 1), u, 1) * a))
+    return (fiber_value(fiber_R(data, j), u, 2)
+            / (data.alphas[j - 1] * fiber_value(fiber_Q(data, m + 1)[j - 1], u, 1) * a))
 
 
 def check_orbital_identities(model, frame, lam, flow_step=1e-5, flow_tol=1e-12):
@@ -1038,25 +1038,25 @@ def check_orbital_identities(model, frame, lam, flow_step=1e-5, flow_tol=1e-12):
     for j in range(1, m + 1):
         lhs = 0.0
         for k_off, pv in enumerate(phi_trans):
-            Qjk = fiber_Q(model, frame, q, j, m + 1 + k_off)
+            Qjk = fiber_Q(data, m + 1 + k_off)[j - 1]
             lhs += data.alphas[j - 1] * fiber_value(Qjk, u, 1) * pv
-        rhs = fiber_value(fiber_R(model, frame, q, j), u, 2) / a
+        rhs = fiber_value(fiber_R(data, j), u, 2) / a
         res_first.append(abs(lhs - rhs))
 
     res_second = []
     if n > m:
-        jbar = 1 + int(np.argmax([abs(fiber_value(fiber_Q(model, frame, q, j, m + 1), u, 1))
-                                  for j in range(1, m + 1)]))
+        jbar = 1 + int(np.argmax([abs(fiber_value(Qj, u, 1))
+                                  for Qj in fiber_Q(data, m + 1)[:m]]))
         fwd = integrate(model, 1, (q, p), flow_step, tol=flow_tol)
         bwd = integrate(model, 1, (q, p), -flow_step, tol=flow_tol)
         plus, minus = (fwd.q[-1], fwd.p[-1]), (bwd.q[-1], bwd.p[-1])
         dphi = (_row_phi(model, frame, plus, jbar)
                 - _row_phi(model, frame, minus, jbar)) / (2.0 * flow_step)
         s = m + 1
-        coupling = fiber_value(fiber_Q(model, frame, q, s, s), u, 1) * phi_trans[0]
+        coupling = fiber_value(fiber_Q(data, s)[s - 1], u, 1) * phi_trans[0]
         source = 0.0
         for k in range(1, m + 1):
-            source += (fiber_value(fiber_Q(model, frame, q, s, k), u, 1)
+            source += (fiber_value(fiber_Q(data, k)[s - 1], u, 1)
                        * data.alphas[k - 1] * u[k - 1])
         res_second.append(abs(dphi - coupling - source / a))
 

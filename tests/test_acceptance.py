@@ -126,13 +126,13 @@ def test_criterion_3_obstruction_polynomial():
             q = tuple(m.sample_point(rng))
             fr = AdaptedFrame(m, center=np.array(q))
             for j in range(1, m.m + 1):
-                worst = max(worst, np.max(np.abs(fiber_R(m, fr, q, j))))
+                worst = max(worst, np.max(np.abs(fiber_R(fr.point_data(q), j))))
     conf = plane_pair(g2xx="1+x^2", g2yy="1+x^2")
     biggest = 0.0
     for q in conf.probe_grid():
         fr = AdaptedFrame(conf, center=np.array(q))
         for j in (1, 2):
-            biggest = max(biggest, np.max(np.abs(fiber_R(conf, fr, tuple(q), j))))
+            biggest = max(biggest, np.max(np.abs(fiber_R(fr.point_data(q), j))))
     ok = worst < 1e-9 and biggest > 1e-3
     _verdict(3, ok, "max |R| on products %.2e (< 1e-9), conformal max %.2e (> 1e-3)"
              % (worst, biggest))

@@ -137,6 +137,65 @@ def test_levi_civita_q0_must_be_finite_numbers(q0, tmp_path, capsys):
     assert json.loads(out.read_text())["meta"]["params"]["q0"] == [0, 0.1, -0.2]
 
 
+# a generator parameter that is not finite (json.load reads NaN and
+# Infinity) or that makes a domain width overflow: one error line naming it
+NON_FINITE_PARAMS = [
+    ("quasi-contact", {"C1": math.nan}, "C1 must be finite, got nan"),
+    ("quasi-contact", {"C1": math.inf}, "C1 must be finite, got inf"),
+    ("quasi-contact", {"C2": -math.inf}, "C2 must be finite, got -inf"),
+    ("gendini2", {"R": "1 + r^2", "a": math.nan}, "a must be finite, got nan"),
+    ("gendini2", {"R": "1 + r^2", "C": math.inf}, "C must be finite, got inf"),
+    ("beltrami", {"half_width": math.nan}, "half_width must be finite, got nan"),
+    ("beltrami", {"half_width": -math.inf}, "half_width must be finite, got -inf"),
+    ("beltrami", {"half_width": 1e308},
+     "half_width 1e+308 gives a domain width that is not finite"),
+    ("dini", dict(FIELD_PARAMS["dini"], domain={"min": [math.nan, -0.5], "max": [0.5, 0.5]}),
+     "domain must be finite, got nan"),
+    ("quasi-contact", {"domain": {"min": [-0.4] * 4, "max": [0.4, 0.4, 0.4, math.inf]}},
+     "domain must be finite, got inf"),
+    ("levi-civita", dict(FIELD_PARAMS["levi-civita"],
+                         domain={"min": [-1e308] * 3, "max": [1e308] * 3}),
+     "domain width max - min must be finite"),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind,params,message", NON_FINITE_PARAMS,
+                         ids=["%s-%d" % (case[0], i) for i, case in enumerate(NON_FINITE_PARAMS)])
+def test_generate_refuses_a_parameter_that_is_not_finite(kind, params, message, tmp_path,
+                                                          capsys):
+    # before, C1 = NaN failed validation (exit 4, "gram2 undefined at ...") and
+    # half_width = 1e308 blamed the point [nan, nan]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(params))
+    out = tmp_path / "x.json"
+    assert main(["generate", kind, "--params", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("domain,message", [
+    ({"min": [math.nan, -2], "max": [2, 2]}, "domain.min[0]: must be finite, got nan"),
+    ({"min": [-2, -2], "max": [2, math.inf]}, "domain.max[1]: must be finite, got inf"),
+    ({"min": [-2, -math.inf], "max": [2, 2]}, "domain.min[1]: must be finite, got -inf"),
+    ({"min": [-2, -2], "max": [10 ** 400, 2]},
+     "domain.max[0]: must be finite, got %d" % 10 ** 400),
+    ({"min": [-1e308, -0.9], "max": [1e308, 0.9]}, "domain: max[0] - min[0] must be finite"),
+], ids=["nan", "inf", "-inf", "int", "width"])
+def test_manifest_domain_that_is_not_finite_exits_4(domain, message, tmp_path, capsys):
+    # before, x in [-1e308, 1e308] named the point [nan, -0.9], and under
+    # -W error::RuntimeWarning ended in a traceback from probe_grid
+    doc = to_manifest(GENERATORS["beltrami"](FIELD_PARAMS["beltrami"]))
+    doc["domain"] = domain
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--model", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid model: %s\n" % message
+
+
 def test_missing_model_exits_1(capsys):
     assert main(["analyze", "--model", "/nonexistent/model.json"]) == 1
     assert "cannot read" in capsys.readouterr().err
@@ -611,6 +670,19 @@ def test_analyze_cluster_tol_reaches_the_adapted_frame(tmp_path, capsys):
     assert split["relations"]["ratio-invariance"] == pytest.approx(7.071e-4, rel=1e-3)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_analyze_cluster_tol_beyond_the_float_range_merges_every_eigenvalue(dini_model, capsys):
+    # tol * max(1, |lam|) overflows at the eigenvalues 2 and 4: numpy's
+    # scalar multiply warned, a traceback under -W error::RuntimeWarning
+    assert main(["analyze", "--model", dini_model, "--cluster-tol", "1e308",
+                 "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rec = json.loads(captured.out)["points"][0]
+    assert rec["eigenvalues"] == pytest.approx([2.0, 4.0], rel=1e-12)
+    assert rec["N"] == 1 and rec["N_in_ball"] == [1]
+
+
 def test_verify_without_admissible_covector_exits_3(tmp_path, capsys):
     # a cone wider than pi/2 around the abnormal line rejects every covector
     path = tmp_path / "qc.json"
@@ -935,6 +1007,25 @@ def test_verify_pass_and_report(dini_model, tmp_path, capsys):
     assert doc["config"]["count"] == 6
     assert doc["config"]["seed"] == 7
     assert len(doc["samples"]) == 6
+
+
+def test_verify_defaults_come_from_the_library(dini_model, capsys):
+    # the sampling flags default to None and verify_equivalence fills in its
+    # own defaults: a run without them is a run with each set to its default
+    flags = {"--samples": "count", "--seed": "seed", "--T": "T", "--tol": "tol_curve",
+             "--integrator-tol": "integrator_tol", "--curve-samples": "curve_samples",
+             "--margin": "margin", "--transverse-sigma": "transverse_sigma"}
+    argv = ["verify", "--model", dini_model, "--format", "json"]
+    assert main(argv) == 0
+    bare = capsys.readouterr().out
+    defaults = verifier._DEFAULT_SAMPLING
+    assert main(argv + [arg for flag, key in flags.items()
+                        for arg in (flag, repr(defaults[key]))]) == 0
+    assert capsys.readouterr().out == bare
+    assert json.loads(bare)["config"] == defaults
+    # the text report reads the tolerance off the report's config
+    assert main(["verify", "--model", dini_model, "--samples", "2"]) == 0
+    assert "(tol 1e-06)" in capsys.readouterr().out
 
 
 def test_verify_reports_are_byte_identical(dini_model, tmp_path):

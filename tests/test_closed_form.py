@@ -56,7 +56,7 @@ def _closed_form(model, frame, q):
         W = model.gram_at(tuple(q), tag)
         assert np.array_equal(W, np.diag(np.diag(W))), "diagonal Gram matrices only"
     center = dict(zip(syms, frame.center))
-    R = frame.reference
+    R = frame.transition.vectors
     cols, lam = [], []
     for i in range(m):
         field = [sympy.Integer(0)] * n
@@ -128,5 +128,5 @@ def test_structure_functions_and_R_match_closed_form(kind):
             assert np.max(np.abs(data.dalpha_sq - dalpha_sq)) <= 1e-12, (kind, q)
             for j in range(1, model.m + 1):
                 expect = _R_closed_form(model.n, model.m, c, dalpha_sq, a2, j)
-                got = fiber_R(model, frame, q, j)
+                got = fiber_R(data, j)
                 assert np.max(np.abs(got - expect)) <= 1e-12, (kind, q, j)

@@ -567,7 +567,7 @@ def test_point_data_matches_finite_differences(kind):
             assert np.max(np.abs(data.dalpha_sq - dalpha_sq)) <= 1e-8 * scale, (kind, q)
     if kind in ("levi-civita", "quasi-contact", "conformal", "rotating-cluster"):
         # the in-cluster gauge derivative is exercised, not only Nelson's case
-        assert max(len(idx) for idx in fr.clusters) == 2
+        assert max(len(idx) for idx in fr.transition.clusters) == 2
 
 
 
@@ -707,17 +707,18 @@ def test_fiber_polynomials_match_dict_oracle(kind):
     for _ in range(6):
         q = tuple(m.sample_point(rng))
         fr = AdaptedFrame(m, center=np.array(q))
-        P, hP = fiber_P(m, fr, q), fiber_hP(m, fr, q)
+        data = fr.point_data(q)
+        P, hP = fiber_P(data), fiber_hP(data)
         assert np.array_equal(P, dict_fiber_P(m, fr, q).vector()), (kind, q)
         assert np.array_equal(hP, dict_fiber_hP(m, fr, q).vector()), (kind, q)
         residual, quotient = dict_divide(dict_fiber_hP(m, fr, q), dict_fiber_P(m, fr, q))
         fd = first_divisibility(m, fr, q)
         assert fd.residual == residual and np.array_equal(fd.quotient, quotient), (kind, q)
         for j in range(1, m.m + 1):
-            assert np.array_equal(fiber_R(m, fr, q, j),
+            assert np.array_equal(fiber_R(data, j),
                                   dict_fiber_R(m, fr, q, j).vector()), (kind, q, j)
             for k in range(1, m.n + 1):
-                assert np.array_equal(fiber_Q(m, fr, q, j, k),
+                assert np.array_equal(fiber_Q(data, k)[j - 1],
                                       dict_fiber_Q(m, fr, q, j, k).vector()), (kind, q, j, k)
         if m.n - m.m == 1:
             sd = second_divisibility(m, fr, q)
@@ -736,7 +737,7 @@ def test_fiber_P_matches_intrinsic():
     fr = AdaptedFrame(m, center=np.zeros(4))
     rng = np.random.default_rng(11)
     q = np.array([0.04, -0.03, 0.02, 0.05])
-    poly = fiber_P(m, fr, q)
+    poly = fiber_P(fr.point_data(q))
     A = fr.at(q)[0]
     for _ in range(6):
         p = rng.normal(size=4)
@@ -751,10 +752,10 @@ def test_plane_example_hand_values():
     m = plane_pair()
     q = (1.0, 0.0)
     fr = AdaptedFrame(m, center=np.array(q))
-    P = fiber_P(m, fr, q)
+    P = fiber_P(fr.point_data(q))
     assert P[_basis(2, 2)[1][(0, 0)]] == pytest.approx(1.0, abs=1e-12)
     assert P[_basis(2, 2)[1][(1, 1)]] == pytest.approx(2.0, abs=1e-12)
-    hP = fiber_hP(m, fr, q)
+    hP = fiber_hP(fr.point_data(q))
     cube = _basis(2, 3)[1][(1, 1, 1)]
     assert abs(hP[cube]) == pytest.approx(2.0, rel=1e-9)
     rest = np.abs(np.delete(hP, cube))
@@ -788,8 +789,7 @@ def test_fiber_Q_oracle():
     m = heisenberg(g2diag=("1", "4"))
     fr = AdaptedFrame(m, center=np.zeros(3))
     q = (0.0, 0.0, 0.0)
-    Q13 = fiber_Q(m, fr, q, 1, 3)
-    Q23 = fiber_Q(m, fr, q, 2, 3)
+    Q13, Q23 = fiber_Q(fr.point_data(q), 3)[:2]
     u = np.array([0.4, -1.1, 0.9])
     assert fiber_value(Q13, u, 1) == pytest.approx(-u[1], abs=1e-9)
     assert fiber_value(Q23, u, 1) == pytest.approx(0.5 * u[0], abs=1e-9)
@@ -818,7 +818,7 @@ def _compare_R_routes(m, q, tol=1e-7):
     fr = AdaptedFrame(m, center=np.array(q))
     rng = np.random.default_rng(2)
     for j in range(1, m.m + 1):
-        R = fiber_R(m, fr, q, j)
+        R = fiber_R(fr.point_data(q), j)
         Rd = _fiber_R_direct(m, fr, q, j)
         for _ in range(5):
             u = rng.normal(size=m.n)
@@ -840,7 +840,7 @@ def test_fiber_R_dual_route_conformal_contact():
     q = (0.2, 0.3, 0.0)
     _compare_R_routes(m, q)
     fr = AdaptedFrame(m, center=np.array(q))
-    assert np.max(np.abs(fiber_R(m, fr, q, 1))) > 0.1
+    assert np.max(np.abs(fiber_R(fr.point_data(q), 1))) > 0.1
 
 
 def test_R_vanishes_for_block_product_pairs():
@@ -848,7 +848,7 @@ def test_R_vanishes_for_block_product_pairs():
                                       {"size": 1, "beta": "2 + x2/10"}]})
     fr = AdaptedFrame(m, center=np.array([0.1, -0.2]))
     for j in (1, 2):
-        R = fiber_R(m, fr, (0.1, -0.2), j)
+        R = fiber_R(fr.point_data((0.1, -0.2)), j)
         assert np.max(np.abs(R)) < 1e-9
 
 
@@ -856,7 +856,7 @@ def test_R_nonzero_for_conformal_plane():
     # G2 = (1+x^2) G1 on the plane: R_1 = -x u2^2 at y = 0
     m = plane_pair(g2xx="1+x^2", g2yy="1+x^2")
     fr = AdaptedFrame(m, center=np.array([0.5, 0.0]))
-    R = fiber_R(m, fr, (0.5, 0.0), 1)
+    R = fiber_R(fr.point_data((0.5, 0.0)), 1)
     assert np.max(np.abs(R)) == pytest.approx(0.5, abs=1e-6)
     assert np.max(np.abs(R)) > 1e-3
 
@@ -878,7 +878,7 @@ def test_second_divisibility_conformal_heisenberg():
         assert a2 == pytest.approx(f, rel=1e-12)
         assert r_trans == pytest.approx(a2, rel=1e-9)
     # R_1 factors through Q: R_1 = u2 (y u1 - x u2 - f u3) in adapted impulses
-    R1 = fiber_R(m, fr, q, 1)
+    R1 = fiber_R(fr.point_data(q), 1)
     rng = np.random.default_rng(8)
     for _ in range(4):
         u = rng.normal(size=3)
