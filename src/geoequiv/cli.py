@@ -2,15 +2,17 @@
 
 Exit codes: 0 success (or verification pass), 1 usage or IO error (also a
 point or covector coordinate that is not finite, a geodesic covector too
-large for its energy to be finite where the model evaluates or for its
-scaled initial rate to be squared in floats, a geodesic tolerance too small
-for that at a covector of largest entry 1, a tolerance, radius or
-abnormal cone that is not finite and positive, a verify margin outside
-[0, 0.5), a transverse sigma that is not finite and at least 0, fewer than
-1 verify sample or check-relations point or 2 curve samples, a negative
-geodesic sample count, a zero horizon, an --at point outside the model
-domain, or a geodesic start outside it or within 1e-12 of its boundary),
-2 verification fail,
+large for its energy to be finite where the model evaluates or for the
+integrator's first step, a geodesic tolerance too small for that at a
+covector of largest entry 1, a verify transverse sigma too large for the
+first step, or an integrator tolerance too small for it at sigma 0, a
+tolerance, radius or abnormal cone that is not finite and positive, a
+verify margin outside [0, 0.5), a transverse sigma that is not finite and
+at least 0, fewer than 1 verify sample or check-relations point or 2 curve
+samples, a negative geodesic sample count, a curve or geodesic sample
+count too large to allocate, a zero horizon, an --at point outside the
+model domain, or a geodesic start outside it or within 1e-12 of its
+boundary), 2 verification fail,
 3 inconclusive (also when verify can draw no covector outside the excluded
 abnormal cone, or when check-relations has a point without an adapted frame
 and no failing point), 4 invalid model: a manifest error (also a number or
@@ -39,10 +41,10 @@ import numpy as np
 from . import __version__
 from .expr import EvalDomainError
 from .geometry import load_model, save_model, ManifestError, ModelValidationError
-from .hamiltonian import (CovectorTooLargeError, IntegrationError, hamiltonian, integrate,
-                          write_trajectory_csv)
-from .pair import (AdaptedFrameError, AdaptedFrame, regularity_probe, first_divisibility,
-                   second_divisibility, relations_cor)
+from .hamiltonian import (_DEFAULT_TOL, CovectorTooLargeError, IntegrationError, hamiltonian,
+                          integrate, write_trajectory_csv)
+from .pair import (_BRACKET_TOL, _CLUSTER_TOL, AdaptedFrameError, AdaptedFrame, regularity_probe,
+                   first_divisibility, second_divisibility, relations_cor)
 from .constructors import GENERATORS, ConstructionError
 from .verifier import SamplingError, verify_equivalence
 
@@ -128,9 +130,6 @@ def _load(path):
     except OSError as exc:
         sys.stderr.write("error: cannot read model: %s\n" % exc)
         raise SystemExit(EXIT_USAGE)
-    except (ManifestError, ModelValidationError) as exc:
-        sys.stderr.write("error: invalid model: %s\n" % exc)
-        raise SystemExit(EXIT_INVALID_MODEL)
 
 
 def _usage_error(msg):
@@ -199,45 +198,59 @@ def _cmd_generate(args):
     return EXIT_OK
 
 
-# ---------------------------------------------------------------- analyze
+# ---------------------------------------------- analyze and check-relations
 
-def _point_report(model, frame, q, radius, cluster_tol):
-    # the frame is centered at q: its pencil is transition_operator's there
+def _per_point(model, points, record, cluster_tol=_CLUSTER_TOL):
+    """The record {"q": q, **record(frame, q)} of each point q, with frame
+    the adapted frame centered at q. A point without one gets {"q",
+    "frame_error"}; a model error there is raised again naming q."""
+    records = []
+    for q in points:
+        rec = {"q": [float(v) for v in q]}
+        try:
+            frame = AdaptedFrame(model, center=np.array(q, dtype=float),
+                                 cluster_tol=cluster_tol)
+            rec.update(record(frame, q))
+        except AdaptedFrameError as exc:
+            rec["frame_error"] = str(exc)
+        except (EvalDomainError, np.linalg.LinAlgError) as exc:
+            raise type(exc)("at q = %s: %s" % (rec["q"], exc)) from exc
+        records.append(rec)
+    return records
+
+
+def _relations(rep):
+    """relations_cor's residual of each relation, None where it is vacuous."""
+    return {name: (None if val is None else float(val)) for name, val in rep.checks.items()}
+
+
+def _point_report(frame, q, radius):
+    """analyze's record at q, all but its "q". The frame is centered at q: its
+    pencil is transition_operator's there, and its cluster_tol the probe's."""
+    model = frame.model
     td = frame.transition
-    reg = regularity_probe(model, q, radius=radius, cluster_tol=cluster_tol)
+    reg = regularity_probe(model, q, radius=radius, cluster_tol=frame.cluster_tol)
+    fd = first_divisibility(model, frame, q)
     rec = {
-        "q": [float(v) for v in q],
         "eigenvalues": [float(v) for v in td.eigenvalues],
         "N": td.N,
         "regular": bool(reg.regular),
         "N_in_ball": list(reg.N_values),
+        "first_divisibility": {"holds": bool(fd.holds), "residual": float(fd.residual)},
+        "second_divisibility": None,
     }
-    try:
-        fd = first_divisibility(model, frame, q)
-        rec["first_divisibility"] = {
-            "holds": bool(fd.holds),
-            "residual": float(fd.residual),
+    if model.n - model.m == 1:
+        sd = second_divisibility(model, frame, q)
+        rec["second_divisibility"] = {
+            "holds": bool(sd.holds),
+            "residual": float(sd.residual),
+            "quotient_spread": float(sd.spread),
+            "transverse_quotient": {
+                str(j): [float(pair[0]), float(pair[1])]
+                for j, pair in sd.transverse_r.items()
+            },
         }
-        if model.n - model.m == 1:
-            sd = second_divisibility(model, frame, q)
-            rec["second_divisibility"] = {
-                "holds": bool(sd.holds),
-                "residual": float(sd.residual),
-                "quotient_spread": float(sd.spread),
-                "transverse_quotient": {
-                    str(j): [float(pair[0]), float(pair[1])]
-                    for j, pair in sd.transverse_r.items()
-                },
-            }
-        else:
-            rec["second_divisibility"] = None
-        rep = relations_cor(model, frame, q)
-        rec["relations"] = {
-            name: (None if val is None else float(val))
-            for name, val in rep.checks.items()
-        }
-    except AdaptedFrameError as exc:
-        rec["frame_error"] = str(exc)
+    rec["relations"] = _relations(relations_cor(model, frame, q))
     return rec
 
 
@@ -249,17 +262,8 @@ def _worst_relation(rec):
 def _cmd_analyze(args):
     model = _load(args.model)
     points = _parse_points(model, args.at)
-    records = []
-    for q in points:
-        try:
-            frame = AdaptedFrame(model, center=np.array(q, dtype=float),
-                                 cluster_tol=args.cluster_tol)
-            rec = _point_report(model, frame, q, args.radius, args.cluster_tol)
-        except AdaptedFrameError as exc:
-            rec = {"q": [float(v) for v in q], "frame_error": str(exc)}
-        except (EvalDomainError, np.linalg.LinAlgError) as exc:
-            raise type(exc)("at q = %s: %s" % ([float(v) for v in q], exc)) from exc
-        records.append(rec)
+    records = _per_point(model, points, functools.partial(_point_report, radius=args.radius),
+                         args.cluster_tol)
     payload = {
         "schema": SCHEMA,
         "command": "analyze",
@@ -314,6 +318,18 @@ def _check_energy(model, tag, q, p):
                  "finite; scale it down")
 
 
+def _refuse_too_large(exc, covector_flag, tol_flag, rerun):
+    """One usage line for integrate's CovectorTooLargeError exc, as
+    _check_energy judges the energy: the tolerance flag is at fault when
+    rerun(), the same run at covectors of unit size, is refused too, and
+    the flag that sized the covector otherwise."""
+    try:
+        rerun()
+    except CovectorTooLargeError:
+        _usage_error("argument %s: %s; raise it" % (tol_flag, exc))
+    _usage_error("argument %s: %s; scale it down" % (covector_flag, exc))
+
+
 def _cmd_geodesic(args):
     model = _load(args.model)
     if len(args.q) != model.n or len(args.p) != model.n:
@@ -327,15 +343,12 @@ def _cmd_geodesic(args):
         traj = integrate(model, args.metric, (q0, p0), args.T,
                          tol=args.tol, samples=args.samples)
     except CovectorTooLargeError as exc:
-        # as _check_energy judges the energy: the tolerance is at fault when
-        # p scaled to a largest entry of 1 is refused too, which integrate
-        # decides before its first step, whatever the horizon
-        try:
-            integrate(model, args.metric, (q0, p0 / np.abs(p0).max()),
-                      math.copysign(1e-9, args.T), tol=args.tol)
-        except CovectorTooLargeError:
-            _usage_error("argument --tol: %s; raise it" % exc)
-        _usage_error("argument --p: %s; scale it down" % exc)
+        # p scaled to a largest entry of 1; integrate refuses a covector
+        # before its first step, and the horizon only caps the trial step
+        # there, so a short run decides
+        _refuse_too_large(exc, "--p", "--tol", lambda: integrate(
+            model, args.metric, (q0, p0 / np.abs(p0).max()), math.copysign(1e-9, args.T),
+            tol=args.tol))
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
@@ -389,6 +402,11 @@ def _cmd_verify(args):
         exclusions = {"abnormal_cone": args.exclude_abnormal_cone}
     try:
         report = verify_equivalence(model, sampling, exclusions=exclusions)
+    except CovectorTooLargeError as exc:
+        # without transverse impulses every drawn covector has unit energy
+        unit = dict(sampling, transverse_sigma=0.0)
+        _refuse_too_large(exc, "--transverse-sigma", "--integrator-tol",
+                          lambda: verify_equivalence(model, unit, exclusions=exclusions))
     except AdaptedFrameError as exc:
         sys.stderr.write("error: adapted frame unavailable: %s\n" % exc)
         return EXIT_INCONCLUSIVE
@@ -434,19 +452,8 @@ def _cmd_check_relations(args):
         points = [tuple(model.sample_point(rng)) for _ in range(args.points)]
     else:
         points = _parse_points(model, args.at)
-    records = []
-    for q in points:
-        rec = {"q": [float(v) for v in q]}
-        try:
-            frame = AdaptedFrame(model, center=np.array(q, dtype=float))
-            rep = relations_cor(model, frame, q, bracket_tol=args.bracket_tol)
-            rec["relations"] = {name: (None if v is None else float(v))
-                                for name, v in rep.checks.items()}
-        except AdaptedFrameError as exc:
-            rec["frame_error"] = str(exc)
-        except (EvalDomainError, np.linalg.LinAlgError) as exc:
-            raise type(exc)("at q = %s: %s" % (rec["q"], exc)) from exc
-        records.append(rec)
+    records = _per_point(model, points, lambda frame, q: {"relations": _relations(
+        relations_cor(model, frame, q, bracket_tol=args.bracket_tol))})
     # the worst residual and the verdict come from the records
     residuals = [_worst_relation(rec) for rec in records if "relations" in rec]
     worst = max(residuals, default=0.0)
@@ -505,7 +512,7 @@ def build_parser():
     a.add_argument("--at", nargs="+", type=_FINITE, action="append",
                    metavar="Q", help="a point (repeatable); default: domain center")
     a.add_argument("--radius", type=_POSITIVE, default=0.05)
-    a.add_argument("--cluster-tol", type=_POSITIVE, default=1e-7)
+    a.add_argument("--cluster-tol", type=_POSITIVE, default=_CLUSTER_TOL)
     _add_common(a)
     a.set_defaults(func=_cmd_analyze)
 
@@ -515,7 +522,7 @@ def build_parser():
     ge.add_argument("--q", nargs="+", type=_FINITE, required=True)
     ge.add_argument("--p", nargs="+", type=_FINITE, required=True)
     ge.add_argument("--T", type=float, required=True)
-    ge.add_argument("--tol", type=float, default=1e-10)
+    ge.add_argument("--tol", type=float, default=_DEFAULT_TOL)
     ge.add_argument("--samples", type=_SAMPLE_TIMES, default=201,
                     help="even sample times; 0 gives the accepted step times")
     ge.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -546,7 +553,7 @@ def build_parser():
                    help="sampled probe points when --at is omitted")
     c.add_argument("--seed", type=_SEED, default=0)
     c.add_argument("--tol", type=_POSITIVE, default=1e-6)
-    c.add_argument("--bracket-tol", type=_POSITIVE, default=1e-6)
+    c.add_argument("--bracket-tol", type=_POSITIVE, default=_BRACKET_TOL)
     _add_common(c)
     c.set_defaults(func=_cmd_check_relations)
 
@@ -560,7 +567,7 @@ def main(argv=None):
         code = args.func(args)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except (ManifestError, ModelValidationError, IntegrationError) as exc:
+    except IntegrationError as exc:
         sys.stderr.write("error: %s\n" % exc)
         code = EXIT_INVALID_MODEL
     except (AdaptedFrameError, SamplingError) as exc:
@@ -569,9 +576,13 @@ def main(argv=None):
     except EvalDomainError as exc:
         sys.stderr.write("error: model expression out of its domain: %s\n" % exc)
         code = EXIT_INVALID_MODEL
-    except np.linalg.LinAlgError as exc:
+    except (ManifestError, ModelValidationError, np.linalg.LinAlgError) as exc:
         sys.stderr.write("error: invalid model: %s\n" % exc)
         code = EXIT_INVALID_MODEL
+    except MemoryError as exc:
+        # a sample count that numpy cannot allocate; its message names the array
+        sys.stderr.write("error: out of memory: %s\n" % exc)
+        code = EXIT_USAGE
     return code
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from . import expr as ex
 
 _BOUNDARY_EPS = 1e-12
+_DEFAULT_TOL = 1e-10        # integrate's default accuracy
 _STEP_TOL = 1e-4            # integrate's DOP853 steps run at tol * _STEP_TOL
 _FLOAT64 = np.dtype(float)
 
@@ -32,7 +33,8 @@ class IntegrationError(RuntimeError):
 
 class CovectorTooLargeError(ValueError):
     """integrate's initial rate is finite, but too large for the step size
-    selection: over the error scale, its norm overflows a float."""
+    selection: over the error scale, its norm, or the norm of its change
+    over the trial step, overflows a float."""
 
 
 def _sum(terms):
@@ -290,6 +292,13 @@ def _rms(x):
     return np.sqrt(x.dot(x)) / x.size ** 0.5
 
 
+def _refuse_overflow(d, rate, message, tol):
+    """CovectorTooLargeError(message % tol) where the scaled norm d of the
+    finite rate overflowed."""
+    if d == math.inf and np.isfinite(rate).all():
+        raise CovectorTooLargeError(message % tol)
+
+
 def _stage(Ks, a, h, y, buf):
     """scipy's y + np.dot(K[:s].T, a) * h as a list of floats: the dot by
     BLAS into buf, as numpy computes it, then each entry's product and sum
@@ -376,20 +385,21 @@ def _dop853(fun, event, nq, y0, t1, tol):
     buf = np.empty(N)
     y = y0.tolist()
     f = fun(y, np.empty(N))
-    # select_initial_step of Hairer, Norsett & Wanner, II.4
+    # select_initial_step of Hairer, Norsett & Wanner, II.4; a rate whose
+    # scaled norm overflows, or the norm of whose change does, is refused
     span = abs(t1)
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
     with np.errstate(over="ignore"):
         d1 = _rms(f / scale)
-    if d1 == math.inf and np.isfinite(f).all():
-        raise CovectorTooLargeError(
-            "the initial rate over the error scale (tolerance %r) cannot be "
-            "squared in floats" % tol)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, span)
-    f1 = fun((y0 + h0 * direction * f).tolist(), np.empty(N))
-    d2 = _rms((f1 - f) / scale) / h0
+        _refuse_overflow(d1, f, "the initial rate over the error scale (tolerance %r) "
+                                "cannot be squared in floats", tol)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, span)
+        f1 = fun((y0 + h0 * direction * f).tolist(), np.empty(N))
+        d2 = _rms((f1 - f) / scale) / h0
+        _refuse_overflow(d2, f1, "the initial rate's change over the error scale "
+                                 "(tolerance %r) overflows a float", tol)
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -471,7 +481,7 @@ def _dop853(fun, event, nq, y0, t1, tol):
     return status, _Steps(direction, ts, hs, y_olds, F_low, F_high, N), y
 
 
-def integrate(model, metric_tag, lam0, T, tol=1e-10, samples=None, aux_rate=None):
+def integrate(model, metric_tag, lam0, T, tol=_DEFAULT_TOL, samples=None, aux_rate=None):
     """Integrate the extremal from lam0 = (q0, p0) over time T (sign allowed).
 
     Stops (clipped=True) when the base point reaches the domain boundary;
@@ -485,7 +495,8 @@ def integrate(model, metric_tag, lam0, T, tol=1e-10, samples=None, aux_rate=None
     ends without samples; the steps are kept, so that resample() can read
     the run at other times without integrating again. Raises
     CovectorTooLargeError, a ValueError, when the initial rate is finite
-    but its scaled norm is not.
+    but its scaled norm, or that of its change over the first trial step,
+    is not.
     """
     q0, p0 = lam0
     q0 = np.asarray(q0, dtype=float)

@@ -28,6 +28,7 @@ from .hamiltonian import _program
 
 _CLUSTER_TOL = 1e-7
 _DIV_TOL = 1e-8
+_BRACKET_TOL = 1e-6     # relations_cor's test of a bracket leaving D
 _GAUGE_MIN_SV = 0.2
 _PROBE_SAMPLES = 40     # regularity_probe's random ball samples
 _PROBE_SEED = 0
@@ -797,7 +798,7 @@ class CorReport:
         self.max_residual = max_residual
 
 
-def relations_cor(model, frame, q, bracket_tol=1e-6):
+def relations_cor(model, frame, q, bracket_tol=_BRACKET_TOL):
     """Pointwise identities every geodesically equivalent pair must satisfy.
 
     eigenvalue-transport: X_i(alpha_j^2/alpha_i^2) = 2 c_{ji}^j (1 - alpha_j^2/alpha_i^2)

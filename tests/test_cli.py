@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -265,13 +266,13 @@ def test_unknown_option_exits_1(dini_model, capsys):
     assert main(["analyze", "--model", dini_model, "--at", "-e5", "0.1"]) == 1
 
 
-def _run_cli(*argv, flags=()):
+def _run_cli(*argv, flags=(), preexec_fn=None):
     src = os.path.dirname(os.path.dirname(geoequiv.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *flags, "-m", "geoequiv.cli"] + list(argv),
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, preexec_fn=preexec_fn)
 
 
 def test_eval_domain_error_exits_4_without_traceback(tmp_path):
@@ -542,6 +543,57 @@ def test_geodesic_tolerance_too_small_for_a_unit_covector_names_tol(capsys):
         assert captured.err.splitlines() == [
             "error: argument --tol: the initial rate over the error scale (tolerance 1e-200) "
             "cannot be squared in floats; raise it"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_covector_too_large_names_its_flag(tmp_path, capsys):
+    # sigma 1e100 draws transverse impulses whose initial rate's change over
+    # the trial step overflows a float: before, a traceback under these
+    # warnings, and without them exit 4 blaming the model. At tolerance
+    # 1e-300 the aux entry, which starts at 0, has the error scale atol
+    # alone, so a run at sigma 0 is refused too: the tolerance is at fault
+    path = str(tmp_path / "qc.json")
+    save_model(GENERATORS["quasi-contact"](FIELD_PARAMS["quasi-contact"]), path)
+    tol_line = ("error: argument --integrator-tol: the initial rate over the error scale "
+                "(tolerance 1e-300) cannot be squared in floats; raise it")
+    for flags, line in (
+            (["--transverse-sigma", "1e100"],
+             "error: argument --transverse-sigma: the initial rate's change over the error "
+             "scale (tolerance 1e-10) overflows a float; scale it down"),
+            (["--integrator-tol", "1e-300"], tol_line),
+            (["--integrator-tol", "1e-300", "--transverse-sigma", "1e100"], tol_line)):
+        assert main(["verify", "--model", path, "--samples", "2"] + flags) == 1, flags
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [line], flags
+    # dini is Riemannian: no transverse impulse to draw
+    dini = str(Path(__file__).with_name("golden") / "dini.manifest.json")
+    assert main(["verify", "--model", dini, "--samples", "2",
+                 "--transverse-sigma", "1e100"]) == 0
+
+
+def _cap_address_space():
+    """Caps the child's address space at 8 GiB, so that no sample count
+    the tests ask for is allocated, whatever the host's overcommit policy."""
+    resource.setrlimit(resource.RLIMIT_AS, (8 << 30, 8 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--samples", "1", "--curve-samples", "10000000000000"),
+    ("geodesic", "--metric", "1", "--q", "0", "0", "0", "0", "--p", "1", "0", "0", "0",
+     "--T", "0.1", "--samples", "10000000000000"),
+])
+def test_sample_count_too_large_to_allocate_exits_1(tmp_path, argv):
+    # 1e13 floats, about 73 TiB, which numpy refuses at once: before, its
+    # _ArrayMemoryError ended the run in a traceback
+    path = str(tmp_path / "qc.json")
+    save_model(GENERATORS["quasi-contact"](FIELD_PARAMS["quasi-contact"]), path)
+    proc = _run_cli(argv[0], "--model", path, *argv[1:], flags=("-W", "error::RuntimeWarning"),
+                    preexec_fn=_cap_address_space)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory: "), proc.stderr
+    assert "(10000000000000,)" in lines[0]
 
 
 @pytest.mark.parametrize("cell,message", [

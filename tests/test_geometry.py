@@ -163,14 +163,19 @@ def test_structure_functions_match_brackets():
         assert np.allclose(E @ c[b, a], -br, atol=1e-12)
 
 
-def _omega_rank(model, q):
-    """Rank of the two-form Omega_ab = -omega([X_a, X_b]) on D at q."""
+def _omega(model, q):
+    """The two-form Omega_ab = -omega([X_a, X_b]) on D at q."""
     omega = np.array([value(e, q) for e in annihilator(model)])
     Omega = np.zeros((model.m, model.m))
     for (a, b), br in bracket_exprs(model).items():
         Omega[a, b] = -omega @ [value(e, q) for e in br]
         Omega[b, a] = -Omega[a, b]
-    return np.linalg.matrix_rank(Omega, tol=1e-8)
+    return Omega
+
+
+def _omega_rank(model, q):
+    """Rank of the two-form Omega on D at q."""
+    return np.linalg.matrix_rank(_omega(model, q), tol=1e-8)
 
 
 def _abnormal_field(model, q):
@@ -214,6 +219,43 @@ def test_classification_integrable_is_other():
     m = GeometryModel(coords, 2, frame, eye2, eye2, [-1] * 3, [1] * 3)
     assert _omega_rank(m, (0.1, 0.2, 0.3)) == 0
     assert abnormal_direction(m) is None
+
+
+def _rank5(twist, scale):
+    """The rank-5 distribution of R^6 (x1, y1, x2, y2, z, w) spanned by
+    scale times dx1, dy1 + x1 dz, dx2, dy2 + twist dz and dw, completed by
+    dz, with identity Grams."""
+    coords = ("x1", "y1", "x2", "y2", "z", "w")
+    P = lambda s: ex.parse(s, coords)
+    fields = (("1", "0", "0", "0", "0", "0"), ("0", "1", "0", "0", "x1", "0"),
+              ("0", "0", "1", "0", "0", "0"), ("0", "0", "0", "1", twist, "0"),
+              ("0", "0", "0", "0", "0", "1"))
+    frame = tuple(tuple(P("(%s)*(%s)" % (scale, c)) for c in f) for f in fields)
+    frame += (tuple(P(c) for c in ("0", "0", "0", "0", "1", "0")),)
+    eye = tuple(tuple(P("1" if i == j else "0") for j in range(5)) for i in range(5))
+    return GeometryModel(coords, 5, frame, eye, eye, [-1] * 6, [1] * 6)
+
+
+@pytest.mark.parametrize("scale", ["1", "1 + x1^2/4 + y2*w/3"])
+def test_classification_rank_5_quasi_contact(scale):
+    # Omega has rank 4, so the abnormal direction comes from Pfaffians of
+    # its 4 x 4 principal minors: _sym_pfaffian's recursion, which no
+    # generator of rank 3 reaches
+    m = _rank5("x2", scale)
+    coeffs = abnormal_direction(m)
+    rng = np.random.default_rng(3636)
+    for q in [m.center()] + [m.sample_point(rng) for _ in range(5)]:
+        b = np.array([value(e, q) for e in coeffs])
+        Omega = _omega(m, q)
+        assert _omega_rank(m, q) == 4
+        assert np.max(np.abs(b)) > 0.5, q
+        assert np.max(np.abs(Omega @ b)) <= 1e-12 * np.max(np.abs(Omega)) * np.max(np.abs(b)), q
+        # the kernel of Omega on D is the dw direction
+        assert np.allclose(_abnormal_field(m, q), [0, 0, 0, 0, 0, 1], atol=1e-12), q
+    # without the twist of X4 the two-form has rank 2: no one type
+    flat = _rank5("0", scale)
+    assert _omega_rank(flat, (0.1, 0.2, -0.3, 0.1, 0.0, 0.2)) == 2
+    assert abnormal_direction(flat) is None
 
 
 def test_annihilator_kills_distribution():

@@ -459,12 +459,17 @@ def test_integrate_rejects_bad_tolerance_and_clips_tiny_ones():
 def test_integrate_rejects_a_covector_whose_scaled_rate_overflows():
     # the energy is finite, but the initial rate over the error scale
     # atol + rtol |y0| cannot be squared in floats; the step size selection
-    # warned five times and the run clipped at t = 2.6e-151
+    # warned five times and the run clipped at t = 2.6e-151. p_z = 1e100
+    # leaves that norm finite, but the norm of the rate's change over the
+    # trial step overflowed in _rms's dot, and the run failed as "compiled
+    # expression not finite"
     m = pair_fixture("quasi-contact")
     q0 = np.zeros(4)
-    for p0 in ([1e150, 0.0, 0.0, 0.0], [0.0, 1e150, 0.0, 0.0]):
+    for p0, message in (([1e150, 0.0, 0.0, 0.0], "cannot be squared"),
+                        ([0.0, 1e150, 0.0, 0.0], "cannot be squared"),
+                        ([1.0, 0.0, 1e100, 0.0], "rate's change .* overflows a float")):
         assert math.isfinite(hamiltonian(m, 1, (q0, np.array(p0))))
-        with pytest.raises(CovectorTooLargeError, match="cannot be squared") as err:
+        with pytest.raises(CovectorTooLargeError, match=message) as err:
             integrate(m, 1, (q0, np.array(p0)), 0.1)
         assert isinstance(err.value, ValueError)
 

@@ -123,9 +123,10 @@ TRANSFORMS = {
 
 
 def analyze_record(model, q):
-    """The record that `geoequiv analyze --at q` reports at its defaults."""
+    """The record that `geoequiv analyze --at q` reports at its defaults,
+    but its "q"."""
     frame = AdaptedFrame(model, center=np.array(q, dtype=float), cluster_tol=_CLUSTER_TOL)
-    return cli._point_report(model, frame, q, RADIUS, _CLUSTER_TOL)
+    return cli._point_report(frame, q, RADIUS)
 
 
 def verdicts(rec):
